@@ -24,11 +24,10 @@ import numpy as np
 
 from .cube import (
     BooleanFunction,
-    FourierExpansion,
     Partition,
     RealFunction,
     cross_partition_weight,
-    inverse_wht,
+    inverse_wht_within,
     sq_l2_dist,
     variance,
     wht,
@@ -53,7 +52,8 @@ from .rv import (
 
 @dataclass(frozen=True)
 class Constants:
-    """Universal constants of the bounds; defaults are the proved values."""
+    """Universal constants of the bounds; defaults are the proved values.
+    Every constant must be positive."""
 
     k0: Fraction = Fraction(4)
     k1: Fraction = Fraction(20480)
@@ -61,7 +61,10 @@ class Constants:
 
     def __post_init__(self):
         for name in ("k0", "k1", "k2"):
-            object.__setattr__(self, name, _q(getattr(self, name)))
+            value = _q(getattr(self, name))
+            if value <= 0:
+                raise StructureError(f"constants must be positive, got {name}={value}")
+            object.__setattr__(self, name, value)
 
     @property
     def corollary_k(self) -> Fraction:
@@ -71,11 +74,15 @@ class Constants:
 DEFAULT_CONSTANTS = Constants()
 
 
-def _fmt(value: object) -> str:
+def format_value(value: object, decimal: bool = False) -> str:
+    """Text of one reported value: exact by default, 15 significant digits
+    for rationals and floats when `decimal` is set."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
+    if decimal and isinstance(value, (Fraction, float)):
+        return f"{float(value):.15g}"
     return str(value)
 
 
@@ -100,16 +107,18 @@ class BoundReport:
     def ratio(self) -> Fraction | None:
         return self.lhs / self.rhs if self.rhs > 0 else None
 
-    def kv_lines(self) -> list[str]:
-        lines = [f"lhs={self.lhs}", f"rhs={self.rhs}"]
+    def kv_lines(self, decimal: bool = False) -> list[str]:
         ratio = self.ratio
-        lines.append(f"ratio={ratio}" if ratio is not None else "ratio=")
-        lines.append(f"holds={_fmt(self.holds)}")
-        lines.extend(f"witness.{k}={_fmt(v)}" for k, v in self.witness.items())
-        return lines
+        return [
+            f"lhs={format_value(self.lhs, decimal)}",
+            f"rhs={format_value(self.rhs, decimal)}",
+            f"ratio={format_value(ratio, decimal) if ratio is not None else ''}",
+            f"holds={format_value(self.holds)}",
+            *(f"witness.{k}={format_value(v, decimal)}" for k, v in self.witness.items()),
+        ]
 
     def witness_text(self) -> str:
-        return ";".join(f"{k}={_fmt(v)}" for k, v in self.witness.items())
+        return ";".join(f"{k}={format_value(v)}" for k, v in self.witness.items())
 
     def csv_row(self, instance_id: int | str) -> list[str]:
         ratio = self.ratio
@@ -118,7 +127,7 @@ class BoundReport:
             str(self.lhs),
             str(self.rhs),
             str(ratio) if ratio is not None else "",
-            _fmt(self.holds),
+            format_value(self.holds),
             self.witness_text(),
         ]
 
@@ -348,8 +357,7 @@ def corollary2_apply(
         mask = partition.mask(j)
         outside = (subsets & ~mask) != 0
         coeff_route = Fraction(float(sq[outside].sum()))
-        rest_table = restriction_plus_constant(f, expansion, mask)
-        pointwise_route = Fraction(sq_l2_dist(f, rest_table))
+        pointwise_route = Fraction(sq_l2_dist(f, inverse_wht_within(expansion, mask)))
         if coeff_route != pointwise_route:
             raise VerificationError(
                 f"block {j}: coefficient route {coeff_route} != pointwise {pointwise_route}"
@@ -368,17 +376,6 @@ def corollary2_apply(
         coeff_empty=coeff_empty,
         block_dists=tuple(block_dists),
         corollary_k=constants.corollary_k,
-    )
-
-
-def restriction_plus_constant(
-    f: BooleanFunction, expansion: FourierExpansion, mask: int
-) -> RealFunction:
-    """Table of f_j + fhat(empty): expansion truncated to subsets of mask."""
-    subsets = np.arange(expansion.coeffs.size)
-    keep = (subsets & ~mask) == 0
-    return inverse_wht(
-        FourierExpansion(f.m, np.where(keep, expansion.coeffs, 0.0))
     )
 
 

@@ -1,14 +1,18 @@
 """Command-line surface: analyze, decompose, check, sweep, example, probe.
 
-Exit codes: 0 = everything checked holds, 1 = usage or input error,
-2 = an inequality violation was found.  All numbers print as exact
-rationals unless --decimal asks for 15 significant digits.
+Exit codes: 0 = everything checked holds, 1 = usage or input error
+(including a --K0/--K1/--K2 that is not positive: constants must be
+positive), 2 = an inequality violation was found, 3 = a sweep found no
+violation but some of its instances could not be evaluated (its errors=
+line counts them).  All numbers print as exact rationals unless --decimal
+asks for 15 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -16,8 +20,6 @@ from pathlib import Path
 
 from . import bounds, cube, rv, sweep
 from .errors import FknLabError, ParseError
-
-_CHECK_IDS = ("lemma4", "lemma5", "lemma7", "claim8", "claim9", "theorem1")
 
 
 class _UsageError(Exception):
@@ -27,27 +29,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)
-
-
-def _formatter(decimal: bool):
-    def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, (Fraction, float)) and decimal:
-            return f"{float(value):.15g}"
-        return str(value)
-
-    return fmt
-
-
-def _print_report(report: bounds.BoundReport, fmt) -> None:
-    print(f"lhs={fmt(report.lhs)}")
-    print(f"rhs={fmt(report.rhs)}")
-    ratio = report.ratio
-    print(f"ratio={fmt(ratio) if ratio is not None else ''}")
-    print(f"holds={fmt(report.holds)}")
-    for key, value in report.witness.items():
-        print(f"witness.{key}={fmt(value)}")
 
 
 def _read_text(path: str) -> str:
@@ -61,21 +42,16 @@ def _read_partition(args, m: int) -> cube.Partition:
     if args.partition is not None:
         return cube.parse_partition(args.partition, m)
     if args.partition_file is not None:
-        for line in _read_text(args.partition_file).splitlines():
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                return cube.parse_partition(stripped, m)
-        raise ParseError(f"no partition line in {args.partition_file}")
+        lines = cube.data_lines(_read_text(args.partition_file))
+        if not lines:
+            raise ParseError(f"no partition line in {args.partition_file}")
+        return cube.parse_partition(lines[0][1], m)
     raise _UsageError("need --partition or --partition-file")
 
 
 def _constants(args) -> bounds.Constants:
-    defaults = bounds.DEFAULT_CONSTANTS
-    return bounds.Constants(
-        k0=Fraction(args.K0) if args.K0 else defaults.k0,
-        k1=Fraction(args.K1) if args.K1 else defaults.k1,
-        k2=Fraction(args.K2) if args.K2 else defaults.k2,
-    )
+    flags = {"k0": args.K0, "k1": args.K1, "k2": args.K2}
+    return replace(bounds.DEFAULT_CONSTANTS, **{k: Fraction(v) for k, v in flags.items() if v})
 
 
 def _add_constant_flags(parser) -> None:
@@ -85,7 +61,7 @@ def _add_constant_flags(parser) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    fmt = _formatter(args.decimal)
+    fmt = functools.partial(bounds.format_value, decimal=args.decimal)
     f = cube.parse_boolean_function(_read_text(args.table))
     partition = _read_partition(args, f.m)
     outcome = bounds.corollary2_apply(f, partition, _constants(args))
@@ -104,7 +80,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    fmt = _formatter(args.decimal)
+    fmt = functools.partial(bounds.format_value, decimal=args.decimal)
     variable = rv.parse_rv(_read_text(args.rv_file))
     components = rv.two_point_decompose(variable)
     print(f"components={len(components)}")
@@ -118,9 +94,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    fmt = _formatter(args.decimal)
     constants = _constants(args)
-    e = Fraction(args.E) if args.E is not None else Fraction(0)
     files = args.rv_files
     target = args.inequality
 
@@ -139,30 +113,20 @@ def _cmd_check(args) -> int:
             raise _UsageError("theorem1 needs at least two RV files")
         xs = [load(p) for p in files]
         report = bounds.theorem1_check(xs, constants)
-        report = bounds.BoundReport(
-            report.lhs,
-            report.rhs,
-            report.holds,
-            {**report.witness, "k_file": files[report.witness["k"]]},
-        )
+        report = replace(report, witness={**report.witness, "k_file": files[report.witness["k"]]})
     else:
         if len(files) != 2:
             raise _UsageError(f"{target} needs exactly two RV files")
-        x, y = load(files[0]), load(files[1])
-        if target == "lemma4":
-            report = bounds.lemma4_bound(x, y, constants)
-        elif target == "lemma5":
-            report = bounds.lemma5_bound(x, y, constants)
-        elif target == "lemma7":
-            report = bounds.lemma7_bound(x, y, e, constants)
-        else:
-            report = bounds.claim9_bound(x, y, e)
-    _print_report(report, fmt)
+        e = Fraction(args.E) if args.E is not None else Fraction(0)
+        pair = sweep.TARGETS[target].pair
+        report = pair(load(files[0]), load(files[1]), e, constants, rv.DEFAULT_ATOM_CAP)
+    for line in report.kv_lines(args.decimal):
+        print(line)
     return 0 if report.holds else 2
 
 
 def _cmd_sweep(args) -> int:
-    fmt = _formatter(args.decimal)
+    fmt = functools.partial(bounds.format_value, decimal=args.decimal)
     if args.config:
         cfg = sweep.parse_sweep_config(_read_text(args.config))
     else:
@@ -206,7 +170,9 @@ def _cmd_sweep(args) -> int:
             writer.writerow(["instance_id", "lhs", "rhs", "ratio", "holds", "witness"])
             writer.writerows(result.rows or ())
         print(f"csv={args.csv}")
-    return 0 if not result.violations else 2
+    if result.violations:
+        return 2
+    return 3 if result.errors else 0
 
 
 def _cmd_example(args) -> int:
@@ -258,16 +224,16 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    fmt = _formatter(args.decimal)
+    fmt = functools.partial(bounds.format_value, decimal=args.decimal)
     f = cube.parse_boolean_function(_read_text(args.table))
     partition = _read_partition(args, f.m)
     g, hs, dist = sweep.conjecture_probe(f, partition, budget=args.budget)
     print("experimental: exhaustive composition search; a result proves nothing")
     print(f"dist={fmt(dist)}")
-    print(f"g={''.join('+' if v > 0 else '-' for v in g.table)}")
+    print(f"g={cube.format_table_row(g)}")
     for j, h in enumerate(hs, start=1):
         block = ",".join(str(i) for i in sorted(partition.blocks[j - 1]))
-        print(f"h{j}[{block}]={''.join('+' if v > 0 else '-' for v in h.table)}")
+        print(f"h{j}[{block}]={cube.format_table_row(h)}")
     if dist == 0:
         print("note: exact composition found")
     return 0
@@ -291,7 +257,9 @@ def build_parser() -> _Parser:
     decompose.set_defaults(func=_cmd_decompose)
 
     check = sub.add_parser("check", help="evaluate one inequality on explicit inputs")
-    check.add_argument("inequality", choices=_CHECK_IDS)
+    # claim8 and theorem1 take their own inputs; the rest are Target.pair
+    check_ids = [n for n, t in sweep.TARGETS.items() if t.pair or n in ("claim8", "theorem1")]
+    check.add_argument("inequality", choices=check_ids)
     check.add_argument("rv_files", nargs="+")
     check.add_argument("--E", help="shift constant (rational), default 0")
     check.add_argument("--x1", help="claim8 evaluation point")
@@ -302,7 +270,7 @@ def build_parser() -> _Parser:
 
     sweep_cmd = sub.add_parser("sweep", help="randomized/exhaustive inequality sweep")
     sweep_cmd.add_argument("--config", help="key=value config file")
-    sweep_cmd.add_argument("--target", choices=sweep.TARGETS)
+    sweep_cmd.add_argument("--target", choices=tuple(sweep.TARGETS))
     sweep_cmd.add_argument("--n", type=int, default=10_000)
     sweep_cmd.add_argument("--seed", type=int, default=0)
     sweep_cmd.add_argument("--support-min", type=int, default=1)

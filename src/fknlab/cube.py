@@ -156,6 +156,12 @@ def inverse_wht(expansion: FourierExpansion) -> RealFunction:
     return RealFunction(expansion.m, _butterfly(expansion.coeffs.copy()))
 
 
+def inverse_wht_within(expansion: FourierExpansion, mask: int) -> RealFunction:
+    """Table of the expansion kept to the subsets of `mask` (empty set included)."""
+    keep = (np.arange(expansion.coeffs.size) & ~mask) == 0
+    return inverse_wht(FourierExpansion(expansion.m, np.where(keep, expansion.coeffs, 0.0)))
+
+
 def sq_l2_dist(f: CubeFunction, g: CubeFunction) -> float:
     """Squared L2 semidistance E[(f-g)^2].
 
@@ -182,18 +188,14 @@ def restriction(f: CubeFunction, block: Iterable[int]) -> RealFunction:
     The result is a mean-zero real function of the block variables only
     (constant along all others), with coefficients copied from f.
     """
-    block = frozenset(block)
-    for i in block:
+    mask = 0
+    for i in frozenset(block):
         if not 1 <= i <= f.m:
             raise StructureError(f"variable index {i} outside 1..{f.m}")
-    mask = 0
-    for i in block:
         mask |= 1 << (i - 1)
     expansion = wht(f)
-    subsets = np.arange(expansion.coeffs.size)
-    keep = (subsets & ~mask) == 0
-    keep[0] = False
-    return inverse_wht(FourierExpansion(f.m, np.where(keep, expansion.coeffs, 0.0)))
+    within = inverse_wht_within(expansion, mask)
+    return RealFunction(f.m, within.table - expansion.coeffs[0])
 
 
 def cross_partition_weight(f: BooleanFunction, partition: Partition) -> float:
@@ -246,7 +248,7 @@ def balance_extend(f: BooleanFunction) -> BooleanFunction:
 # text formats
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
+def data_lines(text: str) -> list[tuple[int, str]]:
     """Non-empty, non-comment lines with their 1-based numbers."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -285,7 +287,7 @@ def fraction_to_dyadic_float(q: Fraction) -> float:
 
 
 def parse_boolean_function(text: str) -> BooleanFunction:
-    lines = _data_lines(text)
+    lines = data_lines(text)
     m, _ = _parse_m_header(lines)
     if len(lines) != 2:
         raise ParseError("expected exactly one table line after the header")
@@ -305,12 +307,16 @@ def parse_boolean_function(text: str) -> BooleanFunction:
 
 def format_boolean_function(f: BooleanFunction, comments: Sequence[str] = ()) -> str:
     head = [f"# {c}" for c in comments]
-    row = "".join("+" if v > 0 else "-" for v in f.table)
-    return "\n".join(head + [f"m={f.m}", row]) + "\n"
+    return "\n".join(head + [f"m={f.m}", format_table_row(f)]) + "\n"
+
+
+def format_table_row(f: BooleanFunction) -> str:
+    """The truth table as one '+'/'-' row, entry 0 first."""
+    return "".join("+" if v > 0 else "-" for v in f.table)
 
 
 def parse_real_function(text: str) -> RealFunction:
-    lines = _data_lines(text)
+    lines = data_lines(text)
     m, _ = _parse_m_header(lines)
     if len(lines) != (1 << m) + 1:
         raise ParseError(f"expected {1 << m} value lines after the header")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cube import RealFunction
+from .cube import RealFunction, data_lines
 from .errors import AtomLimitError, BalanceError, ParseError, StructureError
 
 Rational = Fraction | int | str
@@ -264,10 +264,7 @@ def nearest_boolean_distance(rv: DiscreteRV) -> Fraction:
 def parse_rv(text: str) -> DiscreteRV:
     atoms = []
     seen: set[Fraction] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in data_lines(text):
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ParseError("expected 'value probability'", lineno)

@@ -5,16 +5,21 @@ reported violation is a real violation and never a rounding artifact.  Every
 sweep is a deterministic function of its config: instance i draws from its
 own RNG stream derived from (seed, i), which keeps results independent of
 evaluation order.
+
+Every target lives in one `Target` entry of TARGETS: adding an inequality
+means adding one entry there, and both `fknlab sweep` and `fknlab check`
+pick it up.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -37,27 +42,14 @@ from .cube import (
     BooleanFunction,
     Partition,
     RealFunction,
+    data_lines,
+    format_partition,
+    format_table_row,
     sq_l2_dist,
     variance,
 )
-from .errors import SearchSpaceError, StructureError, VerificationError
+from .errors import FknLabError, SearchSpaceError, StructureError, VerificationError
 from .rv import DiscreteRV, center, format_rv_inline
-
-TARGETS = (
-    "fact1",
-    "fact8",
-    "lemma4",
-    "lemma5",
-    "lemma7",
-    "claim8",
-    "claim9",
-    "theorem1",
-    "corollary2",
-)
-
-# targets whose right side is (numerator / constant); empirical_constant
-# reports the smallest constant that would have sufficed on the sweep
-RATIO_FORM = ("fact1", "lemma4", "lemma5", "lemma7", "claim8", "claim9", "theorem1")
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,7 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.target not in TARGETS:
-            raise StructureError(f"unknown target {self.target!r}; one of {TARGETS}")
+            raise StructureError(f"unknown target {self.target!r}; one of {tuple(TARGETS)}")
         if self.instance_count < 1:
             raise StructureError("instance_count must be >= 1")
         if not 1 <= self.support_min <= self.support_max:
@@ -190,17 +182,6 @@ def _random_real_function(
     return RealFunction(m, table)
 
 
-def _random_balanced(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
-    return center(
-        _random_rv(
-            rng,
-            rng.randint(cfg.support_min, cfg.support_max),
-            (cfg.value_lo, cfg.value_hi),
-            cfg.denom_cap,
-        )
-    )
-
-
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
     return _random_rv(
         rng,
@@ -254,89 +235,153 @@ def _claim8_instance(
     return x1, x2, ybar
 
 
-def _evaluate_instance(
-    cfg: SweepConfig, index: int, use_claim6: bool
-) -> tuple[BoundReport, Fraction | None]:
-    """One instance of cfg.target: (report, ratio-form numerator or None)."""
-    rng = _rng_for(cfg.seed, index)
-    target = cfg.target
-    constants = cfg.constants
-    if target in ("lemma7", "claim9"):
-        if use_claim6:
-            xbar, ybar = claim6_example()
-            e = Fraction(0)
-        else:
-            xbar, ybar = _random_balanced(rng, cfg), _random_balanced(rng, cfg)
-            e = _random_fraction(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap)
-        inputs = {"x": format_rv_inline(xbar), "y": format_rv_inline(ybar)}
-        if target == "lemma7":
-            report = lemma7_bound(xbar, ybar, e, constants)
-            numerator = report.witness["max_abs_var"]
-        else:
-            report = claim9_bound(xbar, ybar, e)
-            numerator = 16 * report.rhs  # rhs carries the fixed 16 in its denominator
-    elif target in ("lemma4", "lemma5"):
+Instance = Callable[[random.Random, SweepConfig, int, bool], tuple[BoundReport, Fraction | None]]
+PairEvaluator = Callable[[DiscreteRV, DiscreteRV, Fraction, Constants, int], BoundReport]
+
+
+@dataclass(frozen=True)
+class Target:
+    """One inequality the sweep and the CLI know about.
+
+    instance(rng, cfg, index, use_claim6) draws and evaluates one instance and
+    returns (report, ratio-form numerator or None); it is None for an
+    exhaustive target.  ratio_form: the right side is numerator / constant,
+    so the sweep reports the smallest constant that would have sufficed.
+    claim6: --include-claim6 puts the claim6 pair first.  pair(x, y, e,
+    constants, atom_cap) evaluates a two-variable target on explicit inputs.
+    """
+
+    instance: Instance | None
+    ratio_form: bool = True
+    claim6: bool = False
+    pair: PairEvaluator | None = None
+
+
+def _with_inputs(report: BoundReport, inputs: dict[str, object]) -> BoundReport:
+    return replace(report, witness={**inputs, **report.witness})
+
+
+def _pair_target(
+    pair: PairEvaluator,
+    numerator: Callable[[BoundReport, Constants], Fraction],
+    balanced: bool = False,
+) -> Target:
+    """Two random variables per instance; balanced targets center both and
+    draw a shift E as well."""
+
+    def instance(rng, cfg, index, use_claim6):
+        e = Fraction(0)
         if use_claim6:
             x, y = claim6_example()
         else:
             x, y = _random_raw(rng, cfg), _random_raw(rng, cfg)
+            if balanced:
+                x, y = center(x), center(y)
+                e = _random_fraction(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap)
+        report = pair(x, y, e, cfg.constants, cfg.atom_cap)
         inputs = {"x": format_rv_inline(x), "y": format_rv_inline(y)}
-        if target == "lemma4":
-            report = lemma4_bound(x, y, constants, cfg.atom_cap)
-            numerator = constants.k1 * report.rhs
-        else:
-            report = lemma5_bound(x, y, constants)
-            numerator = report.witness["max_abs_var"]
-    elif target == "claim8":
-        x1, x2, ybar = _claim8_instance(rng, index % 4, cfg)
-        inputs = {"case": index % 4}
-        report = claim8_check(x1, x2, ybar)
-        numerator = (abs(x1) - abs(x2)) ** 2
-    elif target == "theorem1":
-        count = rng.randint(2, cfg.rv_count_max)
-        xs = [_random_raw(rng, cfg) for _ in range(count)]
-        inputs = {f"x{i}": format_rv_inline(x) for i, x in enumerate(xs)}
-        report = theorem1_check(xs, constants, cfg.atom_cap)
-        numerator = constants.k2 * report.rhs
-    elif target == "fact1":
-        m = rng.randint(1, 3)
-        f, g, h = (_random_real_function(rng, m) for _ in range(3))
-        lhs = Fraction(sq_l2_dist(f, g)) + Fraction(sq_l2_dist(g, h))
-        numerator = Fraction(sq_l2_dist(f, h))
-        report = BoundReport.compare(lhs, numerator / 2, {"m": m})
-        inputs = {}
-    elif target == "fact8":
-        m = rng.randint(1, 3)
-        f, g = (_random_real_function(rng, m) for _ in range(2))
-        lhs = Fraction(variance(f))
-        rhs = Fraction(variance(g)) / 2 - Fraction(sq_l2_dist(f, g))
-        report = BoundReport.compare(lhs, rhs, {"m": m})
-        numerator = None
-        inputs = {}
-    else:
-        raise StructureError(f"target {target!r} is not instance-generated")
-    if inputs:
-        report = replace(report, witness={**inputs, **report.witness})
-    return report, numerator
+        return _with_inputs(report, inputs), numerator(report, cfg.constants)
+
+    return Target(instance, claim6=True, pair=pair)
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate cfg.target on every generated instance; exact throughout."""
-    if cfg.target == "corollary2":
-        return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, cfg.collect_rows)
-    claim6_first = cfg.include_claim6 and cfg.target in ("lemma4", "lemma5", "lemma7", "claim9")
-    total = cfg.instance_count + (1 if claim6_first else 0)
+def _claim8_target(rng, cfg, index, use_claim6):
+    x1, x2, ybar = _claim8_instance(rng, index % 4, cfg)
+    report = claim8_check(x1, x2, ybar)
+    return _with_inputs(report, {"case": index % 4}), (abs(x1) - abs(x2)) ** 2
+
+
+def _theorem1_target(rng, cfg, index, use_claim6):
+    xs = [_random_raw(rng, cfg) for _ in range(rng.randint(2, cfg.rv_count_max))]
+    report = theorem1_check(xs, cfg.constants, cfg.atom_cap)
+    inputs = {f"x{i}": format_rv_inline(x) for i, x in enumerate(xs)}
+    return _with_inputs(report, inputs), cfg.constants.k2 * report.rhs
+
+
+def _fact1_target(rng, cfg, index, use_claim6):
+    m = rng.randint(1, 3)
+    f, g, h = (_random_real_function(rng, m) for _ in range(3))
+    lhs = Fraction(sq_l2_dist(f, g)) + Fraction(sq_l2_dist(g, h))
+    numerator = Fraction(sq_l2_dist(f, h))
+    return BoundReport.compare(lhs, numerator / 2, {"m": m}), numerator
+
+
+def _fact8_target(rng, cfg, index, use_claim6):
+    m = rng.randint(1, 3)
+    f, g = (_random_real_function(rng, m) for _ in range(2))
+    lhs = Fraction(variance(f))
+    rhs = Fraction(variance(g)) / 2 - Fraction(sq_l2_dist(f, g))
+    return BoundReport.compare(lhs, rhs, {"m": m}), None
+
+
+def _corollary2_case(
+    f: BooleanFunction, partition: Partition, constants: Constants
+) -> tuple[BoundReport, Fraction]:
+    """lhs = (K2+2) epsilon, rhs = dist; numerator/lhs is dist/epsilon."""
+    outcome = corollary2_apply(f, partition, constants)
+    k = constants.corollary_k
+    witness = {
+        "table": format_table_row(f),
+        "partition": format_partition(partition),
+        "k": outcome.k,
+        "epsilon": outcome.epsilon,
+    }
+    return BoundReport.compare(k * outcome.epsilon, outcome.dist, witness), k * outcome.dist
+
+
+# Evaluators are called through this module's globals, never stored, so a
+# wrapper installed on the module (a tracer, a test double) sees every call.
+TARGETS: dict[str, Target] = {
+    "fact1": Target(_fact1_target),
+    "fact8": Target(_fact8_target, ratio_form=False),
+    "lemma4": _pair_target(
+        lambda x, y, e, c, cap: lemma4_bound(x, y, c, cap), lambda r, c: c.k1 * r.rhs
+    ),
+    "lemma5": _pair_target(
+        lambda x, y, e, c, cap: lemma5_bound(x, y, c), lambda r, c: r.witness["max_abs_var"]
+    ),
+    "lemma7": _pair_target(
+        lambda x, y, e, c, cap: lemma7_bound(x, y, e, c),
+        lambda r, c: r.witness["max_abs_var"],
+        balanced=True,
+    ),
+    "claim8": Target(_claim8_target),
+    "claim9": _pair_target(
+        lambda x, y, e, c, cap: claim9_bound(x, y, e),
+        lambda r, c: 16 * r.rhs,  # rhs carries the fixed 16 in its denominator
+        balanced=True,
+    ),
+    "theorem1": Target(_theorem1_target),
+    "corollary2": Target(None),
+}
+
+
+def _accumulate(
+    name: str,
+    cases: Iterable[Callable[[], tuple[BoundReport, Fraction | None]]],
+    ratio_form: bool,
+    collect_rows: bool,
+) -> SweepResult:
+    """Evaluate every case in order and fold the reports into one result.
+
+    A package error (FknLabError) raised by a case is recorded as that
+    instance's error; a VerificationError or any other exception is a bug
+    and propagates.
+    """
     violations: list[str] = []
     errors: list[tuple[int, str]] = []
-    rows: list[tuple[str, ...]] | None = [] if cfg.collect_rows else None
+    rows: list[tuple[str, ...]] | None = [] if collect_rows else None
     min_ratio: Fraction | None = None
     min_ratio_witness: str | None = None
-    best_constant: Fraction | None = Fraction(0) if cfg.target in RATIO_FORM else None
-    for i in range(total):
-        use_claim6 = claim6_first and i == 0
+    best_constant: Fraction | None = Fraction(0) if ratio_form else None
+    count = 0
+    for i, case in enumerate(cases):
+        count += 1
         try:
-            report, numerator = _evaluate_instance(cfg, i, use_claim6)
-        except Exception as exc:  # per-instance failures are data, not crashes
+            report, numerator = case()
+        except VerificationError:
+            raise
+        except FknLabError as exc:
             errors.append((i, f"{type(exc).__name__}: {exc}"))
             continue
         if rows is not None:
@@ -352,11 +397,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         if best_constant is not None and numerator is not None and numerator > 0:
             if report.lhs == 0:
                 errors.append((i, f"unbounded constant: numerator {numerator} with lhs 0"))
-                continue
-            best_constant = max(best_constant, numerator / report.lhs)
+            else:
+                best_constant = max(best_constant, numerator / report.lhs)
     return SweepResult(
-        target=cfg.target,
-        instances_run=total,
+        target=name,
+        instances_run=count,
         violations=tuple(violations),
         min_ratio=min_ratio,
         min_ratio_witness=min_ratio_witness,
@@ -366,6 +411,20 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     )
 
 
+def run_sweep(cfg: SweepConfig) -> SweepResult:
+    """Evaluate cfg.target on every generated instance; exact throughout."""
+    target = TARGETS[cfg.target]
+    if target.instance is None:
+        return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, cfg.collect_rows)
+    claim6_first = cfg.include_claim6 and target.claim6
+    total = cfg.instance_count + (1 if claim6_first else 0)
+    cases = (
+        functools.partial(target.instance, _rng_for(cfg.seed, i), cfg, i, claim6_first and i == 0)
+        for i in range(total)
+    )
+    return _accumulate(cfg.target, cases, target.ratio_form, cfg.collect_rows)
+
+
 def empirical_constant(target: str, cfg: SweepConfig | None = None, **overrides) -> Fraction:
     """Smallest constant that would make `target` hold on the swept instances
     (sup of numerator/lhs; degenerate numerator-0 instances skipped, 0 if all)."""
@@ -373,7 +432,7 @@ def empirical_constant(target: str, cfg: SweepConfig | None = None, **overrides)
         cfg = SweepConfig(target=target, **overrides)
     elif cfg.target != target:
         cfg = replace(cfg, target=target)
-    if target not in RATIO_FORM:
+    if not TARGETS[target].ratio_form:
         raise StructureError(f"{target!r} is not a ratio-form inequality")
     result = run_sweep(cfg)
     if result.errors:
@@ -406,52 +465,13 @@ def corollary2_exhaustive(
     if m > 4:
         raise StructureError("exhaustive check supported only for m <= 4")
     partitions = list(two_block_partitions(m))
-    violations: list[str] = []
-    rows: list[tuple[str, ...]] | None = [] if collect_rows else None
-    min_ratio: Fraction | None = None
-    min_ratio_witness: str | None = None
-    best_constant = Fraction(0)
-    instance = 0
-    for f in enumerate_boolean_functions(m):
-        if np.all(f.table == f.table[0]):
-            continue
-        for partition in partitions:
-            outcome = corollary2_apply(f, partition, constants)
-            lhs = constants.corollary_k * outcome.epsilon
-            report = BoundReport.compare(
-                lhs,
-                outcome.dist,
-                {
-                    "table": "".join("+" if v > 0 else "-" for v in f.table),
-                    "partition": "|".join(
-                        ",".join(map(str, sorted(b))) for b in partition.blocks
-                    ),
-                    "k": outcome.k,
-                    "epsilon": outcome.epsilon,
-                },
-            )
-            if rows is not None:
-                rows.append(tuple(report.csv_row(instance)))
-            if not outcome.holds:
-                violations.append(
-                    f"instance={instance} dist={outcome.dist} bound={lhs} {report.witness_text()}"
-                )
-            ratio = report.ratio
-            if ratio is not None and (min_ratio is None or ratio < min_ratio):
-                min_ratio = ratio
-                min_ratio_witness = f"instance={instance} {report.witness_text()}"
-            if outcome.cross_weight > 0:
-                best_constant = max(best_constant, outcome.dist / outcome.epsilon)
-            instance += 1
-    return SweepResult(
-        target="corollary2",
-        instances_run=instance,
-        violations=tuple(violations),
-        min_ratio=min_ratio,
-        min_ratio_witness=min_ratio_witness,
-        empirical_constant=best_constant,
-        rows=tuple(rows) if rows is not None else None,
+    cases = (
+        functools.partial(_corollary2_case, f, partition, constants)
+        for f in enumerate_boolean_functions(m)
+        if not np.all(f.table == f.table[0])
+        for partition in partitions
     )
+    return _accumulate("corollary2", cases, True, collect_rows)
 
 
 @dataclass(frozen=True)
@@ -577,10 +597,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     """Build a SweepConfig from 'key=value' lines ('#' comments allowed)."""
     fields: dict[str, object] = {}
     constant_overrides: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in data_lines(text):
         if "=" not in stripped:
             raise StructureError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
@@ -606,9 +623,5 @@ def parse_sweep_config(text: str) -> SweepConfig:
     if "target" not in fields:
         raise StructureError("config missing required key 'target'")
     if constant_overrides:
-        fields["constants"] = Constants(
-            k0=constant_overrides.get("k0", DEFAULT_CONSTANTS.k0),
-            k1=constant_overrides.get("k1", DEFAULT_CONSTANTS.k1),
-            k2=constant_overrides.get("k2", DEFAULT_CONSTANTS.k2),
-        )
+        fields["constants"] = replace(DEFAULT_CONSTANTS, **constant_overrides)
     return SweepConfig(**fields)  # type: ignore[arg-type]

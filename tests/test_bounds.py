@@ -42,6 +42,12 @@ class TestConstants:
         assert c.k0 == F(133, 100)
         assert c.k1 == 20480
 
+    @pytest.mark.parametrize("name", ["k0", "k1", "k2"])
+    @pytest.mark.parametrize("value", [F(0), F(-1, 2)])
+    def test_nonpositive_rejected(self, name, value):
+        with pytest.raises(StructureError, match=f"constants must be positive, got {name}="):
+            Constants(**{name: value})
+
 
 class TestBoundReport:
     def test_holds_matches_comparison(self):
@@ -58,6 +64,18 @@ class TestBoundReport:
         assert "lhs=3/4" in lines and "rhs=1/4" in lines and "ratio=3" in lines
         assert "witness.flag=true" in lines
         assert report.csv_row(7) == ["7", "3/4", "1/4", "3", "true", "k=2;flag=true"]
+
+    def test_decimal_kv_lines(self):
+        report = BoundReport.compare(F(1, 3), F(0), {"split": (0, 2), "e": F(1, 4), "flag": False})
+        assert report.kv_lines(decimal=True) == [
+            "lhs=0.333333333333333",
+            "rhs=0",
+            "ratio=",
+            "holds=true",
+            "witness.split=0,2",
+            "witness.e=0.25",
+            "witness.flag=false",
+        ]
 
 
 class TestLemma7:

@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: files in, key=value reports out, exit codes."""
 
+import argparse
 import csv
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fknlab.cli import main
+from fknlab import sweep
+from fknlab.cli import build_parser, main
 from fknlab.cube import parse_boolean_function, parse_partition
 from fknlab.rv import parse_rv
 from fknlab.bounds import claim6_example, tribes_example
@@ -27,6 +30,25 @@ def kv(out: str) -> dict[str, str]:
             key, _, value = line.partition("=")
             pairs[key] = value
     return pairs
+
+
+# SHA-256 over "exit=<code>\n" + stdout + CSV of `sweep --seed 5 --csv rows.csv`;
+# any change to generation, evaluation, accumulation or formatting shows here.
+SWEEP_DIGESTS = [
+    (("fact1", "--n", "40"), "52f9616597ff7bd28c72abf5b203eec39c42941d759ff83b04f482713ddd6afc"),
+    (("fact8", "--n", "40"), "6347d62cd5e409a6530746668c5f4e021d1b0062ff38d6e3a697fef65e5e35c5"),
+    (("lemma4", "--n", "40"), "61c83a6c5cb1f977182ea78bc3c8fd2759b69736c32c4400071d87c8ae3cd4be"),
+    (("lemma5", "--n", "40"), "c34fca3d216ac6a4707872d64f8256e9843b00eb748f50b7cecd20406d5f3f44"),
+    (("lemma7", "--n", "40"), "d73dfedfad82838097d387acd30d00db8c9e490e0e9aad34fbd339e55d058bcd"),
+    (("claim8", "--n", "40"), "3a2018157a369b9895a7476f3db068b8d4c4af03e5328fb57ed82358dde0dc59"),
+    (("claim9", "--n", "40"), "1f3513928753bf97bad4e8183bb549ef2deb7d202eadc72ee2583e720430738a"),
+    (("theorem1", "--n", "40"), "9d41df3670daa8fd64197b002efe7b7e6e338cdcabcbaf831245ebb02266f0dd"),
+    (("corollary2", "--exhaustive-m", "3"), "0a9a9d47a4dee42461afcf95075c4e35a70eeeee195eaabe9552deff703375d9"),
+    (
+        ("lemma7", "--n", "40", "--include-claim6"),
+        "594af1c525ad65e6c90c633569a7c6811221fe1245b1df4c14f23536fcd84f1d",
+    ),
+]
 
 
 @pytest.fixture
@@ -99,6 +121,24 @@ class TestCheck:
         assert values["rhs"] == "1/30720"
         assert values["witness.k"] == "0"
         assert values["witness.k_file"] == paths[0]
+
+    def test_theorem1_split_format(self, tmp_path, capsys):
+        paths = []
+        for i, text in enumerate(["-2 1/2\n2 1/2\n", "-1 1/2\n1 1/2\n", "-1 1/2\n1 1/2\n"]):
+            path = tmp_path / f"v{i}.rv"
+            path.write_text(text)
+            paths.append(str(path))
+        code, out, _ = run(capsys, "check", "theorem1", *paths)
+        assert code == 0
+        values = kv(out)
+        assert values["witness.split_a"] == "0"
+        assert values["witness.split_b"] == "1,2"
+
+    def test_nonpositive_constant(self, claim6_files, capsys):
+        code, out, err = run(capsys, "check", "lemma7", *claim6_files, "--K0", "0")
+        assert code == 1
+        assert out == ""
+        assert "constants must be positive" in err
 
     def test_claim8(self, tmp_path, capsys):
         y_path = tmp_path / "y.rv"
@@ -248,6 +288,39 @@ class TestSweep:
         code, _, err = run(capsys, "sweep")
         assert code == 1
 
+    def test_errored_instances_exit_3(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("target=theorem1\nn=50\natom_cap=1\n")
+        code, out, _ = run(capsys, "sweep", "--config", str(config))
+        assert code == 3
+        assert kv(out)["violations"] == "0"
+        assert kv(out)["errors"] == "49"
+
+    def test_violations_win_over_errors(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("target=lemma4\nn=30\nseed=7\natom_cap=4\nk1=1/100000000\n")
+        code, out, _ = run(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert kv(out)["violations"] != "0"
+        assert int(kv(out)["errors"]) > 0
+
+    def test_nonpositive_constant(self, capsys):
+        code, out, err = run(capsys, "sweep", "--target", "lemma7", "--n", "5", "--K0", "0")
+        assert code == 1
+        assert out == ""
+        assert "constants must be positive" in err
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        SWEEP_DIGESTS,
+        ids=["_".join(a.lstrip("-") for a in argv) for argv, _ in SWEEP_DIGESTS],
+    )
+    def test_output_digest(self, argv, expected, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "sweep", "--target", *argv, "--seed", "5", "--csv", "rows.csv")
+        data = f"exit={code}\n".encode() + out.encode() + (tmp_path / "rows.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == expected
+
 
 class TestProbe:
     def test_tribes(self, tribes2_files, capsys):
@@ -273,6 +346,22 @@ class TestProbe:
         )
         assert code == 1
         assert "budget" in err
+
+
+class TestChoices:
+    @staticmethod
+    def _choices(command: str, dest: str):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub = subparsers.choices[command]
+        return tuple(next(a for a in sub._actions if a.dest == dest).choices)
+
+    def test_sweep_targets_come_from_registry(self):
+        assert self._choices("sweep", "target") == tuple(sweep.TARGETS)
+
+    def test_check_targets_are_pairs_plus_claim8_theorem1(self):
+        pairs = {name for name, target in sweep.TARGETS.items() if target.pair}
+        assert set(self._choices("check", "inequality")) == pairs | {"claim8", "theorem1"}
 
 
 class TestUsage:

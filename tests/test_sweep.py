@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fknlab.bounds import Constants, tribes_example
+import fknlab.sweep as sweep_module
+from fknlab.bounds import Constants, corollary2_apply, tribes_example
 from fknlab.cube import BooleanFunction, Partition
-from fknlab.errors import SearchSpaceError, StructureError
+from fknlab.errors import SearchSpaceError, StructureError, VerificationError
 from fknlab.sweep import (
+    TARGETS,
     SweepConfig,
     _claim8_instance,
     _rng_for,
@@ -177,6 +179,60 @@ class TestRunSweep:
                 assert (len(result.violations) == 0) == (result.min_ratio >= 1)
 
 
+    def test_package_errors_are_data(self):
+        cfg = SweepConfig(target="theorem1", instance_count=50, atom_cap=1)
+        result = run_sweep(cfg)
+        assert result.instances_run == 50
+        assert len(result.errors) == 49
+        assert all("AtomLimitError" in message for _, message in result.errors)
+
+    @pytest.mark.parametrize("exc", [VerificationError("identity failed"), RuntimeError("bug")])
+    def test_other_failures_propagate(self, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(sweep_module, "lemma7_bound", broken)
+        with pytest.raises(type(exc)):
+            run_sweep(SweepConfig(target="lemma7", instance_count=3))
+
+    def test_corollary2_verification_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise VerificationError("coefficient route mismatch")
+
+        monkeypatch.setattr(sweep_module, "corollary2_apply", broken)
+        with pytest.raises(VerificationError):
+            corollary2_exhaustive(2)
+
+
+class TestTargets:
+    def test_names_and_flags(self):
+        assert tuple(TARGETS) == (
+            "fact1", "fact8", "lemma4", "lemma5", "lemma7", "claim8", "claim9", "theorem1", "corollary2"
+        )
+        assert [n for n, t in TARGETS.items() if not t.ratio_form] == ["fact8"]
+        assert [n for n, t in TARGETS.items() if t.claim6] == ["lemma4", "lemma5", "lemma7", "claim9"]
+        assert [n for n, t in TARGETS.items() if t.pair] == ["lemma4", "lemma5", "lemma7", "claim9"]
+        assert [n for n, t in TARGETS.items() if t.instance is None] == ["corollary2"]
+
+    def test_include_claim6_only_where_eligible(self):
+        for name, target in TARGETS.items():
+            if target.instance is None:
+                continue
+            cfg = SweepConfig(target=name, instance_count=2, include_claim6=True)
+            assert run_sweep(cfg).instances_run == 2 + target.claim6
+
+    def test_corollary2_constant_is_max_dist_over_epsilon(self):
+        expected = F(0)
+        for f in enumerate_boolean_functions(3):
+            if len(set(f.table.tolist())) == 1:
+                continue
+            for partition in two_block_partitions(3):
+                outcome = corollary2_apply(f, partition)
+                if outcome.cross_weight > 0:
+                    expected = max(expected, outcome.dist / outcome.epsilon)
+        assert corollary2_exhaustive(3).empirical_constant == expected
+
+
 class TestEmpiricalConstant:
     def test_lemma7_bracket_with_claim6(self):
         value = empirical_constant(
@@ -314,6 +370,10 @@ class TestConfigParsing:
     def test_missing_target(self):
         with pytest.raises(StructureError):
             parse_sweep_config("n=10\n")
+
+    def test_nonpositive_constant(self):
+        with pytest.raises(StructureError, match="constants must be positive"):
+            parse_sweep_config("target=lemma7\nk0=0\n")
 
     def test_config_validation(self):
         with pytest.raises(StructureError):

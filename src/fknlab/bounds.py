@@ -26,7 +26,7 @@ from .cube import (
     BooleanFunction,
     Partition,
     RealFunction,
-    cross_partition_weight,
+    block_weights,
     inverse_wht_within,
     sq_l2_dist,
     variance,
@@ -335,10 +335,11 @@ def corollary2_apply(
     epsilon defaults to cross_weight / Var f, the tightest value satisfying
     the premise; a caller-supplied epsilon is validated against it.
     """
-    var_f = Fraction(variance(f))
+    var_f = variance(f)
     if var_f == 0:
         raise StructureError("variance zero: constant function has no epsilon")
-    cross = Fraction(cross_partition_weight(f, partition))
+    expansion = wht(f)
+    cross, block_dists = block_weights(expansion, partition)
     if epsilon is None:
         epsilon = cross / var_f
     else:
@@ -347,22 +348,13 @@ def corollary2_apply(
             raise StructureError(
                 f"premise violated: cross weight {cross} > epsilon*Var f = {epsilon * var_f}"
             )
-    expansion = wht(f)
-    coeffs = expansion.coeffs
-    sq = coeffs * coeffs
-    subsets = np.arange(sq.size)
-    coeff_empty = Fraction(float(coeffs[0]))
-    block_dists: list[Fraction] = []
-    for j in range(len(partition.blocks)):
-        mask = partition.mask(j)
-        outside = (subsets & ~mask) != 0
-        coeff_route = Fraction(float(sq[outside].sum()))
-        pointwise_route = Fraction(sq_l2_dist(f, inverse_wht_within(expansion, mask)))
+    coeff_empty = Fraction(float(expansion.coeffs[0]))
+    for j, coeff_route in enumerate(block_dists):
+        pointwise_route = sq_l2_dist(f, inverse_wht_within(expansion, partition.mask(j)))
         if coeff_route != pointwise_route:
             raise VerificationError(
                 f"block {j}: coefficient route {coeff_route} != pointwise {pointwise_route}"
             )
-        block_dists.append(coeff_route)
     k = min(range(len(block_dists)), key=lambda j: (block_dists[j], j))
     dist = block_dists[k]
     holds = dist <= constants.corollary_k * epsilon
@@ -374,7 +366,7 @@ def corollary2_apply(
         var_f=var_f,
         cross_weight=cross,
         coeff_empty=coeff_empty,
-        block_dists=tuple(block_dists),
+        block_dists=block_dists,
         corollary_k=constants.corollary_k,
     )
 
@@ -388,22 +380,18 @@ def tribes_example(m: int) -> tuple[BooleanFunction, Partition]:
     if not 1 <= m <= 13:
         raise StructureError("tribes blocks support 1 <= m <= 13 (2m <= 26)")
     n = 2 * m
-    points = np.arange(1 << n, dtype=np.int64)
-    x_mask = (1 << m) - 1
-    y_mask = x_mask << m
-    x_and = np.where((points & x_mask) == x_mask, -1, 1).astype(np.int8)
-    y_and = np.where((points & y_mask) == y_mask, -1, 1).astype(np.int8)
-    table = np.where((x_and == -1) | (y_and == -1), -1, 1).astype(np.int8)
-    f = BooleanFunction(n, table)
-    partition = Partition.from_blocks(
-        n, [range(1, m + 1), range(m + 1, n + 1)]
-    )
-    sum_table = RealFunction(n, x_and.astype(np.float64) + y_and - 1.0)
-    dist_to_sum = Fraction(sq_l2_dist(f, sum_table))
+    # A block's AND is true (-1) only at its all-(-1) point, local index 2^m - 1.
+    # Table index = y * 2^m + x with x the first block, so tables are outer products.
+    block_and = np.ones(1 << m, dtype=np.int8)
+    block_and[-1] = -1
+    f = BooleanFunction(n, np.minimum.outer(block_and, block_and).ravel())
+    partition = Partition.from_blocks(n, [range(1, m + 1), range(m + 1, n + 1)])
+    sum_table = np.add.outer(block_and.astype(np.float64), block_and) - 1.0
+    dist_to_sum = sq_l2_dist(f, RealFunction(n, sum_table.ravel()))
     if dist_to_sum != Fraction(4, 4**m):
         raise VerificationError(f"tribes distance {dist_to_sum} != 4*2^(-2m)")
     p = 1 - (1 - Fraction(1, 2**m)) ** 2
-    if Fraction(variance(f)) != 4 * p * (1 - p):
+    if variance(f) != 4 * p * (1 - p):
         raise VerificationError("tribes variance != 4p(1-p)")
     return f, partition
 

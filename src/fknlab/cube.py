@@ -156,13 +156,18 @@ def inverse_wht(expansion: FourierExpansion) -> RealFunction:
     return RealFunction(expansion.m, _butterfly(expansion.coeffs.copy()))
 
 
+def _within(size: int, mask: int) -> np.ndarray:
+    """Selector of the subset masks S < size contained in `mask`."""
+    return (np.arange(size) & ~mask) == 0
+
+
 def inverse_wht_within(expansion: FourierExpansion, mask: int) -> RealFunction:
     """Table of the expansion kept to the subsets of `mask` (empty set included)."""
-    keep = (np.arange(expansion.coeffs.size) & ~mask) == 0
+    keep = _within(expansion.coeffs.size, mask)
     return inverse_wht(FourierExpansion(expansion.m, np.where(keep, expansion.coeffs, 0.0)))
 
 
-def sq_l2_dist(f: CubeFunction, g: CubeFunction) -> float:
+def sq_l2_dist(f: CubeFunction, g: CubeFunction) -> Fraction:
     """Squared L2 semidistance E[(f-g)^2].
 
     Equals the coefficient-space sum of squared coefficient differences, and
@@ -171,15 +176,15 @@ def sq_l2_dist(f: CubeFunction, g: CubeFunction) -> float:
     if f.m != g.m:
         raise DimensionMismatchError(f"m={f.m} vs m={g.m}")
     diff = _float_table(f) - _float_table(g)
-    return float((diff * diff).sum() / diff.size)
+    return Fraction(float((diff * diff).sum() / diff.size))
 
 
-def variance(f: CubeFunction) -> float:
+def variance(f: CubeFunction) -> Fraction:
     """Var f = E[f^2] - (E f)^2 = sum of squared coefficients over S != 0."""
     t = _float_table(f)
     e = t.sum() / t.size
     e2 = (t * t).sum() / t.size
-    return float(e2 - e * e)
+    return Fraction(float(e2 - e * e))
 
 
 def restriction(f: CubeFunction, block: Iterable[int]) -> RealFunction:
@@ -198,35 +203,37 @@ def restriction(f: CubeFunction, block: Iterable[int]) -> RealFunction:
     return RealFunction(f.m, within.table - expansion.coeffs[0])
 
 
-def cross_partition_weight(f: BooleanFunction, partition: Partition) -> float:
-    """Total squared coefficient mass on sets contained in no single block.
-
-    Computed directly and through the complement identity
-    1 - coeffs[0]^2 - sum_j Var(restriction to block j); the two exact dyadic
-    sums must agree bit for bit.
+def block_weights(
+    expansion: FourierExpansion, partition: Partition
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """(cross, dists) of a Boolean function's expansion: cross is the squared
+    coefficient mass on sets inside no single block, dists[j] the mass on sets
+    not inside block j (the distance from f to its restriction to block j plus
+    the empty coefficient).  cross is computed directly and through the
+    identity 1 - coeffs[0]^2 - sum_j Var(restriction to block j); the two exact
+    dyadic sums must agree bit for bit.
     """
-    if partition.m != f.m:
-        raise DimensionMismatchError(f"partition over {partition.m} vars, f over {f.m}")
-    coeffs = wht(f).coeffs
-    sq = coeffs * coeffs
-    subsets = np.arange(sq.size)
+    if partition.m != expansion.m:
+        raise DimensionMismatchError(f"partition over {partition.m} vars, f over {expansion.m}")
+    sq = expansion.coeffs * expansion.coeffs
     inside_some = np.zeros(sq.size, dtype=bool)
     block_var_total = 0.0
+    dists = []
     for j in range(len(partition.blocks)):
-        mask = partition.mask(j)
-        inside = (subsets & ~mask) == 0
-        block = inside.copy()
-        block[0] = False
-        block_var_total += float(sq[block].sum())
+        inside = _within(sq.size, partition.mask(j))
+        dists.append(Fraction(float(sq[~inside].sum())))
+        block_var_total += float(sq[inside].sum()) - float(sq[0])
         inside_some |= inside
-    crossing = ~inside_some
-    direct = float(sq[crossing].sum())
+    direct = float(sq[~inside_some].sum())
     via_identity = 1.0 - float(sq[0]) - block_var_total
     if direct != via_identity:
-        raise VerificationError(
-            f"cross weight mismatch: {direct!r} vs {via_identity!r}"
-        )
-    return direct
+        raise VerificationError(f"cross weight mismatch: {direct!r} vs {via_identity!r}")
+    return Fraction(direct), tuple(dists)
+
+
+def cross_partition_weight(f: BooleanFunction, partition: Partition) -> Fraction:
+    """Total squared coefficient mass on sets contained in no single block."""
+    return block_weights(wht(f), partition)[0]
 
 
 def balance_extend(f: BooleanFunction) -> BooleanFunction:

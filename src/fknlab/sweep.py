@@ -301,16 +301,16 @@ def _theorem1_target(rng, cfg, index, use_claim6):
 def _fact1_target(rng, cfg, index, use_claim6):
     m = rng.randint(1, 3)
     f, g, h = (_random_real_function(rng, m) for _ in range(3))
-    lhs = Fraction(sq_l2_dist(f, g)) + Fraction(sq_l2_dist(g, h))
-    numerator = Fraction(sq_l2_dist(f, h))
+    lhs = sq_l2_dist(f, g) + sq_l2_dist(g, h)
+    numerator = sq_l2_dist(f, h)
     return BoundReport.compare(lhs, numerator / 2, {"m": m}), numerator
 
 
 def _fact8_target(rng, cfg, index, use_claim6):
     m = rng.randint(1, 3)
     f, g = (_random_real_function(rng, m) for _ in range(2))
-    lhs = Fraction(variance(f))
-    rhs = Fraction(variance(g)) / 2 - Fraction(sq_l2_dist(f, g))
+    lhs = variance(f)
+    rhs = variance(g) / 2 - sq_l2_dist(f, g)
     return BoundReport.compare(lhs, rhs, {"m": m}), None
 
 

@@ -386,7 +386,7 @@ def tribes_example(m: int) -> tuple[BooleanFunction, Partition]:
     block_and[-1] = -1
     f = BooleanFunction(n, np.minimum.outer(block_and, block_and).ravel())
     partition = Partition.from_blocks(n, [range(1, m + 1), range(m + 1, n + 1)])
-    sum_table = np.add.outer(block_and.astype(np.float64), block_and) - 1.0
+    sum_table = np.add.outer(block_and, block_and) - 1  # X + Y - 1
     dist_to_sum = sq_l2_dist(f, RealFunction(n, sum_table.ravel()))
     if dist_to_sum != Fraction(4, 4**m):
         raise VerificationError(f"tribes distance {dist_to_sum} != 4*2^(-2m)")

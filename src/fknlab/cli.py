@@ -49,15 +49,24 @@ def _read_partition(args, m: int) -> cube.Partition:
     raise _UsageError("need --partition or --partition-file")
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for rational flags: exit 1 with an error line if malformed."""
+    try:
+        return cube.parse_fraction(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _constants(args) -> bounds.Constants:
     flags = {"k0": args.K0, "k1": args.K1, "k2": args.K2}
-    return replace(bounds.DEFAULT_CONSTANTS, **{k: Fraction(v) for k, v in flags.items() if v})
+    return replace(bounds.DEFAULT_CONSTANTS, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _add_constant_flags(parser) -> None:
-    parser.add_argument("--K0", help="override the abs-variance transfer constant (default 4)")
-    parser.add_argument("--K1", help="override the two-variable constant (default 20480)")
-    parser.add_argument("--K2", help="override the sequence constant (default 61440)")
+    add = functools.partial(parser.add_argument, type=_rational)
+    add("--K0", help="override the abs-variance transfer constant (default 4)")
+    add("--K1", help="override the two-variable constant (default 20480)")
+    add("--K2", help="override the sequence constant (default 61440)")
 
 
 def _cmd_analyze(args) -> int:
@@ -107,7 +116,7 @@ def _cmd_check(args) -> int:
         if args.x1 is None or args.x2 is None:
             raise _UsageError("claim8 requires --x1 and --x2")
         ybar = rv.TwoPointBalancedRV.from_rv(load(files[0]))
-        report = bounds.claim8_check(Fraction(args.x1), Fraction(args.x2), ybar)
+        report = bounds.claim8_check(args.x1, args.x2, ybar)
     elif target == "theorem1":
         if len(files) < 2:
             raise _UsageError("theorem1 needs at least two RV files")
@@ -117,9 +126,8 @@ def _cmd_check(args) -> int:
     else:
         if len(files) != 2:
             raise _UsageError(f"{target} needs exactly two RV files")
-        e = Fraction(args.E) if args.E is not None else Fraction(0)
         pair = sweep.TARGETS[target].pair
-        report = pair(load(files[0]), load(files[1]), e, constants, rv.DEFAULT_ATOM_CAP)
+        report = pair(load(files[0]), load(files[1]), args.E, constants, rv.DEFAULT_ATOM_CAP)
     for line in report.kv_lines(args.decimal):
         print(line)
     return 0 if report.holds else 2
@@ -138,8 +146,8 @@ def _cmd_sweep(args) -> int:
             seed=args.seed,
             support_min=args.support_min,
             support_max=args.support_max,
-            value_lo=Fraction(args.value_lo),
-            value_hi=Fraction(args.value_hi),
+            value_lo=args.value_lo,
+            value_hi=args.value_hi,
             denom_cap=args.denom_cap,
             constants=_constants(args),
             include_claim6=args.include_claim6,
@@ -261,9 +269,9 @@ def build_parser() -> _Parser:
     check_ids = [n for n, t in sweep.TARGETS.items() if t.pair or n in ("claim8", "theorem1")]
     check.add_argument("inequality", choices=check_ids)
     check.add_argument("rv_files", nargs="+")
-    check.add_argument("--E", help="shift constant (rational), default 0")
-    check.add_argument("--x1", help="claim8 evaluation point")
-    check.add_argument("--x2", help="claim8 evaluation point")
+    check.add_argument("--E", type=_rational, default="0", help="shift constant, default 0")
+    check.add_argument("--x1", type=_rational, help="claim8 evaluation point")
+    check.add_argument("--x2", type=_rational, help="claim8 evaluation point")
     check.add_argument("--decimal", action="store_true")
     _add_constant_flags(check)
     check.set_defaults(func=_cmd_check)
@@ -275,8 +283,8 @@ def build_parser() -> _Parser:
     sweep_cmd.add_argument("--seed", type=int, default=0)
     sweep_cmd.add_argument("--support-min", type=int, default=1)
     sweep_cmd.add_argument("--support-max", type=int, default=5)
-    sweep_cmd.add_argument("--value-lo", default="-3")
-    sweep_cmd.add_argument("--value-hi", default="3")
+    sweep_cmd.add_argument("--value-lo", type=_rational, default="-3")
+    sweep_cmd.add_argument("--value-hi", type=_rational, default="3")
     sweep_cmd.add_argument("--denom-cap", type=int, default=12)
     sweep_cmd.add_argument("--include-claim6", action="store_true")
     sweep_cmd.add_argument("--exhaustive-m", type=int, default=3)

@@ -4,12 +4,29 @@ Point indexing: bit b of a table index encodes variable x_{b+1}, with the
 bit SET meaning x_{b+1} = -1 and clear meaning +1.  Coefficient indexing
 uses the same packing: bit b of a subset mask S means variable b+1 is in S.
 
-All tables are numpy float64 (int8 for Boolean truth tables).  Fourier
-coefficients of a Boolean source are integer multiples of 2^-m, so every
-arithmetic step here is exact in binary floating point as long as m <= 26;
-M_MAX enforces that cap.  Real-valued tables keep the same guarantee when
-their entries are dyadic rationals small enough that all intermediate sums
-fit in 53 mantissa bits.
+All tables are numpy float64 (int8 for Boolean truth tables); this module is
+the only one that sees them.  Its measures (`variance`, `sq_l2_dist`,
+`cross_partition_weight`, `block_weights`) return exact `Fraction`s.
+
+Why float64 is exact here.  Write a table as integer numerators n_x over a
+common denominator 2^k and let N = max |n_x|.  Every butterfly stage holds
+sums of at most 2^m numerators, so at most 2^m N in units of 2^-k, and the
+final division by 2^m only moves the exponent: coefficients are integers of
+magnitude <= 2^m N in units of 2^-(k+m).  The inverse transform's stages
+are partial averages of the table, inside the same bound.  Coefficient
+squares, and by Parseval every partial sum of squares, are integers
+<= (2^m N)^2 in units of 2^-(2k+2m).  The same bound covers E[f^2], (E f)^2
+and their difference in `variance`.  So every step fits the 53-bit mantissa
+when
+
+    2^m N <= 2^26,
+
+and the smallest unit 2^-(2k+2m) stays above float64's 2^-1074 when
+k + m <= 537, i.e. k <= 511 under the cap m <= 26.  Boolean tables (k = 0,
+N = 1) meet both for every m <= M_MAX.  `parse_real_function`, the entry
+point for outside tables, rejects a table outside this range with
+CapacityError.  `sq_l2_dist(f, g)` is exact when the difference f - g meets
+the bound.
 """
 
 from __future__ import annotations
@@ -29,6 +46,10 @@ from .errors import (
 )
 
 M_MAX = 26
+# Exact range of a real table with integer numerators n_x over a common
+# denominator 2^k; the module docstring derives both bounds.
+_NUMERATOR_BOUND = 1 << 26  # bound on 2^m * max |n_x|
+_DENOMINATOR_BOUND = 1 << (1074 // 2 - M_MAX)  # bound on 2^k: 2^-(2k+2m) >= 2^-1074
 
 
 def _checked_length(m: int, n: int) -> None:
@@ -286,11 +307,10 @@ def parse_fraction(token: str) -> Fraction:
         raise ParseError(f"bad rational {token!r}") from None
 
 
-def fraction_to_dyadic_float(q: Fraction) -> float:
-    value = float(q)
-    if Fraction(value) != q:
-        raise ParseError(f"{q} is not exactly representable (dyadic required)")
-    return value
+_ROW_SIGNS = np.zeros(256, dtype=np.int8)  # byte -> table entry, 0 marks a bad byte
+_ROW_SIGNS[ord("+")] = 1
+_ROW_SIGNS[ord("-")] = -1
+_ROW_CHARS = np.frombuffer(b"-+", dtype=np.uint8)  # (entry > 0) -> byte
 
 
 def parse_boolean_function(text: str) -> BooleanFunction:
@@ -301,15 +321,13 @@ def parse_boolean_function(text: str) -> BooleanFunction:
     lineno, row = lines[1]
     if len(row) != 1 << m:
         raise ParseError(f"table line has {len(row)} chars, expected {1 << m}", lineno)
-    table = np.empty(1 << m, dtype=np.int8)
-    for i, ch in enumerate(row):
-        if ch == "+":
-            table[i] = 1
-        elif ch == "-":
-            table[i] = -1
-        else:
-            raise ParseError(f"bad table character {ch!r} at position {i}", lineno)
-    return BooleanFunction(m, table)
+    # one byte per character: non-Latin-1 characters become '?', all map to 0
+    signs = _ROW_SIGNS[np.frombuffer(row.encode("latin-1", "replace"), dtype=np.uint8)]
+    bad = signs == 0
+    if bad.any():
+        i = int(bad.argmax())
+        raise ParseError(f"bad table character {row[i]!r} at position {i}", lineno)
+    return BooleanFunction(m, signs)
 
 
 def format_boolean_function(f: BooleanFunction, comments: Sequence[str] = ()) -> str:
@@ -319,7 +337,7 @@ def format_boolean_function(f: BooleanFunction, comments: Sequence[str] = ()) ->
 
 def format_table_row(f: BooleanFunction) -> str:
     """The truth table as one '+'/'-' row, entry 0 first."""
-    return "".join("+" if v > 0 else "-" for v in f.table)
+    return _ROW_CHARS[(f.table > 0).view(np.uint8)].tobytes().decode("ascii")
 
 
 def parse_real_function(text: str) -> RealFunction:
@@ -327,13 +345,24 @@ def parse_real_function(text: str) -> RealFunction:
     m, _ = _parse_m_header(lines)
     if len(lines) != (1 << m) + 1:
         raise ParseError(f"expected {1 << m} value lines after the header")
-    table = np.empty(1 << m, dtype=np.float64)
-    for i, (lineno, token) in enumerate(lines[1:]):
+    values = []
+    for lineno, token in lines[1:]:
         try:
-            table[i] = fraction_to_dyadic_float(parse_fraction(token))
+            q = parse_fraction(token)
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
-    return RealFunction(m, table)
+        if q.denominator & (q.denominator - 1):
+            raise ParseError(f"{q} is not exactly representable (dyadic required)", lineno)
+        values.append(q)
+    denominator = max(q.denominator for q in values)
+    numerator = int(max(abs(q) for q in values) * denominator)
+    if numerator << m > _NUMERATOR_BOUND or denominator > _DENOMINATOR_BOUND:
+        raise CapacityError(
+            f"table outside the exact range: {numerator.bit_length()}-bit numerators over "
+            f"2^{denominator.bit_length() - 1} on m={m} variables; need 2^m * |numerator| "
+            f"<= 2^26 and a common denominator <= 2^{_DENOMINATOR_BOUND.bit_length() - 1}"
+        )
+    return RealFunction(m, np.array([float(q) for q in values]))
 
 
 def format_real_function(f: RealFunction, comments: Sequence[str] = ()) -> str:

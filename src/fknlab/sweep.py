@@ -45,10 +45,17 @@ from .cube import (
     data_lines,
     format_partition,
     format_table_row,
+    parse_fraction,
     sq_l2_dist,
     variance,
 )
-from .errors import FknLabError, SearchSpaceError, StructureError, VerificationError
+from .errors import (
+    FknLabError,
+    ParseError,
+    SearchSpaceError,
+    StructureError,
+    VerificationError,
+)
 from .rv import DiscreteRV, center, format_rv_inline
 
 
@@ -573,23 +580,40 @@ def conjecture_probe(
 # key=value config files
 
 
-_CONFIG_KEYS = {
+def _config_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad integer {text!r}") from None
+
+
+_CONFIG_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _config_bool(text: str) -> bool:
+    try:
+        return _CONFIG_BOOLS[text.lower()]
+    except KeyError:
+        raise ParseError(f"bad boolean {text!r}; use true/false/yes/no/1/0") from None
+
+
+_CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "target": str,
-    "n": int,
-    "instance_count": int,
-    "seed": int,
-    "support_min": int,
-    "support_max": int,
-    "value_lo": Fraction,
-    "value_hi": Fraction,
-    "denom_cap": int,
-    "k0": Fraction,
-    "k1": Fraction,
-    "k2": Fraction,
-    "include_claim6": bool,
-    "exhaustive_m": int,
-    "rv_count_max": int,
-    "atom_cap": int,
+    "n": _config_int,
+    "instance_count": _config_int,
+    "seed": _config_int,
+    "support_min": _config_int,
+    "support_max": _config_int,
+    "value_lo": parse_fraction,
+    "value_hi": parse_fraction,
+    "denom_cap": _config_int,
+    "k0": parse_fraction,
+    "k1": parse_fraction,
+    "k2": parse_fraction,
+    "include_claim6": _config_bool,
+    "exhaustive_m": _config_int,
+    "rv_count_max": _config_int,
+    "atom_cap": _config_int,
 }
 
 
@@ -602,18 +626,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
             raise StructureError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
-        value = value.strip()
         if key not in _CONFIG_KEYS:
             raise StructureError(f"line {lineno}: unknown key {key!r}")
-        kind = _CONFIG_KEYS[key]
-        if kind is bool:
-            parsed: object = value.lower() in ("1", "true", "yes")
-        elif kind is Fraction:
-            parsed = Fraction(value)
-        elif kind is int:
-            parsed = int(value)
-        else:
-            parsed = value
+        try:
+            parsed = _CONFIG_KEYS[key](value.strip())
+        except ParseError as exc:
+            raise ParseError(f"{key}: {exc}", lineno) from None
         if key in ("k0", "k1", "k2"):
             constant_overrides[key] = parsed  # type: ignore[assignment]
         elif key == "n":

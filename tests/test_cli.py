@@ -140,6 +140,32 @@ class TestCheck:
         assert out == ""
         assert "constants must be positive" in err
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (("sweep", "--target", "lemma7", "--n", "3", "--K0", "abc"), None),
+            (("sweep", "--target", "lemma7", "--n", "3", "--value-lo", "x"), None),
+            (("check", "lemma7", "{x}", "{y}", "--E", "1/0"), None),
+            (("check", "claim8", "{y}", "--x1", "q", "--x2", "0"), None),
+            (("sweep", "--config", "{config}"), "target=lemma7\nn=abc\n"),
+            (("sweep", "--config", "{config}"), "target=lemma7\nvalue_hi=1/0\n"),
+            (("sweep", "--config", "{config}"), "target=lemma7\nk0=abc\n"),
+            (("sweep", "--config", "{config}"), "target=lemma7\ninclude_claim6=ture\n"),
+        ],
+        ids=["K0", "value-lo", "E", "x1", "config-n", "config-value_hi", "config-k0", "config-bool"],
+    )
+    def test_malformed_number_is_input_error(self, argv, config, claim6_files, tmp_path, capsys):
+        config_path = tmp_path / "bad.cfg"
+        if config is not None:
+            config_path.write_text(config)
+        paths = {"x": claim6_files[0], "y": claim6_files[1], "config": str(config_path)}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in out + err
+        if config is not None:
+            assert "line 2: " in err
+
     def test_claim8(self, tmp_path, capsys):
         y_path = tmp_path / "y.rv"
         y_path.write_text("-1 1/2\n1 1/2\n")

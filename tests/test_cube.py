@@ -347,6 +347,8 @@ class TestFormats:
             parse_boolean_function("m=2\n++-")
         with pytest.raises(ParseError, match="line 2"):
             parse_boolean_function("m=2\n++-x")
+        with pytest.raises(ParseError, match="line 2: bad table character 'é' at position 1"):
+            parse_boolean_function("m=1\n+é")
 
     def test_real_round_trip(self, rng_seed):
         f = random_real_function(2, rng_seed)
@@ -360,6 +362,28 @@ class TestFormats:
     def test_real_rejects_non_dyadic(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_real_function("m=1\n1/3\n0")
+
+    @pytest.mark.parametrize(
+        "text", ["m=1\n9007199254740992\n1", "m=1\n1073741825/1073741824\n0"]
+    )
+    def test_real_rejects_tables_outside_exact_range(self, text):
+        # both used to parse and then round: coefficient 2^52 instead of
+        # 2^52 + 1/2, and a variance off the exact Fraction
+        with pytest.raises(CapacityError, match="exact range"):
+            parse_real_function(text)
+
+    def test_real_range_edge_is_exact(self):
+        f = parse_real_function("m=1\n33554431\n-33554432")  # 2^1 * 2^25 = 2^26
+        assert variance(f) == Fraction(67108863, 2) ** 2
+        assert Fraction(float(wht(f).coeffs[0])) == Fraction(-1, 2)
+
+    def test_generated_real_tables_round_trip(self):
+        for m in range(1, 7):
+            for seed in range(10):
+                f = random_real_function(m, seed)
+                back = parse_real_function(format_real_function(f))
+                assert np.array_equal(back.table, f.table)
+                assert variance(back) == variance(f)
 
     def test_partition_round_trip(self):
         p = parse_partition("1,3|2,4", 4)

@@ -52,9 +52,13 @@ _NUMERATOR_BOUND = 1 << 26  # bound on 2^m * max |n_x|
 _DENOMINATOR_BOUND = 1 << (1074 // 2 - M_MAX)  # bound on 2^k: 2^-(2k+2m) >= 2^-1074
 
 
-def _checked_length(m: int, n: int) -> None:
+def _checked_m(m: int) -> None:
     if not 1 <= m <= M_MAX:
         raise CapacityError(f"m={m} outside supported range 1..{M_MAX}")
+
+
+def _checked_length(m: int, n: int) -> None:
+    _checked_m(m)
     if n != 1 << m:
         raise StructureError(f"table length {n} != 2^{m}")
 
@@ -296,6 +300,7 @@ def _parse_m_header(lines: list[tuple[int, str]]) -> tuple[int, int]:
         m = int(header[2:])
     except ValueError:
         raise ParseError(f"bad variable count {header[2:]!r}", lineno) from None
+    _checked_m(m)
     return m, lineno
 
 

@@ -89,6 +89,8 @@ class SweepConfig:
             raise StructureError("value grid is empty")
         if self.denom_cap < max(2, self.support_max):
             raise StructureError("denom_cap too small for the requested supports")
+        if self.rv_count_max < 2:
+            raise StructureError("rv_count_max must be >= 2 (theorem1 sums at least two)")
 
 
 @dataclass(frozen=True)

@@ -350,6 +350,14 @@ class TestFormats:
         with pytest.raises(ParseError, match="line 2: bad table character 'é' at position 1"):
             parse_boolean_function("m=1\n+é")
 
+    @pytest.mark.parametrize("header", ["m=-1", "m=0", "m=27"])
+    def test_header_m_outside_range(self, header):
+        # a negative m used to end in a "negative shift count" ValueError
+        with pytest.raises(CapacityError, match="outside supported range"):
+            parse_boolean_function(f"{header}\n+-")
+        with pytest.raises(CapacityError, match="outside supported range"):
+            parse_real_function(f"{header}\n0\n1")
+
     def test_real_round_trip(self, rng_seed):
         f = random_real_function(2, rng_seed)
         back = parse_real_function(format_real_function(f))

@@ -382,3 +382,8 @@ class TestConfigParsing:
             SweepConfig(target="lemma7", instance_count=0)
         with pytest.raises(StructureError):
             SweepConfig(target="lemma7", value_lo=F(2), value_hi=F(2))
+
+    def test_rv_count_max_below_two(self):
+        # used to reach theorem1's generator and end in a ValueError traceback
+        with pytest.raises(StructureError, match="rv_count_max"):
+            parse_sweep_config("target=theorem1\nrv_count_max=1\n")

@@ -49,24 +49,28 @@ def _read_partition(args, m: int) -> cube.Partition:
     raise _UsageError("need --partition or --partition-file")
 
 
-def _rational(text: str) -> Fraction:
-    """argparse type for rational flags: exit 1 with an error line if malformed."""
-    try:
-        return cube.parse_fraction(text)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(parse):
+    """argparse type from a parser that raises ParseError: exit 1 with an error line."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _constants(args) -> bounds.Constants:
-    flags = {"k0": args.K0, "k1": args.K1, "k2": args.K2}
-    return replace(bounds.DEFAULT_CONSTANTS, **{k: v for k, v in flags.items() if v is not None})
+    given = {k: v for k, v in vars(args).items() if k in ("k0", "k1", "k2") and v is not None}
+    return replace(bounds.DEFAULT_CONSTANTS, **given)
 
 
 def _add_constant_flags(parser) -> None:
-    add = functools.partial(parser.add_argument, type=_rational)
-    add("--K0", help="override the abs-variance transfer constant (default 4)")
-    add("--K1", help="override the two-variable constant (default 20480)")
-    add("--K2", help="override the sequence constant (default 61440)")
+    add = functools.partial(parser.add_argument, type=_checked(cube.parse_fraction))
+    add("--K0", dest="k0", help="override the abs-variance transfer constant (default 4)")
+    add("--K1", dest="k1", help="override the two-variable constant (default 20480)")
+    add("--K2", dest="k2", help="override the sequence constant (default 61440)")
 
 
 def _cmd_analyze(args) -> int:
@@ -135,24 +139,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     fmt = functools.partial(bounds.format_value, decimal=args.decimal)
-    if args.config:
-        cfg = sweep.parse_sweep_config(_read_text(args.config))
-    else:
-        if not args.target:
-            raise _UsageError("need --target or --config")
-        cfg = sweep.SweepConfig(
-            target=args.target,
-            instance_count=args.n,
-            seed=args.seed,
-            support_min=args.support_min,
-            support_max=args.support_max,
-            value_lo=args.value_lo,
-            value_hi=args.value_hi,
-            denom_cap=args.denom_cap,
-            constants=_constants(args),
-            include_claim6=args.include_claim6,
-            exhaustive_m=args.exhaustive_m,
-        )
+    settings = sweep.read_settings(_read_text(args.config)) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in sweep._CONFIG_KEYS and v is not None}
+    cfg = sweep.config_from_settings({**settings, **flags})
     if args.csv:
         cfg = replace(cfg, collect_rows=True)
     result = sweep.run_sweep(cfg)
@@ -269,25 +258,21 @@ def build_parser() -> _Parser:
     check_ids = [n for n, t in sweep.TARGETS.items() if t.pair or n in ("claim8", "theorem1")]
     check.add_argument("inequality", choices=check_ids)
     check.add_argument("rv_files", nargs="+")
-    check.add_argument("--E", type=_rational, default="0", help="shift constant, default 0")
-    check.add_argument("--x1", type=_rational, help="claim8 evaluation point")
-    check.add_argument("--x2", type=_rational, help="claim8 evaluation point")
+    rational = _checked(cube.parse_fraction)
+    check.add_argument("--E", type=rational, default="0", help="shift constant, default 0")
+    check.add_argument("--x1", type=rational, help="claim8 evaluation point")
+    check.add_argument("--x2", type=rational, help="claim8 evaluation point")
     check.add_argument("--decimal", action="store_true")
     _add_constant_flags(check)
     check.set_defaults(func=_cmd_check)
 
     sweep_cmd = sub.add_parser("sweep", help="randomized/exhaustive inequality sweep")
-    sweep_cmd.add_argument("--config", help="key=value config file")
+    sweep_cmd.add_argument("--config", help="key=value config file; flags override it")
     sweep_cmd.add_argument("--target", choices=tuple(sweep.TARGETS))
-    sweep_cmd.add_argument("--n", type=int, default=10_000)
-    sweep_cmd.add_argument("--seed", type=int, default=0)
-    sweep_cmd.add_argument("--support-min", type=int, default=1)
-    sweep_cmd.add_argument("--support-max", type=int, default=5)
-    sweep_cmd.add_argument("--value-lo", type=_rational, default="-3")
-    sweep_cmd.add_argument("--value-hi", type=_rational, default="3")
-    sweep_cmd.add_argument("--denom-cap", type=int, default=12)
-    sweep_cmd.add_argument("--include-claim6", action="store_true")
-    sweep_cmd.add_argument("--exhaustive-m", type=int, default=3)
+    # valued settings take their parser from the config table and have no default here
+    for key in "n seed support_min support_max value_lo value_hi denom_cap exhaustive_m".split():
+        sweep_cmd.add_argument("--" + key.replace("_", "-"), type=_checked(sweep._CONFIG_KEYS[key]))
+    sweep_cmd.add_argument("--include-claim6", action="store_true", default=None)
     sweep_cmd.add_argument("--csv", help="write per-instance rows to this file")
     sweep_cmd.add_argument("--decimal", action="store_true")
     _add_constant_flags(sweep_cmd)

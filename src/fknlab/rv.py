@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .cube import RealFunction, data_lines
 from .errors import AtomLimitError, BalanceError, ParseError, StructureError
 
@@ -46,11 +48,11 @@ class DiscreteRV:
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[Rational, Rational]]) -> "DiscreteRV":
-        """Coerce to Fraction, merge equal values, sort."""
+        """Coerce to Fraction, merge equal values, sort: the one merge of atoms."""
         merged: dict[Fraction, Fraction] = {}
         for value, prob in pairs:
             value, prob = _q(value), _q(prob)
-            merged[value] = merged.get(value, Fraction(0)) + prob
+            merged[value] = merged[value] + prob if value in merged else prob
         return cls(tuple(sorted(merged.items())))
 
     @classmethod
@@ -91,11 +93,8 @@ class TwoPointBalancedRV:
         return cls(pos * p_pos, p_pos)
 
     def to_rv(self) -> DiscreteRV:
-        if self.d == 0:
-            return DiscreteRV.constant(0)
-        return DiscreteRV.from_atoms(
-            [(self.d / self.p, self.p), (-self.d / (1 - self.p), 1 - self.p)]
-        )
+        q = 1 - self.p  # d = 0 merges both atoms into the constant 0
+        return DiscreteRV.from_atoms([(self.d / self.p, self.p), (-self.d / q, q)])
 
 
 @dataclass(frozen=True)
@@ -112,14 +111,8 @@ class ConstAbsRV:
             raise StructureError("p must lie in [0, 1]")
 
     def to_rv(self) -> DiscreteRV:
-        if self.magnitude == 0:
-            return DiscreteRV.constant(0)
-        atoms = []
-        if self.p > 0:
-            atoms.append((self.magnitude, self.p))
-        if self.p < 1:
-            atoms.append((-self.magnitude, 1 - self.p))
-        return DiscreteRV.from_atoms(atoms)
+        atoms = [(self.magnitude, self.p), (-self.magnitude, 1 - self.p)]
+        return DiscreteRV.from_atoms((v, p) for v, p in atoms if p > 0)
 
 
 def expectation(rv: DiscreteRV) -> Fraction:
@@ -138,12 +131,7 @@ def convolve(x: DiscreteRV, y: DiscreteRV, atom_cap: int = DEFAULT_ATOM_CAP) -> 
             f"convolution would touch {x.support_size * y.support_size} atoms"
             f" (cap {atom_cap})"
         )
-    sums: dict[Fraction, Fraction] = {}
-    for vx, px in x.atoms:
-        for vy, py in y.atoms:
-            key = vx + vy
-            sums[key] = sums.get(key, Fraction(0)) + px * py
-    return DiscreteRV(tuple(sorted(sums.items())))
+    return DiscreteRV.from_atoms((vx + vy, px * py) for vx, px in x.atoms for vy, py in y.atoms)
 
 
 def shift(rv: DiscreteRV, c: Rational) -> DiscreteRV:
@@ -190,7 +178,7 @@ def const_abs_approx(rv: DiscreteRV, e: Rational) -> ConstAbsRV:
 def approx_coupling_distance(rv: DiscreteRV, e: Rational) -> Fraction:
     """E[((X+E) - X')^2] with X' = const_abs_approx coupled pointwise."""
     shifted = shift(rv, e)
-    magnitude = sum((abs(v) * p for v, p in shifted.atoms), Fraction(0))
+    magnitude = const_abs_approx(rv, e).magnitude
     return sum(
         (p * (v - _sign(v) * magnitude) ** 2 for v, p in shifted.atoms), Fraction(0)
     )
@@ -235,21 +223,14 @@ def two_point_decompose(
 
 def mix(components: Sequence[tuple[Fraction, DiscreteRV]]) -> DiscreteRV:
     """Exact mixture of weighted variables (weights must sum to 1)."""
-    atoms: dict[Fraction, Fraction] = {}
-    for weight, rv in components:
-        for v, p in rv.atoms:
-            atoms[v] = atoms.get(v, Fraction(0)) + weight * p
-    return DiscreteRV(tuple(sorted(atoms.items())))
+    return DiscreteRV.from_atoms((v, w * p) for w, rv in components for v, p in rv.atoms)
 
 
 def pushforward(f: RealFunction) -> DiscreteRV:
     """Distribution of f(x) under uniform x; float entries are exact dyadics."""
-    counts: dict[Fraction, int] = {}
-    for v in f.table:
-        key = Fraction(float(v))
-        counts[key] = counts.get(key, 0) + 1
-    n = f.table.size
-    return DiscreteRV(tuple(sorted((v, Fraction(c, n)) for v, c in counts.items())))
+    values, counts = np.unique(f.table, return_counts=True)
+    masses = [Fraction(c, f.table.size) for c in counts.tolist()]
+    return DiscreteRV.from_atoms(zip(values.tolist(), masses))
 
 
 def nearest_boolean_distance(rv: DiscreteRV) -> Fraction:

@@ -619,10 +619,9 @@ _CONFIG_KEYS: dict[str, Callable[[str], object]] = {
 }
 
 
-def parse_sweep_config(text: str) -> SweepConfig:
-    """Build a SweepConfig from 'key=value' lines ('#' comments allowed)."""
-    fields: dict[str, object] = {}
-    constant_overrides: dict[str, Fraction] = {}
+def read_settings(text: str) -> dict[str, object]:
+    """Parse 'key=value' lines ('#' comments allowed) with the _CONFIG_KEYS parsers."""
+    settings: dict[str, object] = {}
     for lineno, stripped in data_lines(text):
         if "=" not in stripped:
             raise StructureError(f"line {lineno}: expected key=value, got {stripped!r}")
@@ -631,17 +630,24 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if key not in _CONFIG_KEYS:
             raise StructureError(f"line {lineno}: unknown key {key!r}")
         try:
-            parsed = _CONFIG_KEYS[key](value.strip())
+            settings[key] = _CONFIG_KEYS[key](value.strip())
         except ParseError as exc:
             raise ParseError(f"{key}: {exc}", lineno) from None
-        if key in ("k0", "k1", "k2"):
-            constant_overrides[key] = parsed  # type: ignore[assignment]
-        elif key == "n":
-            fields["instance_count"] = parsed
-        else:
-            fields[key] = parsed
-    if "target" not in fields:
-        raise StructureError("config missing required key 'target'")
-    if constant_overrides:
-        fields["constants"] = replace(DEFAULT_CONSTANTS, **constant_overrides)
+    return settings
+
+
+def config_from_settings(settings: dict[str, object]) -> SweepConfig:
+    """SweepConfig from settings: n wins over instance_count, k0..k2 set constants."""
+    if "target" not in settings:
+        raise StructureError("no sweep target given: need target=<name> or --target")
+    fields = dict(settings)
+    if "n" in fields:
+        fields["instance_count"] = fields.pop("n")
+    constants = {k: fields.pop(k) for k in ("k0", "k1", "k2") if k in fields}
+    fields["constants"] = replace(DEFAULT_CONSTANTS, **constants)
     return SweepConfig(**fields)  # type: ignore[arg-type]
+
+
+def parse_sweep_config(text: str) -> SweepConfig:
+    """Build a SweepConfig from 'key=value' lines ('#' comments allowed)."""
+    return config_from_settings(read_settings(text))

@@ -5,6 +5,8 @@ literal O(4^m) definition over exact Fractions (or a sign-matrix product for
 larger m), so it can referee the butterfly transform.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +50,16 @@ def rv_moments(atoms):
     """(mean, variance) of [(value, prob), ...] by direct summation."""
     mean = sum(v * p for v, p in atoms)
     return mean, sum(p * (v - mean) ** 2 for v, p in atoms)
+
+
+def product_distribution(*atom_lists):
+    """Sorted atoms of the sum of independent variables, straight from the
+    product measure: every tuple of atoms adds its probability to its sum."""
+    masses = {}
+    for combo in itertools.product(*atom_lists):
+        total = sum(v for v, _ in combo)
+        masses[total] = masses.get(total, 0) + math.prod(p for _, p in combo)
+    return tuple(sorted(masses.items()))
 
 
 @pytest.fixture

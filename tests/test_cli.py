@@ -145,6 +145,7 @@ class TestCheck:
         [
             (("sweep", "--target", "lemma7", "--n", "3", "--K0", "abc"), None),
             (("sweep", "--target", "lemma7", "--n", "3", "--value-lo", "x"), None),
+            (("sweep", "--target", "lemma7", "--n", "abc"), None),
             (("check", "lemma7", "{x}", "{y}", "--E", "1/0"), None),
             (("check", "claim8", "{y}", "--x1", "q", "--x2", "0"), None),
             (("sweep", "--config", "{config}"), "target=lemma7\nn=abc\n"),
@@ -152,7 +153,7 @@ class TestCheck:
             (("sweep", "--config", "{config}"), "target=lemma7\nk0=abc\n"),
             (("sweep", "--config", "{config}"), "target=lemma7\ninclude_claim6=ture\n"),
         ],
-        ids=["K0", "value-lo", "E", "x1", "config-n", "config-value_hi", "config-k0", "config-bool"],
+        ids=["K0", "value-lo", "n", "E", "x1", "config-n", "config-value_hi", "config-k0", "config-bool"],
     )
     def test_malformed_number_is_input_error(self, argv, config, claim6_files, tmp_path, capsys):
         config_path = tmp_path / "bad.cfg"
@@ -309,6 +310,23 @@ class TestSweep:
         assert code == 0
         assert kv(out)["target"] == "lemma4"
         assert kv(out)["instances"] == "25"
+
+    def test_flags_override_config(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("target=lemma4\nn=25\nseed=3\n")
+        code, out, _ = run(capsys, "sweep", "--config", str(config), "--n", "7", "--seed", "9")
+        expected = run(capsys, "sweep", "--target", "lemma4", "--n", "7", "--seed", "9")
+        assert (code, out) == expected[:2]
+        assert kv(out)["instances"] == "7"
+
+    def test_constant_flag_overrides_config(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("target=lemma4\nn=30\nseed=7\nk1=1/100000000\n")
+        code, _, _ = run(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        code, out, _ = run(capsys, "sweep", "--config", str(config), "--K1", "20480")
+        expected = run(capsys, "sweep", "--target", "lemma4", "--n", "30", "--seed", "7")
+        assert (code, out) == expected[:2] and code == 0
 
     def test_needs_target_or_config(self, capsys):
         code, _, err = run(capsys, "sweep")

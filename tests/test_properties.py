@@ -1,8 +1,12 @@
-"""Property tests: the cube's partition measures against the naive oracle.
+"""Property tests against the slow oracles of conftest.py.
 
-Random Boolean tables on m = 2..6 variables and random partitions with at
-least two blocks; every measure must equal the exact sum of squared naive
+Cube: random Boolean tables on m = 2..6 variables and random partitions with
+at least two blocks; every measure must equal the exact sum of squared naive
 Fourier coefficients over the right family of sets.
+
+Random variables: small random supports; convolution must equal the literal
+product distribution, the pushforward must equal direct counting, and a
+balanced variable must be rebuilt from its two-point decomposition.
 """
 
 from fractions import Fraction
@@ -11,9 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fknlab.bounds import corollary2_apply
-from fknlab.cube import BooleanFunction, Partition, cross_partition_weight, variance
+from fknlab.cube import BooleanFunction, Partition, RealFunction, cross_partition_weight, variance
+from fknlab.rv import DiscreteRV, center, convolve, mix, pushforward, two_point_decompose
 
-from conftest import naive_fourier
+from conftest import naive_fourier, product_distribution
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -69,3 +74,60 @@ def test_variance_is_mass_off_the_empty_set(case):
     coeffs = naive_fourier(f.table, f.m)
     var_f = variance(f)
     assert isinstance(var_f, Fraction) and var_f == sq_mass(coeffs, lambda s: s != 0)
+
+
+@st.composite
+def small_rv(draw, max_support: int = 4) -> DiscreteRV:
+    """Distinct values k/d with d <= 6, positive integer weights normalised to 1."""
+    values = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+            min_size=1,
+            max_size=max_support,
+            unique=True,
+        )
+    )
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+    return DiscreteRV.from_atoms((v, Fraction(w, sum(weights))) for v, w in zip(values, weights))
+
+
+@PROPERTY_SETTINGS
+@given(small_rv(), small_rv())
+def test_convolve_is_the_product_distribution(x, y):
+    assert convolve(x, y).atoms == product_distribution(x.atoms, y.atoms)
+
+
+@PROPERTY_SETTINGS
+@given(small_rv(), small_rv())
+def test_convolve_commutes(x, y):
+    assert convolve(x, y).atoms == convolve(y, x).atoms
+
+
+@PROPERTY_SETTINGS
+@given(small_rv(3), small_rv(3), small_rv(3))
+def test_convolve_associates(x, y, z):
+    left = convolve(convolve(x, y), z)
+    assert left.atoms == convolve(x, convolve(y, z)).atoms
+    assert left.atoms == product_distribution(x.atoms, y.atoms, z.atoms)
+
+
+quarter_numerators = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.integers(-6, 6), min_size=1 << m, max_size=1 << m)
+)
+
+
+@PROPERTY_SETTINGS
+@given(quarter_numerators)
+def test_pushforward_counts_table_entries(numerators):
+    values = [Fraction(k, 4) for k in numerators]
+    f = RealFunction(len(values).bit_length() - 1, [float(v) for v in values])
+    expected = tuple(sorted((v, Fraction(values.count(v), len(values))) for v in set(values)))
+    assert pushforward(f).atoms == expected
+
+
+@PROPERTY_SETTINGS
+@given(small_rv(5))
+def test_mix_of_two_point_components_rebuilds_input(x):
+    balanced = center(x)
+    components = two_point_decompose(balanced)
+    assert mix([(w, c.to_rv()) for w, c in components]).atoms == balanced.atoms

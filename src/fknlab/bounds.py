@@ -316,7 +316,7 @@ class CorollaryReport:
     cross_weight: Fraction
     coeff_empty: Fraction
     block_dists: tuple[Fraction, ...]
-    corollary_k: Fraction = Fraction(61442)
+    corollary_k: Fraction
 
     @property
     def bound(self) -> Fraction:

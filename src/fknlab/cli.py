@@ -6,6 +6,11 @@ positive), 2 = an inequality violation was found, 3 = a sweep found no
 violation but some of its instances could not be evaluated (its errors=
 line counts them).  All numbers print as exact rationals unless --decimal
 asks for 15 significant digits.
+
+`sweep` reads its settings from --config and then from its flags, so a flag
+overrides the config file; --exhaustive-m must lie in 2..4.  `check` takes
+--E only for the inequalities that read a shift (lemma7, claim9) and
+--x1/--x2 only for claim8; anything else rejects them with exit 1.
 """
 
 from __future__ import annotations
@@ -110,6 +115,10 @@ def _cmd_check(args) -> int:
     constants = _constants(args)
     files = args.rv_files
     target = args.inequality
+    if args.E is not None and not sweep.TARGETS[target].shifted:
+        raise _UsageError(f"{target} does not read --E")
+    if target != "claim8" and (args.x1 is not None or args.x2 is not None):
+        raise _UsageError("--x1/--x2 are only for claim8")
 
     def load(path):
         return rv.parse_rv(_read_text(path))
@@ -131,7 +140,8 @@ def _cmd_check(args) -> int:
         if len(files) != 2:
             raise _UsageError(f"{target} needs exactly two RV files")
         pair = sweep.TARGETS[target].pair
-        report = pair(load(files[0]), load(files[1]), args.E, constants, rv.DEFAULT_ATOM_CAP)
+        e = Fraction(0) if args.E is None else args.E
+        report = pair(load(files[0]), load(files[1]), e, constants, rv.DEFAULT_ATOM_CAP)
     for line in report.kv_lines(args.decimal):
         print(line)
     return 0 if report.holds else 2
@@ -259,7 +269,7 @@ def build_parser() -> _Parser:
     check.add_argument("inequality", choices=check_ids)
     check.add_argument("rv_files", nargs="+")
     rational = _checked(cube.parse_fraction)
-    check.add_argument("--E", type=rational, default="0", help="shift constant, default 0")
+    check.add_argument("--E", type=rational, help="lemma7/claim9 shift constant, default 0")
     check.add_argument("--x1", type=rational, help="claim8 evaluation point")
     check.add_argument("--x2", type=rational, help="claim8 evaluation point")
     check.add_argument("--decimal", action="store_true")

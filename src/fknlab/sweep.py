@@ -91,6 +91,8 @@ class SweepConfig:
             raise StructureError("denom_cap too small for the requested supports")
         if self.rv_count_max < 2:
             raise StructureError("rv_count_max must be >= 2 (theorem1 sums at least two)")
+        if not 2 <= self.exhaustive_m <= 4:
+            raise StructureError("exhaustive_m must lie in 2..4")
 
 
 @dataclass(frozen=True)
@@ -258,12 +260,14 @@ class Target:
     so the sweep reports the smallest constant that would have sufficed.
     claim6: --include-claim6 puts the claim6 pair first.  pair(x, y, e,
     constants, atom_cap) evaluates a two-variable target on explicit inputs.
+    shifted: the inequality reads the shift E; the others ignore it.
     """
 
     instance: Instance | None
     ratio_form: bool = True
     claim6: bool = False
     pair: PairEvaluator | None = None
+    shifted: bool = False
 
 
 def _with_inputs(report: BoundReport, inputs: dict[str, object]) -> BoundReport:
@@ -291,7 +295,7 @@ def _pair_target(
         inputs = {"x": format_rv_inline(x), "y": format_rv_inline(y)}
         return _with_inputs(report, inputs), numerator(report, cfg.constants)
 
-    return Target(instance, claim6=True, pair=pair)
+    return Target(instance, claim6=True, pair=pair, shifted=balanced)
 
 
 def _claim8_target(rng, cfg, index, use_claim6):
@@ -468,11 +472,11 @@ def two_block_partitions(m: int) -> Iterator[Partition]:
 def corollary2_exhaustive(
     m: int, constants: Constants = DEFAULT_CONSTANTS, collect_rows: bool = False
 ) -> SweepResult:
-    """Check the partition corollary on every non-constant function on m <= 4
+    """Check the partition corollary on every non-constant function on m = 2..4
     variables against every 2-block partition; also records the largest
     observed dist/epsilon (the empirical corollary constant)."""
-    if m > 4:
-        raise StructureError("exhaustive check supported only for m <= 4")
+    if not 2 <= m <= 4:
+        raise StructureError("exhaustive check supported only for 2 <= m <= 4")
     partitions = list(two_block_partitions(m))
     cases = (
         functools.partial(_corollary2_case, f, partition, constants)

@@ -167,6 +167,30 @@ class TestCheck:
         if config is not None:
             assert "line 2: " in err
 
+    @pytest.mark.parametrize("inequality", ["lemma4", "lemma5", "claim8", "theorem1"])
+    def test_e_rejected_where_unread(self, inequality, claim6_files, capsys):
+        files = claim6_files[:1] if inequality == "claim8" else claim6_files
+        code, out, err = run(capsys, "check", inequality, *files, "--E", "5")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {inequality} does not read --E\n"
+
+    @pytest.mark.parametrize("inequality", ["lemma4", "lemma5", "lemma7", "claim9", "theorem1"])
+    @pytest.mark.parametrize("flag", ["--x1", "--x2"])
+    def test_x_rejected_outside_claim8(self, inequality, flag, claim6_files, capsys):
+        code, out, err = run(capsys, "check", inequality, *claim6_files, flag, "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --x1/--x2 are only for claim8\n"
+
+    @pytest.mark.parametrize("inequality", ["lemma7", "claim9"])
+    def test_e_read_where_shifted(self, inequality, claim6_files, capsys):
+        code, out, _ = run(capsys, "check", inequality, *claim6_files, "--E", "1/2")
+        assert code == 0
+        assert kv(out)["witness.e"] == "1/2"
+        _, unshifted, _ = run(capsys, "check", inequality, *claim6_files)
+        assert kv(unshifted)["witness.e"] == "0"
+
     def test_claim8(self, tmp_path, capsys):
         y_path = tmp_path / "y.rv"
         y_path.write_text("-1 1/2\n1 1/2\n")
@@ -327,6 +351,13 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--config", str(config), "--K1", "20480")
         expected = run(capsys, "sweep", "--target", "lemma4", "--n", "30", "--seed", "7")
         assert (code, out) == expected[:2] and code == 0
+
+    @pytest.mark.parametrize("m", ["-1", "0", "1", "5"])
+    def test_exhaustive_m_out_of_range(self, m, capsys):
+        code, out, err = run(capsys, "sweep", "--target", "corollary2", "--exhaustive-m", m)
+        assert code == 1
+        assert out == ""
+        assert err == "error: exhaustive_m must lie in 2..4\n"
 
     def test_needs_target_or_config(self, capsys):
         code, _, err = run(capsys, "sweep")

@@ -14,6 +14,7 @@ from fknlab.sweep import (
     SweepConfig,
     _claim8_instance,
     _rng_for,
+    config_from_settings,
     conjecture_probe,
     corollary2_exhaustive,
     empirical_constant,
@@ -21,6 +22,7 @@ from fknlab.sweep import (
     parse_sweep_config,
     random_real_function,
     random_rv,
+    read_settings,
     run_sweep,
     tightness_scan,
     two_block_partitions,
@@ -214,6 +216,9 @@ class TestTargets:
         assert [n for n, t in TARGETS.items() if t.pair] == ["lemma4", "lemma5", "lemma7", "claim9"]
         assert [n for n, t in TARGETS.items() if t.instance is None] == ["corollary2"]
 
+    def test_shifted_targets_are_the_balanced_pairs(self):
+        assert [n for n, t in TARGETS.items() if t.shifted] == ["lemma7", "claim9"]
+
     def test_include_claim6_only_where_eligible(self):
         for name, target in TARGETS.items():
             if target.instance is None:
@@ -275,6 +280,12 @@ class TestCorollary2Exhaustive:
     def test_rejects_large_m(self):
         with pytest.raises(StructureError):
             corollary2_exhaustive(5)
+
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    def test_rejects_small_m(self, m):
+        # m=1 used to evaluate no instance and m=-1 to end in a ValueError
+        with pytest.raises(StructureError):
+            corollary2_exhaustive(m)
 
     def test_run_sweep_dispatch(self):
         via_sweep = run_sweep(SweepConfig(target="corollary2", exhaustive_m=2))
@@ -382,6 +393,22 @@ class TestConfigParsing:
             SweepConfig(target="lemma7", instance_count=0)
         with pytest.raises(StructureError):
             SweepConfig(target="lemma7", value_lo=F(2), value_hi=F(2))
+
+    @pytest.mark.parametrize("m", [-1, 1, 5])
+    def test_exhaustive_m_range(self, m):
+        with pytest.raises(StructureError, match="exhaustive_m"):
+            SweepConfig(target="corollary2", exhaustive_m=m)
+        with pytest.raises(StructureError, match="exhaustive_m"):
+            parse_sweep_config(f"target=corollary2\nexhaustive_m={m}\n")
+
+    def test_settings_then_config(self):
+        settings = read_settings("target=lemma4\nn=5\nk1=7\nseed=2\nseed=3\n")
+        assert settings == {"target": "lemma4", "n": 5, "k1": F(7), "seed": 3}
+        cfg = config_from_settings({**settings, "instance_count": 9})
+        assert (cfg.instance_count, cfg.seed, cfg.constants.k1) == (5, 3, 7)
+        assert cfg.constants.k0 == 4
+        with pytest.raises(StructureError, match="target"):
+            config_from_settings({"n": 5})
 
     def test_rv_count_max_below_two(self):
         # used to reach theorem1's generator and end in a ValueError traceback

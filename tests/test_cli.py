@@ -153,7 +153,10 @@ class TestCheck:
             (("sweep", "--config", "{config}"), "target=lemma7\nk0=abc\n"),
             (("sweep", "--config", "{config}"), "target=lemma7\ninclude_claim6=ture\n"),
         ],
-        ids=["K0", "value-lo", "n", "E", "x1", "config-n", "config-value_hi", "config-k0", "config-bool"],
+        ids=[
+            "K0", "value-lo", "n", "E", "x1",
+            "config-n", "config-value_hi", "config-k0", "config-bool",
+        ],
     )
     def test_malformed_number_is_input_error(self, argv, config, claim6_files, tmp_path, capsys):
         config_path = tmp_path / "bad.cfg"
@@ -167,21 +170,21 @@ class TestCheck:
         if config is not None:
             assert "line 2: " in err
 
-    @pytest.mark.parametrize("inequality", ["lemma4", "lemma5", "claim8", "theorem1"])
-    def test_e_rejected_where_unread(self, inequality, claim6_files, capsys):
-        files = claim6_files[:1] if inequality == "claim8" else claim6_files
-        code, out, err = run(capsys, "check", inequality, *files, "--E", "5")
-        assert code == 1
-        assert out == ""
-        assert err == f"error: {inequality} does not read --E\n"
-
-    @pytest.mark.parametrize("inequality", ["lemma4", "lemma5", "lemma7", "claim9", "theorem1"])
-    @pytest.mark.parametrize("flag", ["--x1", "--x2"])
-    def test_x_rejected_outside_claim8(self, inequality, flag, claim6_files, capsys):
+    @pytest.mark.parametrize(
+        "inequality, flag",
+        [(name, "--E") for name in ("lemma4", "lemma5", "claim8", "theorem1")]
+        + [
+            (name, flag)
+            for name in ("lemma4", "lemma5", "lemma7", "claim9", "theorem1")
+            for flag in ("--x1", "--x2")
+        ],
+    )
+    def test_unread_flag_rejected(self, inequality, flag, claim6_files, capsys):
         code, out, err = run(capsys, "check", inequality, *claim6_files, flag, "3")
-        assert code == 1
-        assert out == ""
-        assert err == "error: --x1/--x2 are only for claim8\n"
+        message = "--x1/--x2 are only for claim8"
+        if flag == "--E":
+            message = f"{inequality} does not read --E"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("inequality", ["lemma7", "claim9"])
     def test_e_read_where_shifted(self, inequality, claim6_files, capsys):

@@ -215,8 +215,6 @@ class TestTargets:
         assert [n for n, t in TARGETS.items() if t.claim6] == ["lemma4", "lemma5", "lemma7", "claim9"]
         assert [n for n, t in TARGETS.items() if t.pair] == ["lemma4", "lemma5", "lemma7", "claim9"]
         assert [n for n, t in TARGETS.items() if t.instance is None] == ["corollary2"]
-
-    def test_shifted_targets_are_the_balanced_pairs(self):
         assert [n for n, t in TARGETS.items() if t.shifted] == ["lemma7", "claim9"]
 
     def test_include_claim6_only_where_eligible(self):

@@ -1,16 +1,19 @@
 """Command-line surface: analyze, decompose, check, sweep, example, probe.
 
 Exit codes: 0 = everything checked holds, 1 = usage or input error
-(including a --K0/--K1/--K2 that is not positive: constants must be
-positive), 2 = an inequality violation was found, 3 = a sweep found no
+(including a --K0/--K1/--K2 that is not positive, and a flag the inequality
+does not read), 2 = an inequality violation was found, 3 = a sweep found no
 violation but some of its instances could not be evaluated (its errors=
 line counts them).  All numbers print as exact rationals unless --decimal
-asks for 15 significant digits.
+asks for 15 significant digits; a negative rational is one word (--E -1/2).
 
 `sweep` reads its settings from --config and then from its flags, so a flag
-overrides the config file; --exhaustive-m must lie in 2..4.  `check` takes
---E only for the inequalities that read a shift (lemma7, claim9) and
---x1/--x2 only for claim8; anything else rejects them with exit 1.
+overrides the config file; --exhaustive-m must lie in 2..4.  Of --E, --x1,
+--x2, --K0, --K1, --K2 and the config keys k0..k2, each inequality reads:
+
+    lemma4  --K1        claim8    --x1 --x2    corollary2 (analyze)  --K2
+    lemma5  --K0        claim9    --E          fact1, fact8          none
+    lemma7  --E --K0    theorem1  --K2
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -32,6 +36,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1/2" for an option, as it knows only -3 and -.5 as numbers
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)
 
@@ -41,6 +50,15 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _create(path, parents: bool = False):
+    try:
+        if parents:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _read_partition(args, m: int) -> cube.Partition:
@@ -66,9 +84,9 @@ def _checked(parse):
     return convert
 
 
-def _constants(args) -> bounds.Constants:
-    given = {k: v for k, v in vars(args).items() if k in ("k0", "k1", "k2") and v is not None}
-    return replace(bounds.DEFAULT_CONSTANTS, **given)
+def _constants(args, target: str) -> bounds.Constants:
+    """Constants from --K0/--K1/--K2; a flag `target` does not read is an error."""
+    return sweep.read_constants(target, {k: v for k, v in vars(args).items() if v is not None})
 
 
 def _add_constant_flags(parser) -> None:
@@ -82,7 +100,7 @@ def _cmd_analyze(args) -> int:
     fmt = functools.partial(bounds.format_value, decimal=args.decimal)
     f = cube.parse_boolean_function(_read_text(args.table))
     partition = _read_partition(args, f.m)
-    outcome = bounds.corollary2_apply(f, partition, _constants(args))
+    outcome = bounds.corollary2_apply(f, partition, _constants(args, "corollary2"))
     print(f"m={f.m}")
     print(f"coeff_empty={fmt(outcome.coeff_empty)}")
     print(f"variance={fmt(outcome.var_f)}")
@@ -112,13 +130,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    constants = _constants(args)
     files = args.rv_files
     target = args.inequality
-    if args.E is not None and not sweep.TARGETS[target].shifted:
-        raise _UsageError(f"{target} does not read --E")
-    if target != "claim8" and (args.x1 is not None or args.x2 is not None):
-        raise _UsageError("--x1/--x2 are only for claim8")
+    constants = _constants(args, target)
 
     def load(path):
         return rv.parse_rv(_read_text(path))
@@ -152,9 +166,8 @@ def _cmd_sweep(args) -> int:
     settings = sweep.read_settings(_read_text(args.config)) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k in sweep._CONFIG_KEYS and v is not None}
     cfg = sweep.config_from_settings({**settings, **flags})
-    if args.csv:
-        cfg = replace(cfg, collect_rows=True)
-    result = sweep.run_sweep(cfg)
+    handle = _create(args.csv) if args.csv else None  # a bad path fails before the sweep
+    result = sweep.run_sweep(replace(cfg, collect_rows=handle is not None))
     print(f"target={result.target}")
     print(f"instances={result.instances_run}")
     print(f"violations={len(result.violations)}")
@@ -171,8 +184,8 @@ def _cmd_sweep(args) -> int:
         print(f"errors={len(result.errors)}")
         for index, message in result.errors[:10]:
             print(f"error: instance={index} {message}")
-    if args.csv:
-        with open(args.csv, "w", newline="") as handle:
+    if handle:
+        with handle:
             writer = csv.writer(handle)
             writer.writerow(["instance_id", "lhs", "rhs", "ratio", "holds", "witness"])
             writer.writerows(result.rows or ())
@@ -184,48 +197,39 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_example(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     if args.name == "tribes":
         if args.m is None or args.m < 1:
             raise _UsageError("tribes needs --m >= 1")
         f, partition = bounds.tribes_example(args.m)
         stem = f"tribes_m{args.m}"
-        table_path = out_dir / f"{stem}.table"
-        table_path.write_text(
-            cube.format_boolean_function(
+        files = {
+            out_dir / f"{stem}.table": cube.format_boolean_function(
                 f,
                 comments=[
                     f"OR of two ANDs on disjoint {args.m}-variable blocks (-1 = true)",
                     f"generated by: fknlab example tribes --m {args.m}",
                 ],
-            )
-        )
-        partition_path = out_dir / f"{stem}.partition"
-        partition_path.write_text(
-            f"# block 1 = AND inputs, block 2 = AND inputs\n{cube.format_partition(partition)}\n"
-        )
-        written = [table_path, partition_path]
-    elif args.name == "claim6":
+            ),
+            out_dir / f"{stem}.partition": "# block 1 = AND inputs, block 2 = AND inputs\n"
+            + f"{cube.format_partition(partition)}\n",
+        }
+    else:  # claim6, the only other choice
         x, y = bounds.claim6_example()
-        x_path = out_dir / "claim6_x.rv"
-        y_path = out_dir / "claim6_y.rv"
-        x_path.write_text(
-            rv.format_rv(
+        files = {
+            out_dir / "claim6_x.rv": rv.format_rv(
                 x,
                 comments=[
                     "balanced pair forcing the abs-variance transfer constant >= 4/3",
                     "generated by: fknlab example claim6",
                 ],
-            )
-        )
-        y_path.write_text(
-            rv.format_rv(y, comments=["generated by: fknlab example claim6"])
-        )
-        written = [x_path, y_path]
-    else:
-        raise _UsageError(f"unknown example {args.name!r}")
-    for path in written:
+            ),
+            out_dir / "claim6_y.rv": rv.format_rv(
+                y, comments=["generated by: fknlab example claim6"]
+            ),
+        }
+    for path, text in files.items():
+        with _create(path, parents=True) as handle:
+            handle.write(text)
         print(f"wrote {path}")
     return 0
 
@@ -247,7 +251,8 @@ def _cmd_probe(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="fknlab", description=__doc__)
+    raw = argparse.RawDescriptionHelpFormatter  # keeps the docstring's table
+    parser = _Parser(prog="fknlab", description=__doc__, formatter_class=raw)
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="partition analysis of a truth table")

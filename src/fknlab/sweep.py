@@ -246,41 +246,37 @@ def _claim8_instance(
     return x1, x2, ybar
 
 
-Instance = Callable[[random.Random, SweepConfig, int, bool], tuple[BoundReport, Fraction | None]]
+Instance = Callable[[random.Random, SweepConfig, int, bool], BoundReport]
 PairEvaluator = Callable[[DiscreteRV, DiscreteRV, Fraction, Constants, int], BoundReport]
+Scale = Callable[[Constants], Fraction]
 
 
 @dataclass(frozen=True)
 class Target:
     """One inequality the sweep and the CLI know about.
 
-    instance(rng, cfg, index, use_claim6) draws and evaluates one instance and
-    returns (report, ratio-form numerator or None); it is None for an
-    exhaustive target.  ratio_form: the right side is numerator / constant,
-    so the sweep reports the smallest constant that would have sufficed.
-    claim6: --include-claim6 puts the claim6 pair first.  pair(x, y, e,
-    constants, atom_cap) evaluates a two-variable target on explicit inputs.
-    shifted: the inequality reads the shift E; the others ignore it.
+    instance(rng, cfg, index, use_claim6) draws and evaluates one instance; it
+    is None for an exhaustive target.  scale(constants) is the constant the
+    right side is divided by (None if there is none), so the smallest one
+    that would have sufficed is scale * rhs / lhs.  pair(x, y, e, constants,
+    atom_cap) evaluates a two-variable target on explicit inputs, and
+    --include-claim6 puts the claim6 pair first for exactly these targets.
+    reads: the inputs among E, x1, x2, k0, k1, k2 that the inequality uses.
     """
 
     instance: Instance | None
-    ratio_form: bool = True
-    claim6: bool = False
+    scale: Scale | None
     pair: PairEvaluator | None = None
-    shifted: bool = False
+    reads: frozenset[str] = frozenset()
 
 
 def _with_inputs(report: BoundReport, inputs: dict[str, object]) -> BoundReport:
     return replace(report, witness={**inputs, **report.witness})
 
 
-def _pair_target(
-    pair: PairEvaluator,
-    numerator: Callable[[BoundReport, Constants], Fraction],
-    balanced: bool = False,
-) -> Target:
-    """Two random variables per instance; balanced targets center both and
-    draw a shift E as well."""
+def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
+    """Two random variables per instance; a target that reads E centers both
+    and draws a shift E as well."""
 
     def instance(rng, cfg, index, use_claim6):
         e = Fraction(0)
@@ -288,35 +284,34 @@ def _pair_target(
             x, y = claim6_example()
         else:
             x, y = _random_raw(rng, cfg), _random_raw(rng, cfg)
-            if balanced:
+            if "E" in reads:
                 x, y = center(x), center(y)
                 e = _random_fraction(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap)
         report = pair(x, y, e, cfg.constants, cfg.atom_cap)
         inputs = {"x": format_rv_inline(x), "y": format_rv_inline(y)}
-        return _with_inputs(report, inputs), numerator(report, cfg.constants)
+        return _with_inputs(report, inputs)
 
-    return Target(instance, claim6=True, pair=pair, shifted=balanced)
+    return Target(instance, scale, pair, frozenset(reads))
 
 
 def _claim8_target(rng, cfg, index, use_claim6):
     x1, x2, ybar = _claim8_instance(rng, index % 4, cfg)
     report = claim8_check(x1, x2, ybar)
-    return _with_inputs(report, {"case": index % 4}), (abs(x1) - abs(x2)) ** 2
+    return _with_inputs(report, {"case": index % 4})
 
 
 def _theorem1_target(rng, cfg, index, use_claim6):
     xs = [_random_raw(rng, cfg) for _ in range(rng.randint(2, cfg.rv_count_max))]
     report = theorem1_check(xs, cfg.constants, cfg.atom_cap)
     inputs = {f"x{i}": format_rv_inline(x) for i, x in enumerate(xs)}
-    return _with_inputs(report, inputs), cfg.constants.k2 * report.rhs
+    return _with_inputs(report, inputs)
 
 
 def _fact1_target(rng, cfg, index, use_claim6):
     m = rng.randint(1, 3)
     f, g, h = (_random_real_function(rng, m) for _ in range(3))
     lhs = sq_l2_dist(f, g) + sq_l2_dist(g, h)
-    numerator = sq_l2_dist(f, h)
-    return BoundReport.compare(lhs, numerator / 2, {"m": m}), numerator
+    return BoundReport.compare(lhs, sq_l2_dist(f, h) / 2, {"m": m})
 
 
 def _fact8_target(rng, cfg, index, use_claim6):
@@ -324,13 +319,11 @@ def _fact8_target(rng, cfg, index, use_claim6):
     f, g = (_random_real_function(rng, m) for _ in range(2))
     lhs = variance(f)
     rhs = variance(g) / 2 - sq_l2_dist(f, g)
-    return BoundReport.compare(lhs, rhs, {"m": m}), None
+    return BoundReport.compare(lhs, rhs, {"m": m})
 
 
-def _corollary2_case(
-    f: BooleanFunction, partition: Partition, constants: Constants
-) -> tuple[BoundReport, Fraction]:
-    """lhs = (K2+2) epsilon, rhs = dist; numerator/lhs is dist/epsilon."""
+def _corollary2_case(f: BooleanFunction, partition: Partition, constants: Constants) -> BoundReport:
+    """lhs = (K2+2) epsilon, rhs = dist, so (K2+2) rhs / lhs is dist/epsilon."""
     outcome = corollary2_apply(f, partition, constants)
     k = constants.corollary_k
     witness = {
@@ -339,40 +332,42 @@ def _corollary2_case(
         "k": outcome.k,
         "epsilon": outcome.epsilon,
     }
-    return BoundReport.compare(k * outcome.epsilon, outcome.dist, witness), k * outcome.dist
+    return BoundReport.compare(k * outcome.epsilon, outcome.dist, witness)
 
 
 # Evaluators are called through this module's globals, never stored, so a
 # wrapper installed on the module (a tracer, a test double) sees every call.
 TARGETS: dict[str, Target] = {
-    "fact1": Target(_fact1_target),
-    "fact8": Target(_fact8_target, ratio_form=False),
+    "fact1": Target(_fact1_target, lambda c: 2),
+    "fact8": Target(_fact8_target, None),
     "lemma4": _pair_target(
-        lambda x, y, e, c, cap: lemma4_bound(x, y, c, cap), lambda r, c: c.k1 * r.rhs
+        lambda x, y, e, c, cap: lemma4_bound(x, y, c, cap), lambda c: c.k1, {"k1"}
     ),
-    "lemma5": _pair_target(
-        lambda x, y, e, c, cap: lemma5_bound(x, y, c), lambda r, c: r.witness["max_abs_var"]
-    ),
+    "lemma5": _pair_target(lambda x, y, e, c, cap: lemma5_bound(x, y, c), lambda c: c.k0, {"k0"}),
     "lemma7": _pair_target(
-        lambda x, y, e, c, cap: lemma7_bound(x, y, e, c),
-        lambda r, c: r.witness["max_abs_var"],
-        balanced=True,
+        lambda x, y, e, c, cap: lemma7_bound(x, y, e, c), lambda c: c.k0, {"E", "k0"}
     ),
-    "claim8": Target(_claim8_target),
-    "claim9": _pair_target(
-        lambda x, y, e, c, cap: claim9_bound(x, y, e),
-        lambda r, c: 16 * r.rhs,  # rhs carries the fixed 16 in its denominator
-        balanced=True,
-    ),
-    "theorem1": Target(_theorem1_target),
-    "corollary2": Target(None),
+    "claim8": Target(_claim8_target, lambda c: 4, reads=frozenset({"x1", "x2"})),
+    "claim9": _pair_target(lambda x, y, e, c, cap: claim9_bound(x, y, e), lambda c: 16, {"E"}),
+    "theorem1": Target(_theorem1_target, lambda c: c.k2, reads=frozenset({"k2"})),
+    "corollary2": Target(None, lambda c: c.corollary_k, reads=frozenset({"k2"})),
 }
+
+
+def read_constants(target: str, settings: dict[str, object]) -> Constants:
+    """Constants from the k0..k2 entries of `settings`, after the one rule for the
+    inputs E, x1, x2, k0, k1, k2: one that `target` does not read is an error."""
+    for name in ("E", "x1", "x2", "k0", "k1", "k2"):
+        if name in settings and name not in TARGETS[target].reads:
+            raise StructureError(f"{target} does not read {name}")
+    constants = {k: settings[k] for k in ("k0", "k1", "k2") if k in settings}
+    return replace(DEFAULT_CONSTANTS, **constants)
 
 
 def _accumulate(
     name: str,
-    cases: Iterable[Callable[[], tuple[BoundReport, Fraction | None]]],
-    ratio_form: bool,
+    cases: Iterable[Callable[[], BoundReport]],
+    scale: Fraction | None,
     collect_rows: bool,
 ) -> SweepResult:
     """Evaluate every case in order and fold the reports into one result.
@@ -386,12 +381,12 @@ def _accumulate(
     rows: list[tuple[str, ...]] | None = [] if collect_rows else None
     min_ratio: Fraction | None = None
     min_ratio_witness: str | None = None
-    best_constant: Fraction | None = Fraction(0) if ratio_form else None
+    best_constant: Fraction | None = None if scale is None else Fraction(0)
     count = 0
     for i, case in enumerate(cases):
         count += 1
         try:
-            report, numerator = case()
+            report = case()
         except VerificationError:
             raise
         except FknLabError as exc:
@@ -407,11 +402,11 @@ def _accumulate(
         if ratio is not None and (min_ratio is None or ratio < min_ratio):
             min_ratio = ratio
             min_ratio_witness = f"instance={i} {report.witness_text()}"
-        if best_constant is not None and numerator is not None and numerator > 0:
-            if report.lhs == 0:
-                errors.append((i, f"unbounded constant: numerator {numerator} with lhs 0"))
+        if best_constant is not None and ratio is not None:
+            if ratio == 0:
+                errors.append((i, f"unbounded constant: numerator {scale * report.rhs} with lhs 0"))
             else:
-                best_constant = max(best_constant, numerator / report.lhs)
+                best_constant = max(best_constant, scale / ratio)
     return SweepResult(
         target=name,
         instances_run=count,
@@ -429,23 +424,24 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     target = TARGETS[cfg.target]
     if target.instance is None:
         return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, cfg.collect_rows)
-    claim6_first = cfg.include_claim6 and target.claim6
+    claim6_first = cfg.include_claim6 and target.pair is not None
     total = cfg.instance_count + (1 if claim6_first else 0)
     cases = (
         functools.partial(target.instance, _rng_for(cfg.seed, i), cfg, i, claim6_first and i == 0)
         for i in range(total)
     )
-    return _accumulate(cfg.target, cases, target.ratio_form, cfg.collect_rows)
+    scale = None if target.scale is None else target.scale(cfg.constants)
+    return _accumulate(cfg.target, cases, scale, cfg.collect_rows)
 
 
 def empirical_constant(target: str, cfg: SweepConfig | None = None, **overrides) -> Fraction:
     """Smallest constant that would make `target` hold on the swept instances
-    (sup of numerator/lhs; degenerate numerator-0 instances skipped, 0 if all)."""
+    (largest scale * rhs / lhs; instances with rhs 0 skipped, 0 if all are)."""
     if cfg is None:
         cfg = SweepConfig(target=target, **overrides)
     elif cfg.target != target:
         cfg = replace(cfg, target=target)
-    if not TARGETS[target].ratio_form:
+    if TARGETS[target].scale is None:
         raise StructureError(f"{target!r} is not a ratio-form inequality")
     result = run_sweep(cfg)
     if result.errors:
@@ -484,7 +480,7 @@ def corollary2_exhaustive(
         if not np.all(f.table == f.table[0])
         for partition in partitions
     )
-    return _accumulate("corollary2", cases, True, collect_rows)
+    return _accumulate("corollary2", cases, TARGETS["corollary2"].scale(constants), collect_rows)
 
 
 @dataclass(frozen=True)
@@ -641,15 +637,14 @@ def read_settings(text: str) -> dict[str, object]:
 
 
 def config_from_settings(settings: dict[str, object]) -> SweepConfig:
-    """SweepConfig from settings: n wins over instance_count, k0..k2 set constants."""
+    """SweepConfig from settings: n wins over instance_count, see read_constants."""
     if "target" not in settings:
         raise StructureError("no sweep target given: need target=<name> or --target")
-    fields = dict(settings)
+    fields = {k: v for k, v in settings.items() if k not in ("k0", "k1", "k2")}
     if "n" in fields:
         fields["instance_count"] = fields.pop("n")
-    constants = {k: fields.pop(k) for k in ("k0", "k1", "k2") if k in fields}
-    fields["constants"] = replace(DEFAULT_CONSTANTS, **constants)
-    return SweepConfig(**fields)  # type: ignore[arg-type]
+    cfg = SweepConfig(**fields)  # type: ignore[arg-type]
+    return replace(cfg, constants=read_constants(cfg.target, settings))
 
 
 def parse_sweep_config(text: str) -> SweepConfig:

@@ -83,6 +83,14 @@ class TestExample:
         ][0]
         assert parse_partition(line, 4).blocks == partition.blocks
 
+    def test_unwritable_out_dir(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+        code, out, err = run(capsys, "example", "claim6", "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {out_dir / 'claim6_x.rv'}: ")
+        assert "Traceback" not in err
+
     def test_bad_m_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "example", "tribes", "--m", "0", "--out-dir", str(tmp_path))
         assert code == 1
@@ -170,27 +178,48 @@ class TestCheck:
         if config is not None:
             assert "line 2: " in err
 
-    @pytest.mark.parametrize(
-        "inequality, flag",
-        [(name, "--E") for name in ("lemma4", "lemma5", "claim8", "theorem1")]
+    UNREAD = (
+        [("check", name, "--E") for name in ("lemma4", "lemma5", "claim8", "theorem1")]
         + [
-            (name, flag)
+            ("check", name, flag)
             for name in ("lemma4", "lemma5", "lemma7", "claim9", "theorem1")
             for flag in ("--x1", "--x2")
-        ],
+        ]
+        + [("check", "claim9", "--K0"), ("check", "claim8", "--K2"), ("check", "lemma5", "--K1")]
+        + [("analyze", "corollary2", "--K0"), ("analyze", "corollary2", "--K1")]
+        + [("sweep", "claim9", "--K0"), ("config", "claim9", "k0")]
     )
-    def test_unread_flag_rejected(self, inequality, flag, claim6_files, capsys):
-        code, out, err = run(capsys, "check", inequality, *claim6_files, flag, "3")
-        message = "--x1/--x2 are only for claim8"
-        if flag == "--E":
-            message = f"{inequality} does not read --E"
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, target, flag",
+        UNREAD,
+        ids=[f"{t}-{f}" if c == "check" else f"{c}-{t}-{f}" for c, t, f in UNREAD],
+    )
+    def test_unread_flag_rejected(
+        self, command, target, flag, claim6_files, tribes2_files, tmp_path, capsys
+    ):
+        config = tmp_path / "unread.cfg"
+        config.write_text(f"target={target}\n{flag}=3\n")
+        table, partition = tribes2_files
+        argv = {
+            "check": ("check", target, *claim6_files, flag, "3"),
+            "analyze": ("analyze", table, "--partition-file", partition, flag, "3"),
+            "sweep": ("sweep", "--target", target, "--n", "3", flag, "3"),
+            "config": ("sweep", "--config", str(config)),
+        }[command]
+        code, out, err = run(capsys, *argv)
+        name = flag.lstrip("-").replace("K", "k")  # --K0 and k0= both set k0
+        assert (code, out, err) == (1, "", f"error: {target} does not read {name}\n")
 
     @pytest.mark.parametrize("inequality", ["lemma7", "claim9"])
     def test_e_read_where_shifted(self, inequality, claim6_files, capsys):
-        code, out, _ = run(capsys, "check", inequality, *claim6_files, "--E", "1/2")
-        assert code == 0
-        assert kv(out)["witness.e"] == "1/2"
+        for e in ("1/2", "-1/2"):  # a negative rational is one word as well
+            code, out, _ = run(capsys, "check", inequality, *claim6_files, "--E", e)
+            assert code == 0
+            # claim9 turns a negative shift into E >= 0 and records the flip
+            flipped = inequality == "claim9" and e.startswith("-")
+            assert kv(out)["witness.e"] == (e[1:] if flipped else e)
+            assert kv(out).get("witness.flipped", "false") == str(flipped).lower()
         _, unshifted, _ = run(capsys, "check", inequality, *claim6_files)
         assert kv(unshifted)["witness.e"] == "0"
 
@@ -329,6 +358,20 @@ class TestSweep:
             rows = list(csv.reader(handle))
         assert rows[0] == ["instance_id", "lhs", "rhs", "ratio", "holds", "witness"]
         assert len(rows) == 13
+
+    def test_unwritable_csv(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(capsys, "sweep", "--target", "lemma4", "--n", "3", "--csv", str(path))
+        assert (code, out) == (1, "")  # refused before the sweep ran
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
+    def test_negative_rational_flag(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("target=lemma7\nn=20\nvalue_lo=-1/2\n")
+        expected = run(capsys, "sweep", "--config", str(config))
+        got = run(capsys, "sweep", "--target", "lemma7", "--n", "20", "--value-lo", "-1/2")
+        assert got == expected and got[0] == 0
 
     def test_config_file(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

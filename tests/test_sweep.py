@@ -211,18 +211,27 @@ class TestTargets:
         assert tuple(TARGETS) == (
             "fact1", "fact8", "lemma4", "lemma5", "lemma7", "claim8", "claim9", "theorem1", "corollary2"
         )
-        assert [n for n, t in TARGETS.items() if not t.ratio_form] == ["fact8"]
-        assert [n for n, t in TARGETS.items() if t.claim6] == ["lemma4", "lemma5", "lemma7", "claim9"]
+        assert [n for n, t in TARGETS.items() if t.scale is None] == ["fact8"]
         assert [n for n, t in TARGETS.items() if t.pair] == ["lemma4", "lemma5", "lemma7", "claim9"]
         assert [n for n, t in TARGETS.items() if t.instance is None] == ["corollary2"]
-        assert [n for n, t in TARGETS.items() if t.shifted] == ["lemma7", "claim9"]
+        assert {n: t.reads for n, t in TARGETS.items()} == {
+            "fact1": set(),
+            "fact8": set(),
+            "lemma4": {"k1"},
+            "lemma5": {"k0"},
+            "lemma7": {"E", "k0"},
+            "claim8": {"x1", "x2"},
+            "claim9": {"E"},
+            "theorem1": {"k2"},
+            "corollary2": {"k2"},
+        }
 
     def test_include_claim6_only_where_eligible(self):
         for name, target in TARGETS.items():
             if target.instance is None:
                 continue
             cfg = SweepConfig(target=name, instance_count=2, include_claim6=True)
-            assert run_sweep(cfg).instances_run == 2 + target.claim6
+            assert run_sweep(cfg).instances_run == 2 + (target.pair is not None)
 
     def test_corollary2_constant_is_max_dist_over_epsilon(self):
         expected = F(0)
@@ -237,6 +246,34 @@ class TestTargets:
 
 
 class TestEmpiricalConstant:
+    # Each inequality's own constant, written out here apart from the registry;
+    # C gives K0, K1, K2 distinct values so a scale reading the wrong one shows.
+    C = Constants(k0=F(3), k1=F(5), k2=F(7))
+
+    @pytest.mark.parametrize(
+        "target, scale",
+        [
+            ("lemma4", C.k1),
+            ("lemma5", C.k0),
+            ("lemma7", C.k0),
+            ("claim8", 4),
+            ("claim9", 16),
+            ("theorem1", C.k2),
+            ("fact1", 2),
+            ("corollary2", C.k2 + 2),
+        ],
+        ids=str,
+    )
+    def test_constant_is_largest_scale_rhs_over_lhs(self, target, scale):
+        cfg = SweepConfig(
+            target=target, instance_count=60, seed=11, constants=self.C, collect_rows=True
+        )
+        result = run_sweep(cfg)
+        assert result.errors == ()  # an instance with lhs 0 < rhs would be one
+        sides = [(F(row[1]), F(row[2])) for row in result.rows]
+        needed = [scale * rhs / lhs for lhs, rhs in sides if rhs > 0]
+        assert needed and result.empirical_constant == max(needed)
+
     def test_lemma7_bracket_with_claim6(self):
         value = empirical_constant(
             "lemma7",

@@ -143,6 +143,7 @@ def lemma7_bound(
     ybar: DiscreteRV,
     e: Rational = 0,
     constants: Constants = DEFAULT_CONSTANTS,
+    atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> BoundReport:
     """Var|X+Y+E| >= max(Var|X+E|, Var|Y+E|) / K0 for balanced X, Y."""
     _require_balanced(xbar, "X")
@@ -150,7 +151,7 @@ def lemma7_bound(
     e = _q(e)
     vx = var_abs_shifted(xbar, e)
     vy = var_abs_shifted(ybar, e)
-    lhs = var_abs_shifted(convolve(xbar, ybar), e)
+    lhs = var_abs_shifted(convolve(xbar, ybar, atom_cap), e)
     max_side = max(vx, vy)
     witness: dict[str, object] = {
         "e": e,
@@ -163,11 +164,14 @@ def lemma7_bound(
 
 
 def lemma5_bound(
-    x: DiscreteRV, y: DiscreteRV, constants: Constants = DEFAULT_CONSTANTS
+    x: DiscreteRV,
+    y: DiscreteRV,
+    constants: Constants = DEFAULT_CONSTANTS,
+    atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> BoundReport:
     """The unbalanced form: center both variables and take E = E[X+Y]."""
     e = expectation(x) + expectation(y)
-    return lemma7_bound(center(x), center(y), e, constants)
+    return lemma7_bound(center(x), center(y), e, constants, atom_cap)
 
 
 def claim8_check(x1: Rational, x2: Rational, ybar: TwoPointBalancedRV) -> BoundReport:
@@ -183,7 +187,9 @@ def claim8_check(x1: Rational, x2: Rational, ybar: TwoPointBalancedRV) -> BoundR
     return BoundReport.compare(lhs, rhs, {"x1": x1, "x2": x2, "d": ybar.d, "p": ybar.p})
 
 
-def claim9_bound(xbar: DiscreteRV, ybar: DiscreteRV, e: Rational = 0) -> BoundReport:
+def claim9_bound(
+    xbar: DiscreteRV, ybar: DiscreteRV, e: Rational = 0, atom_cap: int = DEFAULT_ATOM_CAP
+) -> BoundReport:
     """Constant-absolute-value case: Var|X'+Y'-E| >= VarX' VarY' / (16 (VarX + E^2)).
 
     The underlying case analysis fixes an orientation: E >= 0 and
@@ -204,7 +210,7 @@ def claim9_bound(xbar: DiscreteRV, ybar: DiscreteRV, e: Rational = 0) -> BoundRe
         x_approx, y_approx = y_approx, x_approx
     var_x_approx = variance_rv(x_approx.to_rv())
     var_y_approx = variance_rv(y_approx.to_rv())
-    lhs = var_abs_shifted(convolve(x_approx.to_rv(), y_approx.to_rv()), -e)
+    lhs = var_abs_shifted(convolve(x_approx.to_rv(), y_approx.to_rv(), atom_cap), -e)
     denominator = 16 * (variance_rv(xbar) + e * e)
     rhs = var_x_approx * var_y_approx / denominator if denominator > 0 else Fraction(0)
     witness = {

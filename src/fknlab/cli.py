@@ -1,20 +1,16 @@
 """Command-line surface: analyze, decompose, check, sweep, example, probe.
 
-Exit codes: 0 = everything checked holds, 1 = usage or input error
-(including a --K0/--K1/--K2 that is not positive, and a flag the inequality
-does not read), 2 = an inequality violation was found, 3 = a sweep found no
+Exit codes: 0 = everything checked holds, 1 = usage or input error (such as
+a setting the inequality does not read, or a --K0/--K1/--K2 that is not
+positive), 2 = an inequality violation was found, 3 = a sweep found no
 violation but some of its instances could not be evaluated (its errors=
 line counts them).  All numbers print as exact rationals unless --decimal
 asks for 15 significant digits; a negative rational is one word (--E -1/2).
 
-`sweep` reads its settings from --config and then from its flags, so a flag
-overrides the config file; --exhaustive-m must lie in 2..4.  Of --E, --x1,
---x2, --K0, --K1, --K2 and the config keys k0..k2, each inequality reads:
-
-    lemma4  --K1        claim8    --x1 --x2    corollary2 (analyze)  --K2
-    lemma5  --K0        claim9    --E          fact1, fact8          none
-    lemma7  --E --K0    theorem1  --K2
-"""
+`sweep` reads --config, then its flags, so a flag overrides the file, and
+--exhaustive-m must lie in 2..4.  Each inequality reads the settings below
+and no other (flag --K0 sets k0, --support-min support_min; rv_count_max and
+atom_cap have no flag; E, x1, x2 are check's; analyze is corollary2):"""
 
 from __future__ import annotations
 
@@ -251,8 +247,10 @@ def _cmd_probe(args) -> int:
 
 
 def build_parser() -> _Parser:
-    raw = argparse.RawDescriptionHelpFormatter  # keeps the docstring's table
-    parser = _Parser(prog="fknlab", description=__doc__, formatter_class=raw)
+    raw = argparse.RawDescriptionHelpFormatter  # keeps the reads table's layout
+    reads = [" ".join(s for s in sweep.SETTINGS if s in t.reads) for t in sweep.TARGETS.values()]
+    table = "".join(f"  {name:<11}{line}\n" for name, line in zip(sweep.TARGETS, reads))
+    parser = _Parser(prog="fknlab", description=f"{__doc__}\n\n{table}", formatter_class=raw)
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="partition analysis of a truth table")

@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -77,8 +77,9 @@ class SweepConfig:
     collect_rows: bool = False
 
     def __post_init__(self):
-        if self.target not in TARGETS:
-            raise StructureError(f"unknown target {self.target!r}; one of {tuple(TARGETS)}")
+        # the reads rule first, on every non-default setting (one Constants serves all)
+        changed = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
+        check_reads(self.target, ["n" if name == "instance_count" else name for name in changed])
         if self.instance_count < 1:
             raise StructureError("instance_count must be >= 1")
         if not 1 <= self.support_min <= self.support_max:
@@ -87,8 +88,9 @@ class SweepConfig:
         object.__setattr__(self, "value_hi", Fraction(self.value_hi))
         if self.value_lo >= self.value_hi:
             raise StructureError("value grid is empty")
-        if self.denom_cap < max(2, self.support_max):
-            raise StructureError("denom_cap too small for the requested supports")
+        need = max(2, self.support_max) if "support_max" in TARGETS[self.target].reads else 2
+        if self.denom_cap < need:
+            raise StructureError(f"denom_cap must be >= {need}")
         if self.rv_count_max < 2:
             raise StructureError("rv_count_max must be >= 2 (theorem1 sums at least two)")
         if not 2 <= self.exhaustive_m <= 4:
@@ -246,7 +248,7 @@ def _claim8_instance(
     return x1, x2, ybar
 
 
-Instance = Callable[[random.Random, SweepConfig, int, bool], BoundReport]
+Instance = Callable[[random.Random, SweepConfig, int], BoundReport]
 PairEvaluator = Callable[[DiscreteRV, DiscreteRV, Fraction, Constants, int], BoundReport]
 Scale = Callable[[Constants], Fraction]
 
@@ -255,13 +257,12 @@ Scale = Callable[[Constants], Fraction]
 class Target:
     """One inequality the sweep and the CLI know about.
 
-    instance(rng, cfg, index, use_claim6) draws and evaluates one instance; it
-    is None for an exhaustive target.  scale(constants) is the constant the
-    right side is divided by (None if there is none), so the smallest one
-    that would have sufficed is scale * rhs / lhs.  pair(x, y, e, constants,
-    atom_cap) evaluates a two-variable target on explicit inputs, and
-    --include-claim6 puts the claim6 pair first for exactly these targets.
-    reads: the inputs among E, x1, x2, k0, k1, k2 that the inequality uses.
+    instance(rng, cfg, index) draws and evaluates one instance; it is None for
+    an exhaustive target.  scale(constants) is the constant the right side is
+    divided by (None if none), so the smallest one that would have sufficed is
+    scale * rhs / lhs.  pair(x, y, e, constants, atom_cap) evaluates a
+    two-variable target on explicit inputs; only these targets read
+    include_claim6.  reads: every setting (SETTINGS) the target uses, no other.
     """
 
     instance: Instance | None
@@ -274,13 +275,18 @@ def _with_inputs(report: BoundReport, inputs: dict[str, object]) -> BoundReport:
     return replace(report, witness={**inputs, **report.witness})
 
 
+# Randomized targets read n and seed; those that draw and convolve variables, their settings too.
+_DRAWN = frozenset({"n", "seed"})
+_RV = _DRAWN | {"support_min", "support_max", "value_lo", "value_hi", "denom_cap", "atom_cap"}
+
+
 def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
     """Two random variables per instance; a target that reads E centers both
     and draws a shift E as well."""
 
-    def instance(rng, cfg, index, use_claim6):
+    def instance(rng, cfg, index):
         e = Fraction(0)
-        if use_claim6:
+        if cfg.include_claim6 and index == 0:
             x, y = claim6_example()
         else:
             x, y = _random_raw(rng, cfg), _random_raw(rng, cfg)
@@ -291,30 +297,30 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
         inputs = {"x": format_rv_inline(x), "y": format_rv_inline(y)}
         return _with_inputs(report, inputs)
 
-    return Target(instance, scale, pair, frozenset(reads))
+    return Target(instance, scale, pair, _RV | {"include_claim6", *reads})
 
 
-def _claim8_target(rng, cfg, index, use_claim6):
+def _claim8_target(rng, cfg, index):
     x1, x2, ybar = _claim8_instance(rng, index % 4, cfg)
     report = claim8_check(x1, x2, ybar)
     return _with_inputs(report, {"case": index % 4})
 
 
-def _theorem1_target(rng, cfg, index, use_claim6):
+def _theorem1_target(rng, cfg, index):
     xs = [_random_raw(rng, cfg) for _ in range(rng.randint(2, cfg.rv_count_max))]
     report = theorem1_check(xs, cfg.constants, cfg.atom_cap)
     inputs = {f"x{i}": format_rv_inline(x) for i, x in enumerate(xs)}
     return _with_inputs(report, inputs)
 
 
-def _fact1_target(rng, cfg, index, use_claim6):
+def _fact1_target(rng, cfg, index):
     m = rng.randint(1, 3)
     f, g, h = (_random_real_function(rng, m) for _ in range(3))
     lhs = sq_l2_dist(f, g) + sq_l2_dist(g, h)
     return BoundReport.compare(lhs, sq_l2_dist(f, h) / 2, {"m": m})
 
 
-def _fact8_target(rng, cfg, index, use_claim6):
+def _fact8_target(rng, cfg, index):
     m = rng.randint(1, 3)
     f, g = (_random_real_function(rng, m) for _ in range(2))
     lhs = variance(f)
@@ -338,28 +344,32 @@ def _corollary2_case(f: BooleanFunction, partition: Partition, constants: Consta
 # Evaluators are called through this module's globals, never stored, so a
 # wrapper installed on the module (a tracer, a test double) sees every call.
 TARGETS: dict[str, Target] = {
-    "fact1": Target(_fact1_target, lambda c: 2),
-    "fact8": Target(_fact8_target, None),
-    "lemma4": _pair_target(
-        lambda x, y, e, c, cap: lemma4_bound(x, y, c, cap), lambda c: c.k1, {"k1"}
-    ),
-    "lemma5": _pair_target(lambda x, y, e, c, cap: lemma5_bound(x, y, c), lambda c: c.k0, {"k0"}),
+    "fact1": Target(_fact1_target, lambda c: 2, reads=_DRAWN),
+    "fact8": Target(_fact8_target, None, reads=_DRAWN),
+    "lemma4": _pair_target(lambda x, y, e, c, a: lemma4_bound(x, y, c, a), lambda c: c.k1, {"k1"}),
+    "lemma5": _pair_target(lambda x, y, e, c, a: lemma5_bound(x, y, c, a), lambda c: c.k0, {"k0"}),
     "lemma7": _pair_target(
-        lambda x, y, e, c, cap: lemma7_bound(x, y, e, c), lambda c: c.k0, {"E", "k0"}
+        lambda x, y, e, c, a: lemma7_bound(x, y, e, c, a), lambda c: c.k0, {"E", "k0"}
     ),
-    "claim8": Target(_claim8_target, lambda c: 4, reads=frozenset({"x1", "x2"})),
-    "claim9": _pair_target(lambda x, y, e, c, cap: claim9_bound(x, y, e), lambda c: 16, {"E"}),
-    "theorem1": Target(_theorem1_target, lambda c: c.k2, reads=frozenset({"k2"})),
-    "corollary2": Target(None, lambda c: c.corollary_k, reads=frozenset({"k2"})),
+    "claim8": Target(_claim8_target, lambda c: 4, reads=_DRAWN | {"denom_cap", "x1", "x2"}),
+    "claim9": _pair_target(lambda x, y, e, c, a: claim9_bound(x, y, e, a), lambda c: 16, {"E"}),
+    "theorem1": Target(_theorem1_target, lambda c: c.k2, reads=_RV | {"rv_count_max", "k2"}),
+    "corollary2": Target(None, lambda c: c.corollary_k, reads=frozenset({"exhaustive_m", "k2"})),
 }
 
 
-def read_constants(target: str, settings: dict[str, object]) -> Constants:
-    """Constants from the k0..k2 entries of `settings`, after the one rule for the
-    inputs E, x1, x2, k0, k1, k2: one that `target` does not read is an error."""
-    for name in ("E", "x1", "x2", "k0", "k1", "k2"):
-        if name in settings and name not in TARGETS[target].reads:
+def check_reads(target: str, names: Iterable[str]) -> None:
+    """The one rule for every setting in SETTINGS: one `target` does not read is an error."""
+    if target not in TARGETS:
+        raise StructureError(f"unknown target {target!r}; one of {tuple(TARGETS)}")
+    for name in names:
+        if name in SETTINGS and name not in TARGETS[target].reads:
             raise StructureError(f"{target} does not read {name}")
+
+
+def read_constants(target: str, settings: dict[str, object]) -> Constants:
+    """Constants from the k0..k2 entries of `settings`, after check_reads."""
+    check_reads(target, settings)
     constants = {k: settings[k] for k in ("k0", "k1", "k2") if k in settings}
     return replace(DEFAULT_CONSTANTS, **constants)
 
@@ -413,7 +423,7 @@ def _accumulate(
         violations=tuple(violations),
         min_ratio=min_ratio,
         min_ratio_witness=min_ratio_witness,
-        empirical_constant=best_constant,
+        empirical_constant=best_constant if len(errors) < count else None,
         errors=tuple(errors),
         rows=tuple(rows) if rows is not None else None,
     )
@@ -424,12 +434,8 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     target = TARGETS[cfg.target]
     if target.instance is None:
         return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, cfg.collect_rows)
-    claim6_first = cfg.include_claim6 and target.pair is not None
-    total = cfg.instance_count + (1 if claim6_first else 0)
-    cases = (
-        functools.partial(target.instance, _rng_for(cfg.seed, i), cfg, i, claim6_first and i == 0)
-        for i in range(total)
-    )
+    n = cfg.instance_count + int(cfg.include_claim6)  # the claim6 pair comes first
+    cases = (functools.partial(target.instance, _rng_for(cfg.seed, i), cfg, i) for i in range(n))
     scale = None if target.scale is None else target.scale(cfg.constants)
     return _accumulate(cfg.target, cases, scale, cfg.collect_rows)
 
@@ -602,7 +608,6 @@ def _config_bool(text: str) -> bool:
 _CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "target": str,
     "n": _config_int,
-    "instance_count": _config_int,
     "seed": _config_int,
     "support_min": _config_int,
     "support_max": _config_int,
@@ -617,6 +622,8 @@ _CONFIG_KEYS: dict[str, Callable[[str], object]] = {
     "rv_count_max": _config_int,
     "atom_cap": _config_int,
 }
+# Every setting check_reads knows: the config keys, and check's E, x1, x2.
+SETTINGS = (*(key for key in _CONFIG_KEYS if key != "target"), "E", "x1", "x2")
 
 
 def read_settings(text: str) -> dict[str, object]:
@@ -637,14 +644,13 @@ def read_settings(text: str) -> dict[str, object]:
 
 
 def config_from_settings(settings: dict[str, object]) -> SweepConfig:
-    """SweepConfig from settings: n wins over instance_count, see read_constants."""
+    """SweepConfig from settings (n sets instance_count), read_constants checking them first."""
     if "target" not in settings:
         raise StructureError("no sweep target given: need target=<name> or --target")
-    fields = {k: v for k, v in settings.items() if k not in ("k0", "k1", "k2")}
-    if "n" in fields:
-        fields["instance_count"] = fields.pop("n")
-    cfg = SweepConfig(**fields)  # type: ignore[arg-type]
-    return replace(cfg, constants=read_constants(cfg.target, settings))
+    constants = read_constants(settings["target"], settings)
+    rename = {"n": "instance_count"}
+    given = {rename.get(k, k): v for k, v in settings.items() if k not in ("k0", "k1", "k2")}
+    return SweepConfig(**given, constants=constants)  # type: ignore[arg-type]
 
 
 def parse_sweep_config(text: str) -> SweepConfig:

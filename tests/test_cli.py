@@ -32,8 +32,9 @@ def kv(out: str) -> dict[str, str]:
     return pairs
 
 
-# SHA-256 over "exit=<code>\n" + stdout + CSV of `sweep --seed 5 --csv rows.csv`;
-# any change to generation, evaluation, accumulation or formatting shows here.
+# SHA-256 over "exit=<code>\n" + stdout + CSV of `sweep --seed 5 --csv rows.csv`
+# (no --seed for corollary2, which reads none); any change to generation,
+# evaluation, accumulation or formatting shows here.
 SWEEP_DIGESTS = [
     (("fact1", "--n", "40"), "52f9616597ff7bd28c72abf5b203eec39c42941d759ff83b04f482713ddd6afc"),
     (("fact8", "--n", "40"), "6347d62cd5e409a6530746668c5f4e021d1b0062ff38d6e3a697fef65e5e35c5"),
@@ -411,11 +412,21 @@ class TestSweep:
 
     def test_errored_instances_exit_3(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
-        config.write_text("target=theorem1\nn=50\natom_cap=1\n")
-        code, out, _ = run(capsys, "sweep", "--config", str(config))
-        assert code == 3
-        assert kv(out)["violations"] == "0"
-        assert kv(out)["errors"] == "49"
+        for target, n, errors in (("theorem1", 50, 49), ("lemma7", 5, 5), ("lemma4", 20, 20)):
+            config.write_text(f"target={target}\nn={n}\natom_cap=1\n")
+            code, out, _ = run(capsys, "sweep", "--config", str(config))
+            assert code == 3
+            assert kv(out)["violations"] == "0"
+            assert kv(out)["errors"] == str(errors)
+            # a constant only when some instance was evaluated to measure it
+            assert ("empirical_constant" in kv(out)) == (errors < n)
+
+    def test_claim8_denom_cap_without_supports(self, capsys):
+        # claim8 draws no supports, so only its denom_cap >= 2 is checked
+        code, out, _ = run(capsys, "sweep", "--target", "claim8", "--n", "8", "--denom-cap", "3")
+        assert (code, kv(out)["instances"]) == (0, "8")
+        code, out, err = run(capsys, "sweep", "--target", "claim8", "--n", "8", "--denom-cap", "1")
+        assert (code, out, err) == (1, "", "error: denom_cap must be >= 2\n")
 
     def test_violations_win_over_errors(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
@@ -438,9 +449,84 @@ class TestSweep:
     )
     def test_output_digest(self, argv, expected, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code, out, _ = run(capsys, "sweep", "--target", *argv, "--seed", "5", "--csv", "rows.csv")
+        seed = () if argv[0] == "corollary2" else ("--seed", "5")
+        code, out, _ = run(capsys, "sweep", "--target", *argv, *seed, "--csv", "rows.csv")
         data = f"exit={code}\n".encode() + out.encode() + (tmp_path / "rows.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == expected
+
+
+# What each target reads among the 14 sweep settings, written out apart from
+# sweep.TARGETS: 58 (target, setting) pairs.
+_RV = {"n", "seed", "support_min", "support_max", "value_lo", "value_hi", "denom_cap", "atom_cap"}
+EXPECTED_READS = {
+    "fact1": {"n", "seed"},
+    "fact8": {"n", "seed"},
+    "lemma4": _RV | {"include_claim6", "k1"},
+    "lemma5": _RV | {"include_claim6", "k0"},
+    "lemma7": _RV | {"include_claim6", "k0"},
+    "claim8": {"n", "seed", "denom_cap"},
+    "claim9": _RV | {"include_claim6"},
+    "theorem1": _RV | {"rv_count_max", "k2"},
+    "corollary2": {"exhaustive_m", "k2"},
+}
+# Each sweep setting: a config value other than the default, and its flag (None: no flag).
+OTHER_VALUE = {
+    "n": ("6", ("--n", "6")),
+    "seed": ("1", ("--seed", "1")),
+    "support_min": ("2", ("--support-min", "2")),
+    "support_max": ("3", ("--support-max", "3")),
+    "value_lo": ("-1", ("--value-lo", "-1")),
+    "value_hi": ("1", ("--value-hi", "1")),
+    "denom_cap": ("7", ("--denom-cap", "7")),
+    "k0": ("3", ("--K0", "3")),
+    "k1": ("5", ("--K1", "5")),
+    "k2": ("7", ("--K2", "7")),
+    "include_claim6": ("true", ("--include-claim6",)),
+    "exhaustive_m": ("3", ("--exhaustive-m", "3")),
+    "rv_count_max": ("2", None),
+    "atom_cap": ("1", None),
+}
+READ = [(t, s) for t in EXPECTED_READS for s in OTHER_VALUE if s in EXPECTED_READS[t]]
+UNREAD = [(t, s) for t in EXPECTED_READS for s in OTHER_VALUE if s not in EXPECTED_READS[t]]
+
+
+class TestReads:
+    @staticmethod
+    def _base(target):
+        """A 5-instance sweep; corollary2 enumerates m=2 instead."""
+        return {"n": "5"} if target != "corollary2" else {"exhaustive_m": "2"}
+
+    def _sweep_digest(self, capsys, tmp_path, target, settings) -> str:
+        config = tmp_path / "sweep.cfg"
+        config.write_text("".join(f"{k}={v}\n" for k, v in {"target": target, **settings}.items()))
+        rows = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "sweep", "--config", str(config), "--csv", str(rows))
+        assert code in (0, 2, 3), err
+        return hashlib.sha256(f"exit={code}\n{out}".encode() + rows.read_bytes()).hexdigest()
+
+    def test_table_size(self):
+        assert len(READ) == 58 and len(UNREAD) == 9 * 14 - 58
+
+    @pytest.mark.parametrize("target, setting", UNREAD, ids=[f"{t}-{s}" for t, s in UNREAD])
+    def test_unread_setting_rejected(self, target, setting, tmp_path, capsys):
+        value, flag = OTHER_VALUE[setting]
+        base = self._base(target)
+        config = tmp_path / "unread.cfg"
+        config.write_text(f"target={target}\n{setting}={value}\n")
+        argvs = [("sweep", "--config", str(config))]
+        if flag is not None:
+            base_flags = [a for k, v in base.items() for a in (f"--{k.replace('_', '-')}", v)]
+            argvs.append(("sweep", "--target", target, *base_flags, *flag))
+        for argv in argvs:
+            assert run(capsys, *argv) == (1, "", f"error: {target} does not read {setting}\n")
+
+    @pytest.mark.parametrize("target, setting", READ, ids=[f"{t}-{s}" for t, s in READ])
+    def test_read_setting_changes_output(self, target, setting, tmp_path, capsys):
+        base = self._base(target)
+        changed = {**base, setting: OTHER_VALUE[setting][0]}
+        assert self._sweep_digest(capsys, tmp_path, target, changed) != self._sweep_digest(
+            capsys, tmp_path, target, base
+        )
 
 
 class TestProbe:

@@ -181,6 +181,13 @@ class TestRunSweep:
                 assert (len(result.violations) == 0) == (result.min_ratio >= 1)
 
 
+    def test_unread_setting_checked_first(self):
+        # the reads rule runs before SweepConfig's own range checks
+        with pytest.raises(StructureError, match="^fact1 does not read support_max$"):
+            SweepConfig(target="fact1", support_max=0)
+        with pytest.raises(StructureError, match="^corollary2 does not read n$"):
+            parse_sweep_config("target=corollary2\nexhaustive_m=9\nn=0\n")
+
     def test_package_errors_are_data(self):
         cfg = SweepConfig(target="theorem1", instance_count=50, atom_cap=1)
         result = run_sweep(cfg)
@@ -214,24 +221,28 @@ class TestTargets:
         assert [n for n, t in TARGETS.items() if t.scale is None] == ["fact8"]
         assert [n for n, t in TARGETS.items() if t.pair] == ["lemma4", "lemma5", "lemma7", "claim9"]
         assert [n for n, t in TARGETS.items() if t.instance is None] == ["corollary2"]
+        rv = {"n", "seed", "support_min", "support_max", "value_lo", "value_hi"}
+        rv |= {"denom_cap", "atom_cap"}
+        pair = rv | {"include_claim6"}
         assert {n: t.reads for n, t in TARGETS.items()} == {
-            "fact1": set(),
-            "fact8": set(),
-            "lemma4": {"k1"},
-            "lemma5": {"k0"},
-            "lemma7": {"E", "k0"},
-            "claim8": {"x1", "x2"},
-            "claim9": {"E"},
-            "theorem1": {"k2"},
-            "corollary2": {"k2"},
+            "fact1": {"n", "seed"},
+            "fact8": {"n", "seed"},
+            "lemma4": pair | {"k1"},
+            "lemma5": pair | {"k0"},
+            "lemma7": pair | {"E", "k0"},
+            "claim8": {"n", "seed", "denom_cap", "x1", "x2"},
+            "claim9": pair | {"E"},
+            "theorem1": rv | {"rv_count_max", "k2"},
+            "corollary2": {"exhaustive_m", "k2"},
         }
 
     def test_include_claim6_only_where_eligible(self):
-        for name, target in TARGETS.items():
-            if target.instance is None:
-                continue
-            cfg = SweepConfig(target=name, instance_count=2, include_claim6=True)
-            assert run_sweep(cfg).instances_run == 2 + (target.pair is not None)
+        # only a target with a pair reads include_claim6
+        for name in ("fact1", "fact8", "claim8", "theorem1", "corollary2"):
+            with pytest.raises(StructureError, match=f"^{name} does not read include_claim6$"):
+                SweepConfig(target=name, include_claim6=True)
+        cfg = SweepConfig(target="lemma4", instance_count=2, include_claim6=True)
+        assert run_sweep(cfg).instances_run == 3
 
     def test_corollary2_constant_is_max_dist_over_epsilon(self):
         expected = F(0)
@@ -265,9 +276,8 @@ class TestEmpiricalConstant:
         ids=str,
     )
     def test_constant_is_largest_scale_rhs_over_lhs(self, target, scale):
-        cfg = SweepConfig(
-            target=target, instance_count=60, seed=11, constants=self.C, collect_rows=True
-        )
+        drawn = {} if target == "corollary2" else {"instance_count": 60, "seed": 11}
+        cfg = SweepConfig(target=target, constants=self.C, collect_rows=True, **drawn)
         result = run_sweep(cfg)
         assert result.errors == ()  # an instance with lhs 0 < rhs would be one
         sides = [(F(row[1]), F(row[2])) for row in result.rows]
@@ -439,11 +449,14 @@ class TestConfigParsing:
     def test_settings_then_config(self):
         settings = read_settings("target=lemma4\nn=5\nk1=7\nseed=2\nseed=3\n")
         assert settings == {"target": "lemma4", "n": 5, "k1": F(7), "seed": 3}
-        cfg = config_from_settings({**settings, "instance_count": 9})
+        cfg = config_from_settings(settings)
         assert (cfg.instance_count, cfg.seed, cfg.constants.k1) == (5, 3, 7)
         assert cfg.constants.k0 == 4
         with pytest.raises(StructureError, match="target"):
             config_from_settings({"n": 5})
+        # n is the one spelling of the instance count
+        with pytest.raises(StructureError, match="unknown key 'instance_count'"):
+            read_settings("target=lemma4\ninstance_count=5\n")
 
     def test_rv_count_max_below_two(self):
         # used to reach theorem1's generator and end in a ValueError traceback

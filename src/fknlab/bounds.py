@@ -46,6 +46,7 @@ from .rv import (
     expectation,
     negate,
     var_abs_shifted,
+    var_abs_sum,
     variance_rv,
 )
 
@@ -151,7 +152,7 @@ def lemma7_bound(
     e = _q(e)
     vx = var_abs_shifted(xbar, e)
     vy = var_abs_shifted(ybar, e)
-    lhs = var_abs_shifted(convolve(xbar, ybar, atom_cap), e)
+    lhs = var_abs_sum((xbar, ybar), e, atom_cap)
     max_side = max(vx, vy)
     witness: dict[str, object] = {
         "e": e,
@@ -210,7 +211,7 @@ def claim9_bound(
         x_approx, y_approx = y_approx, x_approx
     var_x_approx = variance_rv(x_approx.to_rv())
     var_y_approx = variance_rv(y_approx.to_rv())
-    lhs = var_abs_shifted(convolve(x_approx.to_rv(), y_approx.to_rv(), atom_cap), -e)
+    lhs = var_abs_sum((x_approx.to_rv(), y_approx.to_rv()), -e, atom_cap)
     denominator = 16 * (variance_rv(xbar) + e * e)
     rhs = var_x_approx * var_y_approx / denominator if denominator > 0 else Fraction(0)
     witness = {
@@ -238,7 +239,7 @@ def lemma4_bound(
     v = var_x + var_y
     e = expectation(x) + expectation(y)
     m_xy = min(var_x, var_y)
-    lhs = variance_rv(abs_rv(convolve(x, y, atom_cap)))
+    lhs = var_abs_sum((x, y), 0, atom_cap)
     scale = v + e * e
     rhs = v * m_xy / (constants.k1 * scale) if scale > 0 else Fraction(0)
     witness: dict[str, object] = {"v": v, "e": e, "m_xy": m_xy}
@@ -296,10 +297,7 @@ def theorem1_check(
     e = sum((expectation(x) for x in xs), Fraction(0))
     k = max(range(len(xs)), key=lambda i: (variances[i], -i))
     rest_var = v - variances[k]
-    total = xs[0]
-    for x in xs[1:]:
-        total = convolve(total, x, atom_cap)
-    lhs = variance_rv(abs_rv(total))
+    lhs = var_abs_sum(xs, 0, atom_cap)
     scale = v + e * e
     rhs = v * rest_var / (constants.k2 * scale) if scale > 0 else Fraction(0)
     witness: dict[str, object] = {"k": k, "v": v, "e": e, "rest_var": rest_var}

@@ -2,10 +2,11 @@
 
 Exit codes: 0 = everything checked holds, 1 = usage or input error (such as
 a setting the inequality does not read, or a --K0/--K1/--K2 that is not
-positive), 2 = an inequality violation was found, 3 = a sweep found no
-violation but some of its instances could not be evaluated (its errors=
-line counts them).  All numbers print as exact rationals unless --decimal
-asks for 15 significant digits; a negative rational is one word (--E -1/2).
+positive) or standard output closed before the report was written, 2 = an
+inequality violation was found, 3 = a sweep found no violation but some of
+its instances could not be evaluated (its errors= line counts them).  All
+numbers print as exact rationals unless --decimal asks for 15 significant
+digits; a negative rational is one word (--E -1/2).
 
 `sweep` reads --config, then its flags, so a flag overrides the file, and
 --exhaustive-m must lie in 2..4.  Each inequality reads the settings below
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import re
 import sys
 from dataclasses import replace
@@ -312,7 +314,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

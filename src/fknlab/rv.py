@@ -1,12 +1,22 @@
 """Finite-support random variables with exact rational atoms.
 
-Everything here runs on `fractions.Fraction`: the variance bounds downstream
-have huge constants and tiny slacks, so float noise would turn real
-violations and rounding artifacts into the same thing.
+`DiscreteRV` holds `fractions.Fraction` atoms, and `convolve`, `abs_rv` and
+`variance_rv` act on it atom by atom.  The variance bounds downstream have
+huge constants and tiny slacks, so float noise would turn real violations
+and rounding artifacts into the same thing; nothing here rounds.
+
+`var_abs_sum` is the hot path behind every Var|X1+...+Xn+E| the bounds need.
+It works on an integer lattice: every value becomes an integer over one
+common scale L, each variable's masses become integers over their own
+denominator D_i, the sum is convolved on Python ints (never a fixed width),
+and one `Fraction` is built per result.  Integer sums merge exactly when the
+rational ones do, so it is exact for any rational input and equals
+`variance_rv(abs_rv(shift(...)))` of the convolved sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -124,13 +134,14 @@ def variance_rv(rv: DiscreteRV) -> Fraction:
     return sum((p * (v - mean) ** 2 for v, p in rv.atoms), Fraction(0))
 
 
+def _check_atoms(pairs: int, atom_cap: int) -> None:
+    if pairs > atom_cap:
+        raise AtomLimitError(f"convolution would touch {pairs} atoms (cap {atom_cap})")
+
+
 def convolve(x: DiscreteRV, y: DiscreteRV, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteRV:
     """Distribution of X + Y for independent X, Y; equal sums merged exactly."""
-    if x.support_size * y.support_size > atom_cap:
-        raise AtomLimitError(
-            f"convolution would touch {x.support_size * y.support_size} atoms"
-            f" (cap {atom_cap})"
-        )
+    _check_atoms(x.support_size * y.support_size, atom_cap)
     return DiscreteRV.from_atoms((vx + vy, px * py) for vx, px in x.atoms for vy, py in y.atoms)
 
 
@@ -153,9 +164,42 @@ def center(rv: DiscreteRV) -> DiscreteRV:
     return shift(rv, -expectation(rv))
 
 
+def var_abs_sum(
+    xs: Sequence[DiscreteRV], e: Rational = 0, atom_cap: int = DEFAULT_ATOM_CAP
+) -> Fraction:
+    """Var |X1 + ... + Xn + E| for independent Xi, on the integer lattice.
+
+    With values s/L and masses w/D (D the product of the D_i) this is
+    (D sum w s^2 - (sum w |s|)^2) / (D^2 L^2).  As in chained `convolve`
+    calls, each merge after the first raises AtomLimitError when it would
+    touch more than `atom_cap` atoms.
+    """
+    e = _q(e)
+    scale = math.lcm(e.denominator, *(v.denominator for x in xs for v, _ in x.atoms))
+    support = {e.numerator * (scale // e.denominator): 1}
+    mass_den = 1
+    for i, x in enumerate(xs):
+        if i:
+            _check_atoms(len(support) * x.support_size, atom_cap)
+        den = math.lcm(*(p.denominator for _, p in x.atoms))
+        atoms = [
+            (v.numerator * (scale // v.denominator), p.numerator * (den // p.denominator))
+            for v, p in x.atoms
+        ]
+        merged: dict[int, int] = {}
+        for s, w in support.items():
+            for v, m in atoms:
+                merged[s + v] = merged.get(s + v, 0) + w * m
+        support = merged
+        mass_den *= den
+    sum_sq = sum(w * s * s for s, w in support.items())
+    sum_abs = sum(w * abs(s) for s, w in support.items())
+    return Fraction(mass_den * sum_sq - sum_abs * sum_abs, (mass_den * scale) ** 2)
+
+
 def var_abs_shifted(rv: DiscreteRV, e: Rational) -> Fraction:
     """Var |X + E|."""
-    return variance_rv(abs_rv(shift(rv, e)))
+    return var_abs_sum((rv,), e)
 
 
 def _sign(v: Fraction) -> int:

@@ -450,8 +450,12 @@ def empirical_constant(target: str, cfg: SweepConfig | None = None, **overrides)
     if TARGETS[target].scale is None:
         raise StructureError(f"{target!r} is not a ratio-form inequality")
     result = run_sweep(cfg)
-    if result.errors:
-        raise VerificationError(f"sweep errors while estimating constant: {result.errors[:3]}")
+    if result.errors:  # package errors from the inputs; a VerificationError never gets here
+        index, message = result.errors[0]
+        raise StructureError(
+            f"cannot estimate the constant: errors={len(result.errors)},"
+            f" first at instance {index}: {message}"
+        )
     assert result.empirical_constant is not None
     return result.empirical_constant
 

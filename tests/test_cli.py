@@ -3,7 +3,11 @@
 import argparse
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,3 +583,15 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "decompose", "/nonexistent/path.rv")
         assert code == 1
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_1_quietly(self, unbuffered):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        argv = [sys.executable, "-m", "fknlab.cli", "sweep", "--target", "lemma4", "--n", "5"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader goes away before the first line, as `| head -0` would
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

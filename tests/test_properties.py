@@ -5,8 +5,10 @@ at least two blocks; every measure must equal the exact sum of squared naive
 Fourier coefficients over the right family of sets.
 
 Random variables: small random supports; convolution must equal the literal
-product distribution, the pushforward must equal direct counting, and a
-balanced variable must be rebuilt from its two-point decomposition.
+product distribution, the pushforward must equal direct counting, a balanced
+variable must be rebuilt from its two-point decomposition, and the integer
+lattice kernel Var|X1+...+Xn+E| must equal both the Fraction chain and the
+product measure, with denominators up to 10^30.
 """
 
 from fractions import Fraction
@@ -16,9 +18,20 @@ from hypothesis import strategies as st
 
 from fknlab.bounds import corollary2_apply
 from fknlab.cube import BooleanFunction, Partition, RealFunction, cross_partition_weight, variance
-from fknlab.rv import DiscreteRV, center, convolve, mix, pushforward, two_point_decompose
+from fknlab.rv import (
+    DiscreteRV,
+    abs_rv,
+    center,
+    convolve,
+    mix,
+    pushforward,
+    shift,
+    two_point_decompose,
+    var_abs_sum,
+    variance_rv,
+)
 
-from conftest import naive_fourier, product_distribution
+from conftest import naive_fourier, product_distribution, rv_moments
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -131,3 +144,37 @@ def test_mix_of_two_point_components_rebuilds_input(x):
     balanced = center(x)
     components = two_point_decompose(balanced)
     assert mix([(w, c.to_rv()) for w, c in components]).atoms == balanced.atoms
+
+
+# small grid values, or a numerator and denominator up to 10^30 (big primes
+# among them, so the common value scale of several variables is huge)
+wide_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+    st.builds(
+        Fraction,
+        st.integers(-(10**30), 10**30),
+        st.one_of(st.integers(1, 10**30), st.sampled_from([10**30 - 57, 2**89 - 1, 10**29 + 3])),
+    ),
+)
+
+
+@st.composite
+def wide_rv(draw) -> DiscreteRV:
+    """Up to 4 distinct wide rational values, weights up to 10^30 normalised to 1."""
+    values = draw(st.lists(wide_rationals, min_size=1, max_size=4, unique=True))
+    weights = draw(
+        st.lists(st.integers(1, 10**30), min_size=len(values), max_size=len(values))
+    )
+    return DiscreteRV.from_atoms((v, Fraction(w, sum(weights))) for v, w in zip(values, weights))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(wide_rv(), min_size=1, max_size=4), wide_rationals)
+def test_var_abs_sum_matches_fraction_chain_and_product_measure(xs, e):
+    lhs = var_abs_sum(xs, e)
+    total = xs[0]
+    for x in xs[1:]:
+        total = convolve(total, x)
+    assert isinstance(lhs, Fraction) and lhs == variance_rv(abs_rv(shift(total, e)))
+    sums = product_distribution(*(x.atoms for x in xs), ((e, Fraction(1)),))
+    assert lhs == rv_moments([(abs(s), p) for s, p in sums])[1]

@@ -27,6 +27,7 @@ from fknlab.rv import (
     shift,
     two_point_decompose,
     var_abs_shifted,
+    var_abs_sum,
     variance_rv,
 )
 from fknlab.cube import restriction, BooleanFunction
@@ -88,6 +89,30 @@ class TestConvolve:
     def test_atom_cap(self):
         with pytest.raises(AtomLimitError):
             convolve(UNIFORM, UNIFORM, atom_cap=3)
+
+    def test_kernel_cap_message_is_convolves(self):
+        x, y = claim6_example()
+        with pytest.raises(AtomLimitError) as chain:
+            convolve(x, y, atom_cap=5)
+        with pytest.raises(AtomLimitError) as kernel:
+            var_abs_sum((x, y), F(1, 3), atom_cap=5)
+        assert str(kernel.value) == str(chain.value) == "convolution would touch 6 atoms (cap 5)"
+        assert var_abs_sum((x, y), 0, atom_cap=6) == F(3, 4)
+        assert var_abs_sum((x,), 5, atom_cap=1) == var_abs_shifted(x, 5)  # one variable: no merge
+
+    def test_kernel_cap_counts_merged_partial_support(self):
+        # 0/1 coins: X + Y has 3 atoms (not 4), so only the second merge, 3 * 3, trips cap 8
+        coin = DiscreteRV.from_atoms([(0, F(1, 2)), (1, F(1, 2))])
+        z = DiscreteRV.from_atoms([(-1, F(1, 3)), (0, F(1, 3)), (1, F(1, 3))])
+        partial = convolve(coin, coin, atom_cap=8)
+        assert partial.support_size == 3
+        with pytest.raises(AtomLimitError) as chain:
+            convolve(partial, z, atom_cap=8)
+        with pytest.raises(AtomLimitError) as kernel:
+            var_abs_sum((coin, coin, z), 0, atom_cap=8)
+        assert str(kernel.value) == str(chain.value) == "convolution would touch 9 atoms (cap 8)"
+        total = convolve(partial, z, atom_cap=9)
+        assert var_abs_sum((coin, coin, z), 0, atom_cap=9) == variance_rv(abs_rv(total))
 
 
 class TestMoments:

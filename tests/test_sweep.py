@@ -308,6 +308,16 @@ class TestEmpiricalConstant:
         with pytest.raises(StructureError):
             empirical_constant("fact8", SweepConfig(target="fact8", instance_count=5))
 
+    def test_errored_instances_are_input_errors(self):
+        cfg = SweepConfig(target="lemma4", instance_count=3, atom_cap=1)
+        with pytest.raises(StructureError) as info:
+            empirical_constant("lemma4", cfg)
+        assert not isinstance(info.value, VerificationError)
+        assert str(info.value).startswith(
+            "cannot estimate the constant: errors=3, first at instance 0:"
+            " AtomLimitError: convolution would touch "
+        )
+
 
 class TestCorollary2Exhaustive:
     def test_m2_instances_and_clean(self):

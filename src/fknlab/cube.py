@@ -27,6 +27,15 @@ N = 1) meet both for every m <= M_MAX.  `parse_real_function`, the entry
 point for outside tables, rejects a table outside this range with
 CapacityError.  `sq_l2_dist(f, g)` is exact when the difference f - g meets
 the bound.
+
+The exhaustive corollary check runs on a stack of Boolean tables instead
+(`boolean_tables`, `stack_block_weights`), in int64 numerators over 4^m and
+no float.  With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N,
+so c_S^2 and their sums are at most N^2 = 2^2m.  The pointwise route
+N f - butterfly(c kept to a block) is N (f - g) with g a conditional
+expectation of f, so |g| <= 1 and each entry is at most 2N; its sum of
+squares is at most N (2N)^2 = 2^(3m+2).  Every value fits int64 when
+3m + 2 <= 62, which the kernel checks.
 """
 
 from __future__ import annotations
@@ -157,16 +166,17 @@ def _float_table(f: CubeFunction) -> np.ndarray:
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform; exact for dyadic input."""
+    """Unnormalized fast Walsh-Hadamard transform along the last axis; exact
+    for dyadic input (and for integers inside their dtype)."""
     a = values.copy()
-    n = a.size
+    shape = a.shape
     h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(n)
+    while h < shape[-1]:
+        a = a.reshape(*shape[:-1], -1, 2, h)
+        top = a[..., 0, :].copy()
+        a[..., 0, :] = top + a[..., 1, :]
+        a[..., 1, :] = top - a[..., 1, :]
+        a = a.reshape(shape)
         h *= 2
     return a
 
@@ -256,6 +266,74 @@ def block_weights(
     return Fraction(direct), tuple(dists)
 
 
+def boolean_tables(m: int) -> np.ndarray:
+    """All 2^(2^m) Boolean truth tables on m = 1..4 variables, one per row of
+    a read-only int8 array, in table-integer order: bit i of the row number
+    set means table[i] = -1."""
+    if not 1 <= m <= 4:
+        raise StructureError(f"exhaustive enumeration supported only for 1 <= m <= 4, got m={m}")
+    n = 1 << m
+    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    tables = (1 - 2 * bits).astype(np.int8)
+    tables.setflags(write=False)
+    return tables
+
+
+def _pointwise_sq_dist(f: np.ndarray, c: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """N * ||f - g||^2 per row, g the expansion c / N kept to the sets `keep`
+    selects: sum_x (N f - butterfly(c kept))^2, in int64 (N = 2^m)."""
+    diff = f.shape[-1] * f - _butterfly(np.where(keep, c, 0))
+    return (diff * diff).sum(axis=-1)
+
+
+def stack_block_weights(
+    tables: np.ndarray, partition: Partition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(var, cross, dists) of a stack of Boolean tables, one row per function,
+    as int64 numerators over 4^m: Var f, the cross weight and, in column j of
+    dists, the distance to block j's restriction plus the empty coefficient
+    (what `variance` and `block_weights` give for one function).
+
+    Checked on every row, as VerificationError: Parseval, Var f from the
+    table against the coefficients, the cross weight against the identity
+    N^2 - c_0^2 - sum_j (inside_j - c_0^2), and each distance against the
+    pointwise route sum_x (N f - butterfly(c kept to block j))^2 = N dist_j,
+    with N = 2^m and c = N * coefficients.
+    """
+    m = partition.m
+    n = 1 << m
+    if tables.ndim != 2 or tables.shape[1] != n:
+        raise DimensionMismatchError(f"partition over {m} vars, tables of shape {tables.shape}")
+    if 3 * m + 2 > 62:
+        raise CapacityError(f"m={m}: int64 stack kernel needs 3m + 2 <= 62")
+    f = tables.astype(np.int64)
+    if not np.all(np.abs(f) == 1):
+        raise StructureError("Boolean table entries must be exactly +1 or -1")
+    c = _butterfly(f)
+    sq = c * c
+    total = sq.sum(axis=1)
+    table_sq = n * (f * f).sum(axis=1)
+    if np.any(total != table_sq):
+        raise VerificationError("Parseval fails on the stack")
+    var = total - sq[:, 0]
+    if np.any(table_sq - f.sum(axis=1) ** 2 != var):
+        raise VerificationError("table and coefficient variances differ on the stack")
+    inside_some = np.zeros(n, dtype=bool)
+    block_var_total = np.zeros_like(total)
+    dists = np.empty((len(f), len(partition.blocks)), dtype=np.int64)
+    for j in range(len(partition.blocks)):
+        inside = _within(n, partition.mask(j))
+        dists[:, j] = sq[:, ~inside].sum(axis=1)
+        block_var_total += sq[:, inside].sum(axis=1) - sq[:, 0]
+        inside_some |= inside
+        if np.any(_pointwise_sq_dist(f, c, inside) != n * dists[:, j]):
+            raise VerificationError(f"block {j}: coefficient route != pointwise on the stack")
+    cross = sq[:, ~inside_some].sum(axis=1)
+    if np.any(cross != n * n - sq[:, 0] - block_var_total):
+        raise VerificationError("cross weight mismatch on the stack")
+    return var, cross, dists
+
+
 def cross_partition_weight(f: BooleanFunction, partition: Partition) -> Fraction:
     """Total squared coefficient mass on sets contained in no single block."""
     return block_weights(wht(f), partition)[0]
@@ -342,7 +420,14 @@ def format_boolean_function(f: BooleanFunction, comments: Sequence[str] = ()) ->
 
 def format_table_row(f: BooleanFunction) -> str:
     """The truth table as one '+'/'-' row, entry 0 first."""
-    return _ROW_CHARS[(f.table > 0).view(np.uint8)].tobytes().decode("ascii")
+    return format_table_rows(f.table)[0]
+
+
+def format_table_rows(tables: np.ndarray) -> list[str]:
+    """One '+'/'-' row per table along the last axis, entry 0 first."""
+    n = tables.shape[-1]
+    text = _ROW_CHARS[(tables > 0).view(np.uint8)].tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
 
 
 def parse_real_function(text: str) -> RealFunction:

@@ -42,11 +42,16 @@ from .cube import (
     BooleanFunction,
     Partition,
     RealFunction,
+    boolean_tables,
     data_lines,
     format_partition,
     format_table_row,
+    format_table_rows,
+    parse_boolean_function,
     parse_fraction,
+    parse_partition,
     sq_l2_dist,
+    stack_block_weights,
     variance,
 )
 from .errors import (
@@ -114,17 +119,9 @@ def _rng_for(seed: int, index: int) -> random.Random:
 
 
 def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
-    """All 2^(2^m) truth tables in table-integer order.
-
-    Bit i of the table integer set means table[i] = -1.
-    """
-    if m > 4:
-        raise StructureError("exhaustive enumeration supported only for m <= 4")
-    n = 1 << m
-    positions = np.arange(n, dtype=np.int64)
-    for t in range(1 << n):
-        bits = (t >> positions) & 1
-        yield BooleanFunction(m, (1 - 2 * bits).astype(np.int8))
+    """All 2^(2^m) truth tables on m = 1..4 variables, one per row of
+    `boolean_tables(m)`, in its table-integer order."""
+    return (BooleanFunction(m, table) for table in boolean_tables(m))
 
 
 def _random_fraction(
@@ -475,22 +472,70 @@ def two_block_partitions(m: int) -> Iterator[Partition]:
         )
 
 
+def _confirm(m: int, text: str, constants: Constants, violation: bool) -> BoundReport:
+    """Recompute one instance the result names, a violation ('instance=i
+    lhs=.. rhs=.. witness') or the smallest-ratio witness ('instance=i
+    witness'), with corollary2_apply from the table and partition in its
+    witness; the text must come out the same."""
+    index, _, rest = text.partition(" ")
+    fields = dict(item.split("=", 1) for item in rest.rpartition(" ")[2].split(";"))
+    f = parse_boolean_function(f"m={m}\n{fields['table']}")
+    report = _corollary2_case(f, parse_partition(fields["partition"], m), constants)
+    sides = f"lhs={report.lhs} rhs={report.rhs} " if violation else ""
+    if text != f"{index} {sides}{report.witness_text()}":
+        raise VerificationError(f"batch reported {text!r}; corollary2_apply gives {report}")
+    return report
+
+
 def corollary2_exhaustive(
     m: int, constants: Constants = DEFAULT_CONSTANTS, collect_rows: bool = False
 ) -> SweepResult:
     """Check the partition corollary on every non-constant function on m = 2..4
     variables against every 2-block partition; also records the largest
-    observed dist/epsilon (the empirical corollary constant)."""
+    observed dist/epsilon (the empirical corollary constant).
+
+    Each partition runs once over the whole stack of tables
+    (`stack_block_weights`); every instance the result names (each violation
+    and the smallest-ratio witness) is then recomputed with corollary2_apply
+    and must agree exactly.
+    """
     if not 2 <= m <= 4:
         raise StructureError("exhaustive check supported only for 2 <= m <= 4")
-    partitions = list(two_block_partitions(m))
+    tables = boolean_tables(m)
+    tables = tables[(tables != tables[:, :1]).any(axis=1)]
+    scale = TARGETS["corollary2"].scale(constants)
+
+    @functools.cache  # few distinct numerators: each Fraction is built once
+    def sides(var: int, cross: int, dist: int) -> tuple[Fraction, Fraction, Fraction]:
+        epsilon = Fraction(cross, var)
+        return scale * epsilon, Fraction(dist, 1 << 2 * m), epsilon
+
+    def case(row: str, partition: str, var: int, cross: int, k: int, dist: int) -> BoundReport:
+        """_corollary2_case from stack_block_weights numerators over 4^m."""
+        lhs, rhs, epsilon = sides(var, cross, dist)
+        witness = {"table": row, "partition": partition, "k": k, "epsilon": epsilon}
+        return BoundReport.compare(lhs, rhs, witness)
+
+    columns = []
+    for partition in two_block_partitions(m):
+        var, cross, dists = stack_block_weights(tables, partition)
+        k = dists.argmin(axis=1)  # the first nearest block, as corollary2_apply picks
+        dist = dists[np.arange(len(k)), k]
+        numerators = (var.tolist(), cross.tolist(), k.tolist(), dist.tolist())
+        columns.append((format_partition(partition), *numerators))
     cases = (
-        functools.partial(_corollary2_case, f, partition, constants)
-        for f in enumerate_boolean_functions(m)
-        if not np.all(f.table == f.table[0])
-        for partition in partitions
+        functools.partial(case, row, text, var[t], cross[t], k[t], dist[t])
+        for t, row in enumerate(format_table_rows(tables))
+        for text, var, cross, k, dist in columns
     )
-    return _accumulate("corollary2", cases, TARGETS["corollary2"].scale(constants), collect_rows)
+    result = _accumulate("corollary2", cases, scale, collect_rows)
+    for text in result.violations:
+        _confirm(m, text, constants, violation=True)
+    if result.min_ratio_witness is not None:
+        confirmed = _confirm(m, result.min_ratio_witness, constants, violation=False)
+        if confirmed.ratio != result.min_ratio:
+            raise VerificationError(f"batch min ratio {result.min_ratio} not confirmed")
+    return result
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fknlab.bounds import corollary2_apply
 from fknlab.cube import (
     BooleanFunction,
     FourierExpansion,
     Partition,
     RealFunction,
     balance_extend,
+    boolean_tables,
     cross_partition_weight,
     format_boolean_function,
     format_partition,
@@ -21,6 +23,7 @@ from fknlab.cube import (
     parse_real_function,
     restriction,
     sq_l2_dist,
+    stack_block_weights,
     variance,
     wht,
 )
@@ -284,6 +287,57 @@ class TestCrossWeight:
         p = Partition.from_blocks(3, [[1], [2, 3]])
         with pytest.raises(DimensionMismatchError):
             cross_partition_weight(dictator(2), p)
+
+
+def set_partitions(items: list[int]):
+    """Every partition of `items` into nonempty blocks (Bell-many)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first], *blocks]
+        for j in range(len(blocks)):
+            yield [*blocks[:j], [first, *blocks[j]], *blocks[j + 1 :]]
+
+
+class TestStackKernel:
+    def test_boolean_tables_in_table_integer_order(self):
+        for m in (1, 2, 3):
+            tables = boolean_tables(m)
+            assert tables.dtype == np.int8 and tables.shape == (1 << (1 << m), 1 << m)
+            assert not tables.flags.writeable
+            for t, table in enumerate(tables):
+                assert table.tolist() == [-1 if (t >> i) & 1 else 1 for i in range(1 << m)]
+
+    def test_equals_corollary2_apply_on_every_function_and_partition(self):
+        # every non-constant function on m <= 3 against every set partition,
+        # the one-block partition included
+        for m in (1, 2, 3):
+            tables = boolean_tables(m)[1:-1]  # rows 0 and 2^(2^m)-1 are the constants
+            unit = 4**m
+            variables = list(range(1, m + 1))
+            partitions = [Partition.from_blocks(m, b) for b in set_partitions(variables)]
+            assert len(partitions) == [1, 2, 5][m - 1]
+            for partition in partitions:
+                var, cross, dists = stack_block_weights(tables, partition)
+                for t, table in enumerate(tables):
+                    report = corollary2_apply(BooleanFunction(m, table), partition)
+                    assert Fraction(int(var[t]), unit) == report.var_f
+                    assert Fraction(int(cross[t]), unit) == report.cross_weight
+                    got = tuple(Fraction(int(d), unit) for d in dists[t])
+                    assert got == report.block_dists
+
+    def test_input_checks(self):
+        partition = Partition.from_blocks(2, [[1], [2]])
+        with pytest.raises(DimensionMismatchError):
+            stack_block_weights(boolean_tables(3), partition)
+        with pytest.raises(StructureError, match="exactly"):
+            stack_block_weights(np.zeros((1, 4), dtype=np.int8), partition)
+        # 3m + 2 <= 62 holds up to m = 20; m = 21 is refused before any work
+        wide = Partition.from_blocks(21, [range(1, 22)])
+        with pytest.raises(CapacityError, match="3m \\+ 2 <= 62"):
+            stack_block_weights(np.ones((0, 1 << 21), dtype=np.int8), wide)
 
 
 class TestBalanceExtend:

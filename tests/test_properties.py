@@ -1,8 +1,9 @@
 """Property tests against the slow oracles of conftest.py.
 
 Cube: random Boolean tables on m = 2..6 variables and random partitions with
-at least two blocks; every measure must equal the exact sum of squared naive
-Fourier coefficients over the right family of sets.
+at least two blocks; every measure, one function at a time and on a stack
+of tables, must equal the exact sum of squared naive Fourier coefficients
+over the right family of sets.
 
 Random variables: small random supports; convolution must equal the literal
 product distribution, the pushforward must equal direct counting, a balanced
@@ -13,11 +14,20 @@ product measure, with denominators up to 10^30.
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fknlab.bounds import corollary2_apply
-from fknlab.cube import BooleanFunction, Partition, RealFunction, cross_partition_weight, variance
+from fknlab.cube import (
+    BooleanFunction,
+    Partition,
+    RealFunction,
+    _butterfly,
+    cross_partition_weight,
+    stack_block_weights,
+    variance,
+)
 from fknlab.rv import (
     DiscreteRV,
     abs_rv,
@@ -87,6 +97,27 @@ def test_variance_is_mass_off_the_empty_set(case):
     coeffs = naive_fourier(f.table, f.m)
     var_f = variance(f)
     assert isinstance(var_f, Fraction) and var_f == sq_mass(coeffs, lambda s: s != 0)
+
+
+@PROPERTY_SETTINGS
+@given(boolean_with_partition(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3))
+def test_stack_kernel_is_naive_mass_over_4_to_the_m(case, more_bits):
+    f, partition = case
+    n = 1 << f.m
+    extra = [[-1 if (bits >> i) & 1 else 1 for i in range(n)] for bits in more_bits]
+    tables = np.array([f.table.tolist(), *extra], dtype=np.int8)
+    var, cross, dists = stack_block_weights(tables, partition)
+    # the last-axis butterfly transforms each row as the one-table transform does
+    real = tables.astype(np.float64)
+    assert all(np.array_equal(row, _butterfly(t)) for row, t in zip(_butterfly(real), real))
+    masks = [partition.mask(j) for j in range(len(partition.blocks))]
+    for t, table in enumerate(tables):
+        coeffs = naive_fourier(table, f.m)
+        assert var[t] == sq_mass(coeffs, lambda s: s != 0) * n * n
+        expected = sq_mass(coeffs, lambda s: not any(within(s, mask) for mask in masks))
+        assert cross[t] == expected * n * n
+        for j, mask in enumerate(masks):
+            assert dists[t, j] == sq_mass(coeffs, lambda s: not within(s, mask)) * n * n
 
 
 @st.composite

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fknlab.cube as cube_module
 import fknlab.sweep as sweep_module
 from fknlab.bounds import Constants, corollary2_apply, tribes_example
 from fknlab.cube import BooleanFunction, Partition
@@ -50,6 +51,12 @@ class TestEnumeration:
     def test_rejects_large_m(self):
         with pytest.raises(StructureError):
             next(enumerate_boolean_functions(5))
+
+    @pytest.mark.parametrize("m", [-1, 0])
+    def test_rejects_m_below_1(self, m):
+        # m=-1 used to end in "ValueError: negative shift count", m=0 in CapacityError
+        with pytest.raises(StructureError, match="1 <= m <= 4"):
+            list(enumerate_boolean_functions(m))
 
     def test_two_block_partition_counts(self):
         assert len(list(two_block_partitions(2))) == 1
@@ -212,6 +219,33 @@ class TestRunSweep:
         with pytest.raises(VerificationError):
             corollary2_exhaustive(2)
 
+    def test_corollary2_pointwise_route_mismatch_raises(self, monkeypatch):
+        real = cube_module._pointwise_sq_dist
+        monkeypatch.setattr(cube_module, "_pointwise_sq_dist", lambda *a: real(*a) + 1)
+        with pytest.raises(VerificationError, match="coefficient route != pointwise"):
+            corollary2_exhaustive(2)
+
+    @pytest.mark.parametrize(
+        "cross_factor,dist_factor,match",
+        [
+            (1, 10**6, "batch reported 'instance=0 lhs="),  # every instance a false violation
+            (2, 1, "batch reported 'instance=0 table="),  # the witness's epsilon is off
+            (1, 2, "batch min ratio"),  # same witness text, ratio off
+        ],
+    )
+    def test_corollary2_unconfirmed_report_raises(
+        self, monkeypatch, cross_factor, dist_factor, match
+    ):
+        real = sweep_module.stack_block_weights
+
+        def skewed(tables, partition):
+            var, cross, dists = real(tables, partition)
+            return var, cross * cross_factor, dists * dist_factor
+
+        monkeypatch.setattr(sweep_module, "stack_block_weights", skewed)
+        with pytest.raises(VerificationError, match=match):
+            corollary2_exhaustive(2)
+
 
 class TestTargets:
     def test_names_and_flags(self):
@@ -341,6 +375,16 @@ class TestCorollary2Exhaustive:
         # m=1 used to evaluate no instance and m=-1 to end in a ValueError
         with pytest.raises(StructureError):
             corollary2_exhaustive(m)
+
+    def test_true_violations_are_kept(self):
+        # K2 = 1/16 puts the corollary constant K2 + 2 below the m=4 empirical
+        # 63/16, so the batch reports violations and corollary2_apply confirms each
+        result = corollary2_exhaustive(4, Constants(k2=F(1, 16)))
+        assert len(result.violations) == 5824
+        assert result.violations[0] == (
+            "instance=2226 lhs=55/112 rhs=19/32"
+            " table=------++-+++++++;partition=1,2,3|4;k=1;epsilon=5/21"
+        )
 
     def test_run_sweep_dispatch(self):
         via_sweep = run_sweep(SweepConfig(target="corollary2", exhaustive_m=2))

@@ -26,11 +26,9 @@ from .cube import (
     BooleanFunction,
     Partition,
     RealFunction,
-    block_weights,
-    inverse_wht_within,
     sq_l2_dist,
+    stack_block_weights,
     variance,
-    wht,
 )
 from .errors import BalanceError, StructureError, VerificationError
 from .rv import (
@@ -339,11 +337,13 @@ def corollary2_apply(
     epsilon defaults to cross_weight / Var f, the tightest value satisfying
     the premise; a caller-supplied epsilon is validated against it.
     """
-    var_f = variance(f)
+    var, cross, dists = stack_block_weights(f.table[None], partition)
+    unit = 1 << 2 * f.m
+    var_f = Fraction(int(var[0]), unit)
     if var_f == 0:
         raise StructureError("variance zero: constant function has no epsilon")
-    expansion = wht(f)
-    cross, block_dists = block_weights(expansion, partition)
+    cross = Fraction(int(cross[0]), unit)
+    block_dists = tuple(Fraction(d, unit) for d in dists[0].tolist())
     if epsilon is None:
         epsilon = cross / var_f
     else:
@@ -351,13 +351,6 @@ def corollary2_apply(
         if cross > epsilon * var_f:
             raise StructureError(
                 f"premise violated: cross weight {cross} > epsilon*Var f = {epsilon * var_f}"
-            )
-    coeff_empty = Fraction(float(expansion.coeffs[0]))
-    for j, coeff_route in enumerate(block_dists):
-        pointwise_route = sq_l2_dist(f, inverse_wht_within(expansion, partition.mask(j)))
-        if coeff_route != pointwise_route:
-            raise VerificationError(
-                f"block {j}: coefficient route {coeff_route} != pointwise {pointwise_route}"
             )
     k = min(range(len(block_dists)), key=lambda j: (block_dists[j], j))
     dist = block_dists[k]
@@ -369,7 +362,7 @@ def corollary2_apply(
         holds=holds,
         var_f=var_f,
         cross_weight=cross,
-        coeff_empty=coeff_empty,
+        coeff_empty=Fraction(int(f.table.sum()), 1 << f.m),
         block_dists=block_dists,
         corollary_k=constants.corollary_k,
     )

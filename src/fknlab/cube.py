@@ -6,7 +6,7 @@ uses the same packing: bit b of a subset mask S means variable b+1 is in S.
 
 All tables are numpy float64 (int8 for Boolean truth tables); this module is
 the only one that sees them.  Its measures (`variance`, `sq_l2_dist`,
-`cross_partition_weight`, `block_weights`) return exact `Fraction`s.
+`cross_partition_weight`) return exact `Fraction`s.
 
 Why float64 is exact here.  Write a table as integer numerators n_x over a
 common denominator 2^k and let N = max |n_x|.  Every butterfly stage holds
@@ -28,14 +28,19 @@ point for outside tables, rejects a table outside this range with
 CapacityError.  `sq_l2_dist(f, g)` is exact when the difference f - g meets
 the bound.
 
-The exhaustive corollary check runs on a stack of Boolean tables instead
-(`boolean_tables`, `stack_block_weights`), in int64 numerators over 4^m and
-no float.  With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N,
-so c_S^2 and their sums are at most N^2 = 2^2m.  The pointwise route
+Partition weights of Boolean functions come from one integer kernel
+instead, `stack_block_weights`, on a stack of tables (one row for
+`cross_partition_weight` and `bounds.corollary2_apply`, every table of
+`boolean_tables` for the exhaustive check), in int64 numerators over 4^m
+and no float.  With N = 2^m, the butterfly gives c_S = N * fhat(S),
+|c_S| <= N, and its stages stay inside N, so transforms run in int32; c_S^2
+and their sums are at most N^2 = 2^2m.  The pointwise route
 N f - butterfly(c kept to a block) is N (f - g) with g a conditional
-expectation of f, so |g| <= 1 and each entry is at most 2N; its sum of
-squares is at most N (2N)^2 = 2^(3m+2).  Every value fits int64 when
-3m + 2 <= 62, which the kernel checks.
+expectation of f, so |g| <= 1 and each entry is at most 2N, its square at
+most 2^(2m+2).  A row of squares sums to at most N (2N)^2 = 2^(3m+2), past
+int64 from m = 21, so the high and low 32-bit halves of the squares are
+summed apart (each half's sum fits int64) and joined as Python ints.  Every
+m <= M_MAX works.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
     shape = a.shape
     h = 1
     while h < shape[-1]:
-        a = a.reshape(*shape[:-1], -1, 2, h)
+        a = a.reshape(*shape[:-1], shape[-1] // (2 * h), 2, h)
         top = a[..., 0, :].copy()
         a[..., 0, :] = top + a[..., 1, :]
         a[..., 1, :] = top - a[..., 1, :]
@@ -189,17 +194,6 @@ def wht(f: CubeFunction) -> FourierExpansion:
 def inverse_wht(expansion: FourierExpansion) -> RealFunction:
     """Evaluate an expansion back to a point table; exact round trip with wht."""
     return RealFunction(expansion.m, _butterfly(expansion.coeffs.copy()))
-
-
-def _within(size: int, mask: int) -> np.ndarray:
-    """Selector of the subset masks S < size contained in `mask`."""
-    return (np.arange(size) & ~mask) == 0
-
-
-def inverse_wht_within(expansion: FourierExpansion, mask: int) -> RealFunction:
-    """Table of the expansion kept to the subsets of `mask` (empty set included)."""
-    keep = _within(expansion.coeffs.size, mask)
-    return inverse_wht(FourierExpansion(expansion.m, np.where(keep, expansion.coeffs, 0.0)))
 
 
 def sq_l2_dist(f: CubeFunction, g: CubeFunction) -> Fraction:
@@ -233,37 +227,9 @@ def restriction(f: CubeFunction, block: Iterable[int]) -> RealFunction:
         if not 1 <= i <= f.m:
             raise StructureError(f"variable index {i} outside 1..{f.m}")
         mask |= 1 << (i - 1)
-    expansion = wht(f)
-    within = inverse_wht_within(expansion, mask)
-    return RealFunction(f.m, within.table - expansion.coeffs[0])
-
-
-def block_weights(
-    expansion: FourierExpansion, partition: Partition
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """(cross, dists) of a Boolean function's expansion: cross is the squared
-    coefficient mass on sets inside no single block, dists[j] the mass on sets
-    not inside block j (the distance from f to its restriction to block j plus
-    the empty coefficient).  cross is computed directly and through the
-    identity 1 - coeffs[0]^2 - sum_j Var(restriction to block j); the two exact
-    dyadic sums must agree bit for bit.
-    """
-    if partition.m != expansion.m:
-        raise DimensionMismatchError(f"partition over {partition.m} vars, f over {expansion.m}")
-    sq = expansion.coeffs * expansion.coeffs
-    inside_some = np.zeros(sq.size, dtype=bool)
-    block_var_total = 0.0
-    dists = []
-    for j in range(len(partition.blocks)):
-        inside = _within(sq.size, partition.mask(j))
-        dists.append(Fraction(float(sq[~inside].sum())))
-        block_var_total += float(sq[inside].sum()) - float(sq[0])
-        inside_some |= inside
-    direct = float(sq[~inside_some].sum())
-    via_identity = 1.0 - float(sq[0]) - block_var_total
-    if direct != via_identity:
-        raise VerificationError(f"cross weight mismatch: {direct!r} vs {via_identity!r}")
-    return Fraction(direct), tuple(dists)
+    subsets = np.arange(1 << f.m)
+    keep = ((subsets & ~mask) == 0) & (subsets != 0)
+    return inverse_wht(FourierExpansion(f.m, np.where(keep, wht(f).coeffs, 0.0)))
 
 
 def boolean_tables(m: int) -> np.ndarray:
@@ -279,11 +245,27 @@ def boolean_tables(m: int) -> np.ndarray:
     return tables
 
 
+def _sum_sq(c: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row, in int64."""
+    return np.einsum("ij,ij->i", c, c, dtype=np.int64)
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Exact sums along the last axis of nonnegative int64 values, as an
+    object array of Python ints: the high and low 32-bit halves are summed
+    apart, and each half's sum fits int64 for rows of up to 2^31 entries."""
+    high = (values >> 32).sum(axis=-1).astype(object)
+    low = (values & 0xFFFFFFFF).sum(axis=-1).astype(object)
+    return (high << 32) + low
+
+
 def _pointwise_sq_dist(f: np.ndarray, c: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """N * ||f - g||^2 per row, g the expansion c / N kept to the sets `keep`
-    selects: sum_x (N f - butterfly(c kept))^2, in int64 (N = 2^m)."""
-    diff = f.shape[-1] * f - _butterfly(np.where(keep, c, 0))
-    return (diff * diff).sum(axis=-1)
+    selects: sum_x (N f - butterfly(c kept))^2 (N = 2^m)."""
+    diff = _butterfly(np.where(keep, c, 0)).astype(np.int64)
+    diff -= f.shape[-1] * f
+    diff *= diff
+    return _row_sums(diff)
 
 
 def stack_block_weights(
@@ -291,8 +273,7 @@ def stack_block_weights(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(var, cross, dists) of a stack of Boolean tables, one row per function,
     as int64 numerators over 4^m: Var f, the cross weight and, in column j of
-    dists, the distance to block j's restriction plus the empty coefficient
-    (what `variance` and `block_weights` give for one function).
+    dists, the distance to block j's restriction plus the empty coefficient.
 
     Checked on every row, as VerificationError: Parseval, Var f from the
     table against the coefficients, the cross weight against the identity
@@ -301,42 +282,43 @@ def stack_block_weights(
     with N = 2^m and c = N * coefficients.
     """
     m = partition.m
+    _checked_m(m)
     n = 1 << m
     if tables.ndim != 2 or tables.shape[1] != n:
         raise DimensionMismatchError(f"partition over {m} vars, tables of shape {tables.shape}")
-    if 3 * m + 2 > 62:
-        raise CapacityError(f"m={m}: int64 stack kernel needs 3m + 2 <= 62")
-    f = tables.astype(np.int64)
+    f = tables.astype(np.int32)
     if not np.all(np.abs(f) == 1):
         raise StructureError("Boolean table entries must be exactly +1 or -1")
     c = _butterfly(f)
-    sq = c * c
-    total = sq.sum(axis=1)
-    table_sq = n * (f * f).sum(axis=1)
+    total = _sum_sq(c)
+    table_sq = n * _sum_sq(f)
     if np.any(total != table_sq):
         raise VerificationError("Parseval fails on the stack")
-    var = total - sq[:, 0]
+    c0_sq = c[:, 0].astype(np.int64) ** 2
+    var = total - c0_sq
     if np.any(table_sq - f.sum(axis=1) ** 2 != var):
         raise VerificationError("table and coefficient variances differ on the stack")
+    subsets = np.arange(n, dtype=np.int32)
     inside_some = np.zeros(n, dtype=bool)
     block_var_total = np.zeros_like(total)
     dists = np.empty((len(f), len(partition.blocks)), dtype=np.int64)
     for j in range(len(partition.blocks)):
-        inside = _within(n, partition.mask(j))
-        dists[:, j] = sq[:, ~inside].sum(axis=1)
-        block_var_total += sq[:, inside].sum(axis=1) - sq[:, 0]
+        inside = (subsets & ~partition.mask(j)) == 0
+        dists[:, j] = _sum_sq(c[:, ~inside])
+        block_var_total += _sum_sq(c[:, inside]) - c0_sq
         inside_some |= inside
-        if np.any(_pointwise_sq_dist(f, c, inside) != n * dists[:, j]):
+        if np.any(_pointwise_sq_dist(f, c, inside) != n * dists[:, j].astype(object)):
             raise VerificationError(f"block {j}: coefficient route != pointwise on the stack")
-    cross = sq[:, ~inside_some].sum(axis=1)
-    if np.any(cross != n * n - sq[:, 0] - block_var_total):
+    cross = _sum_sq(c[:, ~inside_some])
+    if np.any(cross != n * n - c0_sq - block_var_total):
         raise VerificationError("cross weight mismatch on the stack")
     return var, cross, dists
 
 
 def cross_partition_weight(f: BooleanFunction, partition: Partition) -> Fraction:
     """Total squared coefficient mass on sets contained in no single block."""
-    return block_weights(wht(f), partition)[0]
+    cross = stack_block_weights(f.table[None], partition)[1]
+    return Fraction(int(cross[0]), 1 << 2 * f.m)
 
 
 def balance_extend(f: BooleanFunction) -> BooleanFunction:

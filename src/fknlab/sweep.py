@@ -476,7 +476,9 @@ def _confirm(m: int, text: str, constants: Constants, violation: bool) -> BoundR
     """Recompute one instance the result names, a violation ('instance=i
     lhs=.. rhs=.. witness') or the smallest-ratio witness ('instance=i
     witness'), with corollary2_apply from the table and partition in its
-    witness; the text must come out the same."""
+    witness; the text must come out the same.  corollary2_apply runs the
+    same kernel on a one-row stack, so this confirms the batch's row and
+    partition bookkeeping and the fold, not the kernel's arithmetic."""
     index, _, rest = text.partition(" ")
     fields = dict(item.split("=", 1) for item in rest.rpartition(" ")[2].split(";"))
     f = parse_boolean_function(f"m={m}\n{fields['table']}")
@@ -497,7 +499,9 @@ def corollary2_exhaustive(
     Each partition runs once over the whole stack of tables
     (`stack_block_weights`); every instance the result names (each violation
     and the smallest-ratio witness) is then recomputed with corollary2_apply
-    and must agree exactly.
+    and must agree exactly.  That recheck confirms which table and partition
+    each row holds and the fold; the kernel's arithmetic is refereed by its
+    per-row identities and by the `naive_fourier` tests.
     """
     if not 2 <= m <= 4:
         raise StructureError("exhaustive check supported only for 2 <= m <= 4")

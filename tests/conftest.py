@@ -37,6 +37,26 @@ def naive_fourier(table, m: int) -> list[Fraction]:
     ]
 
 
+def within(subset: int, mask: int) -> bool:
+    return subset & ~mask == 0
+
+
+def sq_mass(coeffs: list[Fraction], keep) -> Fraction:
+    return sum((c * c for s, c in enumerate(coeffs) if keep(s)), Fraction(0))
+
+
+def set_partitions(items: list[int]):
+    """Every partition of `items` into nonempty blocks (Bell-many)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first], *blocks]
+        for j in range(len(blocks)):
+            yield [*blocks[:j], [first, *blocks[j]], *blocks[j + 1 :]]
+
+
 def sign_matrix(m: int) -> np.ndarray:
     """H[s, x] = chi_s(x) as a +-1 matrix, built from parity, not butterflies."""
     n = 1 << m

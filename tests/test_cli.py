@@ -287,6 +287,31 @@ class TestAnalyze:
         assert values["epsilon"] == "1/7"
         assert values["dist"] == "9/16"
 
+    def test_tribes_m11_past_the_old_int64_bound(self, tmp_path, capsys):
+        # 22 variables: 3m + 2 > 62, so only the halved row sums keep the
+        # pointwise route exact; the output is the float64 route's, verbatim
+        run(capsys, "example", "tribes", "--m", "11", "--out-dir", str(tmp_path))
+        code, out, _ = run(
+            capsys,
+            "analyze",
+            str(tmp_path / "tribes_m11.table"),
+            "--partition-file",
+            str(tmp_path / "tribes_m11.partition"),
+        )
+        assert code == 0
+        assert out == (
+            "m=22\n"
+            "coeff_empty=2093057/2097152\n"
+            "variance=17158905855/4398046511104\n"
+            "cross_weight=4190209/4398046511104\n"
+            "epsilon=1/4095\n"
+            "k=1\n"
+            "k_block=1,2,3,4,5,6,7,8,9,10,11\n"
+            "dist=4190209/2147483648\n"
+            "bound=61442/4095\n"
+            "holds=true\n"
+        )
+
     def test_constant_function_rejected(self, tmp_path, capsys):
         path = tmp_path / "const.table"
         path.write_text("m=2\n++++\n")

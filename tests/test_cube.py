@@ -11,6 +11,7 @@ from fknlab.cube import (
     FourierExpansion,
     Partition,
     RealFunction,
+    _row_sums,
     balance_extend,
     boolean_tables,
     cross_partition_weight,
@@ -35,7 +36,7 @@ from fknlab.errors import (
 )
 from fknlab.sweep import enumerate_boolean_functions, random_real_function
 
-from conftest import naive_fourier
+from conftest import naive_fourier, set_partitions, sq_mass, within
 
 
 def dictator(m: int, i: int = 1) -> BooleanFunction:
@@ -289,18 +290,6 @@ class TestCrossWeight:
             cross_partition_weight(dictator(2), p)
 
 
-def set_partitions(items: list[int]):
-    """Every partition of `items` into nonempty blocks (Bell-many)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for blocks in set_partitions(rest):
-        yield [[first], *blocks]
-        for j in range(len(blocks)):
-            yield [*blocks[:j], [first, *blocks[j]], *blocks[j + 1 :]]
-
-
 class TestStackKernel:
     def test_boolean_tables_in_table_integer_order(self):
         for m in (1, 2, 3):
@@ -334,10 +323,46 @@ class TestStackKernel:
             stack_block_weights(boolean_tables(3), partition)
         with pytest.raises(StructureError, match="exactly"):
             stack_block_weights(np.zeros((1, 4), dtype=np.int8), partition)
-        # 3m + 2 <= 62 holds up to m = 20; m = 21 is refused before any work
-        wide = Partition.from_blocks(21, [range(1, 22)])
-        with pytest.raises(CapacityError, match="3m \\+ 2 <= 62"):
-            stack_block_weights(np.ones((0, 1 << 21), dtype=np.int8), wide)
+        # m past M_MAX is refused before any work
+        wide = Partition.from_blocks(27, [range(1, 28)])
+        with pytest.raises(CapacityError, match="outside supported range"):
+            stack_block_weights(np.ones((0, 1 << 27), dtype=np.int8), wide)
+        var, cross, dists = stack_block_weights(
+            np.ones((0, 8), dtype=np.int8), Partition.from_blocks(3, [[1], [2, 3]])
+        )
+        assert var.shape == cross.shape == (0,) and dists.shape == (0, 2)
+
+    def test_is_naive_mass_times_4_to_the_m_on_every_function_and_partition(self):
+        for m in (1, 2, 3):
+            tables = boolean_tables(m)[1:-1]  # rows 0 and 2^(2^m)-1 are the constants
+            unit = 4**m
+            oracle = [naive_fourier(table, m) for table in tables]
+            for blocks in set_partitions(list(range(1, m + 1))):
+                partition = Partition.from_blocks(m, blocks)
+                masks = [partition.mask(j) for j in range(len(blocks))]
+                inside_none = lambda s: not any(within(s, mask) for mask in masks)
+                var, cross, dists = stack_block_weights(tables, partition)
+                for t, coeffs in enumerate(oracle):
+                    assert var[t] == sq_mass(coeffs, lambda s: s != 0) * unit
+                    assert cross[t] == sq_mass(coeffs, inside_none) * unit
+                    for j, mask in enumerate(masks):
+                        assert dists[t, j] == sq_mass(coeffs, lambda s: not within(s, mask)) * unit
+
+    def test_row_sums_are_exact_past_int64(self):
+        # each row's int64 sum wraps; the low halves of the middle row carry
+        rows = np.array(
+            [
+                [2**62 + 5, 2**62 + 7, 2**62 - 1, 2**62],
+                [2**63 - 1, 2**32 - 1, 2**32 - 1, 2**62 + 2**32 - 1],
+                [0, 1, 2**40, 3],
+            ],
+            dtype=np.int64,
+        )
+        expected = [sum(int(v) for v in row) for row in rows]
+        assert rows.sum(axis=-1).tolist()[:2] != expected[:2]
+        sums = _row_sums(rows).tolist()
+        assert sums == expected and all(type(s) is int for s in sums)
+        assert _row_sums(rows[:0]).tolist() == []
 
 
 class TestBalanceExtend:

@@ -41,7 +41,7 @@ from fknlab.rv import (
     variance_rv,
 )
 
-from conftest import naive_fourier, product_distribution, rv_moments
+from conftest import naive_fourier, product_distribution, rv_moments, sq_mass, within
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -56,14 +56,6 @@ def boolean_with_partition(draw) -> tuple[BooleanFunction, Partition]:
     bounds = [0, *cuts, m]
     blocks = [order[a:b] for a, b in zip(bounds, bounds[1:])]
     return f, Partition.from_blocks(m, blocks)
-
-
-def within(subset: int, mask: int) -> bool:
-    return subset & ~mask == 0
-
-
-def sq_mass(coeffs: list[Fraction], keep) -> Fraction:
-    return sum((c * c for s, c in enumerate(coeffs) if keep(s)), Fraction(0))
 
 
 @PROPERTY_SETTINGS

@@ -16,6 +16,7 @@ atom_cap have no flag; E, x1, x2 are check's; analyze is corollary2):"""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import os
@@ -164,8 +165,12 @@ def _cmd_sweep(args) -> int:
     settings = sweep.read_settings(_read_text(args.config)) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k in sweep._CONFIG_KEYS and v is not None}
     cfg = sweep.config_from_settings({**settings, **flags})
-    handle = _create(args.csv) if args.csv else None  # a bad path fails before the sweep
-    result = sweep.run_sweep(replace(cfg, collect_rows=handle is not None))
+    # a bad path fails before the sweep; each row is written as it comes
+    with _create(args.csv) if args.csv else contextlib.nullcontext() as handle:
+        on_row = csv.writer(handle).writerow if handle else None
+        if on_row:
+            on_row(["instance_id", "lhs", "rhs", "ratio", "holds", "witness"])
+        result = sweep.run_sweep(cfg, on_row)
     print(f"target={result.target}")
     print(f"instances={result.instances_run}")
     print(f"violations={len(result.violations)}")
@@ -182,11 +187,7 @@ def _cmd_sweep(args) -> int:
         print(f"errors={len(result.errors)}")
         for index, message in result.errors[:10]:
             print(f"error: instance={index} {message}")
-    if handle:
-        with handle:
-            writer = csv.writer(handle)
-            writer.writerow(["instance_id", "lhs", "rhs", "ratio", "holds", "witness"])
-            writer.writerows(result.rows or ())
+    if args.csv:
         print(f"csv={args.csv}")
     if result.violations:
         return 2

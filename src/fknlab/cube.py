@@ -4,47 +4,34 @@ Point indexing: bit b of a table index encodes variable x_{b+1}, with the
 bit SET meaning x_{b+1} = -1 and clear meaning +1.  Coefficient indexing
 uses the same packing: bit b of a subset mask S means variable b+1 is in S.
 
-All tables are numpy float64 (int8 for Boolean truth tables); this module is
-the only one that sees them.  Its measures (`variance`, `sq_l2_dist`,
-`cross_partition_weight`) return exact `Fraction`s.
+Every table holds integers: a Boolean truth table is int8, and a real table
+(`RealFunction`) or an expansion (`FourierExpansion`) holds numerators n_x
+over 2^k, k its field `k`.  Transforms and measures compute on numerators
+and build one exact `Fraction` per result.  Numerators are int64 while
+2^m N <= 2^30 (N = max |n_x|) and Python ints (an object array) past it,
+decided once at construction: a wide table is slower, never refused or
+rounded.  Under the bound every butterfly stage holds at most 2^m N; 2^m
+times a sum of 2^m squares is at most (2^m N)^2 <= 2^60, which bounds both
+terms of `variance`; and the squared differences of two int64 tables over
+one 2^k sum to at most 2^m (2N)^2 <= 2^62 in `sq_l2_dist`.
 
-Why float64 is exact here.  Write a table as integer numerators n_x over a
-common denominator 2^k and let N = max |n_x|.  Every butterfly stage holds
-sums of at most 2^m numerators, so at most 2^m N in units of 2^-k, and the
-final division by 2^m only moves the exponent: coefficients are integers of
-magnitude <= 2^m N in units of 2^-(k+m).  The inverse transform's stages
-are partial averages of the table, inside the same bound.  Coefficient
-squares, and by Parseval every partial sum of squares, are integers
-<= (2^m N)^2 in units of 2^-(2k+2m).  The same bound covers E[f^2], (E f)^2
-and their difference in `variance`.  So every step fits the 53-bit mantissa
-when
-
-    2^m N <= 2^26,
-
-and the smallest unit 2^-(2k+2m) stays above float64's 2^-1074 when
-k + m <= 537, i.e. k <= 511 under the cap m <= 26.  Boolean tables (k = 0,
-N = 1) meet both for every m <= M_MAX.  `parse_real_function`, the entry
-point for outside tables, rejects a table outside this range with
-CapacityError.  `sq_l2_dist(f, g)` is exact when the difference f - g meets
-the bound.
-
-Partition weights of Boolean functions come from one integer kernel
-instead, `stack_block_weights`, on a stack of tables (one row for
+Partition weights of Boolean functions come from one kernel,
+`stack_block_weights`, on a stack of tables (one row for
 `cross_partition_weight` and `bounds.corollary2_apply`, every table of
-`boolean_tables` for the exhaustive check), in int64 numerators over 4^m
-and no float.  With N = 2^m, the butterfly gives c_S = N * fhat(S),
-|c_S| <= N, and its stages stay inside N, so transforms run in int32; c_S^2
-and their sums are at most N^2 = 2^2m.  The pointwise route
-N f - butterfly(c kept to a block) is N (f - g) with g a conditional
-expectation of f, so |g| <= 1 and each entry is at most 2N, its square at
-most 2^(2m+2).  A row of squares sums to at most N (2N)^2 = 2^(3m+2), past
-int64 from m = 21, so the high and low 32-bit halves of the squares are
-summed apart (each half's sum fits int64) and joined as Python ints.  Every
-m <= M_MAX works.
+`boolean_tables` for the exhaustive check), in int64 numerators over 4^m.
+With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N, and its
+stages stay inside N, so transforms run in int32; c_S^2 and their sums are
+at most N^2 = 2^2m.  The pointwise route N f - butterfly(c kept to a block)
+is N (f - g) with g a conditional expectation of f, so |g| <= 1 and each
+entry is at most 2N, its square at most 2^(2m+2).  A row of squares sums to
+at most N (2N)^2 = 2^(3m+2), past int64 from m = 21, so the high and low
+32-bit halves of the squares are summed apart (each half's sum fits int64)
+and joined as Python ints.  Every m <= M_MAX works.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -60,10 +47,7 @@ from .errors import (
 )
 
 M_MAX = 26
-# Exact range of a real table with integer numerators n_x over a common
-# denominator 2^k; the module docstring derives both bounds.
-_NUMERATOR_BOUND = 1 << 26  # bound on 2^m * max |n_x|
-_DENOMINATOR_BOUND = 1 << (1074 // 2 - M_MAX)  # bound on 2^k: 2^-(2k+2m) >= 2^-1074
+_INT64_LIMIT = 1 << 30  # int64 numerators while 2^m max |n_x| stays inside it
 
 
 def _checked_m(m: int) -> None:
@@ -77,6 +61,27 @@ def _checked_length(m: int, n: int) -> None:
         raise StructureError(f"table length {n} != 2^{m}")
 
 
+def _numerators(m: int, values, k: int) -> np.ndarray:
+    """Read-only integer numerators over 2^k: int64 inside _INT64_LIMIT,
+    Python ints past it.  A non-integer entry is a StructureError, never cast."""
+    if not isinstance(k, int) or k < 0:
+        raise StructureError(f"the denominator 2^k needs an integer k >= 0, got {k!r}")
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        _checked_length(m, values.size)
+        peak = max(int(values.max()), -int(values.min()))
+    else:  # a list or an array of another dtype: entries checked one by one
+        values = list(values.flat if isinstance(values, np.ndarray) else values)
+        _checked_length(m, len(values))
+        try:
+            values = [operator.index(v) for v in values]
+        except TypeError:
+            raise StructureError("numerators must be integers") from None
+        peak = max(map(abs, values))
+    a = np.asarray(values, dtype=object if peak << m > _INT64_LIMIT else np.int64)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class BooleanFunction:
     """Truth table of a {-1,+1}-valued function on {-1,+1}^m."""
@@ -85,46 +90,46 @@ class BooleanFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int8)
+        table = np.asarray(self.table)
         _checked_length(self.m, table.size)
-        if not np.all(np.abs(table) == 1):
+        if not np.all(np.abs(table) == 1):  # on the entries as given, before narrowing
             raise StructureError("Boolean table entries must be exactly +1 or -1")
+        table = table.astype(np.int8, copy=False)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     def as_real(self) -> "RealFunction":
-        return RealFunction(self.m, self.table.astype(np.float64))
+        return RealFunction(self.m, self.table)
 
 
 @dataclass(frozen=True, eq=False)
 class RealFunction:
-    """Real-valued (dyadic) table on {-1,+1}^m."""
+    """Dyadic table on {-1,+1}^m: entry x is table[x] / 2^k."""
 
     m: int
     table: np.ndarray
+    k: int = 0
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64)
-        _checked_length(self.m, table.size)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _numerators(self.m, self.table, self.k))
 
-    def mean(self) -> float:
-        return float(self.table.sum() / self.table.size)
+    def as_real(self) -> "RealFunction":
+        return self
+
+    def mean(self) -> Fraction:
+        return Fraction(int(self.table.sum()), self.table.size << self.k)
 
 
 @dataclass(frozen=True, eq=False)
 class FourierExpansion:
-    """Coefficients indexed by subset bitmask; entry S is the weight of chi_S."""
+    """Coefficients indexed by subset bitmask: the weight of chi_S is coeffs[S] / 2^k."""
 
     m: int
     coeffs: np.ndarray
+    k: int = 0
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        _checked_length(self.m, coeffs.size)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _numerators(self.m, self.coeffs, self.k))
 
 
 @dataclass(frozen=True)
@@ -166,13 +171,9 @@ class Partition:
 CubeFunction = BooleanFunction | RealFunction
 
 
-def _float_table(f: CubeFunction) -> np.ndarray:
-    return f.table.astype(np.float64)
-
-
 def _butterfly(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis; exact
-    for dyadic input (and for integers inside their dtype)."""
+    on Python ints and on fixed-width integers inside their dtype."""
     a = values.copy()
     shape = a.shape
     h = 1
@@ -187,13 +188,14 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
 
 
 def wht(f: CubeFunction) -> FourierExpansion:
-    """Fourier transform: coeffs[S] = 2^-m sum_x f(x) chi_S(x)."""
-    return FourierExpansion(f.m, _butterfly(_float_table(f)) / (1 << f.m))
+    """Fourier transform: fhat(S) = 2^-m sum_x f(x) chi_S(x), as numerators over 2^(k+m)."""
+    f = f.as_real()
+    return FourierExpansion(f.m, _butterfly(f.table), f.k + f.m)
 
 
 def inverse_wht(expansion: FourierExpansion) -> RealFunction:
     """Evaluate an expansion back to a point table; exact round trip with wht."""
-    return RealFunction(expansion.m, _butterfly(expansion.coeffs.copy()))
+    return RealFunction(expansion.m, _butterfly(expansion.coeffs), expansion.k)
 
 
 def sq_l2_dist(f: CubeFunction, g: CubeFunction) -> Fraction:
@@ -204,16 +206,20 @@ def sq_l2_dist(f: CubeFunction, g: CubeFunction) -> Fraction:
     """
     if f.m != g.m:
         raise DimensionMismatchError(f"m={f.m} vs m={g.m}")
-    diff = _float_table(f) - _float_table(g)
-    return Fraction(float((diff * diff).sum() / diff.size))
+    f, g = f.as_real(), g.as_real()
+    k = max(f.k, g.k)
+    if f.k == g.k:
+        diff = f.table - g.table
+    else:  # over the larger 2^k, in Python ints
+        diff = (f.table.astype(object) << k - f.k) - (g.table.astype(object) << k - g.k)
+    return Fraction(int(np.dot(diff, diff)), diff.size << 2 * k)
 
 
 def variance(f: CubeFunction) -> Fraction:
     """Var f = E[f^2] - (E f)^2 = sum of squared coefficients over S != 0."""
-    t = _float_table(f)
-    e = t.sum() / t.size
-    e2 = (t * t).sum() / t.size
-    return Fraction(float(e2 - e * e))
+    f = f.as_real()
+    n, total = f.table.size, int(f.table.sum())
+    return Fraction(n * int(np.dot(f.table, f.table)) - total * total, n * n << 2 * f.k)
 
 
 def restriction(f: CubeFunction, block: Iterable[int]) -> RealFunction:
@@ -229,7 +235,8 @@ def restriction(f: CubeFunction, block: Iterable[int]) -> RealFunction:
         mask |= 1 << (i - 1)
     subsets = np.arange(1 << f.m)
     keep = ((subsets & ~mask) == 0) & (subsets != 0)
-    return inverse_wht(FourierExpansion(f.m, np.where(keep, wht(f).coeffs, 0.0)))
+    expansion = wht(f)
+    return inverse_wht(FourierExpansion(f.m, np.where(keep, expansion.coeffs, 0), expansion.k))
 
 
 def boolean_tables(m: int) -> np.ndarray:
@@ -286,9 +293,9 @@ def stack_block_weights(
     n = 1 << m
     if tables.ndim != 2 or tables.shape[1] != n:
         raise DimensionMismatchError(f"partition over {m} vars, tables of shape {tables.shape}")
-    f = tables.astype(np.int32)
-    if not np.all(np.abs(f) == 1):
+    if not np.all(np.abs(tables) == 1):  # on the entries as given, before narrowing
         raise StructureError("Boolean table entries must be exactly +1 or -1")
+    f = tables.astype(np.int32)
     c = _butterfly(f)
     total = _sum_sq(c)
     table_sq = n * _sum_sq(f)
@@ -426,20 +433,13 @@ def parse_real_function(text: str) -> RealFunction:
         if q.denominator & (q.denominator - 1):
             raise ParseError(f"{q} is not exactly representable (dyadic required)", lineno)
         values.append(q)
-    denominator = max(q.denominator for q in values)
-    numerator = int(max(abs(q) for q in values) * denominator)
-    if numerator << m > _NUMERATOR_BOUND or denominator > _DENOMINATOR_BOUND:
-        raise CapacityError(
-            f"table outside the exact range: {numerator.bit_length()}-bit numerators over "
-            f"2^{denominator.bit_length() - 1} on m={m} variables; need 2^m * |numerator| "
-            f"<= 2^26 and a common denominator <= 2^{_DENOMINATOR_BOUND.bit_length() - 1}"
-        )
-    return RealFunction(m, np.array([float(q) for q in values]))
+    k = max(q.denominator for q in values).bit_length() - 1
+    return RealFunction(m, [q.numerator << k + 1 - q.denominator.bit_length() for q in values], k)
 
 
 def format_real_function(f: RealFunction, comments: Sequence[str] = ()) -> str:
     head = [f"# {c}" for c in comments]
-    rows = [str(Fraction(float(v))) for v in f.table]
+    rows = [str(Fraction(n, 1 << f.k)) for n in f.table.tolist()]
     return "\n".join(head + [f"m={f.m}"] + rows) + "\n"
 
 

@@ -271,10 +271,10 @@ def mix(components: Sequence[tuple[Fraction, DiscreteRV]]) -> DiscreteRV:
 
 
 def pushforward(f: RealFunction) -> DiscreteRV:
-    """Distribution of f(x) under uniform x; float entries are exact dyadics."""
+    """Distribution of f(x) under uniform x; numerator n is the value n / 2^k."""
     values, counts = np.unique(f.table, return_counts=True)
     masses = [Fraction(c, f.table.size) for c in counts.tolist()]
-    return DiscreteRV.from_atoms(zip(values.tolist(), masses))
+    return DiscreteRV.from_atoms(zip([Fraction(n, 1 << f.k) for n in values.tolist()], masses))
 
 
 def nearest_boolean_distance(rv: DiscreteRV) -> Fraction:

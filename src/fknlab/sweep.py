@@ -79,7 +79,6 @@ class SweepConfig:
     exhaustive_m: int = 3
     rv_count_max: int = 4
     atom_cap: int = 10**6
-    collect_rows: bool = False
 
     def __post_init__(self):
         # the reads rule first, on every non-default setting (one Constants serves all)
@@ -111,7 +110,6 @@ class SweepResult:
     min_ratio_witness: str | None
     empirical_constant: Fraction | None
     errors: tuple[tuple[int, str], ...] = ()
-    rows: tuple[tuple[str, ...], ...] | None = None
 
 
 def _rng_for(seed: int, index: int) -> random.Random:
@@ -184,12 +182,7 @@ def random_real_function(m: int, seed: int, denom_pow: int = 4, max_num: int = 3
 def _random_real_function(
     rng: random.Random, m: int, denom_pow: int = 4, max_num: int = 32
 ) -> RealFunction:
-    scale = 1 << denom_pow
-    table = np.array(
-        [rng.randint(-max_num, max_num) / scale for _ in range(1 << m)],
-        dtype=np.float64,
-    )
-    return RealFunction(m, table)
+    return RealFunction(m, [rng.randint(-max_num, max_num) for _ in range(1 << m)], denom_pow)
 
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
@@ -371,13 +364,17 @@ def read_constants(target: str, settings: dict[str, object]) -> Constants:
     return replace(DEFAULT_CONSTANTS, **constants)
 
 
+OnRow = Callable[[list[str]], object]
+
+
 def _accumulate(
     name: str,
     cases: Iterable[Callable[[], BoundReport]],
     scale: Fraction | None,
-    collect_rows: bool,
+    on_row: OnRow | None = None,
 ) -> SweepResult:
-    """Evaluate every case in order and fold the reports into one result.
+    """Evaluate every case in order and fold the reports into one result,
+    handing each evaluated instance's CSV row to `on_row` as it comes.
 
     A package error (FknLabError) raised by a case is recorded as that
     instance's error; a VerificationError or any other exception is a bug
@@ -385,7 +382,6 @@ def _accumulate(
     """
     violations: list[str] = []
     errors: list[tuple[int, str]] = []
-    rows: list[tuple[str, ...]] | None = [] if collect_rows else None
     min_ratio: Fraction | None = None
     min_ratio_witness: str | None = None
     best_constant: Fraction | None = None if scale is None else Fraction(0)
@@ -399,8 +395,8 @@ def _accumulate(
         except FknLabError as exc:
             errors.append((i, f"{type(exc).__name__}: {exc}"))
             continue
-        if rows is not None:
-            rows.append(tuple(report.csv_row(i)))
+        if on_row is not None:
+            on_row(report.csv_row(i))
         if not report.holds:
             violations.append(
                 f"instance={i} lhs={report.lhs} rhs={report.rhs} {report.witness_text()}"
@@ -422,19 +418,19 @@ def _accumulate(
         min_ratio_witness=min_ratio_witness,
         empirical_constant=best_constant if len(errors) < count else None,
         errors=tuple(errors),
-        rows=tuple(rows) if rows is not None else None,
     )
 
 
-def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate cfg.target on every generated instance; exact throughout."""
+def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
+    """Evaluate cfg.target on every generated instance, exact throughout;
+    each instance's CSV row goes to `on_row` as it is evaluated."""
     target = TARGETS[cfg.target]
     if target.instance is None:
-        return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, cfg.collect_rows)
+        return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, on_row)
     n = cfg.instance_count + int(cfg.include_claim6)  # the claim6 pair comes first
     cases = (functools.partial(target.instance, _rng_for(cfg.seed, i), cfg, i) for i in range(n))
     scale = None if target.scale is None else target.scale(cfg.constants)
-    return _accumulate(cfg.target, cases, scale, cfg.collect_rows)
+    return _accumulate(cfg.target, cases, scale, on_row)
 
 
 def empirical_constant(target: str, cfg: SweepConfig | None = None, **overrides) -> Fraction:
@@ -490,7 +486,7 @@ def _confirm(m: int, text: str, constants: Constants, violation: bool) -> BoundR
 
 
 def corollary2_exhaustive(
-    m: int, constants: Constants = DEFAULT_CONSTANTS, collect_rows: bool = False
+    m: int, constants: Constants = DEFAULT_CONSTANTS, on_row: OnRow | None = None
 ) -> SweepResult:
     """Check the partition corollary on every non-constant function on m = 2..4
     variables against every 2-block partition; also records the largest
@@ -532,7 +528,7 @@ def corollary2_exhaustive(
         for t, row in enumerate(format_table_rows(tables))
         for text, var, cross, k, dist in columns
     )
-    result = _accumulate("corollary2", cases, scale, collect_rows)
+    result = _accumulate("corollary2", cases, scale, on_row)
     for text in result.violations:
         _confirm(m, text, constants, violation=True)
     if result.min_ratio_witness is not None:

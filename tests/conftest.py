@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's fast paths: the Fourier oracle is the
 literal O(4^m) definition over exact Fractions (or a sign-matrix product for
-larger m), so it can referee the butterfly transform.
+larger m), so it can referee the butterfly transform.  `values` and
+`dyadic_function` move between cube tables (integer numerators over 2^k)
+and the Fractions they stand for.
 """
 
 import itertools
@@ -11,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from fknlab.cube import RealFunction
 
 
 def cube_point(index: int, m: int) -> tuple[int, ...]:
@@ -27,14 +31,27 @@ def chi(subset_mask: int, point: tuple[int, ...]) -> int:
 
 
 def naive_fourier(table, m: int) -> list[Fraction]:
-    """Exact coefficients straight from the definition, O(4^m)."""
+    """Exact coefficients straight from the definition, O(4^m); entries are
+    integers or Fractions."""
     n = 1 << m
+    entries = [v if isinstance(v, Fraction) else int(v) for v in table]
     return [
-        Fraction(
-            sum(int(table[i]) * chi(s, cube_point(i, m)) for i in range(n)), n
-        )
+        Fraction(sum(entries[i] * chi(s, cube_point(i, m)) for i in range(n)), n)
         for s in range(n)
     ]
+
+
+def values(f) -> list[Fraction]:
+    """Entries of a cube table, or coefficients of an expansion, as Fractions."""
+    numerators = f.coeffs if hasattr(f, "coeffs") else f.table
+    return [Fraction(int(v), 1 << getattr(f, "k", 0)) for v in numerators]
+
+
+def dyadic_function(m: int, entries) -> RealFunction:
+    """RealFunction of dyadic rational entries, over their largest denominator."""
+    entries = [Fraction(v) for v in entries]
+    den = max(v.denominator for v in entries)
+    return RealFunction(m, [int(v * den) for v in entries], den.bit_length() - 1)
 
 
 def within(subset: int, mask: int) -> bool:
@@ -61,9 +78,7 @@ def sign_matrix(m: int) -> np.ndarray:
     """H[s, x] = chi_s(x) as a +-1 matrix, built from parity, not butterflies."""
     n = 1 << m
     parity = np.array([bin(v).count("1") & 1 for v in range(n)], dtype=np.int64)
-    return (1 - 2 * parity[np.bitwise_and.outer(np.arange(n), np.arange(n))]).astype(
-        np.float64
-    )
+    return 1 - 2 * parity[np.bitwise_and.outer(np.arange(n), np.arange(n))]
 
 
 def rv_moments(atoms):

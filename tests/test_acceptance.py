@@ -39,7 +39,7 @@ from fknlab.sweep import (
     run_sweep,
 )
 
-from conftest import naive_fourier, sign_matrix
+from conftest import dyadic_function, naive_fourier, sign_matrix, values
 
 F = Fraction
 SEED = 20260810
@@ -90,9 +90,9 @@ def test_criterion_2_tribes_exactness(capsys):
         # independent reconstruction of the AND blocks from raw bits
         points = np.arange(1 << (2 * m), dtype=np.int64)
         x_mask = (1 << m) - 1
-        x_and = np.where((points & x_mask) == x_mask, -1.0, 1.0)
-        y_and = np.where((points & (x_mask << m)) == (x_mask << m), -1.0, 1.0)
-        linear_sum = RealFunction(2 * m, x_and + y_and - 1.0)
+        x_and = np.where((points & x_mask) == x_mask, -1, 1)
+        y_and = np.where((points & (x_mask << m)) == (x_mask << m), -1, 1)
+        linear_sum = RealFunction(2 * m, x_and + y_and - 1)
         assert F(sq_l2_dist(f, linear_sum)) == F(4, 4**m)
         p = 1 - (1 - F(1, 2**m)) ** 2
         assert F(variance(f)) == 4 * p * (1 - p)
@@ -192,35 +192,35 @@ def test_criterion_6_facts_suite(capsys):
                 assert second == var
         f = random_real_function(2, SEED + 60_000 + i)
         var_f, mean_f = variance(f), f.mean()
-        for c in (mean_f, 0.0, -0.75, mean_f + 0.5):
-            dist = sq_l2_dist(f, RealFunction(2, np.full(4, c)))
+        for c in (mean_f, 0, F(-3, 4), mean_f + F(1, 2)):
+            dist = sq_l2_dist(f, dyadic_function(2, [c] * 4))
             assert dist >= var_f
             if c == mean_f:
                 assert dist == var_f
 
-    # Facts 2, 3, 5: exhaustive Boolean m <= 3
+    # Facts 2, 3, 5: exhaustive Boolean m <= 3, every quantity in units of 4^-m
+    # (tables over 1, coefficient numerators over 2^m)
     for m in (1, 2, 3):
-        tables = np.stack([f.table for f in enumerate_boolean_functions(m)]).astype(float)
-        coeffs = np.stack([wht(BooleanFunction(m, t)).coeffs for t in tables.astype(np.int8)])
+        tables = np.stack([f.table for f in enumerate_boolean_functions(m)]).astype(np.int64)
+        coeffs = np.stack([wht(BooleanFunction(m, t)).coeffs for t in tables])
         n = 1 << m
-        point_dists = ((tables[:, None, :] - tables[None, :, :]) ** 2).sum(-1) / n
+        point_dists = ((tables[:, None, :] - tables[None, :, :]) ** 2).sum(-1) * n
         coeff_dists = ((coeffs[:, None, :] - coeffs[None, :, :]) ** 2).sum(-1)
         assert np.array_equal(point_dists, coeff_dists)  # Fact 2
-        means = tables.sum(-1) / n
-        variances = (tables**2).sum(-1) / n - means**2
+        sums = tables.sum(-1)
+        variances = n * (tables**2).sum(-1) - sums**2
         assert np.array_equal(variances, (coeffs**2)[:, 1:].sum(-1))  # Fact 3
-        dist_to_mean = ((tables - means[:, None]) ** 2).sum(-1) / n
-        assert np.array_equal(variances, dist_to_mean)  # Fact 5
+        dist_to_mean = ((n * tables - sums[:, None]) ** 2).sum(-1)  # n times the units
+        assert np.array_equal(n * variances, dist_to_mean)  # Fact 5
 
     # Facts 2, 3, 5 on random real functions
     for i in range(1000):
         f = random_real_function(3, SEED + 80_000 + 2 * i)
         g = random_real_function(3, SEED + 80_000 + 2 * i + 1)
-        diff = wht(f).coeffs - wht(g).coeffs
-        assert sq_l2_dist(f, g) == float((diff * diff).sum())
-        cf = wht(f).coeffs
-        assert variance(f) == float((cf * cf)[1:].sum())
-        assert variance(f) == sq_l2_dist(f, RealFunction(3, np.full(8, f.mean())))
+        cf, cg = values(wht(f)), values(wht(g))
+        assert sq_l2_dist(f, g) == sum((a - b) ** 2 for a, b in zip(cf, cg))
+        assert variance(f) == sum(c * c for c in cf[1:])
+        assert variance(f) == sq_l2_dist(f, dyadic_function(3, [f.mean()] * 8))
     with capsys.disabled():
         _report(6, "facts 1,4,6,7,8 x 10^3 random; facts 2,3,5 exhaustive m<=3 + 10^3 random")
 
@@ -232,16 +232,14 @@ def test_criterion_7_balancing_transform(capsys):
     for m in (1, 2, 3, 4):
         for f in enumerate_boolean_functions(m):
             g = balance_extend(f)
-            fc = wht(f).coeffs
-            gc = wht(g).coeffs
-            assert gc[0] == 0.0
+            fc = values(wht(f))
+            gc = values(wht(g))
+            assert gc[0] == 0
             for b in range(m):
                 assert gc[1 << b] == fc[1 << b]
             assert gc[1 << m] == fc[0]
-            level1_g = sum(float(gc[1 << b]) ** 2 for b in range(m + 1))
-            level01_f = float(fc[0]) ** 2 + sum(
-                float(fc[1 << b]) ** 2 for b in range(m)
-            )
+            level1_g = sum(gc[1 << b] ** 2 for b in range(m + 1))
+            level01_f = fc[0] ** 2 + sum(fc[1 << b] ** 2 for b in range(m))
             assert level1_g == level01_f
             checked += 1
     assert checked == 4 + 16 + 256 + 65536
@@ -277,14 +275,14 @@ def test_criterion_9_transform_oracle(capsys):
     """Butterfly transform == naive O(4^m) Fourier sum, exactly."""
     for m in (1, 2, 3):
         for f in enumerate_boolean_functions(m):
-            fast = [F(float(c)) for c in wht(f).coeffs]
-            assert fast == naive_fourier(f.table, m)
+            assert values(wht(f)) == naive_fourier(f.table, m)
     h10 = sign_matrix(10)
     rng = np.random.default_rng(SEED)
     for _ in range(100):
         table = rng.choice([-1, 1], size=1024).astype(np.int8)
         f = BooleanFunction(10, table)
-        naive = (h10 @ table.astype(np.float64)) / 1024.0
-        assert np.array_equal(wht(f).coeffs, naive)
+        naive = h10 @ table.astype(np.int64)  # numerators over 2^10
+        expansion = wht(f)
+        assert expansion.k == 10 and np.array_equal(expansion.coeffs, naive)
     with capsys.disabled():
         _report(9, "fast transform == naive sum for all m <= 3 and 100 random f at m = 10")

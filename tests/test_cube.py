@@ -1,6 +1,8 @@
 """Hypercube function types, transform, and identity tests."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,9 @@ from fknlab.errors import (
 )
 from fknlab.sweep import enumerate_boolean_functions, random_real_function
 
-from conftest import naive_fourier, set_partitions, sq_mass, within
+from conftest import dyadic_function, naive_fourier, set_partitions, sq_mass, values, within
+
+F = Fraction
 
 
 def dictator(m: int, i: int = 1) -> BooleanFunction:
@@ -74,7 +78,17 @@ class TestTypes:
         with pytest.raises(CapacityError):
             BooleanFunction(0, [1])
         with pytest.raises(CapacityError):
-            RealFunction(27, np.zeros(2**27 // 2**27))
+            RealFunction(27, np.zeros(2**27 // 2**27, dtype=np.int64))
+
+    def test_real_rejects_non_integer_numerators(self):
+        # never cast: 0.5 would become 0 in an int64 table
+        for bad in (np.array([0.5, 1.0]), [F(1, 2), 0], [1, "1"]):
+            with pytest.raises(StructureError, match="integers"):
+                RealFunction(1, bad)
+        with pytest.raises(StructureError, match="integers"):
+            FourierExpansion(1, np.array([1.0, 0.0]))
+        with pytest.raises(StructureError, match="k >= 0"):
+            RealFunction(1, [1, 0], k=-1)
 
     def test_tables_become_readonly(self):
         f = dictator(1)
@@ -94,58 +108,59 @@ class TestTypes:
 
 class TestWht:
     def test_dictator(self):
-        coeffs = wht(dictator(2)).coeffs
-        assert coeffs[0b01] == 1.0
-        assert np.count_nonzero(coeffs) == 1
+        expansion = wht(dictator(2))
+        assert values(expansion)[0b01] == 1
+        assert np.count_nonzero(expansion.coeffs) == 1
 
     def test_single_character(self):
         f = BooleanFunction(2, [1, -1, -1, 1])  # x1 * x2
-        coeffs = wht(f).coeffs
-        assert coeffs[0b11] == 1.0
-        assert np.count_nonzero(coeffs) == 1
+        expansion = wht(f)
+        assert values(expansion)[0b11] == 1
+        assert np.count_nonzero(expansion.coeffs) == 1
 
     def test_maj3_against_naive_sum(self):
         f = maj3()
         expected = naive_fourier(f.table, 3)
         assert expected[0b001] == Fraction(1, 2)
         assert expected[0b111] == Fraction(-1, 2)
-        got = wht(f).coeffs
-        assert [Fraction(float(c)) for c in got] == expected
+        assert values(wht(f)) == expected
 
     def test_all_m2_against_naive_sum(self):
         for f in enumerate_boolean_functions(2):
-            got = [Fraction(float(c)) for c in wht(f).coeffs]
-            assert got == naive_fourier(f.table, 2)
+            assert values(wht(f)) == naive_fourier(f.table, 2)
 
     def test_parseval_and_dyadic_grid_exhaustive(self):
         for m in (1, 2, 3):
             for f in enumerate_boolean_functions(m):
-                coeffs = wht(f).coeffs
-                assert float((coeffs * coeffs).sum()) == 1.0
-                scaled = coeffs * (1 << m)
-                assert np.array_equal(scaled, np.round(scaled))
+                coeffs = values(wht(f))
+                assert sum(c * c for c in coeffs) == 1
+                assert all((c * (1 << m)).denominator == 1 for c in coeffs)
 
 
 class TestInverse:
     def test_single_coefficient_is_dictator(self):
-        coeffs = np.zeros(4)
-        coeffs[0b01] = 1.0
+        coeffs = np.zeros(4, dtype=np.int64)
+        coeffs[0b01] = 1
         table = inverse_wht(FourierExpansion(2, coeffs)).table
         assert np.array_equal(table, dictator(2).table)
 
     def test_mixed_coefficients(self):
         # 1/2 + x1/2 evaluates to 1 at x1=+1 and 0 at x1=-1
-        coeffs = np.array([0.5, 0.5])
-        table = inverse_wht(FourierExpansion(1, coeffs)).table
-        assert list(table) == [1.0, 0.0]
+        expansion = FourierExpansion(1, np.array([1, 1]), k=1)
+        assert values(inverse_wht(expansion)) == [1, 0]
 
     def test_round_trip_exact(self, rng_seed):
         for i in range(25):
             f = random_real_function(4, rng_seed + i)
             back = inverse_wht(wht(f))
-            assert np.array_equal(back.table, f.table)
+            assert values(back) == values(f)
             f2 = dictator(3)
-            assert np.array_equal(wht(inverse_wht(wht(f2))).coeffs, wht(f2).coeffs)
+            assert values(wht(inverse_wht(wht(f2)))) == values(wht(f2))
+
+
+def coefficient_sq_dist(f, g) -> Fraction:
+    """Sum of squared coefficient differences (Fact 2's coefficient side)."""
+    return sum((a - b) ** 2 for a, b in zip(values(wht(f)), values(wht(g))))
 
 
 class TestDistance:
@@ -170,13 +185,11 @@ class TestDistance:
             funcs = list(enumerate_boolean_functions(m))
             for f in funcs[:: max(1, len(funcs) // 8)]:
                 for g in funcs[:: max(1, len(funcs) // 8)]:
-                    diff = wht(f).coeffs - wht(g).coeffs
-                    assert sq_l2_dist(f, g) == float((diff * diff).sum())
+                    assert sq_l2_dist(f, g) == coefficient_sq_dist(f, g)
         for i in range(50):
             f = random_real_function(3, rng_seed + i)
             g = random_real_function(3, rng_seed + 1000 + i)
-            diff = wht(f).coeffs - wht(g).coeffs
-            assert sq_l2_dist(f, g) == float((diff * diff).sum())
+            assert sq_l2_dist(f, g) == coefficient_sq_dist(f, g)
 
     def test_boolean_distance_identities(self, rng_seed):
         fs = list(enumerate_boolean_functions(2))
@@ -185,33 +198,31 @@ class TestDistance:
                 d = sq_l2_dist(f, g)
                 disagree = int(np.count_nonzero(f.table != g.table))
                 assert d == 4 * disagree / f.table.size
-                abs_diff = np.abs(f.table.astype(float) - g.table)
-                assert d == 2 * float(abs_diff.sum() / abs_diff.size)
+                abs_diff = np.abs(f.table.astype(np.int64) - g.table)
+                assert d == 2 * F(int(abs_diff.sum()), abs_diff.size)
 
 
 class TestVariance:
     def test_constant_zero(self):
-        assert variance(BooleanFunction(2, [1, 1, 1, 1])) == 0.0
+        assert variance(BooleanFunction(2, [1, 1, 1, 1])) == 0
 
     def test_dictator_one(self):
-        assert variance(dictator(3)) == 1.0
+        assert variance(dictator(3)) == 1
 
     def test_or_three_quarters(self):
-        assert variance(or2()) == 0.75
+        assert variance(or2()) == F(3, 4)
 
     def test_fact3_coefficient_identity(self, rng_seed):
         for f in enumerate_boolean_functions(3):
-            coeffs = wht(f).coeffs
-            assert variance(f) == float((coeffs * coeffs)[1:].sum())
+            assert variance(f) == sum(c * c for c in values(wht(f))[1:])
         for i in range(100):
             f = random_real_function(3, rng_seed + i)
-            coeffs = wht(f).coeffs
-            assert variance(f) == float((coeffs * coeffs)[1:].sum())
+            assert variance(f) == sum(c * c for c in values(wht(f))[1:])
 
     def test_fact5_distance_to_mean(self, rng_seed):
         for i in range(100):
             f = random_real_function(3, rng_seed + i)
-            const = RealFunction(3, np.full(8, f.mean()))
+            const = dyadic_function(3, [f.mean()] * 8)
             assert variance(f) == sq_l2_dist(f, const)
 
     def test_fact6_mean_minimizes(self, rng_seed):
@@ -219,8 +230,8 @@ class TestVariance:
             f = random_real_function(2, rng_seed + i)
             var = variance(f)
             mean = f.mean()
-            for c in [mean, 0.0, 0.5, -1.25, mean + 0.5, mean - 2.0]:
-                dist = sq_l2_dist(f, RealFunction(2, np.full(4, c)))
+            for c in [mean, 0, F(1, 2), F(-5, 4), mean + F(1, 2), mean - 2]:
+                dist = sq_l2_dist(f, dyadic_function(2, [c] * 4))
                 assert dist >= var
                 if c == mean:
                     assert dist == var
@@ -242,28 +253,27 @@ class TestVariance:
 class TestRestriction:
     def test_dictator_in_block(self):
         r = restriction(dictator(1), {1})
-        assert np.array_equal(r.table, dictator(1).table.astype(float))
+        assert values(r) == values(dictator(1))
 
     def test_dictator_outside_block(self):
         r = restriction(dictator(2, i=1), {2})
         assert np.array_equal(r.table, np.zeros(4))
 
     def test_or_block_coefficient(self):
-        r = restriction(or2(), {1})
-        coeffs = wht(r).coeffs
-        assert coeffs[0b01] == 0.5
-        assert np.count_nonzero(coeffs) == 1
+        expansion = wht(restriction(or2(), {1}))
+        assert values(expansion)[0b01] == F(1, 2)
+        assert np.count_nonzero(expansion.coeffs) == 1
 
     def test_mean_zero(self, rng_seed):
         for i in range(20):
             f = random_real_function(3, rng_seed + i)
-            assert restriction(f, {1, 3}).mean() == 0.0
+            assert restriction(f, {1, 3}).mean() == 0
 
     def test_disjoint_blocks_orthogonal(self):
         for f in enumerate_boolean_functions(3):
             a = restriction(f, {1})
             b = restriction(f, {2, 3})
-            assert float((a.table * b.table).sum()) == 0.0
+            assert sum(x * y for x, y in zip(values(a), values(b))) == 0
 
     def test_block_out_of_range(self):
         with pytest.raises(StructureError):
@@ -273,16 +283,16 @@ class TestRestriction:
 class TestCrossWeight:
     def test_dictator_zero(self):
         p = Partition.from_blocks(2, [[1], [2]])
-        assert cross_partition_weight(dictator(2), p) == 0.0
+        assert cross_partition_weight(dictator(2), p) == 0
 
     def test_single_crossing_character(self):
         f = BooleanFunction(2, [1, -1, -1, 1])
         p = Partition.from_blocks(2, [[1], [2]])
-        assert cross_partition_weight(f, p) == 1.0
+        assert cross_partition_weight(f, p) == 1
 
     def test_or_quarter(self):
         p = Partition.from_blocks(2, [[1], [2]])
-        assert cross_partition_weight(or2(), p) == 0.25
+        assert cross_partition_weight(or2(), p) == F(1, 4)
 
     def test_invalid_partition(self):
         p = Partition.from_blocks(3, [[1], [2, 3]])
@@ -371,33 +381,31 @@ class TestBalanceExtend:
         assert np.array_equal(g.table, dictator(2, i=2).table)
 
     def test_dictator_fixed(self):
-        g = balance_extend(dictator(1))
-        coeffs = wht(g).coeffs
-        assert coeffs[0b01] == 1.0
-        assert np.count_nonzero(coeffs) == 1
+        expansion = wht(balance_extend(dictator(1)))
+        assert values(expansion)[0b01] == 1
+        assert np.count_nonzero(expansion.coeffs) == 1
 
     def test_even_level_gains_new_variable(self):
         f = BooleanFunction(2, [1, -1, -1, 1])  # x1 x2
-        g = balance_extend(f)
-        coeffs = wht(g).coeffs
-        assert coeffs[0b111] == 1.0
-        assert np.count_nonzero(coeffs) == 1
+        expansion = wht(balance_extend(f))
+        assert values(expansion)[0b111] == 1
+        assert np.count_nonzero(expansion.coeffs) == 1
 
     def test_coefficient_mapping_exhaustive_m3(self):
         for f in enumerate_boolean_functions(3):
-            fc = wht(f).coeffs
-            gc = wht(balance_extend(f)).coeffs
-            assert gc[0] == 0.0
+            fc = values(wht(f))
+            gc = values(wht(balance_extend(f)))
+            assert gc[0] == 0
             for s in range(8):
                 if bin(s).count("1") % 2 == 1:
                     assert gc[s] == fc[s]
-                    assert gc[s | 8] == 0.0
+                    assert gc[s | 8] == 0
                 else:
                     assert gc[s | 8] == fc[s]
                     if s:
-                        assert gc[s] == 0.0
-            level1_g = sum(float(gc[1 << b]) ** 2 for b in range(4))
-            level01_f = float(fc[0]) ** 2 + sum(float(fc[1 << b]) ** 2 for b in range(3))
+                        assert gc[s] == 0
+            level1_g = sum(gc[1 << b] ** 2 for b in range(4))
+            level01_f = fc[0] ** 2 + sum(fc[1 << b] ** 2 for b in range(3))
             assert level1_g == level01_f
 
     def test_capacity_limit(self):
@@ -440,36 +448,49 @@ class TestFormats:
     def test_real_round_trip(self, rng_seed):
         f = random_real_function(2, rng_seed)
         back = parse_real_function(format_real_function(f))
-        assert np.array_equal(back.table, f.table)
+        assert values(back) == values(f)
 
     def test_real_accepts_rational_and_decimal(self):
         f = parse_real_function("m=1\n0.25\n-3/4")
-        assert list(f.table) == [0.25, -0.75]
+        assert values(f) == [F(1, 4), F(-3, 4)]
 
     def test_real_rejects_non_dyadic(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_real_function("m=1\n1/3\n0")
 
     @pytest.mark.parametrize(
-        "text", ["m=1\n9007199254740992\n1", "m=1\n1073741825/1073741824\n0"]
+        "text, entries",
+        [
+            pytest.param(text, entries, id=text)
+            for text, entries in [
+                ("m=1\n9007199254740992\n1", [F(2**53), F(1)]),
+                ("m=1\n1073741825/1073741824\n0", [F(2**30 + 1, 2**30), F(0)]),
+            ]
+        ],
     )
-    def test_real_rejects_tables_outside_exact_range(self, text):
-        # both used to parse and then round: coefficient 2^52 instead of
-        # 2^52 + 1/2, and a variance off the exact Fraction
-        with pytest.raises(CapacityError, match="exact range"):
-            parse_real_function(text)
+    def test_real_tables_past_int64_are_exact(self, text, entries):
+        # numerators past the int64 bound run as Python ints; in a float64
+        # model both would round (coefficient 2^52 instead of 2^52 + 1/2)
+        f = parse_real_function(text)
+        assert f.table.dtype == object and values(f) == entries
+        coeffs = naive_fourier(entries, 1)
+        assert values(wht(f)) == coeffs
+        assert variance(f) == coeffs[1] ** 2
+        assert sq_l2_dist(f, dyadic_function(1, [0, 0])) == sum(c * c for c in coeffs)
+        if entries[0] == 2**53:
+            assert values(wht(f))[0] == 2**52 + F(1, 2)
 
     def test_real_range_edge_is_exact(self):
         f = parse_real_function("m=1\n33554431\n-33554432")  # 2^1 * 2^25 = 2^26
         assert variance(f) == Fraction(67108863, 2) ** 2
-        assert Fraction(float(wht(f).coeffs[0])) == Fraction(-1, 2)
+        assert values(wht(f))[0] == Fraction(-1, 2)
 
     def test_generated_real_tables_round_trip(self):
         for m in range(1, 7):
             for seed in range(10):
                 f = random_real_function(m, seed)
                 back = parse_real_function(format_real_function(f))
-                assert np.array_equal(back.table, f.table)
+                assert values(back) == values(f)
                 assert variance(back) == variance(f)
 
     def test_partition_round_trip(self):
@@ -484,3 +505,26 @@ class TestFormats:
             parse_partition("1|a", 2)
         with pytest.raises(ParseError):
             parse_partition("1|3", 2)
+
+
+def test_boolean_entries_checked_before_narrowing():
+    # each used to pass by its cast: 1.5 -> 1, 255 -> -1 in int8, 2^32 + 1 -> 1 in int32
+    with pytest.raises(StructureError, match="exactly"):
+        BooleanFunction(1, [1.5, -1])
+    with pytest.raises(StructureError, match="exactly"):
+        BooleanFunction(1, np.array([255, 1]))
+    with pytest.raises(StructureError, match="exactly"):
+        stack_block_weights(np.array([[2**32 + 1, -1]]), Partition.from_blocks(1, [[1]]))
+
+
+def test_no_float_in_src():
+    # the integer model keeps floats out; format_value's --decimal output is the one exception
+    src = Path(__file__).resolve().parents[1] / "src" / "fknlab"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name == "bounds.py":
+            tree = ast.parse(text)
+            node = next(n for n in tree.body if getattr(n, "name", None) == "format_value")
+            text = text.replace(ast.get_source_segment(text, node), "")
+        for pattern in ("float(", "np.float64", "dtype=float"):
+            assert pattern not in text, f"{path.name} uses {pattern}"

@@ -3,7 +3,9 @@
 Cube: random Boolean tables on m = 2..6 variables and random partitions with
 at least two blocks; every measure, one function at a time and on a stack
 of tables, must equal the exact sum of squared naive Fourier coefficients
-over the right family of sets.
+over the right family of sets.  Random dyadic tables, with numerators wide
+enough to run as int64 or as Python ints, must meet the naive coefficients,
+the round trip and Parseval exactly.
 
 Random variables: small random supports; convolution must equal the literal
 product distribution, the pushforward must equal direct counting, a balanced
@@ -25,8 +27,11 @@ from fknlab.cube import (
     RealFunction,
     _butterfly,
     cross_partition_weight,
+    inverse_wht,
+    sq_l2_dist,
     stack_block_weights,
     variance,
+    wht,
 )
 from fknlab.rv import (
     DiscreteRV,
@@ -41,7 +46,15 @@ from fknlab.rv import (
     variance_rv,
 )
 
-from conftest import naive_fourier, product_distribution, rv_moments, sq_mass, within
+from conftest import (
+    dyadic_function,
+    naive_fourier,
+    product_distribution,
+    rv_moments,
+    sq_mass,
+    values,
+    within,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -100,8 +113,8 @@ def test_stack_kernel_is_naive_mass_over_4_to_the_m(case, more_bits):
     tables = np.array([f.table.tolist(), *extra], dtype=np.int8)
     var, cross, dists = stack_block_weights(tables, partition)
     # the last-axis butterfly transforms each row as the one-table transform does
-    real = tables.astype(np.float64)
-    assert all(np.array_equal(row, _butterfly(t)) for row, t in zip(_butterfly(real), real))
+    wide = tables.astype(np.int64)
+    assert all(np.array_equal(row, _butterfly(t)) for row, t in zip(_butterfly(wide), wide))
     masks = [partition.mask(j) for j in range(len(partition.blocks))]
     for t, table in enumerate(tables):
         coeffs = naive_fourier(table, f.m)
@@ -110,6 +123,33 @@ def test_stack_kernel_is_naive_mass_over_4_to_the_m(case, more_bits):
         assert cross[t] == expected * n * n
         for j, mask in enumerate(masks):
             assert dists[t, j] == sq_mass(coeffs, lambda s: not within(s, mask)) * n * n
+
+
+@st.composite
+def dyadic_table(draw) -> tuple[int, list[Fraction]]:
+    """m <= 4 and entries n / 2^k with k <= 70 and |n| <= 2^80: small tables
+    run on int64 numerators, wide ones on Python ints."""
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 70))
+    bound = draw(st.sampled_from([2, 2**20, 2**80]))
+    numerators = draw(st.lists(st.integers(-bound, bound), min_size=1 << m, max_size=1 << m))
+    return m, [Fraction(n, 1 << k) for n in numerators]
+
+
+@PROPERTY_SETTINGS
+@given(dyadic_table())
+def test_integer_model_is_exact(case):
+    m, entries = case
+    f = dyadic_function(m, entries)
+    coeffs = naive_fourier(entries, m)
+    expansion = wht(f)
+    assert values(expansion) == coeffs
+    assert values(inverse_wht(expansion)) == entries
+    second_moment = sum(v * v for v in entries) / len(entries)
+    assert sum(c * c for c in coeffs) == second_moment  # Parseval
+    assert sq_l2_dist(f, dyadic_function(m, [0] * len(entries))) == second_moment
+    var_f = variance(f)
+    assert isinstance(var_f, Fraction) and var_f == sum(c * c for c in coeffs[1:])
 
 
 @st.composite
@@ -156,7 +196,7 @@ quarter_numerators = st.integers(1, 4).flatmap(
 @given(quarter_numerators)
 def test_pushforward_counts_table_entries(numerators):
     values = [Fraction(k, 4) for k in numerators]
-    f = RealFunction(len(values).bit_length() - 1, [float(v) for v in values])
+    f = RealFunction(len(values).bit_length() - 1, numerators, k=2)
     expected = tuple(sorted((v, Fraction(values.count(v), len(values))) for v in set(values)))
     assert pushforward(f).atoms == expected
 

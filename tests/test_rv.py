@@ -301,7 +301,7 @@ class TestPushforward:
     def test_constant(self):
         import numpy as np
 
-        f = RealFunction(2, np.full(4, 0.75))
+        f = RealFunction(2, np.full(4, 3), k=2)
         assert pushforward(f).atoms == ((F(3, 4), F(1)),)
 
 

@@ -167,11 +167,11 @@ class TestRunSweep:
         assert first == second
 
     def test_rows_collected(self):
-        cfg = SweepConfig(target="lemma4", instance_count=10, seed=3, collect_rows=True)
-        result = run_sweep(cfg)
-        assert result.rows is not None and len(result.rows) == 10
-        assert result.rows[0][0] == "0"
-        assert all(len(row) == 6 for row in result.rows)
+        rows = []
+        run_sweep(SweepConfig(target="lemma4", instance_count=10, seed=3), rows.append)
+        assert len(rows) == 10
+        assert rows[0][0] == "0"
+        assert all(len(row) == 6 for row in rows)
 
     def test_violation_invariant(self):
         # violations empty <-> min ratio >= 1 (when a ratio exists)
@@ -311,10 +311,10 @@ class TestEmpiricalConstant:
     )
     def test_constant_is_largest_scale_rhs_over_lhs(self, target, scale):
         drawn = {} if target == "corollary2" else {"instance_count": 60, "seed": 11}
-        cfg = SweepConfig(target=target, constants=self.C, collect_rows=True, **drawn)
-        result = run_sweep(cfg)
+        rows = []
+        result = run_sweep(SweepConfig(target=target, constants=self.C, **drawn), rows.append)
         assert result.errors == ()  # an instance with lhs 0 < rhs would be one
-        sides = [(F(row[1]), F(row[2])) for row in result.rows]
+        sides = [(F(row[1]), F(row[2])) for row in rows]
         needed = [scale * rhs / lhs for lhs, rhs in sides if rhs > 0]
         assert needed and result.empirical_constant == max(needed)
 

@@ -26,6 +26,7 @@ from .cube import (
     BooleanFunction,
     Partition,
     RealFunction,
+    _frozen,
     sq_l2_dist,
     stack_block_weights,
     variance,
@@ -36,6 +37,7 @@ from .rv import (
     DiscreteRV,
     Rational,
     TwoPointBalancedRV,
+    _moment_sums,
     _q,
     abs_rv,
     center,
@@ -131,10 +133,10 @@ class BoundReport:
         ]
 
 
-def _require_balanced(rv: DiscreteRV, label: str) -> None:
-    mean = expectation(rv)
-    if mean != 0:
-        raise BalanceError(f"{label} has mean {mean}, expected exactly 0")
+def _require_balanced(x: DiscreteRV, y: DiscreteRV) -> None:
+    for label, rv in (("X", x), ("Y", y)):
+        if expectation(rv) != 0:
+            raise BalanceError(f"{label} has mean {expectation(rv)}, expected exactly 0")
 
 
 def lemma7_bound(
@@ -145,18 +147,14 @@ def lemma7_bound(
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> BoundReport:
     """Var|X+Y+E| >= max(Var|X+E|, Var|Y+E|) / K0 for balanced X, Y."""
-    _require_balanced(xbar, "X")
-    _require_balanced(ybar, "Y")
+    _require_balanced(xbar, ybar)
     e = _q(e)
     vx = var_abs_shifted(xbar, e)
     vy = var_abs_shifted(ybar, e)
     lhs = var_abs_sum((xbar, ybar), e, atom_cap)
     max_side = max(vx, vy)
-    witness: dict[str, object] = {
-        "e": e,
-        "max_side": "x" if vx >= vy else "y",
-        "max_abs_var": max_side,
-    }
+    side = "x" if vx >= vy else "y"
+    witness: dict[str, object] = {"e": e, "max_side": side, "max_abs_var": max_side}
     if lhs > 0:
         witness["required_k0"] = max_side / lhs
     return BoundReport.compare(lhs, max_side / constants.k0, witness)
@@ -195,8 +193,7 @@ def claim9_bound(
     E|X+E| >= E|Y+E|.  Both normalizations are applied (and recorded) before
     evaluating; without them the literal formula fails on valid inputs.
     """
-    _require_balanced(xbar, "X")
-    _require_balanced(ybar, "Y")
+    _require_balanced(xbar, ybar)
     e = _q(e)
     flipped = e < 0
     if flipped:
@@ -207,22 +204,14 @@ def claim9_bound(
     if swapped:
         xbar, ybar = ybar, xbar
         x_approx, y_approx = y_approx, x_approx
-    var_x_approx = variance_rv(x_approx.to_rv())
-    var_y_approx = variance_rv(y_approx.to_rv())
-    lhs = var_abs_sum((x_approx.to_rv(), y_approx.to_rv()), -e, atom_cap)
+    x_rv, y_rv = x_approx.to_rv(), y_approx.to_rv()
+    var_x_approx, var_y_approx = variance_rv(x_rv), variance_rv(y_rv)
+    lhs = var_abs_sum((x_rv, y_rv), -e, atom_cap)
     denominator = 16 * (variance_rv(xbar) + e * e)
     rhs = var_x_approx * var_y_approx / denominator if denominator > 0 else Fraction(0)
-    witness = {
-        "e": e,
-        "flipped": flipped,
-        "swapped": swapped,
-        "dx": x_approx.magnitude,
-        "px": x_approx.p,
-        "dy": y_approx.magnitude,
-        "py": y_approx.p,
-        "var_x_approx": var_x_approx,
-        "var_y_approx": var_y_approx,
-    }
+    approx = dict(dx=x_approx.magnitude, px=x_approx.p, dy=y_approx.magnitude, py=y_approx.p)
+    witness = dict(e=e, flipped=flipped, swapped=swapped, **approx)
+    witness.update(var_x_approx=var_x_approx, var_y_approx=var_y_approx)
     return BoundReport.compare(lhs, rhs, witness)
 
 
@@ -233,10 +222,9 @@ def lemma4_bound(
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> BoundReport:
     """Var|X+Y| >= V min(VarX, VarY) / (K1 (V + E^2)) for any independent X, Y."""
-    var_x, var_y = variance_rv(x), variance_rv(y)
-    v = var_x + var_y
-    e = expectation(x) + expectation(y)
-    m_xy = min(var_x, var_y)
+    variances, mean, unit = _moment_sums((x, y))
+    v, e = Fraction(sum(variances), unit * unit), Fraction(mean, unit)
+    m_xy = Fraction(min(variances), unit * unit)
     lhs = var_abs_sum((x, y), 0, atom_cap)
     scale = v + e * e
     rhs = v * m_xy / (constants.k1 * scale) if scale > 0 else Fraction(0)
@@ -247,29 +235,27 @@ def lemma4_bound(
     return BoundReport.compare(lhs, rhs, witness)
 
 
-def partition_split(variances: Sequence[Fraction]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def partition_split(variances: Sequence[Rational]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split indices into (A, B) with both variance sums in [V/3, 2V/3].
 
     Requires every variance <= 2V/3 (callers with a heavier variable must use
     the single-heavy-variable branch instead).  Indices are 0-based.
     """
-    variances = [_q(v) for v in variances]
-    total = sum(variances, Fraction(0))
+    variances = [v if isinstance(v, int) else _q(v) for v in variances]
+    total = sum(variances)
     if total <= 0:
         raise StructureError("total variance must be positive")
     for i, v in enumerate(variances):
         if v < 0:
             raise StructureError(f"negative variance at index {i}")
         if 3 * v > 2 * total:
-            raise StructureError(
-                f"variance at index {i} exceeds 2V/3; split precondition violated"
-            )
+            raise StructureError(f"variance at index {i} exceeds 2V/3; split precondition violated")
     for i, v in enumerate(variances):
         if 3 * v > total:  # v in (V/3, 2V/3]: a singleton works
             a = (i,)
             b = tuple(j for j in range(len(variances)) if j != i)
             return a, b
-    running = Fraction(0)
+    running = 0
     chosen: list[int] = []
     for i, v in enumerate(variances):
         chosen.append(i)
@@ -290,16 +276,16 @@ def theorem1_check(
     as the argmax-variance index (ties to the lowest index)."""
     if len(xs) < 2:
         raise StructureError("need at least two variables")
-    variances = [variance_rv(x) for x in xs]
-    v = sum(variances, Fraction(0))
-    e = sum((expectation(x) for x in xs), Fraction(0))
+    variances, mean, unit = _moment_sums(xs)  # variances over unit^2, their sum's mean over unit
+    total = sum(variances)
     k = max(range(len(xs)), key=lambda i: (variances[i], -i))
-    rest_var = v - variances[k]
+    v, e = Fraction(total, unit * unit), Fraction(mean, unit)
+    rest_var = Fraction(total - variances[k], unit * unit)
     lhs = var_abs_sum(xs, 0, atom_cap)
     scale = v + e * e
     rhs = v * rest_var / (constants.k2 * scale) if scale > 0 else Fraction(0)
     witness: dict[str, object] = {"k": k, "v": v, "e": e, "rest_var": rest_var}
-    if v > 0 and all(3 * var <= 2 * v for var in variances):
+    if total > 0 and all(3 * var <= 2 * total for var in variances):
         split_a, split_b = partition_split(variances)
         witness["split_a"] = split_a
         witness["split_b"] = split_b
@@ -381,7 +367,7 @@ def tribes_example(m: int) -> tuple[BooleanFunction, Partition]:
     # Table index = y * 2^m + x with x the first block, so tables are outer products.
     block_and = np.ones(1 << m, dtype=np.int8)
     block_and[-1] = -1
-    f = BooleanFunction(n, np.minimum.outer(block_and, block_and).ravel())
+    f = BooleanFunction(n, _frozen(np.minimum.outer(block_and, block_and).ravel()))
     partition = Partition.from_blocks(n, [range(1, m + 1), range(m + 1, n + 1)])
     sum_table = np.add.outer(block_and, block_and) - 1  # X + Y - 1
     dist_to_sum = sq_l2_dist(f, RealFunction(n, sum_table.ravel()))

@@ -78,6 +78,11 @@ def _numerators(m: int, values, k: int) -> np.ndarray:
             raise StructureError("numerators must be integers") from None
         peak = max(map(abs, values))
     a = np.asarray(values, dtype=object if peak << m > _INT64_LIMIT else np.int64)
+    return _frozen(a.copy() if a is values and a.flags.writeable else a)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only: constructors copy writable arrays, so fresh ones are frozen first."""
     a.setflags(write=False)
     return a
 
@@ -94,9 +99,8 @@ class BooleanFunction:
         _checked_length(self.m, table.size)
         if not np.all(np.abs(table) == 1):  # on the entries as given, before narrowing
             raise StructureError("Boolean table entries must be exactly +1 or -1")
-        table = table.astype(np.int8, copy=False)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        copy = table is self.table and table.flags.writeable  # the caller's array
+        object.__setattr__(self, "table", _frozen(table.astype(np.int8, copy=copy)))
 
     def as_real(self) -> "RealFunction":
         return RealFunction(self.m, self.table)
@@ -190,12 +194,12 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
 def wht(f: CubeFunction) -> FourierExpansion:
     """Fourier transform: fhat(S) = 2^-m sum_x f(x) chi_S(x), as numerators over 2^(k+m)."""
     f = f.as_real()
-    return FourierExpansion(f.m, _butterfly(f.table), f.k + f.m)
+    return FourierExpansion(f.m, _frozen(_butterfly(f.table)), f.k + f.m)
 
 
 def inverse_wht(expansion: FourierExpansion) -> RealFunction:
     """Evaluate an expansion back to a point table; exact round trip with wht."""
-    return RealFunction(expansion.m, _butterfly(expansion.coeffs), expansion.k)
+    return RealFunction(expansion.m, _frozen(_butterfly(expansion.coeffs)), expansion.k)
 
 
 def sq_l2_dist(f: CubeFunction, g: CubeFunction) -> Fraction:
@@ -236,7 +240,8 @@ def restriction(f: CubeFunction, block: Iterable[int]) -> RealFunction:
     subsets = np.arange(1 << f.m)
     keep = ((subsets & ~mask) == 0) & (subsets != 0)
     expansion = wht(f)
-    return inverse_wht(FourierExpansion(f.m, np.where(keep, expansion.coeffs, 0), expansion.k))
+    kept = _frozen(np.where(keep, expansion.coeffs, 0))
+    return inverse_wht(FourierExpansion(f.m, kept, expansion.k))
 
 
 def boolean_tables(m: int) -> np.ndarray:
@@ -247,9 +252,7 @@ def boolean_tables(m: int) -> np.ndarray:
         raise StructureError(f"exhaustive enumeration supported only for 1 <= m <= 4, got m={m}")
     n = 1 << m
     bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    tables = (1 - 2 * bits).astype(np.int8)
-    tables.setflags(write=False)
-    return tables
+    return _frozen((1 - 2 * bits).astype(np.int8))
 
 
 def _sum_sq(c: np.ndarray) -> np.ndarray:
@@ -340,7 +343,7 @@ def balance_extend(f: BooleanFunction) -> BooleanFunction:
         raise CapacityError(f"cannot extend beyond m={M_MAX}")
     # x_{m+1} = +1 half copies f; the -1 half is -f at the fully flipped point.
     extended = np.concatenate([f.table, -f.table[::-1]])
-    return BooleanFunction(f.m + 1, extended)
+    return BooleanFunction(f.m + 1, _frozen(extended))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +402,7 @@ def parse_boolean_function(text: str) -> BooleanFunction:
     if bad.any():
         i = int(bad.argmax())
         raise ParseError(f"bad table character {row[i]!r} at position {i}", lineno)
-    return BooleanFunction(m, signs)
+    return BooleanFunction(m, _frozen(signs))
 
 
 def format_boolean_function(f: BooleanFunction, comments: Sequence[str] = ()) -> str:

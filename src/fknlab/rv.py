@@ -1,21 +1,19 @@
 """Finite-support random variables with exact rational atoms.
 
-`DiscreteRV` holds `fractions.Fraction` atoms, and `convolve`, `abs_rv` and
-`variance_rv` act on it atom by atom.  The variance bounds downstream have
-huge constants and tiny slacks, so float noise would turn real violations
-and rounding artifacts into the same thing; nothing here rounds.
+`DiscreteRV` stores value numerators over one scale and mass numerators over
+one denominator, in lowest terms, so equal distributions compare equal.
+Every operation reads those Python ints (never a fixed width) and builds one
+`Fraction` per result; `atoms` gives the Fractions.  The bounds downstream
+have huge constants and tiny slacks, so nothing here rounds.
 
-`var_abs_sum` is the hot path behind every Var|X1+...+Xn+E| the bounds need.
-It works on an integer lattice: every value becomes an integer over one
-common scale L, each variable's masses become integers over their own
-denominator D_i, the sum is convolved on Python ints (never a fixed width),
-and one `Fraction` is built per result.  Integer sums merge exactly when the
-rational ones do, so it is exact for any rational input and equals
-`variance_rv(abs_rv(shift(...)))` of the convolved sum.
+`var_abs_sum`, the hot path behind every Var|X1+...+Xn+E| the bounds need,
+convolves the sum's masses over one common value scale in a single merge
+loop; integer sums merge exactly when the rational ones do.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,41 +35,62 @@ def _q(x: Rational) -> Fraction:
 
 @dataclass(frozen=True)
 class DiscreteRV:
-    """Atoms (value, probability), values strictly increasing, probs > 0, sum 1."""
+    """Atom i is (values[i] / scale, masses[i] / den): values strictly
+    increasing, masses positive and summing to den, both in lowest terms
+    (gcd(scale, *values) = gcd(*masses) = 1)."""
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    values: tuple[int, ...]
+    masses: tuple[int, ...] = ()
+    scale: int = 1
+    den: int = 1
 
     def __post_init__(self):
-        if not self.atoms:
+        values, masses = self.values, self.masses
+        if not values:
             raise StructureError("random variable needs at least one atom")
-        total = Fraction(0)
-        prev = None
-        for value, prob in self.atoms:
-            if prob <= 0:
-                raise StructureError(f"atom ({value}, {prob}) has nonpositive mass")
-            if prev is not None and value <= prev:
-                raise StructureError("atom values must be strictly increasing")
-            prev = value
-            total += prob
-        if total != 1:
-            raise StructureError(f"probabilities sum to {total}, not 1")
+        if len(masses) != len(values) or min(masses) <= 0 or self.scale < 1:
+            raise StructureError("need a positive mass per value and a positive scale")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise StructureError("atom values must be strictly increasing")
+        if sum(masses) != self.den:
+            raise StructureError(f"probabilities sum to {sum(masses)}/{self.den}, not 1")
+        if math.gcd(self.scale, *values) != 1 or math.gcd(*masses) != 1:
+            raise StructureError("values and masses must be in lowest terms")
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[Rational, Rational]]) -> "DiscreteRV":
-        """Coerce to Fraction, merge equal values, sort: the one merge of atoms."""
-        merged: dict[Fraction, Fraction] = {}
-        for value, prob in pairs:
-            value, prob = _q(value), _q(prob)
-            merged[value] = merged[value] + prob if value in merged else prob
-        return cls(tuple(sorted(merged.items())))
+        """Merge (value, probability) pairs on the lattice of their denominators."""
+        pairs = [(_q(v), _q(p)) for v, p in pairs]
+        scale = math.lcm(*(v.denominator for v, _ in pairs))
+        den = math.lcm(*(p.denominator for _, p in pairs))
+        return _merge([((v * scale).numerator, (p * den).numerator) for v, p in pairs], scale, den)
 
     @classmethod
     def constant(cls, value: Rational) -> "DiscreteRV":
-        return cls(((_q(value), Fraction(1)),))
+        value = _q(value)
+        return cls((value.numerator,), (1,), value.denominator)
+
+    @functools.cached_property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(value, probability) Fractions, values increasing."""
+        pairs = zip(self.values, self.masses)
+        return tuple((Fraction(v, self.scale), Fraction(m, self.den)) for v, m in pairs)
 
     @property
     def support_size(self) -> int:
-        return len(self.atoms)
+        return len(self.values)
+
+
+def _merge(pairs: Iterable[tuple[int, int]], scale: int, den: int) -> DiscreteRV:
+    """The one merge of atoms: (value numerator over scale, mass numerator
+    over den) pairs, equal values merged, sorted and put in lowest terms."""
+    merged: dict[int, int] = {}
+    for v, m in pairs:
+        merged[v] = merged.get(v, 0) + m
+    values = sorted(merged)
+    g, h = math.gcd(scale, *values), math.gcd(den, *merged.values())
+    masses = tuple(merged[v] // h for v in values)
+    return DiscreteRV(tuple(v // g for v in values), masses, scale // g, den // h)
 
 
 @dataclass(frozen=True)
@@ -91,15 +110,11 @@ class TwoPointBalancedRV:
     def from_rv(cls, rv: DiscreteRV) -> "TwoPointBalancedRV":
         if expectation(rv) != 0:
             raise BalanceError("two-point component must have mean exactly 0")
-        if rv.support_size == 1:
-            if rv.atoms[0][0] != 0:
-                raise BalanceError("single-atom balanced variable must be 0")
+        if rv.support_size == 1:  # mean 0: the constant 0
             return cls(Fraction(0), Fraction(1, 2))
         if rv.support_size != 2:
             raise StructureError("support size must be at most 2")
-        (neg, _), (pos, p_pos) = rv.atoms
-        if not neg < 0 < pos:
-            raise StructureError("a balanced two-point variable straddles 0")
+        _, (pos, p_pos) = rv.atoms  # mean 0: one negative atom, one positive
         return cls(pos * p_pos, p_pos)
 
     def to_rv(self) -> DiscreteRV:
@@ -125,13 +140,28 @@ class ConstAbsRV:
         return DiscreteRV.from_atoms((v, p) for v, p in atoms if p > 0)
 
 
+def _moment_sums(xs: Sequence[DiscreteRV]) -> tuple[list[int], int, int]:
+    """Moments of xs over one unit u = lcm(D_i L_i), from their integers:
+    each variance as a numerator over u^2, and the sum of the means over u."""
+    unit = math.lcm(*(x.den * x.scale for x in xs))
+    variances, mean = [], 0
+    for x in xs:
+        s1 = s2 = 0
+        for v, m in zip(x.values, x.masses):
+            s1 += m * v
+            s2 += m * v * v
+        f = unit // (x.den * x.scale)
+        variances.append((x.den * s2 - s1 * s1) * f * f)
+        mean += s1 * f
+    return variances, mean, unit
+
+
 def expectation(rv: DiscreteRV) -> Fraction:
-    return sum((v * p for v, p in rv.atoms), Fraction(0))
+    return Fraction(_moment_sums((rv,))[1], rv.den * rv.scale)
 
 
 def variance_rv(rv: DiscreteRV) -> Fraction:
-    mean = expectation(rv)
-    return sum((p * (v - mean) ** 2 for v, p in rv.atoms), Fraction(0))
+    return Fraction(_moment_sums((rv,))[0][0], (rv.den * rv.scale) ** 2)
 
 
 def _check_atoms(pairs: int, atom_cap: int) -> None:
@@ -142,21 +172,27 @@ def _check_atoms(pairs: int, atom_cap: int) -> None:
 def convolve(x: DiscreteRV, y: DiscreteRV, atom_cap: int = DEFAULT_ATOM_CAP) -> DiscreteRV:
     """Distribution of X + Y for independent X, Y; equal sums merged exactly."""
     _check_atoms(x.support_size * y.support_size, atom_cap)
-    return DiscreteRV.from_atoms((vx + vy, px * py) for vx, px in x.atoms for vy, py in y.atoms)
+    scale = math.lcm(x.scale, y.scale)
+    fx, fy = scale // x.scale, scale // y.scale
+    ys = [(v * fy, m) for v, m in zip(y.values, y.masses)]
+    sums = ((vx * fx + vy, mx * my) for vx, mx in zip(x.values, x.masses) for vy, my in ys)
+    return _merge(sums, scale, x.den * y.den)
 
 
 def shift(rv: DiscreteRV, c: Rational) -> DiscreteRV:
     c = _q(c)
-    return DiscreteRV(tuple((v + c, p) for v, p in rv.atoms))
+    scale = math.lcm(rv.scale, c.denominator)
+    f, add = scale // rv.scale, c.numerator * (scale // c.denominator)
+    return _merge(((v * f + add, m) for v, m in zip(rv.values, rv.masses)), scale, rv.den)
 
 
 def negate(rv: DiscreteRV) -> DiscreteRV:
-    return DiscreteRV(tuple((-v, p) for v, p in reversed(rv.atoms)))
+    return DiscreteRV(tuple(-v for v in reversed(rv.values)), rv.masses[::-1], rv.scale, rv.den)
 
 
 def abs_rv(rv: DiscreteRV) -> DiscreteRV:
     """Pushforward under v -> |v|, equal magnitudes merged."""
-    return DiscreteRV.from_atoms((abs(v), p) for v, p in rv.atoms)
+    return _merge(((abs(v), m) for v, m in zip(rv.values, rv.masses)), rv.scale, rv.den)
 
 
 def center(rv: DiscreteRV) -> DiscreteRV:
@@ -175,25 +211,23 @@ def var_abs_sum(
     touch more than `atom_cap` atoms.
     """
     e = _q(e)
-    scale = math.lcm(e.denominator, *(v.denominator for x in xs for v, _ in x.atoms))
+    scale = math.lcm(e.denominator, *(x.scale for x in xs))
     support = {e.numerator * (scale // e.denominator): 1}
     mass_den = 1
     for i, x in enumerate(xs):
         if i:
             _check_atoms(len(support) * x.support_size, atom_cap)
-        den = math.lcm(*(p.denominator for _, p in x.atoms))
-        atoms = [
-            (v.numerator * (scale // v.denominator), p.numerator * (den // p.denominator))
-            for v, p in x.atoms
-        ]
+        atoms = [(v * (scale // x.scale), m) for v, m in zip(x.values, x.masses)]
         merged: dict[int, int] = {}
         for s, w in support.items():
             for v, m in atoms:
                 merged[s + v] = merged.get(s + v, 0) + w * m
         support = merged
-        mass_den *= den
-    sum_sq = sum(w * s * s for s, w in support.items())
-    sum_abs = sum(w * abs(s) for s, w in support.items())
+        mass_den *= x.den
+    sum_sq = sum_abs = 0
+    for s, w in support.items():
+        sum_sq += w * s * s
+        sum_abs += w * abs(s)
     return Fraction(mass_den * sum_sq - sum_abs * sum_abs, (mass_den * scale) ** 2)
 
 
@@ -202,35 +236,28 @@ def var_abs_shifted(rv: DiscreteRV, e: Rational) -> Fraction:
     return var_abs_sum((rv,), e)
 
 
-def _sign(v: Fraction) -> int:
-    # sign(0) := +1; a zero value contributes the same squared distance
-    # either way, so any fixed choice preserves the coupling identity.
-    return 1 if v >= 0 else -1
-
-
 def const_abs_approx(rv: DiscreteRV, e: Rational) -> ConstAbsRV:
     """Nearest constant-magnitude variable to X + E: sign(X+E) * E|X+E|.
 
     Coupled on the same sample space, E[((X+E) - X')^2] = Var|X+E| exactly.
     """
-    shifted = shift(rv, e)
-    magnitude = sum((abs(v) * p for v, p in shifted.atoms), Fraction(0))
-    p_pos = sum((p for v, p in shifted.atoms if _sign(v) > 0), Fraction(0))
-    return ConstAbsRV(magnitude, p_pos)
+    x = shift(rv, e)
+    pairs = list(zip(x.values, x.masses))
+    magnitude = Fraction(sum(m * abs(v) for v, m in pairs), x.scale * x.den)
+    return ConstAbsRV(magnitude, Fraction(sum(m for v, m in pairs if v >= 0), x.den))
 
 
 def approx_coupling_distance(rv: DiscreteRV, e: Rational) -> Fraction:
-    """E[((X+E) - X')^2] with X' = const_abs_approx coupled pointwise."""
-    shifted = shift(rv, e)
-    magnitude = const_abs_approx(rv, e).magnitude
-    return sum(
-        (p * (v - _sign(v) * magnitude) ** 2 for v, p in shifted.atoms), Fraction(0)
-    )
+    """E[((X+E) - X')^2], X' = const_abs_approx coupled pointwise: with X+E on s/L,
+    masses w/D, M = sum w |s| and sign(0) := +1, sum w (D s - sign(s) M)^2 / (D^3 L^2)."""
+    x = shift(rv, e)
+    pairs = list(zip(x.values, x.masses))
+    big = sum(m * abs(v) for v, m in pairs)
+    total = sum(m * (x.den * v - (big if v >= 0 else -big)) ** 2 for v, m in pairs)
+    return Fraction(total, x.den**3 * x.scale**2)
 
 
-def two_point_decompose(
-    rv: DiscreteRV,
-) -> list[tuple[Fraction, TwoPointBalancedRV]]:
+def two_point_decompose(rv: DiscreteRV) -> list[tuple[Fraction, TwoPointBalancedRV]]:
     """Write a balanced variable as a mixture of balanced <=2-point variables.
 
     Deterministic pairing: the smallest remaining positive value against the
@@ -241,45 +268,43 @@ def two_point_decompose(
     """
     if expectation(rv) != 0:
         raise BalanceError("two_point_decompose requires mean exactly 0")
-    components: list[tuple[Fraction, TwoPointBalancedRV]] = []
-    positives = [[v, p] for v, p in rv.atoms if v > 0]
-    negatives = [[v, p] for v, p in reversed(rv.atoms) if v < 0]  # |v| ascending
-    for v, p in rv.atoms:
-        if v == 0:
-            components.append((p, TwoPointBalancedRV(Fraction(0), Fraction(1, 2))))
+    zero = TwoPointBalancedRV(Fraction(0), Fraction(1, 2))
+    components = [(p, zero) for v, p in rv.atoms if v == 0]
+    # [|v|, first moment |v| p left] per atom, magnitudes ascending; both sides hold the same total
+    positives = [[v, v * p] for v, p in rv.atoms if v > 0]
+    negatives = [[-v, -v * p] for v, p in reversed(rv.atoms) if v < 0]
     i = j = 0
     while i < len(positives) and j < len(negatives):
-        pos_value, pos_mass = positives[i]
-        neg_value, neg_mass = negatives[j]
-        scale = min(pos_mass / -neg_value, neg_mass / pos_value)
-        w_pos = scale * -neg_value
-        w_neg = scale * pos_value
-        weight = w_pos + w_neg
-        components.append((weight, TwoPointBalancedRV(pos_value * w_pos / weight, w_pos / weight)))
-        positives[i][1] -= w_pos
-        negatives[j][1] -= w_neg
-        if positives[i][1] == 0:
-            i += 1
-        if negatives[j][1] == 0:
-            j += 1
+        (pos, pos_moment), (neg, neg_moment) = positives[i], negatives[j]
+        moment = min(pos_moment, neg_moment)  # the block takes mass moment/pos and moment/neg
+        weight = moment / pos + moment / neg
+        components.append((weight, TwoPointBalancedRV(moment / weight, moment / pos / weight)))
+        positives[i][1] -= moment
+        negatives[j][1] -= moment
+        i += positives[i][1] == 0
+        j += negatives[j][1] == 0
     return components
 
 
 def mix(components: Sequence[tuple[Fraction, DiscreteRV]]) -> DiscreteRV:
     """Exact mixture of weighted variables (weights must sum to 1)."""
-    return DiscreteRV.from_atoms((v, w * p) for w, rv in components for v, p in rv.atoms)
+    components = [(_q(w) / rv.den, rv) for w, rv in components]  # weight per mass numerator
+    scale = math.lcm(*(rv.scale for _, rv in components))
+    den = math.lcm(*(w.denominator for w, _ in components))
+    atoms = [(w, rv.scale, v, m) for w, rv in components for v, m in zip(rv.values, rv.masses)]
+    return _merge([(v * (scale // s), (w * m * den).numerator) for w, s, v, m in atoms], scale, den)
 
 
 def pushforward(f: RealFunction) -> DiscreteRV:
     """Distribution of f(x) under uniform x; numerator n is the value n / 2^k."""
     values, counts = np.unique(f.table, return_counts=True)
-    masses = [Fraction(c, f.table.size) for c in counts.tolist()]
-    return DiscreteRV.from_atoms(zip([Fraction(n, 1 << f.k) for n in values.tolist()], masses))
+    return _merge(zip(values.tolist(), counts.tolist()), 1 << f.k, f.table.size)
 
 
 def nearest_boolean_distance(rv: DiscreteRV) -> Fraction:
     """E[(|Z| - 1)^2]: squared distance to the nearest +-1-valued variable."""
-    return sum((p * (abs(v) - 1) ** 2 for v, p in rv.atoms), Fraction(0))
+    total = sum(m * (abs(v) - rv.scale) ** 2 for v, m in zip(rv.values, rv.masses))
+    return Fraction(total, rv.den * rv.scale**2)
 
 
 # ---------------------------------------------------------------------------
@@ -287,29 +312,26 @@ def nearest_boolean_distance(rv: DiscreteRV) -> Fraction:
 
 
 def parse_rv(text: str) -> DiscreteRV:
-    atoms = []
-    seen: set[Fraction] = set()
+    atoms: dict[Fraction, Fraction] = {}
     for lineno, stripped in data_lines(text):
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ParseError("expected 'value probability'", lineno)
         try:
-            value = Fraction(tokens[0])
-            prob = Fraction(tokens[1])
+            value, prob = Fraction(tokens[0]), Fraction(tokens[1])
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational in {stripped!r}", lineno) from None
-        if value in seen:
+        if value in atoms:
             raise ParseError(f"duplicate value {value}", lineno)
         if prob <= 0:
             raise ParseError(f"probability {prob} must be positive", lineno)
-        seen.add(value)
-        atoms.append((value, prob))
+        atoms[value] = prob
     if not atoms:
         raise ParseError("no atoms found")
-    total = sum(p for _, p in atoms)
+    total = sum(atoms.values())
     if total != 1:
         raise ParseError(f"probabilities sum to {total}, expected exactly 1")
-    return DiscreteRV(tuple(sorted(atoms)))
+    return DiscreteRV.from_atoms(atoms.items())
 
 
 def format_rv(rv: DiscreteRV, comments: Sequence[str] = ()) -> str:
@@ -318,5 +340,13 @@ def format_rv(rv: DiscreteRV, comments: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def format_rv_inline(rv: DiscreteRV) -> str:
-    return "(" + ",".join(f"{v}:{p}" for v, p in rv.atoms) + ")"
+    values = [_ratio_text(v, rv.scale) for v in rv.values]
+    masses = [_ratio_text(m, rv.den) for m in rv.masses]
+    return "(" + ",".join(f"{v}:{p}" for v, p in zip(values, masses)) + ")"

@@ -42,6 +42,7 @@ from .cube import (
     BooleanFunction,
     Partition,
     RealFunction,
+    _frozen,
     boolean_tables,
     data_lines,
     format_partition,
@@ -61,7 +62,7 @@ from .errors import (
     StructureError,
     VerificationError,
 )
-from .rv import DiscreteRV, center, format_rv_inline
+from .rv import DiscreteRV, _merge, _q, center, format_rv_inline
 
 
 @dataclass(frozen=True)
@@ -122,19 +123,15 @@ def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
     return (BooleanFunction(m, table) for table in boolean_tables(m))
 
 
-def _random_fraction(
-    rng: random.Random, lo: Fraction, hi: Fraction, denom_cap: int
-) -> Fraction:
-    den = rng.randint(1, denom_cap)
-    lo_num = math.ceil(lo * den)
-    hi_num = math.floor(hi * den)
-    if hi_num < lo_num:
-        den = denom_cap
-        lo_num = math.ceil(lo * den)
-        hi_num = math.floor(hi * den)
-        if hi_num < lo_num:
-            raise StructureError(f"no rational with denominator <= {denom_cap} in [{lo}, {hi}]")
-    return Fraction(rng.randint(lo_num, hi_num), den)
+def _random_ratio(rng: random.Random, lo: Fraction, hi: Fraction, cap: int) -> tuple[int, int]:
+    """(numerator, denominator) of a random rational in [lo, hi], not reduced: the
+    drawn denominator in 1..cap, or cap when no multiple of its inverse lies in [lo, hi]."""
+    for den in (rng.randint(1, cap), cap):
+        lo_num = -(-lo.numerator * den // lo.denominator)  # ceil(lo den), floor(hi den)
+        hi_num = hi.numerator * den // hi.denominator
+        if lo_num <= hi_num:
+            return rng.randint(lo_num, hi_num), den
+    raise StructureError(f"no rational with denominator <= {cap} in [{lo}, {hi}]")
 
 
 def random_rv(
@@ -156,22 +153,23 @@ def _random_rv(
 ) -> DiscreteRV:
     if support_size < 1:
         raise StructureError("support_size must be >= 1")
-    lo, hi = Fraction(value_range[0]), Fraction(value_range[1])
-    values: set[Fraction] = set()
+    lo, hi = _q(value_range[0]), _q(value_range[1])
+    values: set[tuple[int, int]] = set()  # (numerator, denominator) in lowest terms
     attempts = 0
     while len(values) < support_size:
-        values.add(_random_fraction(rng, lo, hi, denom_cap))
+        num, den = _random_ratio(rng, lo, hi, denom_cap)
+        g = math.gcd(num, den)
+        values.add((num // g, den // g))
         attempts += 1
         if attempts > 1000 * support_size:
             raise StructureError("value grid too small for requested support")
     if support_size == 1:
-        return DiscreteRV.constant(values.pop())
+        return DiscreteRV.constant(Fraction(*values.pop()))
     d = rng.randint(support_size, max(denom_cap, support_size))
     cuts = sorted(rng.sample(range(1, d), support_size - 1))
     masses = [b - a for a, b in zip([0] + cuts, cuts + [d])]
-    return DiscreteRV.from_atoms(
-        (v, Fraction(k, d)) for v, k in zip(sorted(values), masses)
-    )
+    scale = math.lcm(*(den for _, den in values))
+    return _merge(zip(sorted(num * (scale // den) for num, den in values), masses), scale, d)
 
 
 def random_real_function(m: int, seed: int, denom_pow: int = 4, max_num: int = 32) -> RealFunction:
@@ -186,12 +184,8 @@ def _random_real_function(
 
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
-    return _random_rv(
-        rng,
-        rng.randint(cfg.support_min, cfg.support_max),
-        (cfg.value_lo, cfg.value_hi),
-        cfg.denom_cap,
-    )
+    size = rng.randint(cfg.support_min, cfg.support_max)
+    return _random_rv(rng, size, (cfg.value_lo, cfg.value_hi), cfg.denom_cap)
 
 
 def _claim8_instance(
@@ -210,16 +204,16 @@ def _claim8_instance(
             p = Fraction(1, 2)
         else:
             b = rng.randint(2, cap)
-            p = Fraction(rng.randint(math.ceil(b / 2), b - 1), b)
+            p = Fraction(rng.randint(-(-b // 2), b - 1), b)
     elif case == 1:  # 1/4 <= p < 1/2
         if rng.random() < 0.125:
             p = Fraction(1, 4)
         else:
             b = rng.randint(4, max(4, cap))
-            p = Fraction(rng.randint(math.ceil(b / 4), math.ceil(b / 2) - 1), b)
+            p = Fraction(rng.randint(-(-b // 4), -(-b // 2) - 1), b)
     else:  # p < 1/4
         b = rng.randint(5, max(5, cap))
-        p = Fraction(rng.randint(1, math.ceil(b / 4) - 1), b)
+        p = Fraction(rng.randint(1, -(-b // 4) - 1), b)
     ybar = TwoPointBalancedRV(d, p)
     if case <= 1:
         den = rng.randint(1, cap)
@@ -282,10 +276,9 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
             x, y = _random_raw(rng, cfg), _random_raw(rng, cfg)
             if "E" in reads:
                 x, y = center(x), center(y)
-                e = _random_fraction(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap)
+                e = Fraction(*_random_ratio(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap))
         report = pair(x, y, e, cfg.constants, cfg.atom_cap)
-        inputs = {"x": format_rv_inline(x), "y": format_rv_inline(y)}
-        return _with_inputs(report, inputs)
+        return _with_inputs(report, {"x": format_rv_inline(x), "y": format_rv_inline(y)})
 
     return Target(instance, scale, pair, _RV | {"include_claim6", *reads})
 
@@ -299,8 +292,7 @@ def _claim8_target(rng, cfg, index):
 def _theorem1_target(rng, cfg, index):
     xs = [_random_raw(rng, cfg) for _ in range(rng.randint(2, cfg.rv_count_max))]
     report = theorem1_check(xs, cfg.constants, cfg.atom_cap)
-    inputs = {f"x{i}": format_rv_inline(x) for i, x in enumerate(xs)}
-    return _with_inputs(report, inputs)
+    return _with_inputs(report, {f"x{i}": format_rv_inline(x) for i, x in enumerate(xs)})
 
 
 def _fact1_target(rng, cfg, index):
@@ -628,8 +620,8 @@ def conjecture_probe(
     for t_j, block in zip(combo, blocks):
         size = 1 << len(block)
         bits = (t_j >> np.arange(size, dtype=np.int64)) & 1
-        hs.append(BooleanFunction(len(block), (1 - 2 * bits).astype(np.int8)))
-    g = BooleanFunction(n_blocks, g_table) if n_blocks > 1 else BooleanFunction(1, g_table)
+        hs.append(BooleanFunction(len(block), _frozen((1 - 2 * bits).astype(np.int8))))
+    g = BooleanFunction(n_blocks, _frozen(g_table))
     return g, hs, dist
 
 

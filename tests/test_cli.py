@@ -53,6 +53,27 @@ SWEEP_DIGESTS = [
         ("lemma7", "--n", "40", "--include-claim6"),
         "594af1c525ad65e6c90c633569a7c6811221fe1245b1df4c14f23536fcd84f1d",
     ),
+    # wide denominators and supports; negative E and non-integer means; constants; 0/1 values
+    (
+        ("theorem1", "--n", "40", "--value-lo", "-1/3", "--value-hi", "5/2", "--denom-cap", "30", "--support-max", "9"),
+        "4163428dfd6cc40a9fcec11f69b33a60895b4783d7fbb8caa7f3c2dda6e91e84",
+    ),
+    (
+        ("lemma7", "--n", "40", "--value-lo", "-7/4", "--value-hi", "1/2", "--denom-cap", "7"),
+        "65c27b74e6685fcc083cecf4292a6ef2681ffb17d3a9a7129b7634006f078004",
+    ),
+    (
+        ("claim9", "--n", "40", "--value-lo", "-7/4", "--value-hi", "1/2", "--denom-cap", "7"),
+        "c6e650b977a9c593a4a5cefb94df84601a7914ceefec3e79a91707631635daf0",
+    ),
+    (
+        ("lemma5", "--n", "40", "--support-min", "1", "--support-max", "1"),
+        "fe28b5f6ce5037917c56beb192d179e3c9b1c653a021cf1943ef6ce9b85046bc",
+    ),
+    (
+        ("lemma4", "--n", "40", "--support-max", "2", "--value-lo", "0", "--value-hi", "1"),
+        "d284fd19533cf0d3f26a4154fa43987e35c87848319684d47b822ad3de7602ae",
+    ),
 ]
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fknlab.cube as cube_module
 from fknlab.bounds import corollary2_apply
 from fknlab.cube import (
     BooleanFunction,
@@ -94,6 +95,38 @@ class TestTypes:
         f = dictator(1)
         with pytest.raises(ValueError):
             f.table[0] = -1
+
+    @pytest.mark.parametrize(
+        "build,dtype",
+        [
+            (lambda a: BooleanFunction(1, a).table, np.int8),
+            (lambda a: RealFunction(1, a).table, np.int64),
+            (lambda a: FourierExpansion(1, a).coeffs, np.int64),
+        ],
+    )
+    def test_callers_array_stays_writable_and_read_only_ones_are_kept(self, build, dtype):
+        caller = np.array([1, -1], dtype=dtype)
+        stored = build(caller)
+        caller[0] = -1  # the caller's array is still theirs to write
+        assert list(stored) == [1, -1] and not stored.flags.writeable
+        frozen = np.array([1, -1], dtype=dtype)
+        frozen.setflags(write=False)
+        assert build(frozen) is frozen  # a read-only array is kept, not copied
+
+    def test_package_tables_are_handed_over_without_a_copy(self, monkeypatch):
+        handed = []  # every array _frozen marks read-only, in order
+        freeze = cube_module._frozen
+        monkeypatch.setattr(cube_module, "_frozen", lambda a: handed.append(a) or freeze(a))
+        f = parse_boolean_function("m=2\n+--+")
+        assert f.table is handed[0]  # the parsed signs
+        handed.clear()
+        assert balance_extend(f).table is handed[0]
+        real = RealFunction(2, [1, 2, 3, 4])
+        handed.clear()
+        expansion = wht(real)
+        assert expansion.coeffs is handed[0]  # the butterfly's own output
+        handed.clear()
+        assert inverse_wht(expansion).table is handed[0]
 
     def test_partition_validation(self):
         with pytest.raises(StructureError):

@@ -11,7 +11,10 @@ Random variables: small random supports; convolution must equal the literal
 product distribution, the pushforward must equal direct counting, a balanced
 variable must be rebuilt from its two-point decomposition, and the integer
 lattice kernel Var|X1+...+Xn+E| must equal both the Fraction chain and the
-product measure, with denominators up to 10^30.
+product measure, with denominators up to 10^30.  On the same wide inputs,
+every integer operation must equal its Fraction definition over `atoms`,
+and equal distributions must compare equal and hash alike however they were
+built.
 """
 
 from fractions import Fraction
@@ -36,9 +39,13 @@ from fknlab.cube import (
 from fknlab.rv import (
     DiscreteRV,
     abs_rv,
+    approx_coupling_distance,
     center,
+    const_abs_approx,
     convolve,
+    expectation,
     mix,
+    negate,
     pushforward,
     shift,
     two_point_decompose,
@@ -241,3 +248,39 @@ def test_var_abs_sum_matches_fraction_chain_and_product_measure(xs, e):
     assert isinstance(lhs, Fraction) and lhs == variance_rv(abs_rv(shift(total, e)))
     sums = product_distribution(*(x.atoms for x in xs), ((e, Fraction(1)),))
     assert lhs == rv_moments([(abs(s), p) for s, p in sums])[1]
+
+
+@PROPERTY_SETTINGS
+@given(wide_rv(), wide_rationals)
+def test_integer_operations_match_their_fraction_definitions(x, c):
+    atoms = x.atoms
+    mean, var = rv_moments(atoms)
+    assert (expectation(x), variance_rv(x)) == (mean, var)
+    assert shift(x, c).atoms == tuple((v + c, p) for v, p in atoms)
+    assert negate(x).atoms == tuple((-v, p) for v, p in reversed(atoms))
+    assert center(x).atoms == tuple((v - mean, p) for v, p in atoms)
+    assert abs_rv(x).atoms == product_distribution([(abs(v), p) for v, p in atoms])
+    shifted = [(v + c, p) for v, p in atoms]
+    magnitude = sum(abs(v) * p for v, p in shifted)
+    approx = const_abs_approx(x, c)
+    assert (approx.magnitude, approx.p) == (magnitude, sum(p for v, p in shifted if v >= 0))
+    distance = sum(p * (v - (magnitude if v >= 0 else -magnitude)) ** 2 for v, p in shifted)
+    assert approx_coupling_distance(x, c) == distance
+
+
+@PROPERTY_SETTINGS
+@given(wide_rv(), wide_rv(), wide_rationals, st.integers(2, 10**30))
+def test_equal_distributions_compare_and_hash_alike(x, y, c, parts):
+    # each atom split into two unequal parts, the pairs given in reverse order
+    split = [(v, p * w) for v, p in x.atoms for w in (Fraction(1, parts), 1 - Fraction(1, parts))]
+    built = [
+        DiscreteRV.from_atoms(reversed(split)),
+        DiscreteRV.from_atoms((str(v), str(p)) for v, p in x.atoms),
+        shift(shift(x, c), -c),
+        negate(negate(x)),
+        mix([(Fraction(1, parts), x), (1 - Fraction(1, parts), x)]),
+    ]
+    for other in built:
+        assert other == x and hash(other) == hash(x)
+    total = DiscreteRV.from_atoms(product_distribution(x.atoms, y.atoms))
+    assert convolve(x, y) == total and hash(convolve(y, x)) == hash(total)

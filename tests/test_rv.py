@@ -57,6 +57,20 @@ class TestType:
         with pytest.raises(StructureError):
             DiscreteRV(())
 
+    def test_stores_canonical_integers(self):
+        rv = DiscreteRV((0, 1), (1, 1), 2, 2)  # 0 and 1/2, each with mass 1/2
+        assert rv == DiscreteRV.from_atoms([(F(1, 2), F(2, 4)), (0, F(1, 2))])
+        assert rv.atoms == ((F(0), F(1, 2)), (F(1, 2), F(1, 2)))
+        for values, masses, scale, den in [
+            ((0, 2), (1, 1), 4, 2),  # values share 2 with the scale
+            ((0, 1), (2, 2), 2, 4),  # masses share 2
+            ((1, 0), (1, 1), 2, 2),  # values not increasing
+            ((0, 1), (1, 2), 2, 2),  # masses sum to 3, not 2
+            ((0, 1), (2, 0), 2, 2),  # a zero mass
+        ]:
+            with pytest.raises(StructureError):
+                DiscreteRV(values, masses, scale, den)
+
     def test_two_point_from_rv(self):
         rv = DiscreteRV.from_atoms([(-1, F(2, 3)), (2, F(1, 3))])
         tp = TwoPointBalancedRV.from_rv(rv)

@@ -133,6 +133,27 @@ class TestRunSweep:
         assert all(seen[c] == 500 for c in range(4))
         assert seen["p_half"] > 0 and seen["p_quarter"] > 0 and seen["x1_boundary"] > 0
 
+    def test_claim8_p_ranges_hold_past_float_precision(self):
+        cap = 2**60 + 1  # b / 2 and b / 4 round down as floats
+
+        class EdgeRng:
+            """Every denominator draw takes the cap, every other draw one end of its range."""
+
+            def __init__(self, end):
+                self.end = end
+
+            def random(self):
+                return 0.9  # d > 0, and p is drawn rather than fixed at 1/2 or 1/4
+
+            def randint(self, lo, hi):
+                return hi if hi == cap or self.end == "hi" else lo
+
+        cfg = SweepConfig(target="claim8", instance_count=1, denom_cap=cap)
+        for end in ("lo", "hi"):
+            for case, (low, high) in enumerate([(F(1, 2), 1), (F(1, 4), F(1, 2)), (0, F(1, 4))]):
+                _, _, ybar = _claim8_instance(EdgeRng(end), case, cfg)
+                assert ybar.p.denominator == cap and low <= ybar.p < high, (end, case, ybar.p)
+
     def test_violations_with_weak_constant(self):
         cfg = SweepConfig(
             target="lemma7",

@@ -44,6 +44,7 @@ from .rv import (
     const_abs_approx,
     convolve,
     expectation,
+    format_rv_inline,
     negate,
     var_abs_shifted,
     var_abs_sum,
@@ -77,9 +78,11 @@ DEFAULT_CONSTANTS = Constants()
 
 def format_value(value: object, decimal: bool = False) -> str:
     """Text of one reported value: exact by default, 15 significant digits
-    for rationals and floats when `decimal` is set."""
+    for rationals and floats when `decimal` is set; a variable inline."""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, DiscreteRV):
+        return format_rv_inline(value)
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     if decimal and isinstance(value, (Fraction, float)):
@@ -89,20 +92,20 @@ def format_value(value: object, decimal: bool = False) -> str:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated left/right sides of one inequality instance."""
+    """Evaluated left/right sides of one inequality instance; the verdict
+    and the ratio follow from the sides."""
 
     lhs: Fraction
     rhs: Fraction
-    holds: bool
     witness: dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.holds != (self.lhs >= self.rhs):
-            raise StructureError("holds must equal lhs >= rhs")
 
     @classmethod
     def compare(cls, lhs: Fraction, rhs: Fraction, witness: dict | None = None) -> "BoundReport":
-        return cls(lhs, rhs, lhs >= rhs, witness or {})
+        return cls(lhs, rhs, witness or {})
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs >= self.rhs
 
     @property
     def ratio(self) -> Fraction | None:
@@ -299,7 +302,6 @@ class CorollaryReport:
     k: int  # 0-based block index minimizing the distance
     dist: Fraction
     epsilon: Fraction
-    holds: bool
     var_f: Fraction
     cross_weight: Fraction
     coeff_empty: Fraction
@@ -309,6 +311,10 @@ class CorollaryReport:
     @property
     def bound(self) -> Fraction:
         return self.epsilon * self.corollary_k
+
+    @property
+    def holds(self) -> bool:
+        return self.dist <= self.bound
 
 
 def corollary2_apply(
@@ -339,13 +345,10 @@ def corollary2_apply(
                 f"premise violated: cross weight {cross} > epsilon*Var f = {epsilon * var_f}"
             )
     k = min(range(len(block_dists)), key=lambda j: (block_dists[j], j))
-    dist = block_dists[k]
-    holds = dist <= constants.corollary_k * epsilon
     return CorollaryReport(
         k=k,
-        dist=dist,
+        dist=block_dists[k],
         epsilon=epsilon,
-        holds=holds,
         var_f=var_f,
         cross_weight=cross,
         coeff_empty=Fraction(int(f.table.sum()), 1 << f.m),

@@ -61,14 +61,19 @@ def _create(path, parents: bool = False):
 
 
 def _read_partition(args, m: int) -> cube.Partition:
+    """The partition of --partition or else of --partition-file; argparse requires exactly one."""
     if args.partition is not None:
         return cube.parse_partition(args.partition, m)
-    if args.partition_file is not None:
-        lines = cube.data_lines(_read_text(args.partition_file))
-        if not lines:
-            raise ParseError(f"no partition line in {args.partition_file}")
-        return cube.parse_partition(lines[0][1], m)
-    raise _UsageError("need --partition or --partition-file")
+    lines = cube.data_lines(_read_text(args.partition_file))
+    if not lines:
+        raise ParseError(f"no partition line in {args.partition_file}")
+    return cube.parse_partition(lines[0][1], m)
+
+
+def _add_partition_flags(parser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--partition", help="blocks like 1,2|3,4")
+    group.add_argument("--partition-file", help="file whose first data line is a partition")
 
 
 def _checked(parse):
@@ -213,6 +218,8 @@ def _cmd_example(args) -> int:
             + f"{cube.format_partition(partition)}\n",
         }
     else:  # claim6, the only other choice
+        if args.m is not None:
+            raise _UsageError("claim6 takes no --m")
         x, y = bounds.claim6_example()
         files = {
             out_dir / "claim6_x.rv": rv.format_rv(
@@ -249,6 +256,7 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: building it costs more than a small command
 def build_parser() -> _Parser:
     raw = argparse.RawDescriptionHelpFormatter  # keeps the reads table's layout
     reads = [" ".join(s for s in sweep.SETTINGS if s in t.reads) for t in sweep.TARGETS.values()]
@@ -258,8 +266,7 @@ def build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="partition analysis of a truth table")
     analyze.add_argument("table", help="truth-table file (m=<int> header, +/- row)")
-    analyze.add_argument("--partition", help="blocks like 1,2|3,4")
-    analyze.add_argument("--partition-file")
+    _add_partition_flags(analyze)
     analyze.add_argument("--decimal", action="store_true")
     _add_constant_flags(analyze)
     analyze.set_defaults(func=_cmd_analyze)
@@ -296,14 +303,13 @@ def build_parser() -> _Parser:
 
     example = sub.add_parser("example", help="write the extremal example files")
     example.add_argument("name", choices=("tribes", "claim6"))
-    example.add_argument("--m", type=int)
+    example.add_argument("--m", type=int, help="tribes block size; claim6 takes none")
     example.add_argument("--out-dir", default=".")
     example.set_defaults(func=_cmd_example)
 
     probe = sub.add_parser("probe", help="experimental composition search")
     probe.add_argument("table")
-    probe.add_argument("--partition")
-    probe.add_argument("--partition-file")
+    _add_partition_flags(probe)
     probe.add_argument("--budget", type=int, default=10**7)
     probe.add_argument("--decimal", action="store_true")
     probe.set_defaults(func=_cmd_probe)

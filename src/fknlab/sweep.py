@@ -48,9 +48,7 @@ from .cube import (
     format_partition,
     format_table_row,
     format_table_rows,
-    parse_boolean_function,
     parse_fraction,
-    parse_partition,
     sq_l2_dist,
     stack_block_weights,
     variance,
@@ -62,7 +60,7 @@ from .errors import (
     StructureError,
     VerificationError,
 )
-from .rv import DiscreteRV, _merge, _q, center, format_rv_inline
+from .rv import DiscreteRV, _merge, _q, center
 
 
 @dataclass(frozen=True)
@@ -278,7 +276,7 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
                 x, y = center(x), center(y)
                 e = Fraction(*_random_ratio(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap))
         report = pair(x, y, e, cfg.constants, cfg.atom_cap)
-        return _with_inputs(report, {"x": format_rv_inline(x), "y": format_rv_inline(y)})
+        return _with_inputs(report, {"x": x, "y": y})
 
     return Target(instance, scale, pair, _RV | {"include_claim6", *reads})
 
@@ -292,7 +290,7 @@ def _claim8_target(rng, cfg, index):
 def _theorem1_target(rng, cfg, index):
     xs = [_random_raw(rng, cfg) for _ in range(rng.randint(2, cfg.rv_count_max))]
     report = theorem1_check(xs, cfg.constants, cfg.atom_cap)
-    return _with_inputs(report, {f"x{i}": format_rv_inline(x) for i, x in enumerate(xs)})
+    return _with_inputs(report, {f"x{i}": x for i, x in enumerate(xs)})
 
 
 def _fact1_target(rng, cfg, index):
@@ -310,17 +308,12 @@ def _fact8_target(rng, cfg, index):
     return BoundReport.compare(lhs, rhs, {"m": m})
 
 
-def _corollary2_case(f: BooleanFunction, partition: Partition, constants: Constants) -> BoundReport:
-    """lhs = (K2+2) epsilon, rhs = dist, so (K2+2) rhs / lhs is dist/epsilon."""
-    outcome = corollary2_apply(f, partition, constants)
-    k = constants.corollary_k
-    witness = {
-        "table": format_table_row(f),
-        "partition": format_partition(partition),
-        "k": outcome.k,
-        "epsilon": outcome.epsilon,
-    }
-    return BoundReport.compare(k * outcome.epsilon, outcome.dist, witness)
+def _corollary2_report(
+    table: str, partition: str, k: int, bound: Fraction, dist: Fraction, epsilon: Fraction
+) -> BoundReport:
+    """lhs = bound = (K2+2) epsilon, rhs = dist, so (K2+2) rhs / lhs is dist/epsilon."""
+    witness = {"table": table, "partition": partition, "k": k, "epsilon": epsilon}
+    return BoundReport(bound, dist, witness)
 
 
 # Evaluators are called through this module's globals, never stored, so a
@@ -359,6 +352,12 @@ def read_constants(target: str, settings: dict[str, object]) -> Constants:
 OnRow = Callable[[list[str]], object]
 
 
+def _line(i: int, report: BoundReport, violation: bool) -> str:
+    """How a result names instance i: a violation with its sides."""
+    head = f"instance={i} lhs={report.lhs} rhs={report.rhs}" if violation else f"instance={i}"
+    return f"{head} {report.witness_text()}"
+
+
 def _accumulate(
     name: str,
     cases: Iterable[Callable[[], BoundReport]],
@@ -375,7 +374,7 @@ def _accumulate(
     violations: list[str] = []
     errors: list[tuple[int, str]] = []
     min_ratio: Fraction | None = None
-    min_ratio_witness: str | None = None
+    least: tuple[int, BoundReport] | None = None  # its line is written once, at the end
     best_constant: Fraction | None = None if scale is None else Fraction(0)
     count = 0
     for i, case in enumerate(cases):
@@ -390,13 +389,10 @@ def _accumulate(
         if on_row is not None:
             on_row(report.csv_row(i))
         if not report.holds:
-            violations.append(
-                f"instance={i} lhs={report.lhs} rhs={report.rhs} {report.witness_text()}"
-            )
+            violations.append(_line(i, report, violation=True))
         ratio = report.ratio
         if ratio is not None and (min_ratio is None or ratio < min_ratio):
-            min_ratio = ratio
-            min_ratio_witness = f"instance={i} {report.witness_text()}"
+            min_ratio, least = ratio, (i, report)
         if best_constant is not None and ratio is not None:
             if ratio == 0:
                 errors.append((i, f"unbounded constant: numerator {scale * report.rhs} with lhs 0"))
@@ -407,7 +403,7 @@ def _accumulate(
         instances_run=count,
         violations=tuple(violations),
         min_ratio=min_ratio,
-        min_ratio_witness=min_ratio_witness,
+        min_ratio_witness=None if least is None else _line(*least, violation=False),
         empirical_constant=best_constant if len(errors) < count else None,
         errors=tuple(errors),
     )
@@ -460,20 +456,24 @@ def two_block_partitions(m: int) -> Iterator[Partition]:
         )
 
 
-def _confirm(m: int, text: str, constants: Constants, violation: bool) -> BoundReport:
-    """Recompute one instance the result names, a violation ('instance=i
-    lhs=.. rhs=.. witness') or the smallest-ratio witness ('instance=i
-    witness'), with corollary2_apply from the table and partition in its
-    witness; the text must come out the same.  corollary2_apply runs the
-    same kernel on a one-row stack, so this confirms the batch's row and
-    partition bookkeeping and the fold, not the kernel's arithmetic."""
-    index, _, rest = text.partition(" ")
-    fields = dict(item.split("=", 1) for item in rest.rpartition(" ")[2].split(";"))
-    f = parse_boolean_function(f"m={m}\n{fields['table']}")
-    report = _corollary2_case(f, parse_partition(fields["partition"], m), constants)
-    sides = f"lhs={report.lhs} rhs={report.rhs} " if violation else ""
-    if text != f"{index} {sides}{report.witness_text()}":
-        raise VerificationError(f"batch reported {text!r}; corollary2_apply gives {report}")
+def _confirm(
+    tables: np.ndarray, partitions: list[Partition], text: str, constants: Constants, violation: bool
+) -> BoundReport:
+    """Recompute with corollary2_apply the instance that a result line names,
+    a violation or the smallest-ratio witness, and write its line again: it
+    must come out the same.  Instance i is table i // P and partition i % P
+    of the batch, P = len(partitions).  corollary2_apply runs the same kernel
+    on a one-row stack, so this confirms the batch's row and partition
+    bookkeeping and the fold, not the kernel's arithmetic."""
+    i = int(text.split(" ", 1)[0].removeprefix("instance="))
+    partition = partitions[i % len(partitions)]
+    f = BooleanFunction(partition.m, tables[i // len(partitions)])
+    outcome = corollary2_apply(f, partition, constants)
+    sides = outcome.bound, outcome.dist, outcome.epsilon
+    report = _corollary2_report(format_table_row(f), format_partition(partition), outcome.k, *sides)
+    line = _line(i, report, violation)
+    if text != line:
+        raise VerificationError(f"batch reported {text!r}; corollary2_apply gives {line!r}")
     return report
 
 
@@ -493,8 +493,8 @@ def corollary2_exhaustive(
     """
     if not 2 <= m <= 4:
         raise StructureError("exhaustive check supported only for 2 <= m <= 4")
-    tables = boolean_tables(m)
-    tables = tables[(tables != tables[:, :1]).any(axis=1)]
+    tables = boolean_tables(m)[1:-1]  # the two constant tables come first and last
+    partitions = list(two_block_partitions(m))
     scale = TARGETS["corollary2"].scale(constants)
 
     @functools.cache  # few distinct numerators: each Fraction is built once
@@ -502,29 +502,23 @@ def corollary2_exhaustive(
         epsilon = Fraction(cross, var)
         return scale * epsilon, Fraction(dist, 1 << 2 * m), epsilon
 
-    def case(row: str, partition: str, var: int, cross: int, k: int, dist: int) -> BoundReport:
-        """_corollary2_case from stack_block_weights numerators over 4^m."""
-        lhs, rhs, epsilon = sides(var, cross, dist)
-        witness = {"table": row, "partition": partition, "k": k, "epsilon": epsilon}
-        return BoundReport.compare(lhs, rhs, witness)
-
     columns = []
-    for partition in two_block_partitions(m):
+    for partition in partitions:
         var, cross, dists = stack_block_weights(tables, partition)
         k = dists.argmin(axis=1)  # the first nearest block, as corollary2_apply picks
         dist = dists[np.arange(len(k)), k]
         numerators = (var.tolist(), cross.tolist(), k.tolist(), dist.tolist())
         columns.append((format_partition(partition), *numerators))
     cases = (
-        functools.partial(case, row, text, var[t], cross[t], k[t], dist[t])
+        functools.partial(_corollary2_report, row, text, k[t], *sides(var[t], cross[t], dist[t]))
         for t, row in enumerate(format_table_rows(tables))
         for text, var, cross, k, dist in columns
     )
     result = _accumulate("corollary2", cases, scale, on_row)
     for text in result.violations:
-        _confirm(m, text, constants, violation=True)
+        _confirm(tables, partitions, text, constants, violation=True)
     if result.min_ratio_witness is not None:
-        confirmed = _confirm(m, result.min_ratio_witness, constants, violation=False)
+        confirmed = _confirm(tables, partitions, result.min_ratio_witness, constants, False)
         if confirmed.ratio != result.min_ratio:
             raise VerificationError(f"batch min ratio {result.min_ratio} not confirmed")
     return result

@@ -1,5 +1,6 @@
 """Inequality evaluators: pinned examples and structural behavior."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,12 @@ class TestBoundReport:
     def test_holds_matches_comparison(self):
         assert BoundReport.compare(F(1), F(1)).holds
         assert not BoundReport.compare(F(1), F(2)).holds
+
+    def test_verdict_follows_replaced_sides(self):
+        report = BoundReport.compare(F(2), F(1), {"k": 0})
+        assert report.holds
+        assert not replace(report, lhs=F(1, 2)).holds
+        assert replace(report, lhs=F(1), rhs=F(1)).holds
 
     def test_ratio_only_when_rhs_positive(self):
         assert BoundReport.compare(F(3), F(2)).ratio == F(3, 2)
@@ -300,6 +307,13 @@ class TestCorollary2:
         outcome = corollary2_apply(f, partition)
         assert (outcome.epsilon, outcome.dist) == (F(1), F(1))
         assert outcome.holds
+
+    def test_verdict_follows_replaced_distance(self):
+        f = BooleanFunction(2, [1, -1, -1, 1])
+        outcome = corollary2_apply(f, Partition.from_blocks(2, [[1], [2]]))
+        assert outcome.holds
+        assert not replace(outcome, dist=outcome.bound + F(1, 64)).holds
+        assert replace(outcome, dist=outcome.bound).holds
 
     def test_caller_epsilon_validated(self):
         f = BooleanFunction(2, [1, -1, -1, -1])

@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fknlab import cli as cli_module
+from fknlab import rv as rv_module
 from fknlab import sweep
 from fknlab.cli import build_parser, main
 from fknlab.cube import parse_boolean_function, parse_partition
@@ -116,6 +119,11 @@ class TestExample:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot write {out_dir / 'claim6_x.rv'}: ")
         assert "Traceback" not in err
+
+    def test_claim6_rejects_m(self, tmp_path, capsys):
+        code, out, err = run(capsys, "example", "claim6", "--m", "3", "--out-dir", str(tmp_path))
+        assert (code, out, err) == (1, "", "error: claim6 takes no --m\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_m_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "example", "tribes", "--m", "0", "--out-dir", str(tmp_path))
@@ -376,6 +384,24 @@ class TestSweep:
         assert values["violations"] == "0"
         assert values["instances"] == "60"
 
+    def test_only_printed_variables_are_rendered(self, monkeypatch, capsys):
+        # witnesses hold the drawn variables; text is made for printed lines only
+        real, rendered = rv_module.format_rv_inline, []
+
+        def counted(x):
+            rendered.append(x)
+            return real(x)
+
+        for name, module in list(sys.modules.items()):
+            if name == "fknlab" or name.startswith("fknlab."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        code, out, _ = run(capsys, "sweep", "--target", "theorem1", "--n", "200", "--seed", "5")
+        assert code == 0
+        printed = re.findall(r"(?:^|[ ;])x\d+=\(", out, flags=re.MULTILINE)
+        assert printed and len(rendered) == len(printed)
+
     def test_violation_exit_code(self, capsys):
         code, out, _ = run(
             capsys,
@@ -605,6 +631,17 @@ class TestProbe:
         assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "probe"])
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_partition_flags_exactly_one(tribes2_files, capsys, command, both):
+    # a file next to --partition used to be ignored without a word
+    table_path, partition_path = tribes2_files
+    flags = ["--partition", "1,2|3,4", "--partition-file", partition_path] if both else []
+    code, out, err = run(capsys, command, table_path, *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--partition" in err
+
+
 class TestChoices:
     @staticmethod
     def _choices(command: str, dest: str):
@@ -619,6 +656,21 @@ class TestChoices:
     def test_check_targets_are_pairs_plus_claim8_theorem1(self):
         pairs = {name for name, target in sweep.TARGETS.items() if target.pair}
         assert set(self._choices("check", "inequality")) == pairs | {"claim8", "theorem1"}
+
+
+class TestParser:
+    def test_second_main_builds_no_parser(self, monkeypatch, capsys):
+        run(capsys, "sweep", "--target", "lemma4", "--n", "2")
+        built = []
+        init = cli_module._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module._Parser, "__init__", counted)
+        assert run(capsys, "sweep", "--target", "lemma4", "--n", "2")[0] == 0
+        assert built == []
 
 
 class TestUsage:

@@ -7,13 +7,14 @@ import pytest
 
 import fknlab.cube as cube_module
 import fknlab.sweep as sweep_module
-from fknlab.bounds import Constants, corollary2_apply, tribes_example
+from fknlab.bounds import DEFAULT_CONSTANTS, Constants, corollary2_apply, tribes_example
 from fknlab.cube import BooleanFunction, Partition
 from fknlab.errors import SearchSpaceError, StructureError, VerificationError
 from fknlab.sweep import (
     TARGETS,
     SweepConfig,
     _claim8_instance,
+    _confirm,
     _rng_for,
     config_from_settings,
     conjecture_probe,
@@ -406,6 +407,20 @@ class TestCorollary2Exhaustive:
             "instance=2226 lhs=55/112 rhs=19/32"
             " table=------++-+++++++;partition=1,2,3|4;k=1;epsilon=5/21"
         )
+
+    def test_recheck_finds_the_instance_by_its_number(self):
+        # instance i is table i // P and partition i % P: a line whose number
+        # names another (table, partition) does not come out the same
+        result = corollary2_exhaustive(3)
+        tables, partitions = cube_module.boolean_tables(3)[1:-1], list(two_block_partitions(3))
+        line = result.min_ratio_witness
+        report = _confirm(tables, partitions, line, DEFAULT_CONSTANTS, violation=False)
+        assert report.ratio == result.min_ratio
+        i = int(line.split(" ", 1)[0].removeprefix("instance="))
+        for j in ((i + 1) % result.instances_run, (i + len(partitions)) % result.instances_run):
+            renamed = line.replace(f"instance={i} ", f"instance={j} ", 1)
+            with pytest.raises(VerificationError, match=f"batch reported 'instance={j} "):
+                _confirm(tables, partitions, renamed, DEFAULT_CONSTANTS, violation=False)
 
     def test_run_sweep_dispatch(self):
         via_sweep = run_sweep(SweepConfig(target="corollary2", exhaustive_m=2))

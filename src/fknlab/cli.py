@@ -328,10 +328,7 @@ def main(argv=None) -> int:
         # the rest of the output goes nowhere, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FknLabError as exc:
+    except (_UsageError, FknLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,12 +8,14 @@ Every table holds integers: a Boolean truth table is int8, and a real table
 (`RealFunction`) or an expansion (`FourierExpansion`) holds numerators n_x
 over 2^k, k its field `k`.  Transforms and measures compute on numerators
 and build one exact `Fraction` per result.  Numerators are int64 while
-2^m N <= 2^30 (N = max |n_x|) and Python ints (an object array) past it,
+2^m N <= L (N = max |n_x|) and Python ints (an object array) past it,
 decided once at construction: a wide table is slower, never refused or
-rounded.  Under the bound every butterfly stage holds at most 2^m N; 2^m
-times a sum of 2^m squares is at most (2^m N)^2 <= 2^60, which bounds both
-terms of `variance`; and the squared differences of two int64 tables over
-one 2^k sum to at most 2^m (2N)^2 <= 2^62 in `sq_l2_dist`.
+rounded.  Every butterfly stage holds at most 2^m N.  For a table L = 2^30:
+2^m times a sum of 2^m squares is at most (2^m N)^2 <= 2^60, which bounds
+both terms of `variance`, and the squared differences of two int64 tables
+over one 2^k sum to at most 2^m (2N)^2 <= 2^62 in `sq_l2_dist`.  For an
+expansion, which only `inverse_wht` reads, L = 2^62, so `wht` of a Boolean
+table stays int64 (N <= 2^m, and 2^m N <= 2^52 for m <= 26).
 
 Partition weights of Boolean functions come from one kernel,
 `stack_block_weights`, on a stack of tables (one row for
@@ -47,7 +49,7 @@ from .errors import (
 )
 
 M_MAX = 26
-_INT64_LIMIT = 1 << 30  # int64 numerators while 2^m max |n_x| stays inside it
+_INT64_LIMIT = 1 << 30  # a table is int64 while 2^m max |n_x| stays inside it
 
 
 def _checked_m(m: int) -> None:
@@ -61,8 +63,8 @@ def _checked_length(m: int, n: int) -> None:
         raise StructureError(f"table length {n} != 2^{m}")
 
 
-def _numerators(m: int, values, k: int) -> np.ndarray:
-    """Read-only integer numerators over 2^k: int64 inside _INT64_LIMIT,
+def _numerators(m: int, values, k: int, limit: int = _INT64_LIMIT) -> np.ndarray:
+    """Read-only integer numerators over 2^k: int64 while 2^m max |n_x| <= limit,
     Python ints past it.  A non-integer entry is a StructureError, never cast."""
     if not isinstance(k, int) or k < 0:
         raise StructureError(f"the denominator 2^k needs an integer k >= 0, got {k!r}")
@@ -77,7 +79,7 @@ def _numerators(m: int, values, k: int) -> np.ndarray:
         except TypeError:
             raise StructureError("numerators must be integers") from None
         peak = max(map(abs, values))
-    a = np.asarray(values, dtype=object if peak << m > _INT64_LIMIT else np.int64)
+    a = np.asarray(values, dtype=object if peak << m > limit else np.int64)
     return _frozen(a.copy() if a is values and a.flags.writeable else a)
 
 
@@ -133,7 +135,7 @@ class FourierExpansion:
     k: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _numerators(self.m, self.coeffs, self.k))
+        object.__setattr__(self, "coeffs", _numerators(self.m, self.coeffs, self.k, 1 << 62))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from .errors import (
     StructureError,
     VerificationError,
 )
-from .rv import DiscreteRV, _merge, _q, center
+from .rv import DEFAULT_ATOM_CAP, DiscreteRV, _merge, _q, center
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class SweepConfig:
     include_claim6: bool = False
     exhaustive_m: int = 3
     rv_count_max: int = 4
-    atom_cap: int = 10**6
+    atom_cap: int = DEFAULT_ATOM_CAP
 
     def __post_init__(self):
         # the reads rule first, on every non-default setting (one Constants serves all)
@@ -369,13 +369,14 @@ def _accumulate(
 
     A package error (FknLabError) raised by a case is recorded as that
     instance's error; a VerificationError or any other exception is a bug
-    and propagates.
+    and propagates.  The empirical constant, the largest scale * rhs / lhs,
+    is scale / min_ratio: None without a scale, when every instance raised,
+    or when min_ratio is 0 (lhs 0 < rhs), and 0 when no rhs is positive.
     """
     violations: list[str] = []
     errors: list[tuple[int, str]] = []
     min_ratio: Fraction | None = None
     least: tuple[int, BoundReport] | None = None  # its line is written once, at the end
-    best_constant: Fraction | None = None if scale is None else Fraction(0)
     count = 0
     for i, case in enumerate(cases):
         count += 1
@@ -393,18 +394,16 @@ def _accumulate(
         ratio = report.ratio
         if ratio is not None and (min_ratio is None or ratio < min_ratio):
             min_ratio, least = ratio, (i, report)
-        if best_constant is not None and ratio is not None:
-            if ratio == 0:
-                errors.append((i, f"unbounded constant: numerator {scale * report.rhs} with lhs 0"))
-            else:
-                best_constant = max(best_constant, scale / ratio)
+    constant = None
+    if scale is not None and len(errors) < count and min_ratio != 0:
+        constant = Fraction(0) if min_ratio is None else scale / min_ratio
     return SweepResult(
         target=name,
         instances_run=count,
         violations=tuple(violations),
         min_ratio=min_ratio,
         min_ratio_witness=None if least is None else _line(*least, violation=False),
-        empirical_constant=best_constant if len(errors) < count else None,
+        empirical_constant=constant,
         errors=tuple(errors),
     )
 
@@ -423,7 +422,7 @@ def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
 
 def empirical_constant(target: str, cfg: SweepConfig | None = None, **overrides) -> Fraction:
     """Smallest constant that would make `target` hold on the swept instances
-    (largest scale * rhs / lhs; instances with rhs 0 skipped, 0 if all are)."""
+    (scale / min lhs/rhs; instances with rhs 0 skipped, 0 if all are)."""
     if cfg is None:
         cfg = SweepConfig(target=target, **overrides)
     elif cfg.target != target:
@@ -437,7 +436,8 @@ def empirical_constant(target: str, cfg: SweepConfig | None = None, **overrides)
             f"cannot estimate the constant: errors={len(result.errors)},"
             f" first at instance {index}: {message}"
         )
-    assert result.empirical_constant is not None
+    if result.empirical_constant is None:  # the smallest ratio is 0
+        raise StructureError(f"no constant fits lhs 0 < rhs at {result.min_ratio_witness}")
     return result.empirical_constant
 
 

@@ -232,8 +232,9 @@ def test_criterion_7_balancing_transform(capsys):
     for m in (1, 2, 3, 4):
         for f in enumerate_boolean_functions(m):
             g = balance_extend(f)
-            fc = values(wht(f))
-            gc = values(wht(g))
+            fe, ge = wht(f), wht(g)
+            fc = (fe.coeffs << (ge.k - fe.k)).tolist()  # numerators over g's 2^k
+            gc = ge.coeffs.tolist()
             assert gc[0] == 0
             for b in range(m):
                 assert gc[1 << b] == fc[1 << b]

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import fknlab.cube as cube_module
-from fknlab.bounds import corollary2_apply
+from fknlab.bounds import corollary2_apply, tribes_example
 from fknlab.cube import (
     BooleanFunction,
     FourierExpansion,
     Partition,
     RealFunction,
+    _butterfly,
     _row_sums,
     balance_extend,
     boolean_tables,
@@ -161,6 +162,13 @@ class TestWht:
     def test_all_m2_against_naive_sum(self):
         for f in enumerate_boolean_functions(2):
             assert values(wht(f)) == naive_fourier(f.table, 2)
+
+    def test_boolean_expansion_on_16_variables_is_int64(self):
+        # coefficient numerators reach 2^16, past the table bound, inside the expansion one
+        f, _ = tribes_example(8)
+        expansion = wht(f)
+        assert f.m == 16 and expansion.coeffs.dtype == np.int64
+        assert np.array_equal(expansion.coeffs, _butterfly(f.table.astype(object)))
 
     def test_parseval_and_dyadic_grid_exhaustive(self):
         for m in (1, 2, 3):

@@ -7,7 +7,14 @@ import pytest
 
 import fknlab.cube as cube_module
 import fknlab.sweep as sweep_module
-from fknlab.bounds import DEFAULT_CONSTANTS, Constants, corollary2_apply, tribes_example
+from fknlab.bounds import (
+    DEFAULT_CONSTANTS,
+    BoundReport,
+    Constants,
+    corollary2_apply,
+    tribes_example,
+)
+from fknlab.cli import main
 from fknlab.cube import BooleanFunction, Partition
 from fknlab.errors import SearchSpaceError, StructureError, VerificationError
 from fknlab.sweep import (
@@ -353,6 +360,19 @@ class TestEmpiricalConstant:
             SweepConfig(target="lemma7", instance_count=20, seed=5, support_min=1, support_max=1),
         )
         assert value == 0
+
+    def test_lhs_zero_is_a_violation_not_an_error(self, monkeypatch, capsys):
+        # lhs 0 < rhs on every instance: no finite constant fits, yet each one was evaluated
+        monkeypatch.setattr(sweep_module, "lemma7_bound", lambda *args: BoundReport(F(0), F(1)))
+        cfg = SweepConfig(target="lemma7", instance_count=3)
+        result = run_sweep(cfg)
+        assert len(result.violations) == 3 and result.errors == ()
+        assert result.min_ratio == 0 and result.empirical_constant is None
+        with pytest.raises(StructureError, match="instance=0 "):
+            empirical_constant("lemma7", cfg)
+        assert main(["sweep", "--target", "lemma7", "--n", "3"]) == 2
+        out = capsys.readouterr().out
+        assert "errors=" not in out and "empirical_constant=" not in out
 
     def test_claim8_at_most_four(self):
         value = empirical_constant(

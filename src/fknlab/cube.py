@@ -19,8 +19,9 @@ table stays int64 (N <= 2^m, and 2^m N <= 2^52 for m <= 26).
 
 Partition weights of Boolean functions come from one kernel,
 `stack_block_weights`, on a stack of tables (one row for
-`cross_partition_weight` and `bounds.corollary2_apply`, every table of
-`boolean_tables` for the exhaustive check), in int64 numerators over 4^m.
+`cross_partition_weight` and `bounds.corollary2_apply`; every table of
+`boolean_tables` for the exhaustive check, transformed once as a
+`TableStack` for all its partitions), in int64 numerators over 4^m.
 With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N, and its
 stages stay inside N, so transforms run in int32; c_S^2 and their sums are
 at most N^2 = 2^2m.  The pointwise route N f - butterfly(c kept to a block)
@@ -280,39 +281,60 @@ def _pointwise_sq_dist(f: np.ndarray, c: np.ndarray, keep: np.ndarray) -> np.nda
     return _row_sums(diff)
 
 
+class TableStack:
+    """A stack of Boolean tables on m variables, one row per function, and
+    its forward transform, taken and checked once for any number of
+    partitions: f holds the tables and c = N * coefficients (N = 2^m), both
+    int32; var (Var f) and c0_sq (c_0^2) are int64 numerators over 4^m.
+
+    Checked on every row, as VerificationError: Parseval, and Var f from the
+    table against the coefficients.
+    """
+
+    def __init__(self, tables: np.ndarray, m: int):
+        _checked_m(m)
+        n = 1 << m
+        if tables.ndim != 2 or tables.shape[1] != n:
+            raise DimensionMismatchError(f"{m} variables, tables of shape {tables.shape}")
+        if not np.all(np.abs(tables) == 1):  # on the entries as given, before narrowing
+            raise StructureError("Boolean table entries must be exactly +1 or -1")
+        self.m = m
+        self.f = tables.astype(np.int32)
+        self.c = _butterfly(self.f)
+        total = _sum_sq(self.c)
+        table_sq = n * _sum_sq(self.f)
+        if np.any(total != table_sq):
+            raise VerificationError("Parseval fails on the stack")
+        self.c0_sq = self.c[:, 0].astype(np.int64) ** 2
+        self.var = total - self.c0_sq
+        if np.any(table_sq - self.f.sum(axis=1) ** 2 != self.var):
+            raise VerificationError("table and coefficient variances differ on the stack")
+
+
 def stack_block_weights(
-    tables: np.ndarray, partition: Partition
+    tables: np.ndarray | TableStack, partition: Partition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(var, cross, dists) of a stack of Boolean tables, one row per function,
     as int64 numerators over 4^m: Var f, the cross weight and, in column j of
     dists, the distance to block j's restriction plus the empty coefficient.
+    `tables` is an array of tables or a `TableStack` already transformed, so
+    that many partitions share one forward transform.
 
-    Checked on every row, as VerificationError: Parseval, Var f from the
-    table against the coefficients, the cross weight against the identity
-    N^2 - c_0^2 - sum_j (inside_j - c_0^2), and each distance against the
-    pointwise route sum_x (N f - butterfly(c kept to block j))^2 = N dist_j,
-    with N = 2^m and c = N * coefficients.
+    Checked on every row, as VerificationError: the `TableStack` checks, the
+    cross weight against the identity N^2 - c_0^2 - sum_j (inside_j - c_0^2),
+    and each distance against the pointwise route
+    sum_x (N f - butterfly(c kept to block j))^2 = N dist_j, with N = 2^m
+    and c = N * coefficients.
     """
     m = partition.m
-    _checked_m(m)
+    stack = tables if isinstance(tables, TableStack) else TableStack(tables, m)
+    if stack.m != m:
+        raise DimensionMismatchError(f"partition over {m} variables, a stack over {stack.m}")
+    f, c, c0_sq = stack.f, stack.c, stack.c0_sq
     n = 1 << m
-    if tables.ndim != 2 or tables.shape[1] != n:
-        raise DimensionMismatchError(f"partition over {m} vars, tables of shape {tables.shape}")
-    if not np.all(np.abs(tables) == 1):  # on the entries as given, before narrowing
-        raise StructureError("Boolean table entries must be exactly +1 or -1")
-    f = tables.astype(np.int32)
-    c = _butterfly(f)
-    total = _sum_sq(c)
-    table_sq = n * _sum_sq(f)
-    if np.any(total != table_sq):
-        raise VerificationError("Parseval fails on the stack")
-    c0_sq = c[:, 0].astype(np.int64) ** 2
-    var = total - c0_sq
-    if np.any(table_sq - f.sum(axis=1) ** 2 != var):
-        raise VerificationError("table and coefficient variances differ on the stack")
     subsets = np.arange(n, dtype=np.int32)
     inside_some = np.zeros(n, dtype=bool)
-    block_var_total = np.zeros_like(total)
+    block_var_total = np.zeros_like(stack.var)
     dists = np.empty((len(f), len(partition.blocks)), dtype=np.int64)
     for j in range(len(partition.blocks)):
         inside = (subsets & ~partition.mask(j)) == 0
@@ -324,7 +346,7 @@ def stack_block_weights(
     cross = _sum_sq(c[:, ~inside_some])
     if np.any(cross != n * n - c0_sq - block_var_total):
         raise VerificationError("cross weight mismatch on the stack")
-    return var, cross, dists
+    return stack.var, cross, dists
 
 
 def cross_partition_weight(f: BooleanFunction, partition: Partition) -> Fraction:

@@ -42,6 +42,7 @@ from .cube import (
     BooleanFunction,
     Partition,
     RealFunction,
+    TableStack,
     _frozen,
     boolean_tables,
     data_lines,
@@ -49,9 +50,7 @@ from .cube import (
     format_table_row,
     format_table_rows,
     parse_fraction,
-    sq_l2_dist,
     stack_block_weights,
-    variance,
 )
 from .errors import (
     FknLabError,
@@ -172,13 +171,14 @@ def _random_rv(
 
 def random_real_function(m: int, seed: int, denom_pow: int = 4, max_num: int = 32) -> RealFunction:
     """Random dyadic table: entries k/2^denom_pow with |k| <= max_num."""
-    return _random_real_function(_rng_for(seed, 0), m, denom_pow, max_num)
+    return RealFunction(m, _random_numerators(_rng_for(seed, 0), m, max_num), denom_pow)
 
 
-def _random_real_function(
-    rng: random.Random, m: int, denom_pow: int = 4, max_num: int = 32
-) -> RealFunction:
-    return RealFunction(m, [rng.randint(-max_num, max_num) for _ in range(1 << m)], denom_pow)
+def _random_numerators(rng: random.Random, m: int, max_num: int = 32) -> list[int]:
+    """The 2^m numerators of a random table, each uniform on -max_num..max_num."""
+    if max_num < 0:
+        raise StructureError(f"max_num must be >= 0, got {max_num}")
+    return [rng.randint(-max_num, max_num) for _ in range(1 << m)]
 
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
@@ -293,18 +293,33 @@ def _theorem1_target(rng, cfg, index):
     return _with_inputs(report, {f"x{i}": x for i, x in enumerate(xs)})
 
 
+# fact1 and fact8 draw the tables of `random_real_function` (numerators over
+# 2^4) as numerator lists and sum on them, with no RealFunction: with n = 2^m,
+# cube.sq_l2_dist is D(a, b) / (n 2^8) and cube.variance is V(a) / (n^2 2^8).
+def _sq_dist(a: list[int], b: list[int]) -> int:
+    """D(a, b) = sum_x (a_x - b_x)^2."""
+    return sum([(x - y) * (x - y) for x, y in zip(a, b)])
+
+
+def _spread(a: list[int]) -> int:
+    """V(a) = n sum_x a_x^2 - (sum_x a_x)^2."""
+    total = sum(a)
+    return len(a) * sum([x * x for x in a]) - total * total
+
+
 def _fact1_target(rng, cfg, index):
     m = rng.randint(1, 3)
-    f, g, h = (_random_real_function(rng, m) for _ in range(3))
-    lhs = sq_l2_dist(f, g) + sq_l2_dist(g, h)
-    return BoundReport.compare(lhs, sq_l2_dist(f, h) / 2, {"m": m})
+    f, g, h = (_random_numerators(rng, m) for _ in range(3))
+    lhs = Fraction(_sq_dist(f, g) + _sq_dist(g, h), 1 << m + 8)
+    return BoundReport.compare(lhs, Fraction(_sq_dist(f, h), 1 << m + 9), {"m": m})
 
 
 def _fact8_target(rng, cfg, index):
     m = rng.randint(1, 3)
-    f, g = (_random_real_function(rng, m) for _ in range(2))
-    lhs = variance(f)
-    rhs = variance(g) / 2 - sq_l2_dist(f, g)
+    f, g = (_random_numerators(rng, m) for _ in range(2))
+    n = 1 << m
+    lhs = Fraction(_spread(f), n * n << 8)
+    rhs = Fraction(_spread(g) - 2 * n * _sq_dist(f, g), n * n << 9)
     return BoundReport.compare(lhs, rhs, {"m": m})
 
 
@@ -358,6 +373,17 @@ def _line(i: int, report: BoundReport, violation: bool) -> str:
     return f"{head} {report.witness_text()}"
 
 
+def _constant(
+    scale: Fraction | None, min_ratio: Fraction | None, evaluated: bool
+) -> Fraction | None:
+    """The empirical constant, the largest scale * rhs / lhs, is scale / min_ratio:
+    None without a scale, when no instance was evaluated, or when min_ratio is
+    0 (lhs 0 < rhs), and 0 when no rhs is positive (min_ratio None)."""
+    if scale is None or not evaluated or min_ratio == 0:
+        return None
+    return Fraction(0) if min_ratio is None else scale / min_ratio
+
+
 def _accumulate(
     name: str,
     cases: Iterable[Callable[[], BoundReport]],
@@ -369,9 +395,9 @@ def _accumulate(
 
     A package error (FknLabError) raised by a case is recorded as that
     instance's error; a VerificationError or any other exception is a bug
-    and propagates.  The empirical constant, the largest scale * rhs / lhs,
-    is scale / min_ratio: None without a scale, when every instance raised,
-    or when min_ratio is 0 (lhs 0 < rhs), and 0 when no rhs is positive.
+    and propagates.  One running minimum of lhs/rhs is kept, its first
+    instance the witness; `_constant` derives the empirical constant from it
+    after the loop, with every instance that raised left out.
     """
     violations: list[str] = []
     errors: list[tuple[int, str]] = []
@@ -394,16 +420,13 @@ def _accumulate(
         ratio = report.ratio
         if ratio is not None and (min_ratio is None or ratio < min_ratio):
             min_ratio, least = ratio, (i, report)
-    constant = None
-    if scale is not None and len(errors) < count and min_ratio != 0:
-        constant = Fraction(0) if min_ratio is None else scale / min_ratio
     return SweepResult(
         target=name,
         instances_run=count,
         violations=tuple(violations),
         min_ratio=min_ratio,
         min_ratio_witness=None if least is None else _line(*least, violation=False),
-        empirical_constant=constant,
+        empirical_constant=_constant(scale, min_ratio, len(errors) < count),
         errors=tuple(errors),
     )
 
@@ -484,9 +507,16 @@ def corollary2_exhaustive(
     variables against every 2-block partition; also records the largest
     observed dist/epsilon (the empirical corollary constant).
 
-    Each partition runs once over the whole stack of tables
-    (`stack_block_weights`); every instance the result names (each violation
-    and the smallest-ratio witness) is then recomputed with corollary2_apply
+    The stack of tables is transformed once (`TableStack`) and weighed once
+    per partition (`stack_block_weights`); instance i is table i // P and
+    partition i % P (P partitions).  The batch is folded on integers: the
+    lhs/rhs of instance i is scale a_i / b_i, a = cross 4^m and b = Var f *
+    dist (no ratio, and no violation, when b = 0), so one Fraction is built
+    per distinct (a, b).  The witness is the first instance of least ratio,
+    compared as ratios, since two pairs can reduce to one.  A report is built
+    only for a violation, the witness and, with `on_row`, each CSV row.
+
+    Every instance the result names is then recomputed with corollary2_apply
     and must agree exactly.  That recheck confirms which table and partition
     each row holds and the fold; the kernel's arithmetic is refereed by its
     per-row identities and by the `naive_fourier` tests.
@@ -496,32 +526,54 @@ def corollary2_exhaustive(
     tables = boolean_tables(m)[1:-1]  # the two constant tables come first and last
     partitions = list(two_block_partitions(m))
     scale = TARGETS["corollary2"].scale(constants)
+    stack = TableStack(tables, m)
+    columns = []  # per partition: the nearest block k, its distance and the cross weight
+    for partition in partitions:
+        var, cross, dists = stack_block_weights(stack, partition)
+        k = dists.argmin(axis=1)  # the first nearest block, as corollary2_apply picks
+        columns.append((k, dists[np.arange(len(k)), k], cross))
+    k, dist, cross = (np.stack(column, axis=1) for column in zip(*columns))  # (table, partition)
+    # the kernel's checked identities keep var, cross and dist <= 4^m, so a
+    # and b are at most 2^(4m) and a * width + b fits one int64 key per pair
+    a, b = (cross << 2 * m).ravel(), (var[:, None] * dist).ravel()
+    width = int(b.max()) + 1
+    _, first, inverse = np.unique(a * width + b, return_index=True, return_inverse=True)
+    pairs = zip(a[first].tolist(), b[first].tolist())
+    ratios = [scale * Fraction(x, y) if y else None for x, y in pairs]
+    min_ratio = min((r for r in ratios if r is not None), default=None)
+    least_at = [i for i, r in zip(first.tolist(), ratios) if r is not None and r == min_ratio]
+    witness = min(least_at, default=None)
+    bad = np.array([r is not None and r < 1 for r in ratios], dtype=bool)[inverse]
+
+    rows, texts = format_table_rows(tables), [format_partition(p) for p in partitions]
+    var, k, dist, cross = var.tolist(), k.tolist(), dist.tolist(), cross.tolist()
 
     @functools.cache  # few distinct numerators: each Fraction is built once
     def sides(var: int, cross: int, dist: int) -> tuple[Fraction, Fraction, Fraction]:
         epsilon = Fraction(cross, var)
         return scale * epsilon, Fraction(dist, 1 << 2 * m), epsilon
 
-    columns = []
-    for partition in partitions:
-        var, cross, dists = stack_block_weights(tables, partition)
-        k = dists.argmin(axis=1)  # the first nearest block, as corollary2_apply picks
-        dist = dists[np.arange(len(k)), k]
-        numerators = (var.tolist(), cross.tolist(), k.tolist(), dist.tolist())
-        columns.append((format_partition(partition), *numerators))
-    cases = (
-        functools.partial(_corollary2_report, row, text, k[t], *sides(var[t], cross[t], dist[t]))
-        for t, row in enumerate(format_table_rows(tables))
-        for text, var, cross, k, dist in columns
-    )
-    result = _accumulate("corollary2", cases, scale, on_row)
-    for text in result.violations:
-        _confirm(tables, partitions, text, constants, violation=True)
-    if result.min_ratio_witness is not None:
-        confirmed = _confirm(tables, partitions, result.min_ratio_witness, constants, False)
-        if confirmed.ratio != result.min_ratio:
-            raise VerificationError(f"batch min ratio {result.min_ratio} not confirmed")
-    return result
+    def report(i: int) -> BoundReport:
+        t, p = divmod(i, len(partitions))
+        sides_i = sides(var[t], cross[t][p], dist[t][p])
+        return _corollary2_report(rows[t], texts[p], k[t][p], *sides_i)
+
+    if on_row is not None:
+        for i in range(len(a)):
+            on_row(report(i).csv_row(i))
+    violations = []
+    for i in np.flatnonzero(bad).tolist():
+        violation = report(i)
+        if violation.holds:
+            raise VerificationError(f"instance {i}: the fold flags a bound that holds")
+        violations.append(_line(i, violation, violation=True))
+        _confirm(tables, partitions, violations[-1], constants, violation=True)
+    least = None if witness is None else _line(witness, report(witness), violation=False)
+    if least is not None:
+        if _confirm(tables, partitions, least, constants, False).ratio != min_ratio:
+            raise VerificationError(f"batch min ratio {min_ratio} not confirmed")
+    constant = _constant(scale, min_ratio, evaluated=True)
+    return SweepResult("corollary2", len(a), tuple(violations), min_ratio, least, constant)
 
 
 @dataclass(frozen=True)

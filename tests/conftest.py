@@ -4,9 +4,12 @@ These deliberately avoid the library's fast paths: the Fourier oracle is the
 literal O(4^m) definition over exact Fractions (or a sign-matrix product for
 larger m), so it can referee the butterfly transform.  `values` and
 `dyadic_function` move between cube tables (integer numerators over 2^k)
-and the Fractions they stand for.
+and the Fractions they stand for.  `corollary2_per_instance` is the
+exhaustive corollary check with one report per instance, the referee of
+its integer fold.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -14,7 +17,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fknlab.cube import RealFunction
+from fknlab import sweep
+from fknlab.bounds import DEFAULT_CONSTANTS
+from fknlab.cube import RealFunction, boolean_tables, format_partition, format_table_rows
 
 
 def cube_point(index: int, m: int) -> tuple[int, ...]:
@@ -95,6 +100,36 @@ def product_distribution(*atom_lists):
         total = sum(v for v, _ in combo)
         masses[total] = masses.get(total, 0) + math.prod(p for _, p in combo)
     return tuple(sorted(masses.items()))
+
+
+def corollary2_per_instance(m: int, constants=DEFAULT_CONSTANTS, on_row=None) -> sweep.SweepResult:
+    """`sweep.corollary2_exhaustive` without its integer fold or recheck: each
+    partition runs `sweep.stack_block_weights` on the raw tables, and one
+    BoundReport per instance (table-major, as the batch numbers them) goes
+    through `sweep._accumulate`."""
+    tables = boolean_tables(m)[1:-1]
+    partitions = list(sweep.two_block_partitions(m))
+    scale = sweep.TARGETS["corollary2"].scale(constants)
+
+    @functools.cache
+    def sides(var: int, cross: int, dist: int) -> tuple[Fraction, Fraction, Fraction]:
+        epsilon = Fraction(cross, var)
+        return scale * epsilon, Fraction(dist, 1 << 2 * m), epsilon
+
+    columns = []
+    for partition in partitions:
+        var, cross, dists = sweep.stack_block_weights(tables, partition)
+        k = dists.argmin(axis=1)
+        dist = dists[np.arange(len(k)), k]
+        numerators = (var.tolist(), cross.tolist(), k.tolist(), dist.tolist())
+        columns.append((format_partition(partition), *numerators))
+    report = sweep._corollary2_report
+    cases = (
+        functools.partial(report, row, text, k[t], *sides(var[t], cross[t], dist[t]))
+        for t, row in enumerate(format_table_rows(tables))
+        for text, var, cross, k, dist in columns
+    )
+    return sweep._accumulate("corollary2", cases, scale, on_row)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from fknlab.cube import (
     FourierExpansion,
     Partition,
     RealFunction,
+    TableStack,
     _butterfly,
     _row_sums,
     balance_extend,
@@ -398,6 +399,21 @@ class TestStackKernel:
                     assert cross[t] == sq_mass(coeffs, inside_none) * unit
                     for j, mask in enumerate(masks):
                         assert dists[t, j] == sq_mass(coeffs, lambda s: not within(s, mask)) * unit
+
+    def test_a_table_stack_is_transformed_once(self, monkeypatch):
+        tables = boolean_tables(3)
+        stack = TableStack(tables, 3)
+        partitions = [Partition.from_blocks(3, b) for b in set_partitions([1, 2, 3])]
+        expected = [stack_block_weights(tables, partition) for partition in partitions]
+        real, calls = cube_module._butterfly, []
+        monkeypatch.setattr(cube_module, "_butterfly", lambda a: calls.append(a) or real(a))
+        for partition, weights in zip(partitions, expected):
+            got = stack_block_weights(stack, partition)
+            assert all(np.array_equal(x, y) for x, y in zip(got, weights))
+        # one butterfly per block for the pointwise route, none for the forward transform
+        assert len(calls) == sum(len(partition.blocks) for partition in partitions)
+        with pytest.raises(DimensionMismatchError):
+            stack_block_weights(stack, Partition.from_blocks(2, [[1], [2]]))
 
     def test_row_sums_are_exact_past_int64(self):
         # each row's int64 sum wraps; the low halves of the middle row carry

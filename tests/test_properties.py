@@ -15,15 +15,23 @@ product measure, with denominators up to 10^30.  On the same wide inputs,
 every integer operation must equal its Fraction definition over `atoms`,
 and equal distributions must compare equal and hash alike however they were
 built.
+
+Sweeps: the fact1 and fact8 sides, summed on drawn numerators, must equal
+the cube measures of the same tables, and the exhaustive corollary check's
+integer fold must give the per-instance fold's result and CSV bytes.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fknlab.bounds import corollary2_apply
+import fknlab.bounds as bounds_module
+from fknlab import sweep
+from fknlab.bounds import Constants, corollary2_apply
+from fknlab.cli import main
 from fknlab.cube import (
     BooleanFunction,
     Partition,
@@ -54,6 +62,7 @@ from fknlab.rv import (
 )
 
 from conftest import (
+    corollary2_per_instance,
     dyadic_function,
     naive_fourier,
     product_distribution,
@@ -284,3 +293,79 @@ def test_equal_distributions_compare_and_hash_alike(x, y, c, parts):
         assert other == x and hash(other) == hash(x)
     total = DiscreteRV.from_atoms(product_distribution(x.atoms, y.atoms))
     assert convolve(x, y) == total and hash(convolve(y, x)) == hash(total)
+
+
+class ScriptedRng:
+    """Hands out the given draws in order, as `randint` calls."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randint(self, lo, hi):
+        value = next(self.draws)
+        assert lo <= value <= hi
+        return value
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 3), st.lists(st.integers(-32, 32), min_size=24, max_size=24))
+def test_fact_sides_on_numerators_are_the_cube_measures(m, draws):
+    # m = 1..3 and the numerators of three tables on m variables, as fact1 and fact8 draw them
+    n = 1 << m
+    f, g, h = (RealFunction(m, draws[i * n : (i + 1) * n], 4) for i in range(3))
+    fact1 = sweep._fact1_target(ScriptedRng([m, *draws[: 3 * n]]), None, 0)
+    assert (fact1.lhs, fact1.rhs) == (sq_l2_dist(f, g) + sq_l2_dist(g, h), sq_l2_dist(f, h) / 2)
+    fact8 = sweep._fact8_target(ScriptedRng([m, *draws[: 2 * n]]), None, 0)
+    assert (fact8.lhs, fact8.rhs) == (variance(f), variance(g) / 2 - sq_l2_dist(f, g))
+    assert fact1.witness == fact8.witness == {"m": m}
+
+
+@pytest.mark.parametrize("m,k2", [(2, None), (3, None), (3, Fraction(1, 16))])
+def test_exhaustive_fold_is_the_per_instance_fold(m, k2):
+    constants = Constants() if k2 is None else Constants(k2=k2)
+    assert sweep.corollary2_exhaustive(m, constants) == corollary2_per_instance(m, constants)
+
+
+def test_exhaustive_csv_bytes_are_the_per_instance_bytes(tmp_path, monkeypatch, capsys):
+    outputs = []
+    for check in (sweep.corollary2_exhaustive, corollary2_per_instance):
+        monkeypatch.setattr(sweep, "corollary2_exhaustive", check)
+        (tmp_path / check.__name__).mkdir()
+        monkeypatch.chdir(tmp_path / check.__name__)
+        code = main(["sweep", "--target", "corollary2", "--exhaustive-m", "3", "--csv", "rows.csv"])
+        outputs.append((code, capsys.readouterr().out, open("rows.csv", "rb").read()))
+    assert outputs[0] == outputs[1] and outputs[0][2].count(b"\n") == 1 + 254 * 3
+
+
+def test_exhaustive_witness_is_the_first_instance_of_least_ratio(monkeypatch):
+    # doubling Var f and the cross weight of every even table keeps each
+    # instance's sides, and so its report and ratio, but doubles its integer
+    # pair (a, b): the least ratio now comes from two pairs, and the pair
+    # that sorts first is not the one of the first such instance
+    real = sweep.stack_block_weights
+
+    def doubled(tables, partition):
+        var, cross, dists = real(tables, partition)
+        weight = 2 - np.arange(len(var)) % 2
+        return var * weight, cross * weight, dists
+
+    plain = sweep.corollary2_exhaustive(3)
+    monkeypatch.setattr(sweep, "stack_block_weights", doubled)
+    batch = sweep.corollary2_exhaustive(3)
+    assert batch == corollary2_per_instance(3) == plain
+
+
+def test_exhaustive_violations_are_the_per_instance_violations(monkeypatch):
+    # at K2 = 1/16, four times every distance puts ratios below 1 at m=3;
+    # the recheck's corollary2_apply sees the same distances
+    real = sweep.stack_block_weights
+
+    def far(tables, partition):
+        var, cross, dists = real(tables, partition)
+        return var, cross, 4 * dists
+
+    monkeypatch.setattr(sweep, "stack_block_weights", far)
+    monkeypatch.setattr(bounds_module, "stack_block_weights", far)
+    constants = Constants(k2=Fraction(1, 16))
+    batch = sweep.corollary2_exhaustive(3, constants)
+    assert batch.violations and batch == corollary2_per_instance(3, constants)

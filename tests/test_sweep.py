@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fknlab.bounds as bounds_module
 import fknlab.cube as cube_module
 import fknlab.sweep as sweep_module
 from fknlab.bounds import (
@@ -100,6 +101,13 @@ class TestRandomRV:
         a = random_real_function(3, 5)
         b = random_real_function(3, 5)
         assert np.array_equal(a.table, b.table)
+
+    def test_real_function_rejects_negative_bounds(self):
+        # max_num=-1 used to end in random's ValueError: empty range for randrange()
+        with pytest.raises(StructureError, match="max_num"):
+            random_real_function(2, 0, max_num=-1)
+        with pytest.raises(StructureError):
+            random_real_function(2, 0, denom_pow=-1)
 
 
 class TestRunSweep:
@@ -276,6 +284,24 @@ class TestRunSweep:
             corollary2_exhaustive(2)
 
 
+class TestFactSweeps:
+    def test_build_no_real_function(self, monkeypatch):
+        # fact1 and fact8 sum on drawn numerators; a RealFunction is built by neither
+        real, built = cube_module.RealFunction.__post_init__, []
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(cube_module.RealFunction, "__post_init__", counted)
+        for target in ("fact1", "fact8"):
+            result = run_sweep(SweepConfig(target=target, instance_count=200))
+            assert result.instances_run == 200 and result.violations == ()
+        assert built == []
+        random_real_function(2, 0)  # the counter sees a construction
+        assert len(built) == 1
+
+
 class TestTargets:
     def test_names_and_flags(self):
         assert tuple(TARGETS) == (
@@ -441,6 +467,29 @@ class TestCorollary2Exhaustive:
             renamed = line.replace(f"instance={i} ", f"instance={j} ", 1)
             with pytest.raises(VerificationError, match=f"batch reported 'instance={j} "):
                 _confirm(tables, partitions, renamed, DEFAULT_CONSTANTS, violation=False)
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    def test_reports_only_the_instances_it_names(self, monkeypatch, factor):
+        # the integer fold builds a report for the witness and each violation,
+        # and each recheck one more; at K2 = 1/16, four times every distance
+        # turns most m=3 instances into violations
+        real, reports = cube_module.stack_block_weights, []
+
+        def scaled(tables, partition):
+            var, cross, dists = real(tables, partition)
+            return var, cross, factor * dists
+
+        def counted(*args):
+            reports.append(args)
+            return real_report(*args)
+
+        real_report = sweep_module._corollary2_report
+        monkeypatch.setattr(sweep_module, "stack_block_weights", scaled)
+        monkeypatch.setattr(bounds_module, "stack_block_weights", scaled)
+        monkeypatch.setattr(sweep_module, "_corollary2_report", counted)
+        result = corollary2_exhaustive(3, Constants(k2=F(1, 16)))
+        assert bool(result.violations) == (factor > 1)
+        assert len(reports) == 2 * (len(result.violations) + 1)
 
     def test_run_sweep_dispatch(self):
         via_sweep = run_sweep(SweepConfig(target="corollary2", exhaustive_m=2))

@@ -23,12 +23,15 @@ Partition weights of Boolean functions come from one kernel,
 `boolean_tables` for the exhaustive check, transformed once as a
 `TableStack` for all its partitions), in int64 numerators over 4^m.
 With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N, and its
-stages stay inside N, so transforms run in int32; c_S^2 and their sums are
-at most N^2 = 2^2m.  The pointwise route N f - butterfly(c kept to a block)
-is N (f - g) with g a conditional expectation of f, so |g| <= 1 and each
-entry is at most 2N, its square at most 2^(2m+2).  A row of squares sums to
-at most N (2N)^2 = 2^(3m+2), past int64 from m = 21, so the high and low
-32-bit halves of the squares are summed apart (each half's sum fits int64)
+stages stay inside N, so the one transform runs in int32; c_S^2 and their
+sums are at most N^2 = 2^2m.  The pointwise route needs no transform:
+g = E[f | x_B] is the restriction to block B plus the empty coefficient,
+and N g is 2^|B| times the sum of f over the variables outside B, so
+N f - N g is formed from block sums of the table alone.  Its entries are
+at most 2N <= 2^27 and stay int32, each square is at most 2^(2m+2) in
+int64, and a row of squares sums to at most N (2N)^2 = 2^(3m+2), past
+int64 from m = 21, so the squares are taken _CHUNK columns at a time and
+their high and low 32-bit halves summed apart (each half's sum fits int64)
 and joined as Python ints.  Every m <= M_MAX works.
 """
 
@@ -51,6 +54,7 @@ from .errors import (
 
 M_MAX = 26
 _INT64_LIMIT = 1 << 30  # a table is int64 while 2^m max |n_x| stays inside it
+_CHUNK = 1 << 16  # entries of a row that one butterfly step or one block of squares takes
 
 
 def _checked_m(m: int) -> None:
@@ -180,17 +184,38 @@ CubeFunction = BooleanFunction | RealFunction
 
 def _butterfly(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis; exact
-    on Python ints and on fixed-width integers inside their dtype."""
+    on Python ints and on fixed-width integers inside their dtype.
+
+    Works in place on one copy of `values`.  Each pass does two stages at
+    once (radix 4, on bits b and b+1) while two bits remain, then one
+    radix-2 stage on the top bit when log2 of the length is odd.  A pass
+    goes through each row about _CHUNK entries at a time, so that its
+    temporaries stay small and in cache.
+    """
     a = values.copy()
-    shape = a.shape
+    shape, n = a.shape, a.shape[-1]
     h = 1
-    while h < shape[-1]:
-        a = a.reshape(*shape[:-1], shape[-1] // (2 * h), 2, h)
-        top = a[..., 0, :].copy()
-        a[..., 0, :] = top + a[..., 1, :]
-        a[..., 1, :] = top - a[..., 1, :]
-        a = a.reshape(shape)
-        h *= 2
+    while h < n:
+        radix = 4 if 4 * h <= n else 2
+        groups = n // (radix * h)
+        x = a.reshape(*shape[:-1], groups, radix, h)
+        step, width = max(1, _CHUNK // (radix * h)), min(h, _CHUNK // radix)
+        for g in range(0, groups, step):
+            for k in range(0, h, width):
+                part = x[..., g : g + step, :, k : k + width]
+                if radix == 2:
+                    x0, x1 = part[..., 0, :], part[..., 1, :]
+                    diff = x0 - x1
+                    x0 += x1
+                    x1[...] = diff
+                else:  # y_k = (x0 +- x1) +- (x2 +- x3), the signs of chi on bits b, b+1
+                    x0, x1, x2, x3 = (part[..., i, :] for i in range(4))
+                    s, d, t, u = x0 + x1, x0 - x1, x2 + x3, x2 - x3
+                    np.add(s, t, out=x0)
+                    np.add(d, u, out=x1)
+                    np.subtract(s, t, out=x2)
+                    np.subtract(d, u, out=x3)
+        h *= radix
     return a
 
 
@@ -258,9 +283,12 @@ def boolean_tables(m: int) -> np.ndarray:
     return _frozen((1 - 2 * bits).astype(np.int8))
 
 
-def _sum_sq(c: np.ndarray) -> np.ndarray:
-    """Sum of squares of each row, in int64."""
-    return np.einsum("ij,ij->i", c, c, dtype=np.int64)
+def _sum_sq(c: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Sum of squares of each row, in int64, over the columns the boolean
+    `keep` marks (all by default), with no copy of the selected columns."""
+    if keep is None:
+        return np.einsum("ij,ij->i", c, c, dtype=np.int64)
+    return np.einsum("ij,ij,j->i", c, c, keep, dtype=np.int64)
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
@@ -272,13 +300,46 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     return (high << 32) + low
 
 
-def _pointwise_sq_dist(f: np.ndarray, c: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """N * ||f - g||^2 per row, g the expansion c / N kept to the sets `keep`
-    selects: sum_x (N f - butterfly(c kept))^2 (N = 2^m)."""
-    diff = _butterfly(np.where(keep, c, 0)).astype(np.int64)
-    diff -= f.shape[-1] * f
-    diff *= diff
-    return _row_sums(diff)
+def _submasks(mask: int) -> np.ndarray:
+    """The 2^|mask| subsets of a bitmask, as indices."""
+    subsets = np.zeros(1, dtype=np.int64)
+    for b in range(mask.bit_length()):
+        if mask >> b & 1:
+            subsets = np.concatenate([subsets, subsets | 1 << b])
+    return subsets
+
+
+def _pointwise_sq_dist(f: np.ndarray, mask: int) -> np.ndarray:
+    """N * ||f - g||^2 per row of the int32 tables f, as Python ints, where
+    g = E[f | x_B] for the block B of bitmask `mask` and N = 2^m: the sum
+    over x of (N f - N g)^2, with N g = 2^|B| times the sum of f over the
+    variables outside B.  It reads f alone, never the coefficients, so a
+    faulty transform cannot feed both sides of the distance check.
+
+    Each row is laid out as (2, ..., 2), bit b on axis m - b (axis 0 holds
+    the rows), and its axes are regrouped into the block's and the others'
+    (each group in its own order, the group holding the top bit first, so
+    that a block of adjacent bits needs no transposition): the sum of
+    squares does not depend on the order of the points.
+    """
+    rows, n = f.shape
+    m = n.bit_length() - 1
+    inside = [a for a in range(1, m + 1) if mask >> m - a & 1]
+    outside = [a for a in range(1, m + 1) if not mask >> m - a & 1]
+    first, second = (inside, outside) if inside[0] == 1 else (outside, inside)
+    diff = f.reshape(rows, *(2,) * m).transpose(0, *first, *second).copy()
+    diff = diff.reshape(rows, 1 << len(first), 1 << len(second))
+    axis = 1 if first is outside else 2
+    g = diff.sum(axis=axis, keepdims=True, dtype=np.int32) << len(inside)
+    diff <<= m
+    diff -= g
+    diff = diff.reshape(rows, n)
+    total = 0
+    for start in range(0, n, _CHUNK):
+        sq = diff[:, start : start + _CHUNK].astype(np.int64)
+        sq *= sq
+        total = total + _row_sums(sq)
+    return total
 
 
 class TableStack:
@@ -318,13 +379,16 @@ def stack_block_weights(
     as int64 numerators over 4^m: Var f, the cross weight and, in column j of
     dists, the distance to block j's restriction plus the empty coefficient.
     `tables` is an array of tables or a `TableStack` already transformed, so
-    that many partitions share one forward transform.
+    that many partitions share one forward transform, the only one run.
 
-    Checked on every row, as VerificationError: the `TableStack` checks, the
-    cross weight against the identity N^2 - c_0^2 - sum_j (inside_j - c_0^2),
-    and each distance against the pointwise route
-    sum_x (N f - butterfly(c kept to block j))^2 = N dist_j, with N = 2^m
-    and c = N * coefficients.
+    With N = 2^m and c = N * coefficients, inside_j is the squared mass
+    on the 2^|B_j| subsets of block j, gathered by index, and dist_j is
+    N^2 - inside_j (Parseval, checked by the `TableStack`); the cross weight
+    is summed directly over the sets in no block.  Checked on every row, as
+    VerificationError: the `TableStack` checks, the cross weight against the
+    identity N^2 - c_0^2 - sum_j (inside_j - c_0^2), and each distance
+    against the pointwise route `_pointwise_sq_dist` = N dist_j, which
+    reads the tables and not c.
     """
     m = partition.m
     stack = tables if isinstance(tables, TableStack) else TableStack(tables, m)
@@ -332,18 +396,20 @@ def stack_block_weights(
         raise DimensionMismatchError(f"partition over {m} variables, a stack over {stack.m}")
     f, c, c0_sq = stack.f, stack.c, stack.c0_sq
     n = 1 << m
-    subsets = np.arange(n, dtype=np.int32)
+    total = stack.var + c0_sq
     inside_some = np.zeros(n, dtype=bool)
     block_var_total = np.zeros_like(stack.var)
     dists = np.empty((len(f), len(partition.blocks)), dtype=np.int64)
     for j in range(len(partition.blocks)):
-        inside = (subsets & ~partition.mask(j)) == 0
-        dists[:, j] = _sum_sq(c[:, ~inside])
-        block_var_total += _sum_sq(c[:, inside]) - c0_sq
-        inside_some |= inside
-        if np.any(_pointwise_sq_dist(f, c, inside) != n * dists[:, j].astype(object)):
+        mask = partition.mask(j)
+        subsets = _submasks(mask)
+        inside = _sum_sq(c[:, subsets])
+        dists[:, j] = total - inside
+        block_var_total += inside - c0_sq
+        inside_some[subsets] = True
+        if np.any(_pointwise_sq_dist(f, mask) != n * dists[:, j].astype(object)):
             raise VerificationError(f"block {j}: coefficient route != pointwise on the stack")
-    cross = _sum_sq(c[:, ~inside_some])
+    cross = _sum_sq(c, ~inside_some)
     if np.any(cross != n * n - c0_sq - block_var_total):
         raise VerificationError("cross weight mismatch on the stack")
     return stack.var, cross, dists

@@ -38,6 +38,7 @@ from fknlab.errors import (
     DimensionMismatchError,
     ParseError,
     StructureError,
+    VerificationError,
 )
 from fknlab.sweep import enumerate_boolean_functions, random_real_function
 
@@ -410,10 +411,55 @@ class TestStackKernel:
         for partition, weights in zip(partitions, expected):
             got = stack_block_weights(stack, partition)
             assert all(np.array_equal(x, y) for x, y in zip(got, weights))
-        # one butterfly per block for the pointwise route, none for the forward transform
-        assert len(calls) == sum(len(partition.blocks) for partition in partitions)
+        # the pointwise route sums blocks of the tables, and the forward transform is done
+        assert calls == []
         with pytest.raises(DimensionMismatchError):
             stack_block_weights(stack, Partition.from_blocks(2, [[1], [2]]))
+
+    def test_pointwise_route_catches_a_swap_in_the_forward_transform(self, monkeypatch):
+        # swapping c_S (S inside block 1) and c_T (T in no block) of different
+        # magnitude keeps Parseval, Var f and the cross identity: only the
+        # pointwise route, which reads the table and not c, can see it
+        f, partition = tribes_example(2)
+        n, masks = 1 << f.m, [partition.mask(j) for j in range(len(partition.blocks))]
+        c = _butterfly(f.table.astype(np.int64))
+        crossing = [t for t in range(n) if not any(within(t, mask) for mask in masks)]
+        inside = [s for s in range(1, n) if within(s, masks[0])]
+        s, t = next((s, t) for s in inside for t in crossing if abs(c[s]) != abs(c[t]))
+        real = cube_module._butterfly
+
+        def swapped(a):
+            out = real(a)
+            out[..., [s, t]] = out[..., [t, s]]
+            return out
+
+        c2 = swapped(f.table.astype(np.int64))
+        assert sorted(c2**2) == sorted(c**2) and c2[0] == c[0]
+        mass = lambda keep: sum(int(c2[u]) ** 2 for u in range(n) if keep(u))
+        block_vars = sum(mass(lambda u: within(u, mask)) - c2[0] ** 2 for mask in masks)
+        assert mass(lambda u: u in crossing) == n * n - c2[0] ** 2 - block_vars
+        monkeypatch.setattr(cube_module, "_butterfly", swapped)
+        with pytest.raises(VerificationError, match="block 0: coefficient route != pointwise"):
+            stack_block_weights(f.table[None], partition)
+
+    def test_odd_and_even_blocks_across_column_chunks(self):
+        # 2^17 entries: the kernel's sums take two column chunks and the last
+        # butterfly stage two steps; the odd | even partition interleaves the
+        # blocks' bits.  Oracle: RealFunction distances through wht and inverse_wht.
+        m = 17
+        rng = np.random.default_rng(20240813)
+        f = BooleanFunction(m, 1 - 2 * rng.integers(0, 2, 1 << m, dtype=np.int8))
+        partition = Partition.from_blocks(m, [range(1, m + 1, 2), range(2, m + 1, 2)])
+        var, cross, dists = stack_block_weights(f.table[None], partition)
+        unit, total = 4**m, int(f.table.sum())  # total / 2^m is the empty coefficient
+        block_vars = 0
+        for j, block in enumerate(partition.blocks):
+            r = restriction(f, block)
+            g = RealFunction(m, r.table + (total << r.k - m), r.k)
+            assert Fraction(int(dists[0, j]), unit) == sq_l2_dist(f, g)
+            block_vars += variance(r)
+        assert Fraction(int(var[0]), unit) == variance(f)
+        assert Fraction(int(cross[0]), unit) == variance(f) - block_vars
 
     def test_row_sums_are_exact_past_int64(self):
         # each row's int64 sum wraps; the low halves of the middle row carry

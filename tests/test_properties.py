@@ -67,6 +67,7 @@ from conftest import (
     naive_fourier,
     product_distribution,
     rv_moments,
+    sign_matrix,
     sq_mass,
     values,
     within,
@@ -139,6 +140,37 @@ def test_stack_kernel_is_naive_mass_over_4_to_the_m(case, more_bits):
         assert cross[t] == expected * n * n
         for j, mask in enumerate(masks):
             assert dists[t, j] == sq_mass(coeffs, lambda s: not within(s, mask)) * n * n
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 10),
+    st.sampled_from([0, 1, 3]),
+    st.sampled_from([np.int32, np.int64, object]),
+    st.integers(0, 2**32 - 1),
+)
+def test_butterfly_is_the_sign_matrix_product(m, rows, dtype, seed):
+    # odd and even m, so the radix-4 passes end with and without a radix-2 stage;
+    # fixed-width entries are as wide as their dtype lets every stage be
+    n = 1 << m
+    rng = np.random.default_rng(seed)
+    if dtype is object:
+        table = rng.integers(-(2**62), 2**62, (rows, n)).astype(object) << 40
+    else:
+        peak = (2 ** (8 * np.dtype(dtype).itemsize - 1) - 1) >> m
+        table = rng.integers(-peak, peak + 1, (rows, n), dtype=dtype)
+    before = table.copy()
+    got = _butterfly(table)
+    assert got.dtype == table.dtype and got.shape == (rows, n)
+    assert np.array_equal(table, before)  # the input is only read
+    expected = table.astype(object) @ sign_matrix(m).astype(object)
+    assert np.array_equal(got.astype(object), expected)
+    if dtype is object and rows:
+        f = RealFunction(m, table[0], k=3)
+        expansion = wht(f)
+        assert f.table.dtype == expansion.coeffs.dtype == object
+        back = inverse_wht(expansion)
+        assert back.table.dtype == object and values(back) == values(f)
 
 
 @st.composite

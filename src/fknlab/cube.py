@@ -24,15 +24,11 @@ Partition weights of Boolean functions come from one kernel,
 `TableStack` for all its partitions), in int64 numerators over 4^m.
 With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N, and its
 stages stay inside N, so the one transform runs in int32; c_S^2 and their
-sums are at most N^2 = 2^2m.  The pointwise route needs no transform:
-g = E[f | x_B] is the restriction to block B plus the empty coefficient,
-and N g is 2^|B| times the sum of f over the variables outside B, so
-N f - N g is formed from block sums of the table alone.  Its entries are
-at most 2N <= 2^27 and stay int32, each square is at most 2^(2m+2) in
-int64, and a row of squares sums to at most N (2N)^2 = 2^(3m+2), past
-int64 from m = 21, so the squares are taken _CHUNK columns at a time and
-their high and low 32-bit halves summed apart (each half's sum fits int64)
-and joined as Python ints.  Every m <= M_MAX works.
+sums are at most N^2 = 2^2m.  The check of each block distance needs no
+transform: the mass of c inside block B is 2^|B| times the sum of squares
+of the table's margin on B (the sums R of f over the variables outside B,
+|R| <= 2^(m-|B|)), which is at most N^2 <= 2^52 as well, so the whole
+kernel is int64 for every m <= M_MAX.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from .errors import (
 
 M_MAX = 26
 _INT64_LIMIT = 1 << 30  # a table is int64 while 2^m max |n_x| stays inside it
-_CHUNK = 1 << 16  # entries of a row that one butterfly step or one block of squares takes
+_CHUNK = 1 << 16  # entries of a row that one butterfly step takes
 
 
 def _checked_m(m: int) -> None:
@@ -291,15 +287,6 @@ def _sum_sq(c: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("ij,ij,j->i", c, c, keep, dtype=np.int64)
 
 
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    """Exact sums along the last axis of nonnegative int64 values, as an
-    object array of Python ints: the high and low 32-bit halves are summed
-    apart, and each half's sum fits int64 for rows of up to 2^31 entries."""
-    high = (values >> 32).sum(axis=-1).astype(object)
-    low = (values & 0xFFFFFFFF).sum(axis=-1).astype(object)
-    return (high << 32) + low
-
-
 def _submasks(mask: int) -> np.ndarray:
     """The 2^|mask| subsets of a bitmask, as indices."""
     subsets = np.zeros(1, dtype=np.int64)
@@ -310,36 +297,20 @@ def _submasks(mask: int) -> np.ndarray:
 
 
 def _pointwise_sq_dist(f: np.ndarray, mask: int) -> np.ndarray:
-    """N * ||f - g||^2 per row of the int32 tables f, as Python ints, where
-    g = E[f | x_B] for the block B of bitmask `mask` and N = 2^m: the sum
-    over x of (N f - N g)^2, with N g = 2^|B| times the sum of f over the
-    variables outside B.  It reads f alone, never the coefficients, so a
-    faulty transform cannot feed both sides of the distance check.
-
-    Each row is laid out as (2, ..., 2), bit b on axis m - b (axis 0 holds
-    the rows), and its axes are regrouped into the block's and the others'
-    (each group in its own order, the group holding the top bit first, so
-    that a block of adjacent bits needs no transposition): the sum of
-    squares does not depend on the order of the points.
+    """||f - g||^2 per row of the int32 +-1 tables f, as int64 numerators
+    over 4^m, where g = E[f | x_B] for the block B of bitmask `mask`: with
+    N = 2^m and R the margin of f on B (the sums of f over the variables
+    outside B), it is N^2 - 2^|B| sum R^2.  It reads f alone, never the
+    coefficients, so a faulty transform cannot feed both sides of the
+    distance check.  Each row is laid out as (2, ..., 2), bit b on axis m - b
+    (axis 0 holds the rows), so the margin sums the other axes in place.
     """
     rows, n = f.shape
     m = n.bit_length() - 1
-    inside = [a for a in range(1, m + 1) if mask >> m - a & 1]
-    outside = [a for a in range(1, m + 1) if not mask >> m - a & 1]
-    first, second = (inside, outside) if inside[0] == 1 else (outside, inside)
-    diff = f.reshape(rows, *(2,) * m).transpose(0, *first, *second).copy()
-    diff = diff.reshape(rows, 1 << len(first), 1 << len(second))
-    axis = 1 if first is outside else 2
-    g = diff.sum(axis=axis, keepdims=True, dtype=np.int32) << len(inside)
-    diff <<= m
-    diff -= g
-    diff = diff.reshape(rows, n)
-    total = 0
-    for start in range(0, n, _CHUNK):
-        sq = diff[:, start : start + _CHUNK].astype(np.int64)
-        sq *= sq
-        total = total + _row_sums(sq)
-    return total
+    outside = tuple(a for a in range(1, m + 1) if not mask >> m - a & 1)
+    inside = m - len(outside)
+    margin = f.reshape(rows, *(2,) * m).sum(axis=outside, dtype=np.int32)
+    return n * n - (_sum_sq(margin.reshape(rows, 1 << inside)) << inside)
 
 
 class TableStack:
@@ -387,8 +358,10 @@ def stack_block_weights(
     is summed directly over the sets in no block.  Checked on every row, as
     VerificationError: the `TableStack` checks, the cross weight against the
     identity N^2 - c_0^2 - sum_j (inside_j - c_0^2), and each distance
-    against the pointwise route `_pointwise_sq_dist` = N dist_j, which
-    reads the tables and not c.
+    against the pointwise route `_pointwise_sq_dist`, N^2 minus 2^|B_j|
+    times the sum of squares of the table's margin on block j, which reads
+    the tables and not c.  For entries +-1 this is N^2 ||f - g_j||^2 with
+    g_j = E[f | x_B_j], and every term is at most 4^m <= 2^52, in int64.
     """
     m = partition.m
     stack = tables if isinstance(tables, TableStack) else TableStack(tables, m)
@@ -407,7 +380,7 @@ def stack_block_weights(
         dists[:, j] = total - inside
         block_var_total += inside - c0_sq
         inside_some[subsets] = True
-        if np.any(_pointwise_sq_dist(f, mask) != n * dists[:, j].astype(object)):
+        if np.any(_pointwise_sq_dist(f, mask) != dists[:, j]):
             raise VerificationError(f"block {j}: coefficient route != pointwise on the stack")
     cross = _sum_sq(c, ~inside_some)
     if np.any(cross != n * n - c0_sq - block_var_total):

@@ -95,6 +95,8 @@ class SweepConfig:
             raise StructureError(f"denom_cap must be >= {need}")
         if self.rv_count_max < 2:
             raise StructureError("rv_count_max must be >= 2 (theorem1 sums at least two)")
+        if self.atom_cap < 1:
+            raise StructureError("atom_cap must be >= 1")
         if not 2 <= self.exhaustive_m <= 4:
             raise StructureError("exhaustive_m must lie in 2..4")
 

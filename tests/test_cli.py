@@ -317,8 +317,8 @@ class TestAnalyze:
         assert values["dist"] == "9/16"
 
     def test_tribes_m11_past_the_old_int64_bound(self, tmp_path, capsys):
-        # 22 variables: 3m + 2 > 62, so only the halved row sums keep the
-        # pointwise route exact; the output is the float64 route's, verbatim
+        # 22 variables: 3m + 2 > 62, past int64 for a sum of pointwise
+        # squares; the margin check stays in int64, and the output is pinned
         run(capsys, "example", "tribes", "--m", "11", "--out-dir", str(tmp_path))
         code, out, _ = run(
             capsys,
@@ -496,6 +496,12 @@ class TestSweep:
             assert kv(out)["errors"] == str(errors)
             # a constant only when some instance was evaluated to measure it
             assert ("empirical_constant" in kv(out)) == (errors < n)
+
+    def test_atom_cap_below_one_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("target=lemma4\nn=5\natom_cap=-4\n")
+        code, out, err = run(capsys, "sweep", "--config", str(config))
+        assert (code, out, err) == (1, "", "error: atom_cap must be >= 1\n")
 
     def test_claim8_denom_cap_without_supports(self, capsys):
         # claim8 draws no supports, so only its denom_cap >= 2 is checked

@@ -16,7 +16,7 @@ from fknlab.cube import (
     RealFunction,
     TableStack,
     _butterfly,
-    _row_sums,
+    _pointwise_sq_dist,
     balance_extend,
     boolean_tables,
     cross_partition_weight,
@@ -443,9 +443,9 @@ class TestStackKernel:
             stack_block_weights(f.table[None], partition)
 
     def test_odd_and_even_blocks_across_column_chunks(self):
-        # 2^17 entries: the kernel's sums take two column chunks and the last
-        # butterfly stage two steps; the odd | even partition interleaves the
-        # blocks' bits.  Oracle: RealFunction distances through wht and inverse_wht.
+        # 2^17 entries: the last butterfly stage takes two column chunks; the
+        # odd | even partition interleaves the blocks' bits, so each margin
+        # sums non-adjacent axes.  Oracle: RealFunction distances through wht and inverse_wht.
         m = 17
         rng = np.random.default_rng(20240813)
         f = BooleanFunction(m, 1 - 2 * rng.integers(0, 2, 1 << m, dtype=np.int8))
@@ -461,21 +461,18 @@ class TestStackKernel:
         assert Fraction(int(var[0]), unit) == variance(f)
         assert Fraction(int(cross[0]), unit) == variance(f) - block_vars
 
-    def test_row_sums_are_exact_past_int64(self):
-        # each row's int64 sum wraps; the low halves of the middle row carry
-        rows = np.array(
-            [
-                [2**62 + 5, 2**62 + 7, 2**62 - 1, 2**62],
-                [2**63 - 1, 2**32 - 1, 2**32 - 1, 2**62 + 2**32 - 1],
-                [0, 1, 2**40, 3],
-            ],
-            dtype=np.int64,
-        )
-        expected = [sum(int(v) for v in row) for row in rows]
-        assert rows.sum(axis=-1).tolist()[:2] != expected[:2]
-        sums = _row_sums(rows).tolist()
-        assert sums == expected and all(type(s) is int for s in sums)
-        assert _row_sums(rows[:0]).tolist() == []
+    def test_int64_past_the_old_bound(self):
+        # 22 variables: 3m + 2 > 62, where a sum of pointwise squares would
+        # leave int64; the margins keep every term inside 4^m = 2^44
+        f, partition = tribes_example(11)
+        stack = TableStack(f.table[None], f.m)
+        var, cross, dists = stack_block_weights(stack, partition)
+        assert all(a.dtype == np.int64 for a in (var, cross, dists))
+        for j in range(len(partition.blocks)):
+            pointwise = _pointwise_sq_dist(stack.f, partition.mask(j))
+            assert pointwise.dtype == np.int64
+            assert pointwise.tolist() == dists[:, j].tolist() == [4190209 << 13]
+        assert var.tolist() == [17158905855 << 2] and cross.tolist() == [4190209 << 2]
 
 
 class TestBalanceExtend:

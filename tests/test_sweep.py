@@ -597,6 +597,11 @@ class TestConfigParsing:
             SweepConfig(target="lemma7", instance_count=0)
         with pytest.raises(StructureError):
             SweepConfig(target="lemma7", value_lo=F(2), value_hi=F(2))
+        # atom_cap < 1 used to send every instance into AtomLimitError
+        with pytest.raises(StructureError, match="atom_cap"):
+            SweepConfig(target="theorem1", atom_cap=0)
+        with pytest.raises(StructureError, match="atom_cap"):
+            parse_sweep_config("target=lemma4\natom_cap=-4\n")
 
     @pytest.mark.parametrize("m", [-1, 1, 5])
     def test_exhaustive_m_range(self, m):

@@ -4,7 +4,9 @@ All generated instances are exact rationals with bounded denominators, so a
 reported violation is a real violation and never a rounding artifact.  Every
 sweep is a deterministic function of its config: instance i draws from its
 own RNG stream derived from (seed, i), which keeps results independent of
-evaluation order.
+evaluation order.  Integers are drawn by `_randint` straight from
+`getrandbits`, word for word as `random.Random.randint` draws them, and the
+reports are folded on integer cross products of their sides.
 
 Every target lives in one `Target` entry of TARGETS: adding an inequality
 means adding one entry there, and both `fknlab sweep` and `fknlab check`
@@ -116,6 +118,19 @@ def _rng_for(seed: int, index: int) -> random.Random:
     return random.Random(((seed & 0xFFFFFFFF) << 40) ^ (index + 1))
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi) with the same draws: getrandbits(k) words, k the bit
+    length of n = hi - lo + 1, redrawn while >= n (random's _randbelow)."""
+    n = hi - lo + 1
+    if n <= 0:  # no word is below n: the loop would never end
+        raise StructureError(f"empty range {lo}..{hi}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
     """All 2^(2^m) truth tables on m = 1..4 variables, one per row of
     `boolean_tables(m)`, in its table-integer order."""
@@ -125,11 +140,11 @@ def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
 def _random_ratio(rng: random.Random, lo: Fraction, hi: Fraction, cap: int) -> tuple[int, int]:
     """(numerator, denominator) of a random rational in [lo, hi], not reduced: the
     drawn denominator in 1..cap, or cap when no multiple of its inverse lies in [lo, hi]."""
-    for den in (rng.randint(1, cap), cap):
+    for den in (_randint(rng, 1, cap), cap):
         lo_num = -(-lo.numerator * den // lo.denominator)  # ceil(lo den), floor(hi den)
         hi_num = hi.numerator * den // hi.denominator
         if lo_num <= hi_num:
-            return rng.randint(lo_num, hi_num), den
+            return _randint(rng, lo_num, hi_num), den
     raise StructureError(f"no rational with denominator <= {cap} in [{lo}, {hi}]")
 
 
@@ -164,7 +179,7 @@ def _random_rv(
             raise StructureError("value grid too small for requested support")
     if support_size == 1:
         return DiscreteRV.constant(Fraction(*values.pop()))
-    d = rng.randint(support_size, max(denom_cap, support_size))
+    d = _randint(rng, support_size, max(denom_cap, support_size))
     cuts = sorted(rng.sample(range(1, d), support_size - 1))
     masses = [b - a for a, b in zip([0] + cuts, cuts + [d])]
     scale = math.lcm(*(den for _, den in values))
@@ -177,14 +192,22 @@ def random_real_function(m: int, seed: int, denom_pow: int = 4, max_num: int = 3
 
 
 def _random_numerators(rng: random.Random, m: int, max_num: int = 32) -> list[int]:
-    """The 2^m numerators of a random table, each uniform on -max_num..max_num."""
+    """The 2^m numerators of a random table, each uniform on -max_num..max_num:
+    `_randint(rng, -max_num, max_num)` for each entry, in one loop."""
     if max_num < 0:
         raise StructureError(f"max_num must be >= 0, got {max_num}")
-    return [rng.randint(-max_num, max_num) for _ in range(1 << m)]
+    n = 2 * max_num + 1
+    k, draw, size = n.bit_length(), rng.getrandbits, 1 << m
+    numerators: list[int] = []
+    while len(numerators) < size:
+        r = draw(k)
+        if r < n:  # a word >= n is redrawn
+            numerators.append(r - max_num)
+    return numerators
 
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
-    size = rng.randint(cfg.support_min, cfg.support_max)
+    size = _randint(rng, cfg.support_min, cfg.support_max)
     return _random_rv(rng, size, (cfg.value_lo, cfg.value_hi), cfg.denom_cap)
 
 
@@ -197,36 +220,36 @@ def _claim8_instance(
     if rng.random() < 0.0625:
         d = Fraction(0)
     else:
-        den = rng.randint(1, cap)
-        d = Fraction(rng.randint(1, 3 * den), den)
+        den = _randint(rng, 1, cap)
+        d = Fraction(_randint(rng, 1, 3 * den), den)
     if case == 0:  # p >= 1/2
         if rng.random() < 0.125:
             p = Fraction(1, 2)
         else:
-            b = rng.randint(2, cap)
-            p = Fraction(rng.randint(-(-b // 2), b - 1), b)
+            b = _randint(rng, 2, cap)
+            p = Fraction(_randint(rng, -(-b // 2), b - 1), b)
     elif case == 1:  # 1/4 <= p < 1/2
         if rng.random() < 0.125:
             p = Fraction(1, 4)
         else:
-            b = rng.randint(4, max(4, cap))
-            p = Fraction(rng.randint(-(-b // 4), -(-b // 2) - 1), b)
+            b = _randint(rng, 4, max(4, cap))
+            p = Fraction(_randint(rng, -(-b // 4), -(-b // 2) - 1), b)
     else:  # p < 1/4
-        b = rng.randint(5, max(5, cap))
-        p = Fraction(rng.randint(1, -(-b // 4) - 1), b)
+        b = _randint(rng, 5, max(5, cap))
+        p = Fraction(_randint(rng, 1, -(-b // 4) - 1), b)
     ybar = TwoPointBalancedRV(d, p)
     if case <= 1:
-        den = rng.randint(1, cap)
-        x1 = Fraction(rng.randint(0, 3 * den), den)
+        den = _randint(rng, 1, cap)
+        x1 = Fraction(_randint(rng, 0, 3 * den), den)
     else:
         boundary = 2 * d / (1 - p)
-        den = rng.randint(1, cap)
+        den = _randint(rng, 1, cap)
         if case == 2:  # x1 <= 2d/(1-p), endpoint included
-            x1 = boundary * Fraction(rng.randint(0, den), den)
+            x1 = boundary * Fraction(_randint(rng, 0, den), den)
         else:  # x1 > 2d/(1-p)
-            x1 = boundary + Fraction(rng.randint(1, 3 * den), den)
-    den = rng.randint(1, cap)
-    x2 = x1 * Fraction(rng.randint(0, den), den)
+            x1 = boundary + Fraction(_randint(rng, 1, 3 * den), den)
+    den = _randint(rng, 1, cap)
+    x2 = x1 * Fraction(_randint(rng, 0, den), den)
     if rng.random() < 0.5:
         x2 = -x2
     return x1, x2, ybar
@@ -290,7 +313,7 @@ def _claim8_target(rng, cfg, index):
 
 
 def _theorem1_target(rng, cfg, index):
-    xs = [_random_raw(rng, cfg) for _ in range(rng.randint(2, cfg.rv_count_max))]
+    xs = [_random_raw(rng, cfg) for _ in range(_randint(rng, 2, cfg.rv_count_max))]
     report = theorem1_check(xs, cfg.constants, cfg.atom_cap)
     return _with_inputs(report, {f"x{i}": x for i, x in enumerate(xs)})
 
@@ -310,14 +333,14 @@ def _spread(a: list[int]) -> int:
 
 
 def _fact1_target(rng, cfg, index):
-    m = rng.randint(1, 3)
+    m = _randint(rng, 1, 3)
     f, g, h = (_random_numerators(rng, m) for _ in range(3))
     lhs = Fraction(_sq_dist(f, g) + _sq_dist(g, h), 1 << m + 8)
     return BoundReport.compare(lhs, Fraction(_sq_dist(f, h), 1 << m + 9), {"m": m})
 
 
 def _fact8_target(rng, cfg, index):
-    m = rng.randint(1, 3)
+    m = _randint(rng, 1, 3)
     f, g = (_random_numerators(rng, m) for _ in range(2))
     n = 1 << m
     lhs = Fraction(_spread(f), n * n << 8)
@@ -397,13 +420,17 @@ def _accumulate(
 
     A package error (FknLabError) raised by a case is recorded as that
     instance's error; a VerificationError or any other exception is a bug
-    and propagates.  One running minimum of lhs/rhs is kept, its first
-    instance the witness; `_constant` derives the empirical constant from it
-    after the loop, with every instance that raised left out.
+    and propagates.  The fold is on integers: with a = lhs.numerator *
+    rhs.denominator and b = rhs.numerator * lhs.denominator, lhs/rhs is a/b
+    (denominators are positive), a report is a violation when a < b, and it
+    has a ratio when b > 0.  One running minimum a_min/b_min is kept by cross
+    multiplication, its first instance the witness; one Fraction is built
+    from it after the loop, and `_constant` derives the empirical constant
+    from that, with every instance that raised left out.
     """
     violations: list[str] = []
     errors: list[tuple[int, str]] = []
-    min_ratio: Fraction | None = None
+    a_min, b_min = 1, 0  # 1/0: above every ratio, so the first b > 0 replaces it
     least: tuple[int, BoundReport] | None = None  # its line is written once, at the end
     count = 0
     for i, case in enumerate(cases):
@@ -417,11 +444,13 @@ def _accumulate(
             continue
         if on_row is not None:
             on_row(report.csv_row(i))
-        if not report.holds:
+        lhs, rhs = report.lhs, report.rhs
+        a, b = lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
+        if a < b:
             violations.append(_line(i, report, violation=True))
-        ratio = report.ratio
-        if ratio is not None and (min_ratio is None or ratio < min_ratio):
-            min_ratio, least = ratio, (i, report)
+        if b > 0 and a * b_min < a_min * b:  # strict: the first of equal ratios stays
+            a_min, b_min, least = a, b, (i, report)
+    min_ratio = None if least is None else Fraction(a_min, b_min)
     return SweepResult(
         target=name,
         instances_run=count,

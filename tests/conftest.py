@@ -4,9 +4,11 @@ These deliberately avoid the library's fast paths: the Fourier oracle is the
 literal O(4^m) definition over exact Fractions (or a sign-matrix product for
 larger m), so it can referee the butterfly transform.  `values` and
 `dyadic_function` move between cube tables (integer numerators over 2^k)
-and the Fractions they stand for.  `corollary2_per_instance` is the
-exhaustive corollary check with one report per instance, the referee of
-its integer fold.
+and the Fractions they stand for.  `accumulate_reference` is the sweep
+fold on Fractions, each report's verdict and ratio taken from BoundReport,
+the referee of `sweep._accumulate`'s integer fold.
+`corollary2_per_instance` is the exhaustive corollary check with one
+report per instance through it, the referee of the batch's integer fold.
 """
 
 import functools
@@ -20,6 +22,7 @@ import pytest
 from fknlab import sweep
 from fknlab.bounds import DEFAULT_CONSTANTS
 from fknlab.cube import RealFunction, boolean_tables, format_partition, format_table_rows
+from fknlab.errors import FknLabError, VerificationError
 
 
 def cube_point(index: int, m: int) -> tuple[int, ...]:
@@ -102,11 +105,44 @@ def product_distribution(*atom_lists):
     return tuple(sorted(masses.items()))
 
 
+def accumulate_reference(name, cases, scale, on_row=None) -> sweep.SweepResult:
+    """`sweep._accumulate` on Fractions: a report is a violation when it does
+    not hold, and the first instance of least `report.ratio` is the witness."""
+    violations, errors = [], []
+    min_ratio, least = None, None
+    count = 0
+    for i, case in enumerate(cases):
+        count += 1
+        try:
+            report = case()
+        except VerificationError:
+            raise
+        except FknLabError as exc:
+            errors.append((i, f"{type(exc).__name__}: {exc}"))
+            continue
+        if on_row is not None:
+            on_row(report.csv_row(i))
+        if not report.holds:
+            violations.append(sweep._line(i, report, violation=True))
+        ratio = report.ratio
+        if ratio is not None and (min_ratio is None or ratio < min_ratio):
+            min_ratio, least = ratio, (i, report)
+    return sweep.SweepResult(
+        target=name,
+        instances_run=count,
+        violations=tuple(violations),
+        min_ratio=min_ratio,
+        min_ratio_witness=None if least is None else sweep._line(*least, violation=False),
+        empirical_constant=sweep._constant(scale, min_ratio, len(errors) < count),
+        errors=tuple(errors),
+    )
+
+
 def corollary2_per_instance(m: int, constants=DEFAULT_CONSTANTS, on_row=None) -> sweep.SweepResult:
     """`sweep.corollary2_exhaustive` without its integer fold or recheck: each
     partition runs `sweep.stack_block_weights` on the raw tables, and one
     BoundReport per instance (table-major, as the batch numbers them) goes
-    through `sweep._accumulate`."""
+    through `accumulate_reference`."""
     tables = boolean_tables(m)[1:-1]
     partitions = list(sweep.two_block_partitions(m))
     scale = sweep.TARGETS["corollary2"].scale(constants)
@@ -129,7 +165,7 @@ def corollary2_per_instance(m: int, constants=DEFAULT_CONSTANTS, on_row=None) ->
         for t, row in enumerate(format_table_rows(tables))
         for text, var, cross, k, dist in columns
     )
-    return sweep._accumulate("corollary2", cases, scale, on_row)
+    return accumulate_reference("corollary2", cases, scale, on_row)
 
 
 @pytest.fixture

@@ -17,20 +17,23 @@ and equal distributions must compare equal and hash alike however they were
 built.
 
 Sweeps: the fact1 and fact8 sides, summed on drawn numerators, must equal
-the cube measures of the same tables, and the exhaustive corollary check's
-integer fold must give the per-instance fold's result and CSV bytes.
+the cube measures of the same tables.  The sweep's integer fold must give
+the Fraction fold's result and CSV rows on random report sequences, and the
+exhaustive corollary check's batch fold must give the per-instance
+Fraction fold's result and CSV bytes.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fknlab.bounds as bounds_module
 from fknlab import sweep
-from fknlab.bounds import Constants, corollary2_apply
+from fknlab.bounds import BoundReport, Constants, corollary2_apply
 from fknlab.cli import main
 from fknlab.cube import (
     BooleanFunction,
@@ -44,6 +47,7 @@ from fknlab.cube import (
     variance,
     wht,
 )
+from fknlab.errors import AtomLimitError, StructureError
 from fknlab.rv import (
     DiscreteRV,
     abs_rv,
@@ -62,6 +66,7 @@ from fknlab.rv import (
 )
 
 from conftest import (
+    accumulate_reference,
     corollary2_per_instance,
     dyadic_function,
     naive_fourier,
@@ -328,28 +333,72 @@ def test_equal_distributions_compare_and_hash_alike(x, y, c, parts):
 
 
 class ScriptedRng:
-    """Hands out the given draws in order, as `randint` calls."""
+    """Hands out the given words in order, as `getrandbits` calls."""
 
-    def __init__(self, draws):
-        self.draws = iter(draws)
+    def __init__(self, words):
+        self.words = iter(words)
 
-    def randint(self, lo, hi):
-        value = next(self.draws)
-        assert lo <= value <= hi
-        return value
+    def getrandbits(self, k):
+        word = next(self.words)
+        assert 0 <= word < 1 << k
+        return word
 
 
 @PROPERTY_SETTINGS
 @given(st.integers(1, 3), st.lists(st.integers(-32, 32), min_size=24, max_size=24))
 def test_fact_sides_on_numerators_are_the_cube_measures(m, draws):
-    # m = 1..3 and the numerators of three tables on m variables, as fact1 and fact8 draw them
+    # m = 1..3 and the numerators of three tables on m variables, as fact1 and fact8
+    # draw them: the words m - 1 (of 2 bits) and v + 32 (of 7 bits), none redrawn
     n = 1 << m
     f, g, h = (RealFunction(m, draws[i * n : (i + 1) * n], 4) for i in range(3))
-    fact1 = sweep._fact1_target(ScriptedRng([m, *draws[: 3 * n]]), None, 0)
+    words = [m - 1, *(v + 32 for v in draws)]
+    fact1 = sweep._fact1_target(ScriptedRng(words[: 1 + 3 * n]), None, 0)
     assert (fact1.lhs, fact1.rhs) == (sq_l2_dist(f, g) + sq_l2_dist(g, h), sq_l2_dist(f, h) / 2)
-    fact8 = sweep._fact8_target(ScriptedRng([m, *draws[: 2 * n]]), None, 0)
+    fact8 = sweep._fact8_target(ScriptedRng(words[: 1 + 2 * n]), None, 0)
     assert (fact8.lhs, fact8.rhs) == (variance(f), variance(g) / 2 - sq_l2_dist(f, g))
     assert fact1.witness == fact8.witness == {"m": m}
+
+
+# A case of the sweep fold: sides (lhs, rhs) from a small grid, so that equal
+# ratios from different integer pairs (a, b) are common (1 : 2 and 2 : 4),
+# with rhs 0, rhs < 0 and lhs 0 < rhs among them; or a package error it raises.
+_SIDE = st.fractions(min_value=-2, max_value=4, max_denominator=3)
+_FOLD_CASE = st.one_of(
+    st.tuples(_SIDE, _SIDE),
+    st.sampled_from([(0, 1), (1, 0), (3, -1)]).map(lambda sides: tuple(map(Fraction, sides))),
+    st.sampled_from([StructureError, AtomLimitError]),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(_FOLD_CASE, max_size=12), st.sampled_from([None, Fraction(2), Fraction(9, 4)]))
+@example(
+    [
+        (Fraction(2), Fraction(4)),
+        (Fraction(0), Fraction(0)),
+        AtomLimitError,
+        (Fraction(1), Fraction(2)),
+        (Fraction(1, 3), Fraction(-2, 3)),
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(0), Fraction(1, 3)),
+        (Fraction(0), Fraction(2)),
+        StructureError,
+    ],
+    Fraction(2),
+)
+@example([(Fraction(3), Fraction(-1)), (Fraction(2), Fraction(4)), (Fraction(1), Fraction(2))], None)
+def test_sweep_fold_is_the_fraction_fold(cases, scale):
+    def case(i, item):
+        if isinstance(item, type):
+            raise item(f"case {i}")
+        return BoundReport(*item, {"case": i})
+
+    outcomes = []
+    for fold in (sweep._accumulate, accumulate_reference):
+        rows = []
+        calls = [functools.partial(case, i, item) for i, item in enumerate(cases)]
+        outcomes.append((fold("t", calls, scale, rows.append), rows))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("m,k2", [(2, None), (3, None), (3, Fraction(1, 16))])

@@ -23,6 +23,8 @@ from fknlab.sweep import (
     SweepConfig,
     _claim8_instance,
     _confirm,
+    _randint,
+    _random_numerators,
     _rng_for,
     config_from_settings,
     conjecture_probe,
@@ -102,6 +104,32 @@ class TestRandomRV:
         b = random_real_function(3, 5)
         assert np.array_equal(a.table, b.table)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2**31 + 1])
+    def test_randint_draws_as_random_randint(self, n):
+        # twin generators: the same values and the same state after every draw
+        for seed in range(50):
+            ours, theirs = _rng_for(seed, 0), _rng_for(seed, 0)
+            for lo in (-n // 2, 0, 7):
+                for _ in range(20):
+                    assert _randint(ours, lo, lo + n - 1) == theirs.randint(lo, lo + n - 1)
+                    assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 5])
+    def test_numerators_draw_as_random_randint(self, m):
+        for seed in range(200):
+            ours, theirs = _rng_for(seed, 0), _rng_for(seed, 0)
+            for _ in range(3):
+                expected = [theirs.randint(-32, 32) for _ in range(1 << m)]
+                assert _random_numerators(ours, m) == expected
+                assert ours.getstate() == theirs.getstate()
+
+    def test_empty_ranges_raise(self):
+        # random.randint(1, 0) raised ValueError, which is not a package error
+        with pytest.raises(StructureError, match="empty range 1..0"):
+            random_rv(2, 0, denom_cap=0)
+        with pytest.raises(StructureError, match="empty range"):
+            _randint(_rng_for(0, 0), 5, 3)
+
     def test_real_function_rejects_negative_bounds(self):
         # max_num=-1 used to end in random's ValueError: empty range for randrange()
         with pytest.raises(StructureError, match="max_num"):
@@ -149,7 +177,7 @@ class TestRunSweep:
         assert all(seen[c] == 500 for c in range(4))
         assert seen["p_half"] > 0 and seen["p_quarter"] > 0 and seen["x1_boundary"] > 0
 
-    def test_claim8_p_ranges_hold_past_float_precision(self):
+    def test_claim8_p_ranges_hold_past_float_precision(self, monkeypatch):
         cap = 2**60 + 1  # b / 2 and b / 4 round down as floats
 
         class EdgeRng:
@@ -161,9 +189,10 @@ class TestRunSweep:
             def random(self):
                 return 0.9  # d > 0, and p is drawn rather than fixed at 1/2 or 1/4
 
-            def randint(self, lo, hi):
-                return hi if hi == cap or self.end == "hi" else lo
+        def edge_randint(rng, lo, hi):
+            return hi if hi == cap or rng.end == "hi" else lo
 
+        monkeypatch.setattr(sweep_module, "_randint", edge_randint)
         cfg = SweepConfig(target="claim8", instance_count=1, denom_cap=cap)
         for end in ("lo", "hi"):
             for case, (low, high) in enumerate([(F(1, 2), 1), (F(1, 4), F(1, 2)), (0, F(1, 4))]):

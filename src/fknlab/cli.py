@@ -8,7 +8,8 @@ its instances could not be evaluated (its errors= line counts them).  All
 numbers print as exact rationals unless --decimal asks for 15 significant
 digits; a negative rational is one word (--E -1/2).
 
-`sweep` reads --config, then its flags, so a flag overrides the file, and
+`check` evaluates an inequality through its sweep.TARGETS entry.  `sweep`
+reads --config, then its flags, so a flag overrides the file, and
 --exhaustive-m must lie in 2..4.  Each inequality reads the settings below
 and no other (flag --K0 sets k0, --support-min support_min; rv_count_max and
 atom_cap have no flag; E, x1, x2 are check's; analyze is corollary2):"""
@@ -23,7 +24,6 @@ import os
 import re
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, cube, rv, sweep
@@ -134,32 +134,15 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    files = args.rv_files
-    target = args.inequality
-    constants = _constants(args, target)
-
-    def load(path):
-        return rv.parse_rv(_read_text(path))
-
-    if target == "claim8":
-        if len(files) != 1:
-            raise _UsageError("claim8 takes one two-point RV file plus --x1/--x2")
-        if args.x1 is None or args.x2 is None:
-            raise _UsageError("claim8 requires --x1 and --x2")
-        ybar = rv.TwoPointBalancedRV.from_rv(load(files[0]))
-        report = bounds.claim8_check(args.x1, args.x2, ybar)
-    elif target == "theorem1":
-        if len(files) < 2:
-            raise _UsageError("theorem1 needs at least two RV files")
-        xs = [load(p) for p in files]
-        report = bounds.theorem1_check(xs, constants)
+    name, files, target = args.inequality, args.rv_files, sweep.TARGETS[args.inequality]
+    given = {k: v for k, v in vars(args).items() if k in sweep.SETTINGS and v is not None}
+    constants = sweep.read_constants(name, given)
+    if (len(files) != target.files) if target.files else len(files) < 2:
+        wanted = f"exactly {target.files}" if target.files else "at least 2"
+        raise _UsageError(f"{name} takes {wanted} RV file(s), got {len(files)}")
+    report = target.check([rv.parse_rv(_read_text(path)) for path in files], given, constants)
+    if "k" in report.witness:  # the index of an input: name its file too
         report = replace(report, witness={**report.witness, "k_file": files[report.witness["k"]]})
-    else:
-        if len(files) != 2:
-            raise _UsageError(f"{target} needs exactly two RV files")
-        pair = sweep.TARGETS[target].pair
-        e = Fraction(0) if args.E is None else args.E
-        report = pair(load(files[0]), load(files[1]), e, constants, rv.DEFAULT_ATOM_CAP)
     for line in report.kv_lines(args.decimal):
         print(line)
     return 0 if report.holds else 2
@@ -277,14 +260,12 @@ def build_parser() -> _Parser:
     decompose.set_defaults(func=_cmd_decompose)
 
     check = sub.add_parser("check", help="evaluate one inequality on explicit inputs")
-    # claim8 and theorem1 take their own inputs; the rest are Target.pair
-    check_ids = [n for n, t in sweep.TARGETS.items() if t.pair or n in ("claim8", "theorem1")]
-    check.add_argument("inequality", choices=check_ids)
+    check.add_argument("inequality", choices=[n for n, t in sweep.TARGETS.items() if t.check])
     check.add_argument("rv_files", nargs="+")
     rational = _checked(cube.parse_fraction)
-    check.add_argument("--E", type=rational, help="lemma7/claim9 shift constant, default 0")
-    check.add_argument("--x1", type=rational, help="claim8 evaluation point")
-    check.add_argument("--x2", type=rational, help="claim8 evaluation point")
+    check.add_argument("--E", type=rational, help="shift constant, default 0")
+    check.add_argument("--x1", type=rational, help="evaluation point")
+    check.add_argument("--x2", type=rational, help="evaluation point")
     check.add_argument("--decimal", action="store_true")
     _add_constant_flags(check)
     check.set_defaults(func=_cmd_check)

@@ -100,7 +100,7 @@ class BooleanFunction:
     def __post_init__(self):
         table = np.asarray(self.table)
         _checked_length(self.m, table.size)
-        if not np.all(np.abs(table) == 1):  # on the entries as given, before narrowing
+        if not np.all(np.abs(table) == 1):  # on the entries as given
             raise StructureError("Boolean table entries must be exactly +1 or -1")
         copy = table is self.table and table.flags.writeable  # the caller's array
         object.__setattr__(self, "table", _frozen(table.astype(np.int8, copy=copy)))
@@ -182,13 +182,13 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
     """Unnormalized fast Walsh-Hadamard transform along the last axis; exact
     on Python ints and on fixed-width integers inside their dtype.
 
-    Works in place on one copy of `values`.  Each pass does two stages at
-    once (radix 4, on bits b and b+1) while two bits remain, then one
-    radix-2 stage on the top bit when log2 of the length is odd.  A pass
-    goes through each row about _CHUNK entries at a time, so that its
-    temporaries stay small and in cache.
+    Works in place on one copy of `values` at least int32 wide, so int8
+    does not overflow.  Each pass does two stages at once (radix 4, on bits
+    b and b+1) while two bits remain, then one radix-2 stage on the top bit
+    when log2 of the length is odd.  A pass goes through each row about
+    _CHUNK entries at a time, so that its temporaries stay small and in cache.
     """
-    a = values.copy()
+    a = values.astype(np.promote_types(values.dtype, np.int32))
     shape, n = a.shape, a.shape[-1]
     h = 1
     while h < n:
@@ -297,7 +297,7 @@ def _submasks(mask: int) -> np.ndarray:
 
 
 def _pointwise_sq_dist(f: np.ndarray, mask: int) -> np.ndarray:
-    """||f - g||^2 per row of the int32 +-1 tables f, as int64 numerators
+    """||f - g||^2 per row of the +-1 tables f, as int64 numerators
     over 4^m, where g = E[f | x_B] for the block B of bitmask `mask`: with
     N = 2^m and R the margin of f on B (the sums of f over the variables
     outside B), it is N^2 - 2^|B| sum R^2.  It reads f alone, never the
@@ -316,8 +316,8 @@ def _pointwise_sq_dist(f: np.ndarray, mask: int) -> np.ndarray:
 class TableStack:
     """A stack of Boolean tables on m variables, one row per function, and
     its forward transform, taken and checked once for any number of
-    partitions: f holds the tables and c = N * coefficients (N = 2^m), both
-    int32; var (Var f) and c0_sq (c_0^2) are int64 numerators over 4^m.
+    partitions: f holds the tables as given and c = N * coefficients
+    (N = 2^m) in int32; var (Var f) and c0_sq (c_0^2) are int64 over 4^m.
 
     Checked on every row, as VerificationError: Parseval, and Var f from the
     table against the coefficients.
@@ -328,10 +328,10 @@ class TableStack:
         n = 1 << m
         if tables.ndim != 2 or tables.shape[1] != n:
             raise DimensionMismatchError(f"{m} variables, tables of shape {tables.shape}")
-        if not np.all(np.abs(tables) == 1):  # on the entries as given, before narrowing
+        if not np.all(np.abs(tables) == 1):  # on the entries as given
             raise StructureError("Boolean table entries must be exactly +1 or -1")
         self.m = m
-        self.f = tables.astype(np.int32)
+        self.f = tables
         self.c = _butterfly(self.f)
         total = _sum_sq(self.c)
         table_sq = n * _sum_sq(self.f)

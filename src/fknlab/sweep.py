@@ -10,7 +10,7 @@ reports are folded on integer cross products of their sides.
 
 Every target lives in one `Target` entry of TARGETS: adding an inequality
 means adding one entry there, and both `fknlab sweep` and `fknlab check`
-pick it up.
+pick it up, `check` through the entry's `check` and `files`.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class SweepConfig:
         changed = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
         check_reads(self.target, ["n" if name == "instance_count" else name for name in changed])
         if self.instance_count < 1:
-            raise StructureError("instance_count must be >= 1")
+            raise StructureError("n must be >= 1")
         if not 1 <= self.support_min <= self.support_max:
             raise StructureError("need 1 <= support_min <= support_max")
         object.__setattr__(self, "value_lo", Fraction(self.value_lo))
@@ -257,6 +257,7 @@ def _claim8_instance(
 
 Instance = Callable[[random.Random, SweepConfig, int], BoundReport]
 PairEvaluator = Callable[[DiscreteRV, DiscreteRV, Fraction, Constants, int], BoundReport]
+Check = Callable[[list[DiscreteRV], dict[str, object], Constants], BoundReport]
 Scale = Callable[[Constants], Fraction]
 
 
@@ -267,14 +268,15 @@ class Target:
     instance(rng, cfg, index) draws and evaluates one instance; it is None for
     an exhaustive target.  scale(constants) is the constant the right side is
     divided by (None if none), so the smallest one that would have sufficed is
-    scale * rhs / lhs.  pair(x, y, e, constants, atom_cap) evaluates a
-    two-variable target on explicit inputs; only these targets read
-    include_claim6.  reads: every setting (SETTINGS) the target uses, no other.
+    scale * rhs / lhs.  check(xs, given, constants), None if absent, evaluates
+    it on `files` random variables xs (0: two or more) and the check settings
+    given (E, default 0, x1, x2).  reads: every setting (SETTINGS) it uses, no other.
     """
 
     instance: Instance | None
     scale: Scale | None
-    pair: PairEvaluator | None = None
+    check: Check | None = None
+    files: int = 0
     reads: frozenset[str] = frozenset()
 
 
@@ -289,7 +291,7 @@ _RV = _DRAWN | {"support_min", "support_max", "value_lo", "value_hi", "denom_cap
 
 def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
     """Two random variables per instance; a target that reads E centers both
-    and draws a shift E as well."""
+    and draws a shift E as well.  Only these targets read include_claim6."""
 
     def instance(rng, cfg, index):
         e = Fraction(0)
@@ -303,13 +305,22 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
         report = pair(x, y, e, cfg.constants, cfg.atom_cap)
         return _with_inputs(report, {"x": x, "y": y})
 
-    return Target(instance, scale, pair, _RV | {"include_claim6", *reads})
+    def check(xs, given, constants):
+        return pair(*xs, given.get("E", Fraction(0)), constants, DEFAULT_ATOM_CAP)
+
+    return Target(instance, scale, check, 2, _RV | {"include_claim6", *reads})
 
 
 def _claim8_target(rng, cfg, index):
     x1, x2, ybar = _claim8_instance(rng, index % 4, cfg)
     report = claim8_check(x1, x2, ybar)
     return _with_inputs(report, {"case": index % 4})
+
+
+def _claim8_check(xs, given, constants):
+    if "x1" not in given or "x2" not in given:
+        raise StructureError("claim8 requires --x1 and --x2")
+    return claim8_check(given["x1"], given["x2"], TwoPointBalancedRV.from_rv(xs[0]))
 
 
 def _theorem1_target(rng, cfg, index):
@@ -366,9 +377,16 @@ TARGETS: dict[str, Target] = {
     "lemma7": _pair_target(
         lambda x, y, e, c, a: lemma7_bound(x, y, e, c, a), lambda c: c.k0, {"E", "k0"}
     ),
-    "claim8": Target(_claim8_target, lambda c: 4, reads=_DRAWN | {"denom_cap", "x1", "x2"}),
+    "claim8": Target(
+        _claim8_target, lambda c: 4, _claim8_check, 1, _DRAWN | {"denom_cap", "x1", "x2"}
+    ),
     "claim9": _pair_target(lambda x, y, e, c, a: claim9_bound(x, y, e, a), lambda c: 16, {"E"}),
-    "theorem1": Target(_theorem1_target, lambda c: c.k2, reads=_RV | {"rv_count_max", "k2"}),
+    "theorem1": Target(
+        _theorem1_target,
+        lambda c: c.k2,
+        lambda xs, given, c: theorem1_check(xs, c),
+        reads=_RV | {"rv_count_max", "k2"},
+    ),
     "corollary2": Target(None, lambda c: c.corollary_k, reads=frozenset({"exhaustive_m", "k2"})),
 }
 
@@ -511,24 +529,20 @@ def two_block_partitions(m: int) -> Iterator[Partition]:
 
 
 def _confirm(
-    tables: np.ndarray, partitions: list[Partition], text: str, constants: Constants, violation: bool
-) -> BoundReport:
-    """Recompute with corollary2_apply the instance that a result line names,
-    a violation or the smallest-ratio witness, and write its line again: it
-    must come out the same.  Instance i is table i // P and partition i % P
-    of the batch, P = len(partitions).  corollary2_apply runs the same kernel
-    on a one-row stack, so this confirms the batch's row and partition
-    bookkeeping and the fold, not the kernel's arithmetic."""
-    i = int(text.split(" ", 1)[0].removeprefix("instance="))
-    partition = partitions[i % len(partitions)]
-    f = BooleanFunction(partition.m, tables[i // len(partitions)])
+    i: int, f: BooleanFunction, partition: Partition, report: BoundReport, constants: Constants
+) -> None:
+    """Recompute instance i of a batch, table f against `partition`, with
+    corollary2_apply: its report must equal the batch's `report`.  The same
+    kernel runs on a one-row stack, so this confirms the batch's row and
+    partition bookkeeping and the fold, not the kernel's arithmetic."""
     outcome = corollary2_apply(f, partition, constants)
     sides = outcome.bound, outcome.dist, outcome.epsilon
-    report = _corollary2_report(format_table_row(f), format_partition(partition), outcome.k, *sides)
-    line = _line(i, report, violation)
-    if text != line:
-        raise VerificationError(f"batch reported {text!r}; corollary2_apply gives {line!r}")
-    return report
+    again = _corollary2_report(format_table_row(f), format_partition(partition), outcome.k, *sides)
+    if again != report:
+        # the lines show their sides for a violation, or when only the sides differ
+        shown = not report.holds or again.witness == report.witness
+        batch, recomputed = _line(i, report, shown), _line(i, again, shown)
+        raise VerificationError(f"batch reported {batch!r}; corollary2_apply gives {recomputed!r}")
 
 
 def corollary2_exhaustive(
@@ -548,9 +562,10 @@ def corollary2_exhaustive(
     only for a violation, the witness and, with `on_row`, each CSV row.
 
     Every instance the result names is then recomputed with corollary2_apply
-    and must agree exactly.  That recheck confirms which table and partition
-    each row holds and the fold; the kernel's arithmetic is refereed by its
-    per-row identities and by the `naive_fourier` tests.
+    (`_confirm`), and its report must equal the batch's.  That recheck
+    confirms which table and partition each row holds and the fold; the
+    kernel's arithmetic is refereed by its per-row identities and by the
+    `naive_fourier` tests.
     """
     if not 2 <= m <= 4:
         raise StructureError("exhaustive check supported only for 2 <= m <= 4")
@@ -584,27 +599,28 @@ def corollary2_exhaustive(
         epsilon = Fraction(cross, var)
         return scale * epsilon, Fraction(dist, 1 << 2 * m), epsilon
 
-    def report(i: int) -> BoundReport:
+    def report(i: int, confirm: bool = False) -> BoundReport:
         t, p = divmod(i, len(partitions))
-        sides_i = sides(var[t], cross[t][p], dist[t][p])
-        return _corollary2_report(rows[t], texts[p], k[t][p], *sides_i)
+        r = _corollary2_report(rows[t], texts[p], k[t][p], *sides(var[t], cross[t][p], dist[t][p]))
+        if confirm:
+            _confirm(i, BooleanFunction(m, tables[t]), partitions[p], r, constants)
+        return r
 
     if on_row is not None:
         for i in range(len(a)):
             on_row(report(i).csv_row(i))
     violations = []
     for i in np.flatnonzero(bad).tolist():
-        violation = report(i)
+        violation = report(i, confirm=True)
         if violation.holds:
             raise VerificationError(f"instance {i}: the fold flags a bound that holds")
         violations.append(_line(i, violation, violation=True))
-        _confirm(tables, partitions, violations[-1], constants, violation=True)
-    least = None if witness is None else _line(witness, report(witness), violation=False)
-    if least is not None:
-        if _confirm(tables, partitions, least, constants, False).ratio != min_ratio:
-            raise VerificationError(f"batch min ratio {min_ratio} not confirmed")
+    least = None if witness is None else report(witness, confirm=True)
+    if least is not None and least.ratio != min_ratio:
+        raise VerificationError(f"batch min ratio {min_ratio} not confirmed")
+    line = None if least is None else _line(witness, least, violation=False)
     constant = _constant(scale, min_ratio, evaluated=True)
-    return SweepResult("corollary2", len(a), tuple(violations), min_ratio, least, constant)
+    return SweepResult("corollary2", len(a), tuple(violations), min_ratio, line, constant)
 
 
 @dataclass(frozen=True)
@@ -745,7 +761,7 @@ SETTINGS = (*(key for key in _CONFIG_KEYS if key != "target"), "E", "x1", "x2")
 
 
 def read_settings(text: str) -> dict[str, object]:
-    """Parse 'key=value' lines ('#' comments allowed) with the _CONFIG_KEYS parsers."""
+    """Parse 'key=value' lines ('#' comments allowed), each key once, by _CONFIG_KEYS."""
     settings: dict[str, object] = {}
     for lineno, stripped in data_lines(text):
         if "=" not in stripped:
@@ -754,6 +770,8 @@ def read_settings(text: str) -> dict[str, object]:
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
             raise StructureError(f"line {lineno}: unknown key {key!r}")
+        if key in settings:
+            raise ParseError(f"{key} given twice", lineno)
         try:
             settings[key] = _CONFIG_KEYS[key](value.strip())
         except ParseError as exc:

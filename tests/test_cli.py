@@ -267,10 +267,17 @@ class TestCheck:
         assert values["rhs"] == "1"
 
     def test_arity_errors(self, claim6_files, capsys):
-        code, _, err = run(capsys, "check", "lemma5", claim6_files[0])
-        assert code == 1
-        code, _, err = run(capsys, "check", "claim8", claim6_files[0])
-        assert code == 1
+        x, y = claim6_files
+        for argv in (
+            ("lemma5", x),
+            ("lemma4", x, y, x),
+            ("claim8", x),  # no --x1/--x2
+            ("claim8", x, y, "--x1", "2", "--x2", "0"),
+            ("theorem1", x),
+        ):
+            code, out, err = run(capsys, "check", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {argv[0]} ")
 
     def test_parse_error_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.rv"
@@ -497,6 +504,10 @@ class TestSweep:
             # a constant only when some instance was evaluated to measure it
             assert ("empirical_constant" in kv(out)) == (errors < n)
 
+    def test_instance_count_below_one_names_n(self, capsys):
+        code, out, err = run(capsys, "sweep", "--target", "lemma4", "--n", "0")
+        assert (code, out, err) == (1, "", "error: n must be >= 1\n")
+
     def test_atom_cap_below_one_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("target=lemma4\nn=5\natom_cap=-4\n")
@@ -659,9 +670,10 @@ class TestChoices:
     def test_sweep_targets_come_from_registry(self):
         assert self._choices("sweep", "target") == tuple(sweep.TARGETS)
 
-    def test_check_targets_are_pairs_plus_claim8_theorem1(self):
-        pairs = {name for name, target in sweep.TARGETS.items() if target.pair}
-        assert set(self._choices("check", "inequality")) == pairs | {"claim8", "theorem1"}
+    def test_check_targets_are_the_entries_with_a_check(self):
+        checked = tuple(name for name, target in sweep.TARGETS.items() if target.check)
+        assert self._choices("check", "inequality") == checked
+        assert checked == ("lemma4", "lemma5", "lemma7", "claim8", "claim9", "theorem1")
 
 
 class TestParser:

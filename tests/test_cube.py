@@ -172,6 +172,15 @@ class TestWht:
         assert f.m == 16 and expansion.coeffs.dtype == np.int64
         assert np.array_equal(expansion.coeffs, _butterfly(f.table.astype(object)))
 
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_int8_rows_are_widened(self, m):
+        # the all-ones row sums to 2^m, past int8: the working copy is int32
+        rows = 1 - 2 * np.random.default_rng(m).integers(0, 2, (4, 1 << m), dtype=np.int8)
+        rows[0] = 1
+        got = _butterfly(rows)
+        assert rows.dtype == np.int8 and got.dtype == np.int32 and got[0, 0] == 1 << m
+        assert np.array_equal(got, _butterfly(rows.astype(np.int64)))
+
     def test_parseval_and_dyadic_grid_exhaustive(self):
         for m in (1, 2, 3):
             for f in enumerate_boolean_functions(m):

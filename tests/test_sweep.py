@@ -16,13 +16,14 @@ from fknlab.bounds import (
     tribes_example,
 )
 from fknlab.cli import main
-from fknlab.cube import BooleanFunction, Partition
-from fknlab.errors import SearchSpaceError, StructureError, VerificationError
+from fknlab.cube import BooleanFunction, Partition, format_partition, format_table_row
+from fknlab.errors import ParseError, SearchSpaceError, StructureError, VerificationError
 from fknlab.sweep import (
     TARGETS,
     SweepConfig,
     _claim8_instance,
     _confirm,
+    _corollary2_report,
     _randint,
     _random_numerators,
     _rng_for,
@@ -296,7 +297,7 @@ class TestRunSweep:
         [
             (1, 10**6, "batch reported 'instance=0 lhs="),  # every instance a false violation
             (2, 1, "batch reported 'instance=0 table="),  # the witness's epsilon is off
-            (1, 2, "batch min ratio"),  # same witness text, ratio off
+            (1, 2, "batch reported 'instance=0 lhs="),  # same witness text, sides off
         ],
     )
     def test_corollary2_unconfirmed_report_raises(
@@ -337,7 +338,9 @@ class TestTargets:
             "fact1", "fact8", "lemma4", "lemma5", "lemma7", "claim8", "claim9", "theorem1", "corollary2"
         )
         assert [n for n, t in TARGETS.items() if t.scale is None] == ["fact8"]
-        assert [n for n, t in TARGETS.items() if t.pair] == ["lemma4", "lemma5", "lemma7", "claim9"]
+        assert {n: t.files for n, t in TARGETS.items() if t.check} == {
+            "lemma4": 2, "lemma5": 2, "lemma7": 2, "claim8": 1, "claim9": 2, "theorem1": 0
+        }
         assert [n for n, t in TARGETS.items() if t.instance is None] == ["corollary2"]
         rv = {"n", "seed", "support_min", "support_max", "value_lo", "value_hi"}
         rv |= {"denom_cap", "atom_cap"}
@@ -484,18 +487,28 @@ class TestCorollary2Exhaustive:
         )
 
     def test_recheck_finds_the_instance_by_its_number(self):
-        # instance i is table i // P and partition i % P: a line whose number
-        # names another (table, partition) does not come out the same
+        # instance i is table i // P and partition i % P: its report, confirmed
+        # against the neighbouring (table, partition), does not come out the same
         result = corollary2_exhaustive(3)
         tables, partitions = cube_module.boolean_tables(3)[1:-1], list(two_block_partitions(3))
-        line = result.min_ratio_witness
-        report = _confirm(tables, partitions, line, DEFAULT_CONSTANTS, violation=False)
+        P = len(partitions)
+
+        def instance(j):
+            return BooleanFunction(3, tables[j // P]), partitions[j % P]
+
+        i = int(result.min_ratio_witness.split(" ", 1)[0].removeprefix("instance="))
+        f, partition = instance(i)
+        outcome = corollary2_apply(f, partition)
+        sides = outcome.bound, outcome.dist, outcome.epsilon
+        report = _corollary2_report(
+            format_table_row(f), format_partition(partition), outcome.k, *sides
+        )
         assert report.ratio == result.min_ratio
-        i = int(line.split(" ", 1)[0].removeprefix("instance="))
-        for j in ((i + 1) % result.instances_run, (i + len(partitions)) % result.instances_run):
-            renamed = line.replace(f"instance={i} ", f"instance={j} ", 1)
-            with pytest.raises(VerificationError, match=f"batch reported 'instance={j} "):
-                _confirm(tables, partitions, renamed, DEFAULT_CONSTANTS, violation=False)
+        assert result.min_ratio_witness == f"instance={i} {report.witness_text()}"
+        _confirm(i, f, partition, report, DEFAULT_CONSTANTS)
+        for j in ((i + 1) % result.instances_run, (i + P) % result.instances_run):
+            with pytest.raises(VerificationError, match=f"batch reported 'instance={i} "):
+                _confirm(i, *instance(j), report, DEFAULT_CONSTANTS)
 
     @pytest.mark.parametrize("factor", [1, 4])
     def test_reports_only_the_instances_it_names(self, monkeypatch, factor):
@@ -640,7 +653,7 @@ class TestConfigParsing:
             parse_sweep_config(f"target=corollary2\nexhaustive_m={m}\n")
 
     def test_settings_then_config(self):
-        settings = read_settings("target=lemma4\nn=5\nk1=7\nseed=2\nseed=3\n")
+        settings = read_settings("target=lemma4\nn=5\nk1=7\nseed=3\n")
         assert settings == {"target": "lemma4", "n": 5, "k1": F(7), "seed": 3}
         cfg = config_from_settings(settings)
         assert (cfg.instance_count, cfg.seed, cfg.constants.k1) == (5, 3, 7)
@@ -650,6 +663,11 @@ class TestConfigParsing:
         # n is the one spelling of the instance count
         with pytest.raises(StructureError, match="unknown key 'instance_count'"):
             read_settings("target=lemma4\ninstance_count=5\n")
+
+    def test_key_given_twice(self):
+        # the second n used to replace the first, so the sweep ran 7 instances
+        with pytest.raises(ParseError, match="line 3: n given twice"):
+            read_settings("target=lemma4\nn=5\nN=7\n")
 
     def test_rv_count_max_below_two(self):
         # used to reach theorem1's generator and end in a ValueError traceback

@@ -22,15 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cube import (
-    BooleanFunction,
-    Partition,
-    RealFunction,
-    _frozen,
-    sq_l2_dist,
-    stack_block_weights,
-    variance,
-)
+from .cube import BooleanFunction, Partition, _frozen, _sum_sq, stack_block_weights
 from .errors import BalanceError, StructureError, VerificationError
 from .rv import (
     DEFAULT_ATOM_CAP,
@@ -226,16 +218,25 @@ def lemma4_bound(
 ) -> BoundReport:
     """Var|X+Y| >= V min(VarX, VarY) / (K1 (V + E^2)) for any independent X, Y."""
     variances, mean, unit = _moment_sums((x, y))
-    v, e = Fraction(sum(variances), unit * unit), Fraction(mean, unit)
-    m_xy = Fraction(min(variances), unit * unit)
+    total, least = sum(variances), min(variances)
+    v, e = Fraction(total, unit * unit), Fraction(mean, unit)
     lhs = var_abs_sum((x, y), 0, atom_cap)
-    scale = v + e * e
-    rhs = v * m_xy / (constants.k1 * scale) if scale > 0 else Fraction(0)
-    witness: dict[str, object] = {"v": v, "e": e, "m_xy": m_xy}
-    if scale > 0:
-        # branch parameter of the two-case analysis behind the bound
-        witness["a"] = Fraction(1, 2560) * v / scale
+    rhs = _scaled_side(total, least, mean, unit, constants.k1)
+    witness: dict[str, object] = {"v": v, "e": e, "m_xy": Fraction(least, unit * unit)}
+    if total or mean:
+        # branch parameter of the two-case analysis behind the bound, V / (2560 (V + E^2))
+        witness["a"] = Fraction(total, 2560 * (total + mean * mean))
     return BoundReport.compare(lhs, rhs, witness)
+
+
+def _scaled_side(total: int, part: int, mean: int, unit: int, k: Fraction) -> Fraction:
+    """V W / (K (V + E^2)) as one Fraction, with V = total / u^2, W = part / u^2
+    and E = mean / u: for K = p/q that is total part q / (p (total + mean^2) u^2).
+    0 when V + E^2 = 0."""
+    scale = total + mean * mean
+    if not scale:
+        return Fraction(0)
+    return Fraction(total * part * k.denominator, k.numerator * scale * unit * unit)
 
 
 def partition_split(variances: Sequence[Rational]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -285,8 +286,7 @@ def theorem1_check(
     v, e = Fraction(total, unit * unit), Fraction(mean, unit)
     rest_var = Fraction(total - variances[k], unit * unit)
     lhs = var_abs_sum(xs, 0, atom_cap)
-    scale = v + e * e
-    rhs = v * rest_var / (constants.k2 * scale) if scale > 0 else Fraction(0)
+    rhs = _scaled_side(total, total - variances[k], mean, unit, constants.k2)
     witness: dict[str, object] = {"k": k, "v": v, "e": e, "rest_var": rest_var}
     if total > 0 and all(3 * var <= 2 * total for var in variances):
         split_a, split_b = partition_split(variances)
@@ -372,12 +372,16 @@ def tribes_example(m: int) -> tuple[BooleanFunction, Partition]:
     block_and[-1] = -1
     f = BooleanFunction(n, _frozen(np.minimum.outer(block_and, block_and).ravel()))
     partition = Partition.from_blocks(n, [range(1, m + 1), range(m + 1, n + 1)])
-    sum_table = np.add.outer(block_and, block_and) - 1  # X + Y - 1
-    dist_to_sum = sq_l2_dist(f, RealFunction(n, sum_table.ravel()))
+    # Both checks sum int8 tables in int64 (`_sum_sq`), with no int64 table copy.
+    diff = np.add.outer(block_and, block_and)
+    diff -= 1 + f.table.reshape(diff.shape)  # X + Y - 1 - f, entries 0 or -2
+    dist_to_sum = Fraction(int(_sum_sq(diff.reshape(1, -1))[0]), diff.size)
     if dist_to_sum != Fraction(4, 4**m):
         raise VerificationError(f"tribes distance {dist_to_sum} != 4*2^(-2m)")
     p = 1 - (1 - Fraction(1, 2**m)) ** 2
-    if variance(f) != 4 * p * (1 - p):
+    size, total = f.table.size, int(f.table.sum())
+    var_f = Fraction(size * int(_sum_sq(f.table[None])[0]) - total * total, size * size)
+    if var_f != 4 * p * (1 - p):
         raise VerificationError("tribes variance != 4p(1-p)")
     return f, partition
 

@@ -7,14 +7,19 @@ Every operation reads those Python ints (never a fixed width) and builds one
 have huge constants and tiny slacks, so nothing here rounds.
 
 `var_abs_sum`, the hot path behind every Var|X1+...+Xn+E| the bounds need,
-convolves the sum's masses over one common value scale in a single merge
-loop; integer sums merge exactly when the rational ones do.
+convolves the masses of all but the last variable over one common value
+scale in one merge loop (integer sums merge exactly when the rational ones
+do), then folds the last variable in without merging: power sums give the
+second moment, and prefix sums over the sorted partial support, bisected
+at each last value's negation, give the first absolute moment.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,7 +55,7 @@ class DiscreteRV:
             raise StructureError("random variable needs at least one atom")
         if len(masses) != len(values) or min(masses) <= 0 or self.scale < 1:
             raise StructureError("need a positive mass per value and a positive scale")
-        if any(a >= b for a, b in zip(values, values[1:])):
+        if not all(map(operator.lt, values, values[1:])):
             raise StructureError("atom values must be strictly increasing")
         if sum(masses) != self.den:
             raise StructureError(f"probabilities sum to {sum(masses)}/{self.den}, not 1")
@@ -208,8 +213,12 @@ def var_abs_sum(
     With values s/L and masses w/D (D the product of the D_i) this is
     (D sum w s^2 - (sum w |s|)^2) / (D^2 L^2).  As in chained `convolve`
     calls, each merge after the first raises AtomLimitError when it would
-    touch more than `atom_cap` atoms.
+    touch more than `atom_cap` atoms.  The last merge builds no atoms: its
+    two sums come from the sorted partial sum by prefix sums.  With no
+    variables the sum is the constant E, of variance 0.
     """
+    if not xs:
+        return Fraction(0)
     e = _q(e)
     scale = math.lcm(e.denominator, *(x.scale for x in xs))
     support = {e.numerator * (scale // e.denominator): 1}
@@ -218,17 +227,44 @@ def var_abs_sum(
         if i:
             _check_atoms(len(support) * x.support_size, atom_cap)
         atoms = [(v * (scale // x.scale), m) for v, m in zip(x.values, x.masses)]
+        mass_den *= x.den
+        if i == len(xs) - 1:
+            break
         merged: dict[int, int] = {}
+        get = merged.get
         for s, w in support.items():
             for v, m in atoms:
-                merged[s + v] = merged.get(s + v, 0) + w * m
+                t = s + v
+                merged[t] = get(t, 0) + w * m
         support = merged
-        mass_den *= x.den
-    sum_sq = sum_abs = 0
-    for s, w in support.items():
-        sum_sq += w * s * s
-        sum_abs += w * abs(s)
+    sum_sq, sum_abs = _fold_last(support, atoms)
     return Fraction(mass_den * sum_sq - sum_abs * sum_abs, (mass_den * scale) ** 2)
+
+
+def _fold_last(support: dict[int, int], atoms: list[tuple[int, int]]) -> tuple[int, int]:
+    """(sum w m (s+v)^2, sum w m |s+v|) over partial atoms (s, w) and last
+    atoms (v, m), without the merged sum.  The squares expand into the power
+    sums of both sides.  For the absolute values, bisect the sorted s at -v:
+    sum w |s+v| is the total sum w (s+v) less twice its part below -v, read
+    from prefix sums of w and w s (an s+v = 0 counts 0 on either side)."""
+    points = sorted(support)
+    lower_w, lower_ws = [0], [0]  # sums over points[:j]
+    a0 = a1 = a2 = 0
+    for s in points:
+        w = support[s]
+        a0 += w
+        a1 += w * s
+        a2 += w * s * s
+        lower_w.append(a0)
+        lower_ws.append(a1)
+    b0 = b1 = b2 = sum_abs = 0
+    for v, m in atoms:
+        b0 += m
+        b1 += m * v
+        b2 += m * v * v
+        j = bisect.bisect_left(points, -v)
+        sum_abs += m * (a1 + v * a0 - 2 * (lower_ws[j] + v * lower_w[j]))
+    return b0 * a2 + 2 * a1 * b1 + a0 * b2, sum_abs
 
 
 def var_abs_shifted(rv: DiscreteRV, e: Rational) -> Fraction:

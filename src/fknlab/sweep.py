@@ -4,9 +4,11 @@ All generated instances are exact rationals with bounded denominators, so a
 reported violation is a real violation and never a rounding artifact.  Every
 sweep is a deterministic function of its config: instance i draws from its
 own RNG stream derived from (seed, i), which keeps results independent of
-evaluation order.  Integers are drawn by `_randint` straight from
-`getrandbits`, word for word as `random.Random.randint` draws them, and the
-reports are folded on integer cross products of their sides.
+evaluation order.  Seeds are 32-bit, so no two seeds share a stream.
+Integers are drawn by `_randint` straight from `getrandbits`, word for word
+as `random.Random.randint` draws them (and a variable's mass cuts as
+`random.Random.sample` draws them), and the reports are folded on integer
+cross products of their sides.
 
 Every target lives in one `Target` entry of TARGETS: adding an inequality
 means adding one entry there, and both `fknlab sweep` and `fknlab check`
@@ -61,7 +63,7 @@ from .errors import (
     StructureError,
     VerificationError,
 )
-from .rv import DEFAULT_ATOM_CAP, DiscreteRV, _merge, _q, center
+from .rv import DEFAULT_ATOM_CAP, DiscreteRV, _q, center
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,7 @@ class SweepConfig:
         check_reads(self.target, ["n" if name == "instance_count" else name for name in changed])
         if self.instance_count < 1:
             raise StructureError("n must be >= 1")
+        _check_seed(self.seed)
         if not 1 <= self.support_min <= self.support_max:
             raise StructureError("need 1 <= support_min <= support_max")
         object.__setattr__(self, "value_lo", Fraction(self.value_lo))
@@ -114,8 +117,18 @@ class SweepResult:
     errors: tuple[tuple[int, str], ...] = ()
 
 
+SEED_MAX = 0xFFFFFFFF
+
+
+def _check_seed(seed: int) -> None:
+    """Seeds are 32-bit: _rng_for shifts the seed above 40 bits of instance
+    index, so two seeds in this range never share a stream."""
+    if not 0 <= seed <= SEED_MAX:
+        raise StructureError(f"seed must lie in 0..{SEED_MAX}")
+
+
 def _rng_for(seed: int, index: int) -> random.Random:
-    return random.Random(((seed & 0xFFFFFFFF) << 40) ^ (index + 1))
+    return random.Random((seed << 40) ^ (index + 1))
 
 
 def _randint(rng: random.Random, lo: int, hi: int) -> int:
@@ -137,15 +150,37 @@ def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
     return (BooleanFunction(m, table) for table in boolean_tables(m))
 
 
-def _random_ratio(rng: random.Random, lo: Fraction, hi: Fraction, cap: int) -> tuple[int, int]:
-    """(numerator, denominator) of a random rational in [lo, hi], not reduced: the
-    drawn denominator in 1..cap, or cap when no multiple of its inverse lies in [lo, hi]."""
-    for den in (_randint(rng, 1, cap), cap):
-        lo_num = -(-lo.numerator * den // lo.denominator)  # ceil(lo den), floor(hi den)
-        hi_num = hi.numerator * den // hi.denominator
-        if lo_num <= hi_num:
-            return _randint(rng, lo_num, hi_num), den
-    raise StructureError(f"no rational with denominator <= {cap} in [{lo}, {hi}]")
+def _ratio_drawer(
+    rng: random.Random, lo: Fraction, hi: Fraction, cap: int
+) -> Callable[[], tuple[int, int]]:
+    """Draws (numerator, denominator) of a random rational in [lo, hi], not
+    reduced: the denominator drawn in 1..cap, or cap when no multiple of its
+    inverse lies in [lo, hi], then the numerator, each with the words of
+    rng.randint.  The bounds are read once per drawer, not once per draw."""
+    if cap < 1:  # no word is below cap: the first draw would never end
+        raise StructureError(f"empty range 1..{cap}")
+    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    cap_lo, cap_hi = -(-lo_n * cap // lo_d), hi_n * cap // hi_d  # ceil(lo cap), floor(hi cap)
+    draw, cap_bits = rng.getrandbits, cap.bit_length()
+
+    def ratio() -> tuple[int, int]:
+        den = draw(cap_bits)
+        while den >= cap:
+            den = draw(cap_bits)
+        den += 1
+        lo_num, hi_num = -(-lo_n * den // lo_d), hi_n * den // hi_d
+        if lo_num > hi_num:
+            if cap_lo > cap_hi:
+                raise StructureError(f"no rational with denominator <= {cap} in [{lo}, {hi}]")
+            den, lo_num, hi_num = cap, cap_lo, cap_hi
+        n = hi_num - lo_num + 1
+        k = n.bit_length()
+        r = draw(k)
+        while r >= n:
+            r = draw(k)
+        return lo_num + r, den
+
+    return ratio
 
 
 def random_rv(
@@ -156,6 +191,7 @@ def random_rv(
 ) -> DiscreteRV:
     """Deterministic random variable: distinct bounded-denominator values and
     probabilities k/D with D <= denom_cap."""
+    _check_seed(seed)
     return _random_rv(_rng_for(seed, 0), support_size, value_range, denom_cap)
 
 
@@ -165,29 +201,66 @@ def _random_rv(
     value_range: tuple[Fraction, Fraction],
     denom_cap: int,
 ) -> DiscreteRV:
+    """The draws mirror `random.Random`, word for word: each value is a
+    `_ratio_drawer` draw, kept in lowest terms until support_size distinct
+    ones are drawn, then D = randint(support_size, max(denom_cap,
+    support_size)) and the masses are the gaps between the sorted cuts
+    `rng.sample(range(1, D), support_size - 1)` (`_sample_cuts`).
+
+    The variable is built canonical: over scale = lcm of the value
+    denominators, distinct reduced values already have gcd(scale, *values)
+    = 1, so only the masses are divided by their gcd.
+    """
     if support_size < 1:
         raise StructureError("support_size must be >= 1")
-    lo, hi = _q(value_range[0]), _q(value_range[1])
+    ratio = _ratio_drawer(rng, _q(value_range[0]), _q(value_range[1]), denom_cap)
     values: set[tuple[int, int]] = set()  # (numerator, denominator) in lowest terms
     attempts = 0
     while len(values) < support_size:
-        num, den = _random_ratio(rng, lo, hi, denom_cap)
+        num, den = ratio()
         g = math.gcd(num, den)
         values.add((num // g, den // g))
         attempts += 1
         if attempts > 1000 * support_size:
             raise StructureError("value grid too small for requested support")
     if support_size == 1:
-        return DiscreteRV.constant(Fraction(*values.pop()))
+        ((num, den),) = values
+        return DiscreteRV((num,), (1,), den)
     d = _randint(rng, support_size, max(denom_cap, support_size))
-    cuts = sorted(rng.sample(range(1, d), support_size - 1))
+    cuts = _sample_cuts(rng, d, support_size - 1)
     masses = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+    h = math.gcd(*masses)
     scale = math.lcm(*(den for _, den in values))
-    return _merge(zip(sorted(num * (scale // den) for num, den in values), masses), scale, d)
+    scaled = sorted(num * (scale // den) for num, den in values)
+    return DiscreteRV(tuple(scaled), tuple(m // h for m in masses), scale, d // h)
+
+
+def _sample_cuts(rng: random.Random, d: int, k: int) -> list[int]:
+    """sorted(rng.sample(range(1, d), k)) with the same getrandbits words.
+    While the population n = d - 1 fits sample's small-set size, sample
+    swap-removes from a pool, drawn here without its per-draw frames; past
+    it, sample itself runs its set route."""
+    n, draw = d - 1, rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n > setsize:
+        return sorted(rng.sample(range(1, d), k))
+    pool, cuts = list(range(1, d)), []
+    for size in range(n, n - k, -1):
+        bits = size.bit_length()
+        j = draw(bits)
+        while j >= size:
+            j = draw(bits)
+        cuts.append(pool[j])
+        pool[j] = pool[size - 1]
+    cuts.sort()
+    return cuts
 
 
 def random_real_function(m: int, seed: int, denom_pow: int = 4, max_num: int = 32) -> RealFunction:
     """Random dyadic table: entries k/2^denom_pow with |k| <= max_num."""
+    _check_seed(seed)
     return RealFunction(m, _random_numerators(_rng_for(seed, 0), m, max_num), denom_pow)
 
 
@@ -281,7 +354,7 @@ class Target:
 
 
 def _with_inputs(report: BoundReport, inputs: dict[str, object]) -> BoundReport:
-    return replace(report, witness={**inputs, **report.witness})
+    return BoundReport(report.lhs, report.rhs, {**inputs, **report.witness})
 
 
 # Randomized targets read n and seed; those that draw and convolve variables, their settings too.
@@ -301,7 +374,7 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
             x, y = _random_raw(rng, cfg), _random_raw(rng, cfg)
             if "E" in reads:
                 x, y = center(x), center(y)
-                e = Fraction(*_random_ratio(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap))
+                e = Fraction(*_ratio_drawer(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap)())
         report = pair(x, y, e, cfg.constants, cfg.atom_cap)
         return _with_inputs(report, {"x": x, "y": y})
 

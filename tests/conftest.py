@@ -9,6 +9,8 @@ fold on Fractions, each report's verdict and ratio taken from BoundReport,
 the referee of `sweep._accumulate`'s integer fold.
 `corollary2_per_instance` is the exhaustive corollary check with one
 report per instance through it, the referee of the batch's integer fold.
+`random_rv_reference` draws a random variable on Fractions with random's own
+`randint` and `sample`, the referee of `sweep._random_rv`'s integer draws.
 """
 
 import functools
@@ -22,7 +24,8 @@ import pytest
 from fknlab import sweep
 from fknlab.bounds import DEFAULT_CONSTANTS
 from fknlab.cube import RealFunction, boolean_tables, format_partition, format_table_rows
-from fknlab.errors import FknLabError, VerificationError
+from fknlab.errors import FknLabError, StructureError, VerificationError
+from fknlab.rv import DiscreteRV
 
 
 def cube_point(index: int, m: int) -> tuple[int, ...]:
@@ -103,6 +106,34 @@ def product_distribution(*atom_lists):
         total = sum(v for v, _ in combo)
         masses[total] = masses.get(total, 0) + math.prod(p for _, p in combo)
     return tuple(sorted(masses.items()))
+
+
+def random_rv_reference(rng, support_size: int, value_range, denom_cap: int) -> DiscreteRV:
+    """`sweep._random_rv` on Fractions: each value k/den with den = randint(1,
+    denom_cap), or denom_cap when no k/den lies in the range, and k uniform
+    over those that do; masses are the gaps between sorted `rng.sample` cuts
+    of 1..D-1, and `DiscreteRV.from_atoms` (the merge) puts it in lowest terms."""
+    if support_size < 1:
+        raise StructureError("support_size must be >= 1")
+    lo, hi = Fraction(value_range[0]), Fraction(value_range[1])
+    values: set[Fraction] = set()
+    attempts = 0
+    while len(values) < support_size:
+        for den in (rng.randint(1, denom_cap), denom_cap):
+            if math.ceil(lo * den) <= math.floor(hi * den):
+                break
+        else:
+            raise StructureError(f"no rational with denominator <= {denom_cap} in [{lo}, {hi}]")
+        values.add(Fraction(rng.randint(math.ceil(lo * den), math.floor(hi * den)), den))
+        attempts += 1
+        if attempts > 1000 * support_size:
+            raise StructureError("value grid too small for requested support")
+    if support_size == 1:
+        return DiscreteRV.constant(values.pop())
+    d = rng.randint(support_size, max(denom_cap, support_size))
+    cuts = sorted(rng.sample(range(1, d), support_size - 1))
+    masses = [Fraction(b - a, d) for a, b in zip([0] + cuts, cuts + [d])]
+    return DiscreteRV.from_atoms(zip(sorted(values), masses))
 
 
 def accumulate_reference(name, cases, scale, on_row=None) -> sweep.SweepResult:

@@ -1,5 +1,6 @@
 """Inequality evaluators: pinned examples and structural behavior."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -344,6 +345,17 @@ class TestTribesExample:
         outcome = corollary2_apply(f, partition)
         assert outcome.epsilon == F(1, 7)
         assert outcome.dist == F(9, 16)
+
+    def test_checks_make_no_int64_table_copy(self):
+        # the m=10 table is 1 MiB of int8; one int64 copy of it is 8 MiB
+        tracemalloc.start()
+        try:
+            f, _ = tribes_example(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.table.dtype == np.int8
+        assert peak < 4 << 20
 
     def test_range_validation(self):
         with pytest.raises(StructureError):

@@ -508,6 +508,18 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--target", "lemma4", "--n", "0")
         assert (code, out, err) == (1, "", "error: n must be >= 1\n")
 
+    @pytest.mark.parametrize("seed", ["-1", "-5", str(2**32), str(2**32 + 5)])
+    def test_seed_outside_32_bits_is_input_error(self, seed, capsys):
+        # masked to 32 bits, -5 and 2^32 + 5 ran the streams of 2^32 - 5 and 5
+        code, out, err = run(capsys, "sweep", "--target", "lemma4", "--n", "20", "--seed", seed)
+        assert (code, out, err) == (1, "", "error: seed must lie in 0..4294967295\n")
+
+    def test_largest_seed_runs_its_own_stream(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--target", "lemma4", "--n", "20", "--seed", str(2**32 - 1))
+        assert (code, kv(out)["instances"]) == (0, "20")
+        _, other, _ = run(capsys, "sweep", "--target", "lemma4", "--n", "20", "--seed", "0")
+        assert out != other
+
     def test_atom_cap_below_one_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("target=lemma4\nn=5\natom_cap=-4\n")

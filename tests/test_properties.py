@@ -16,11 +16,13 @@ every integer operation must equal its Fraction definition over `atoms`,
 and equal distributions must compare equal and hash alike however they were
 built.
 
-Sweeps: the fact1 and fact8 sides, summed on drawn numerators, must equal
-the cube measures of the same tables.  The sweep's integer fold must give
-the Fraction fold's result and CSV rows on random report sequences, and the
-exhaustive corollary check's batch fold must give the per-instance
-Fraction fold's result and CSV bytes.
+Sweeps: the random-variable generator must draw the variable of the
+Fraction reference, leave the generator in the same state, and fail the same
+way on a value grid too small for the support.  The fact1 and fact8 sides,
+summed on drawn numerators, must equal the cube measures of the same
+tables.  The sweep's integer fold must give the Fraction fold's result and
+CSV rows on random report sequences, and the exhaustive corollary check's
+batch fold must give the per-instance Fraction fold's result and CSV bytes.
 """
 
 import functools
@@ -71,6 +73,7 @@ from conftest import (
     dyadic_function,
     naive_fourier,
     product_distribution,
+    random_rv_reference,
     rv_moments,
     sign_matrix,
     sq_mass,
@@ -282,6 +285,43 @@ def wide_rv(draw) -> DiscreteRV:
         st.lists(st.integers(1, 10**30), min_size=len(values), max_size=len(values))
     )
     return DiscreteRV.from_atoms((v, Fraction(w, sum(weights))) for v, w in zip(values, weights))
+
+
+# odd value ranges: lo < hi with small or coprime denominators, some holding
+# only a few multiples of 1/denom_cap
+value_ranges = st.tuples(
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 9)),
+).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=12),
+    st.integers(2, 60),
+    value_ranges,
+    st.integers(0, 2**32 - 1),
+)
+# k = support - 1 cuts of D - 1 <= 59 points: sample's list route, its small-set
+# size grown past 59 for k > 5, and its set route for k <= 5 once D - 1 > 21
+@example(supports=[8, 7, 6], denom_cap=60, value_range=(Fraction(-3), Fraction(3)), seed=1)
+@example(supports=[2, 3, 4, 5, 6], denom_cap=40, value_range=(Fraction(-3), Fraction(3)), seed=2)
+# no multiple of 1, 1/2, 1/3 or 1/4 in [1/9, 2/9]: those denominators fall back to the cap
+@example(supports=[3, 1, 4], denom_cap=9, value_range=(Fraction(1, 9), Fraction(2, 9)), seed=4)
+@example(supports=[2, 30], denom_cap=2, value_range=(Fraction(0), Fraction(1, 3)), seed=3)  # grid too small
+def test_random_rv_draws_as_the_fraction_reference(supports, denom_cap, value_range, seed):
+    # twin generators, several variables in a row as a sweep instance draws them
+    ours, theirs = sweep._rng_for(seed, 0), sweep._rng_for(seed, 0)
+    for support in supports:
+        try:
+            expected = random_rv_reference(theirs, support, value_range, denom_cap)
+        except StructureError as exc:
+            with pytest.raises(StructureError) as raised:
+                sweep._random_rv(ours, support, value_range, denom_cap)
+            assert str(raised.value) == str(exc)
+            break
+        assert sweep._random_rv(ours, support, value_range, denom_cap) == expected
+        assert ours.getstate() == theirs.getstate()
 
 
 @PROPERTY_SETTINGS

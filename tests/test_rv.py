@@ -129,6 +129,48 @@ class TestConvolve:
         assert var_abs_sum((coin, coin, z), 0, atom_cap=9) == variance_rv(abs_rv(total))
 
 
+def chained_var_abs(xs, e=0, atom_cap=10**6):
+    """Var|X1 + ... + Xn + E| through convolve, shift and abs_rv."""
+    total = xs[0]
+    for x in xs[1:]:
+        total = convolve(total, x, atom_cap)
+    return variance_rv(abs_rv(shift(total, e)))
+
+
+class TestVarAbsSumLastFold:
+    """The last variable is folded in by prefix sums, not merged."""
+
+    X = DiscreteRV.from_atoms([(-1, F(1, 2)), (2, F(1, 2))])
+    Y = DiscreteRV.from_atoms([(0, F(1, 3)), (F(1, 2), F(1, 3)), (5, F(1, 3))])
+    Z = DiscreteRV.from_atoms([(-3, F(1, 4)), (F(-1, 3), F(1, 4)), (1, F(1, 4)), (7, F(1, 4))])
+
+    def test_only_the_last_step_trips_the_cap(self):
+        # X + Y has 6 atoms, so the steps touch 2 * 3 = 6 and then 6 * 4 = 24
+        xs = (self.X, self.Y, self.Z)
+        partial = convolve(self.X, self.Y, atom_cap=23)
+        with pytest.raises(AtomLimitError) as chain:
+            convolve(partial, self.Z, atom_cap=23)
+        with pytest.raises(AtomLimitError) as kernel:
+            var_abs_sum(xs, F(1, 5), atom_cap=23)
+        assert str(kernel.value) == str(chain.value) == "convolution would touch 24 atoms (cap 23)"
+        assert var_abs_sum(xs, F(1, 5), atom_cap=24) == chained_var_abs(xs, F(1, 5))
+
+    def test_partial_point_at_minus_a_last_value(self):
+        # -1 + 1 = 0 and 2 + (-2) = 0: sums landing on 0 count 0 on either side of the bisection
+        y = DiscreteRV.from_atoms([(-2, F(1, 5)), (1, F(4, 5))])
+        assert var_abs_sum((self.X, y)) == chained_var_abs((self.X, y)) == F(9, 4)
+        for e in (F(-1), F(0), F(1, 2), F(3)):
+            assert var_abs_sum((self.X, y, self.Z), e) == chained_var_abs((self.X, y, self.Z), e)
+
+    def test_constant_last_variable(self):
+        c = DiscreteRV.constant(F(-7, 3))
+        assert var_abs_sum((self.Y, c), F(1, 2)) == var_abs_shifted(self.Y, F(-11, 6))
+        assert var_abs_sum((self.X, self.Z, c)) == chained_var_abs((self.X, self.Z, c))
+
+    def test_no_variables_is_the_constant_e(self):
+        assert var_abs_sum((), F(5, 3)) == var_abs_sum(()) == 0
+
+
 class TestMoments:
     def test_uniform(self):
         assert expectation(UNIFORM) == 0

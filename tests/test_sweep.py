@@ -131,6 +131,15 @@ class TestRandomRV:
         with pytest.raises(StructureError, match="empty range"):
             _randint(_rng_for(0, 0), 5, 3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seeds_outside_32_bits_raise(self, seed):
+        for draw in (lambda: random_rv(2, seed), lambda: random_real_function(2, seed)):
+            with pytest.raises(StructureError, match=r"seed must lie in 0\.\.4294967295"):
+                draw()
+        with pytest.raises(StructureError, match="seed must lie"):
+            SweepConfig(target="lemma4", seed=seed)
+        assert random_rv(3, 2**32 - 1) != random_rv(3, 0)
+
     def test_real_function_rejects_negative_bounds(self):
         # max_num=-1 used to end in random's ValueError: empty range for randrange()
         with pytest.raises(StructureError, match="max_num"):

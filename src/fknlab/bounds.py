@@ -16,6 +16,7 @@ the package and the CLI:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -29,10 +30,11 @@ from .rv import (
     DiscreteRV,
     Rational,
     TwoPointBalancedRV,
+    _centered,
+    _mass_moment,
     _moment_sums,
     _q,
     abs_rv,
-    center,
     const_abs_approx,
     convolve,
     expectation,
@@ -130,7 +132,7 @@ class BoundReport:
 
 def _require_balanced(x: DiscreteRV, y: DiscreteRV) -> None:
     for label, rv in (("X", x), ("Y", y)):
-        if expectation(rv) != 0:
+        if _mass_moment(rv):
             raise BalanceError(f"{label} has mean {expectation(rv)}, expected exactly 0")
 
 
@@ -162,20 +164,33 @@ def lemma5_bound(
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> BoundReport:
     """The unbalanced form: center both variables and take E = E[X+Y]."""
-    e = expectation(x) + expectation(y)
-    return lemma7_bound(center(x), center(y), e, constants, atom_cap)
+    sx, sy = _mass_moment(x), _mass_moment(y)  # each mean over its den * scale
+    ux, uy = x.den * x.scale, y.den * y.scale
+    e = Fraction(sx * uy + sy * ux, ux * uy)
+    return lemma7_bound(_centered(x, sx), _centered(y, sy), e, constants, atom_cap)
 
 
 def claim8_check(x1: Rational, x2: Rational, ybar: TwoPointBalancedRV) -> BoundReport:
     """Two evaluations of X+E keep a quarter of their absolute-value gap
-    after adding an independent balanced two-point variable."""
+    after adding an independent balanced two-point variable.
+
+    On one scale S for x1, x2 and Y's values v (masses m over D), with
+    a = |X1 + v| and b = |X2 + v|: sum m m' (a - b')^2 = D sum m a^2
+    - 2 (sum m a)(sum m b) + D sum m b^2, over (D S)^2."""
     x1, x2 = _q(x1), _q(x2)
-    atoms = ybar.to_rv().atoms
-    lhs = Fraction(0)
-    for y1, p1 in atoms:
-        for y2, p2 in atoms:
-            lhs += p1 * p2 * (abs(x1 + y1) - abs(x2 + y2)) ** 2
-    rhs = Fraction(1, 4) * (abs(x1) - abs(x2)) ** 2
+    y = ybar.to_rv()
+    scale = math.lcm(x1.denominator, x2.denominator, y.scale)
+    n1, n2 = x1.numerator * (scale // x1.denominator), x2.numerator * (scale // x2.denominator)
+    f = scale // y.scale
+    a1 = a2 = b1 = b2 = 0
+    for v, m in zip(y.values, y.masses):
+        a, b = abs(n1 + v * f), abs(n2 + v * f)
+        a1 += m * a
+        a2 += m * a * a
+        b1 += m * b
+        b2 += m * b * b
+    lhs = Fraction(y.den * (a2 + b2) - 2 * a1 * b1, (y.den * scale) ** 2)
+    rhs = Fraction((abs(n1) - abs(n2)) ** 2, 4 * scale * scale)
     return BoundReport.compare(lhs, rhs, {"x1": x1, "x2": x2, "d": ybar.d, "p": ybar.p})
 
 

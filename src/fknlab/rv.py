@@ -12,6 +12,13 @@ scale in one merge loop (integer sums merge exactly when the rational ones
 do), then folds the last variable in without merging: power sums give the
 second moment, and prefix sums over the sorted partial support, bisected
 at each last value's negation, give the first absolute moment.
+
+Maps that keep the values distinct and in order build no merge: `shift` and
+`center` move the value numerators and divide out one gcd (the masses stay
+as they are), `const_abs_approx` sums |s| and the mass of s >= 0 in one
+pass over the shifted numerators, and the two-atom `to_rv` of
+`TwoPointBalancedRV` and `ConstAbsRV` write their canonical variable
+straight from the numerators and denominators of their fields.
 """
 
 from __future__ import annotations
@@ -36,6 +43,17 @@ DEFAULT_ATOM_CAP = 10**6
 
 def _q(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _exact_field(obj: object, name: str) -> Fraction:
+    """Store field `name` of a frozen dataclass as a Fraction; a float is a
+    StructureError naming the field, since Fraction(0.3) is not 3/10."""
+    value = getattr(obj, name)
+    if isinstance(value, float):
+        raise StructureError(f"{name} must be an exact rational, got {value!r}")
+    exact = _q(value)
+    object.__setattr__(obj, name, exact)
+    return exact
 
 
 @dataclass(frozen=True)
@@ -106,9 +124,9 @@ class TwoPointBalancedRV:
     p: Fraction
 
     def __post_init__(self):
-        if self.d < 0:
+        if _exact_field(self, "d") < 0:
             raise StructureError("d must be >= 0")
-        if not 0 < self.p < 1:
+        if not 0 < _exact_field(self, "p") < 1:
             raise StructureError("p must lie strictly between 0 and 1")
 
     @classmethod
@@ -123,8 +141,15 @@ class TwoPointBalancedRV:
         return cls(pos * p_pos, p_pos)
 
     def to_rv(self) -> DiscreteRV:
-        q = 1 - self.p  # d = 0 merges both atoms into the constant 0
-        return DiscreteRV.from_atoms([(self.d / self.p, self.p), (-self.d / q, q)])
+        """With d = n/k and p = a/b: mass (b-a)/b on -d/(1-p) and a/b on d/p,
+        the values -n b a and n b (b-a) over k a (b-a); d = 0 is the constant 0."""
+        n, k = self.d.numerator, self.d.denominator
+        a, b = self.p.numerator, self.p.denominator
+        if not n:
+            return DiscreteRV((0,), (1,))
+        scale = k * a * (b - a)
+        g = math.gcd(scale, n * b)  # gcd(a, b - a) = 1, so n b divides both values
+        return DiscreteRV((-(n * b // g) * a, (n * b // g) * (b - a)), (b - a, a), scale // g, b)
 
 
 @dataclass(frozen=True)
@@ -135,14 +160,21 @@ class ConstAbsRV:
     p: Fraction
 
     def __post_init__(self):
-        if self.magnitude < 0:
+        if _exact_field(self, "magnitude") < 0:
             raise StructureError("magnitude must be >= 0")
-        if not 0 <= self.p <= 1:
+        if not 0 <= _exact_field(self, "p") <= 1:
             raise StructureError("p must lie in [0, 1]")
 
     def to_rv(self) -> DiscreteRV:
-        atoms = [(self.magnitude, self.p), (-self.magnitude, 1 - self.p)]
-        return DiscreteRV.from_atoms((v, p) for v, p in atoms if p > 0)
+        """With magnitude n/k and p = a/b: mass (b-a)/b on -n/k and a/b on n/k,
+        one atom when magnitude 0 or p is 0 or 1."""
+        n, k = self.magnitude.numerator, self.magnitude.denominator
+        a, b = self.p.numerator, self.p.denominator
+        if not n or a == b:
+            return DiscreteRV((n,), (1,), k)
+        if not a:
+            return DiscreteRV((-n,), (1,), k)
+        return DiscreteRV((-n, n), (b - a, a), k, b)
 
 
 def _moment_sums(xs: Sequence[DiscreteRV]) -> tuple[list[int], int, int]:
@@ -161,8 +193,13 @@ def _moment_sums(xs: Sequence[DiscreteRV]) -> tuple[list[int], int, int]:
     return variances, mean, unit
 
 
+def _mass_moment(rv: DiscreteRV) -> int:
+    """sum m v: the mean's numerator over den * scale."""
+    return sum(map(operator.mul, rv.masses, rv.values))
+
+
 def expectation(rv: DiscreteRV) -> Fraction:
-    return Fraction(_moment_sums((rv,))[1], rv.den * rv.scale)
+    return Fraction(_mass_moment(rv), rv.den * rv.scale)
 
 
 def variance_rv(rv: DiscreteRV) -> Fraction:
@@ -184,11 +221,26 @@ def convolve(x: DiscreteRV, y: DiscreteRV, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     return _merge(sums, scale, x.den * y.den)
 
 
-def shift(rv: DiscreteRV, c: Rational) -> DiscreteRV:
+def _shift_terms(rv: DiscreteRV, c: Rational) -> tuple[int, int, int]:
+    """(L, f, add): X + c has the value numerators v f + add over L."""
     c = _q(c)
     scale = math.lcm(rv.scale, c.denominator)
-    f, add = scale // rv.scale, c.numerator * (scale // c.denominator)
-    return _merge(((v * f + add, m) for v, m in zip(rv.values, rv.masses)), scale, rv.den)
+    return scale, scale // rv.scale, c.numerator * (scale // c.denominator)
+
+
+def _with_values(values: list[int], rv: DiscreteRV, scale: int) -> DiscreteRV:
+    """rv's masses on new distinct increasing value numerators over `scale`:
+    the masses are in lowest terms already, so only the values are reduced."""
+    g = math.gcd(scale, *values)
+    if g > 1:
+        values, scale = [v // g for v in values], scale // g
+    return DiscreteRV(tuple(values), rv.masses, scale, rv.den)
+
+
+def shift(rv: DiscreteRV, c: Rational) -> DiscreteRV:
+    """X + c: adding a constant keeps the values distinct and in order."""
+    scale, f, add = _shift_terms(rv, c)
+    return _with_values([v * f + add for v in rv.values], rv, scale)
 
 
 def negate(rv: DiscreteRV) -> DiscreteRV:
@@ -202,7 +254,12 @@ def abs_rv(rv: DiscreteRV) -> DiscreteRV:
 
 def center(rv: DiscreteRV) -> DiscreteRV:
     """Subtract the mean; the result has mean exactly 0 and equal variance."""
-    return shift(rv, -expectation(rv))
+    return _centered(rv, _mass_moment(rv))
+
+
+def _centered(rv: DiscreteRV, moment: int) -> DiscreteRV:
+    """X - E[X] from moment = sum m v: the values (D v - moment) over D L."""
+    return _with_values([rv.den * v - moment for v in rv.values], rv, rv.den * rv.scale)
 
 
 def var_abs_sum(
@@ -277,10 +334,16 @@ def const_abs_approx(rv: DiscreteRV, e: Rational) -> ConstAbsRV:
 
     Coupled on the same sample space, E[((X+E) - X')^2] = Var|X+E| exactly.
     """
-    x = shift(rv, e)
-    pairs = list(zip(x.values, x.masses))
-    magnitude = Fraction(sum(m * abs(v) for v, m in pairs), x.scale * x.den)
-    return ConstAbsRV(magnitude, Fraction(sum(m for v, m in pairs if v >= 0), x.den))
+    scale, f, add = _shift_terms(rv, e)
+    total = nonnegative = 0  # sum m |s| and the mass of s >= 0, s = v f + add
+    for v, m in zip(rv.values, rv.masses):
+        s = v * f + add
+        if s >= 0:
+            total += m * s
+            nonnegative += m
+        else:
+            total -= m * s
+    return ConstAbsRV(Fraction(total, scale * rv.den), Fraction(nonnegative, rv.den))
 
 
 def approx_coupling_distance(rv: DiscreteRV, e: Rational) -> Fraction:

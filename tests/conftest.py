@@ -11,6 +11,10 @@ the referee of `sweep._accumulate`'s integer fold.
 report per instance through it, the referee of the batch's integer fold.
 `random_rv_reference` draws a random variable on Fractions with random's own
 `randint` and `sample`, the referee of `sweep._random_rv`'s integer draws.
+`two_atom_reference` builds the variable of a two-point or constant-magnitude
+description through `DiscreteRV.from_atoms`, the referee of both `to_rv`s,
+and `claim8_reference` is claim 8's double loop over Fraction atoms, the
+referee of `claim8_check`'s integer sides.
 """
 
 import functools
@@ -22,10 +26,10 @@ import numpy as np
 import pytest
 
 from fknlab import sweep
-from fknlab.bounds import DEFAULT_CONSTANTS
+from fknlab.bounds import DEFAULT_CONSTANTS, BoundReport
 from fknlab.cube import RealFunction, boolean_tables, format_partition, format_table_rows
 from fknlab.errors import FknLabError, StructureError, VerificationError
-from fknlab.rv import DiscreteRV
+from fknlab.rv import DiscreteRV, TwoPointBalancedRV
 
 
 def cube_point(index: int, m: int) -> tuple[int, ...]:
@@ -134,6 +138,31 @@ def random_rv_reference(rng, support_size: int, value_range, denom_cap: int) -> 
     cuts = sorted(rng.sample(range(1, d), support_size - 1))
     masses = [Fraction(b - a, d) for a, b in zip([0] + cuts, cuts + [d])]
     return DiscreteRV.from_atoms(zip(sorted(values), masses))
+
+
+def two_atom_reference(variable) -> DiscreteRV:
+    """`to_rv` of a TwoPointBalancedRV (d/p w.p. p, -d/(1-p) else) or a
+    ConstAbsRV (+magnitude w.p. p, -magnitude else) on Fractions: the merge
+    joins the two atoms of d = 0 or magnitude 0, and a mass-0 atom is left out."""
+    if isinstance(variable, TwoPointBalancedRV):
+        q = 1 - variable.p
+        atoms = [(variable.d / variable.p, variable.p), (-variable.d / q, q)]
+    else:
+        atoms = [(variable.magnitude, variable.p), (-variable.magnitude, 1 - variable.p)]
+    return DiscreteRV.from_atoms((v, p) for v, p in atoms if p > 0)
+
+
+def claim8_reference(x1, x2, ybar: TwoPointBalancedRV) -> BoundReport:
+    """`bounds.claim8_check` on Fractions: E(|x1+Y1| - |x2+Y2|)^2 over every
+    pair of atoms of two independent copies of Y, against (|x1| - |x2|)^2 / 4."""
+    x1, x2 = Fraction(x1), Fraction(x2)
+    atoms = two_atom_reference(ybar).atoms
+    lhs = Fraction(0)
+    for y1, p1 in atoms:
+        for y2, p2 in atoms:
+            lhs += p1 * p2 * (abs(x1 + y1) - abs(x2 + y2)) ** 2
+    rhs = Fraction(1, 4) * (abs(x1) - abs(x2)) ** 2
+    return BoundReport.compare(lhs, rhs, {"x1": x1, "x2": x2, "d": ybar.d, "p": ybar.p})
 
 
 def accumulate_reference(name, cases, scale, on_row=None) -> sweep.SweepResult:

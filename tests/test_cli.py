@@ -77,6 +77,16 @@ SWEEP_DIGESTS = [
         ("lemma4", "--n", "40", "--support-max", "2", "--value-lo", "0", "--value-hi", "1"),
         "d284fd19533cf0d3f26a4154fa43987e35c87848319684d47b822ad3de7602ae",
     ),
+    # wide denominators through the centred pairs and claim8's two-point sides
+    (("claim8", "--n", "40", "--denom-cap", "30"), "4384089268ef025f62d0246852875637575ed3d4b07955b46c2c35a56e46fc67"),
+    (
+        ("lemma5", "--n", "40", "--value-lo", "-1/3", "--value-hi", "5/2", "--denom-cap", "30", "--support-max", "9"),
+        "6d6ba254162ec7e45fac4a66c3c82405231ad5abaed81c8326fca153722c9c1c",
+    ),
+    (
+        ("claim9", "--n", "40", "--value-lo", "-1/3", "--value-hi", "5/2", "--denom-cap", "30", "--support-max", "9"),
+        "d17333584c38fb98a107a0cc786ce508d041cf1e9b9f6a354dfa6be2f5d361ee",
+    ),
 ]
 
 

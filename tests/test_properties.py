@@ -16,6 +16,12 @@ every integer operation must equal its Fraction definition over `atoms`,
 and equal distributions must compare equal and hash alike however they were
 built.
 
+Evaluators: both two-atom `to_rv`s must build the variable of the merged
+Fraction atoms, claim 8's integer sides must equal its Fraction double loop,
+and lemma5, lemma7 and claim9 must give the reports built from the chain
+Var|.| = variance_rv(abs_rv(shift(convolve(...)))) on the same wide inputs,
+witnesses in the same order.
+
 Sweeps: the random-variable generator must draw the variable of the
 Fraction reference, leave the generator in the same state, and fail the same
 way on a value grid too small for the support.  The fact1 and fact8 sides,
@@ -35,7 +41,15 @@ from hypothesis import strategies as st
 
 import fknlab.bounds as bounds_module
 from fknlab import sweep
-from fknlab.bounds import BoundReport, Constants, corollary2_apply
+from fknlab.bounds import (
+    BoundReport,
+    Constants,
+    claim8_check,
+    claim9_bound,
+    corollary2_apply,
+    lemma5_bound,
+    lemma7_bound,
+)
 from fknlab.cli import main
 from fknlab.cube import (
     BooleanFunction,
@@ -49,9 +63,11 @@ from fknlab.cube import (
     variance,
     wht,
 )
-from fknlab.errors import AtomLimitError, StructureError
+from fknlab.errors import AtomLimitError, BalanceError, StructureError
 from fknlab.rv import (
+    ConstAbsRV,
     DiscreteRV,
+    TwoPointBalancedRV,
     abs_rv,
     approx_coupling_distance,
     center,
@@ -69,6 +85,7 @@ from fknlab.rv import (
 
 from conftest import (
     accumulate_reference,
+    claim8_reference,
     corollary2_per_instance,
     dyadic_function,
     naive_fourier,
@@ -77,6 +94,7 @@ from conftest import (
     rv_moments,
     sign_matrix,
     sq_mass,
+    two_atom_reference,
     values,
     within,
 )
@@ -370,6 +388,103 @@ def test_equal_distributions_compare_and_hash_alike(x, y, c, parts):
         assert other == x and hash(other) == hash(x)
     total = DiscreteRV.from_atoms(product_distribution(x.atoms, y.atoms))
     assert convolve(x, y) == total and hash(convolve(y, x)) == hash(total)
+
+
+# 0 < a/b < 1 on a small grid or with b up to 10^30; d and magnitudes >= 0
+open_unit = st.one_of(st.integers(2, 12), st.integers(2, 10**30)).flatmap(
+    lambda b: st.builds(Fraction, st.integers(1, b - 1), st.just(b))
+)
+nonnegative = st.one_of(st.just(Fraction(0)), wide_rationals.map(abs))
+
+
+def _report(report: BoundReport) -> tuple:
+    return report.lhs, report.rhs, list(report.witness.items())
+
+
+@PROPERTY_SETTINGS
+@given(nonnegative, open_unit, st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), open_unit))
+@example(magnitude=Fraction(0), p=Fraction(1, 3), q=Fraction(1, 3))
+@example(magnitude=Fraction(5, 6), p=Fraction(1, 2), q=Fraction(0))
+@example(magnitude=Fraction(5, 6), p=Fraction(2, 5), q=Fraction(1))
+def test_two_atom_variables_are_the_merged_reference(magnitude, p, q):
+    two_point = TwoPointBalancedRV(magnitude, p)
+    assert two_point.to_rv() == two_atom_reference(two_point)
+    for const in (ConstAbsRV(magnitude, q), ConstAbsRV(Fraction(0), q)):
+        assert const.to_rv() == two_atom_reference(const)
+
+
+@PROPERTY_SETTINGS
+@given(wide_rationals, wide_rationals, nonnegative, open_unit)
+@example(x1=Fraction(2), x2=Fraction(-2), d=Fraction(1), p=Fraction(1, 2))  # sums landing on 0
+@example(x1=Fraction(1, 3), x2=Fraction(-5, 7), d=Fraction(0), p=Fraction(1, 2))  # Y = 0
+def test_claim8_sides_are_the_fraction_double_loop(x1, x2, d, p):
+    ybar = TwoPointBalancedRV(d, p)
+    assert _report(claim8_check(x1, x2, ybar)) == _report(claim8_reference(x1, x2, ybar))
+
+
+def _abs_var(e: Fraction, *xs: DiscreteRV) -> Fraction:
+    """Var|X1 + ... + Xn + E| through the merges of the Fraction chain."""
+    total = xs[0]
+    for x in xs[1:]:
+        total = convolve(total, x)
+    return variance_rv(abs_rv(shift(total, e)))
+
+
+def _lemma7_reference(x, y, e, k0) -> BoundReport:
+    vx, vy = _abs_var(e, x), _abs_var(e, y)
+    lhs = _abs_var(e, x, y)
+    witness = {"e": e, "max_side": "x" if vx >= vy else "y", "max_abs_var": max(vx, vy)}
+    if lhs > 0:
+        witness["required_k0"] = max(vx, vy) / lhs
+    return BoundReport.compare(lhs, max(vx, vy) / k0, witness)
+
+
+def _claim9_reference(x, y, e) -> BoundReport:
+    flipped = e < 0
+    if flipped:
+        x, y = (DiscreteRV.from_atoms((-v, p) for v, p in z.atoms) for z in (x, y))
+        e = -e
+
+    def approx(z):
+        shifted = [(v + e, p) for v, p in z.atoms]
+        return ConstAbsRV(sum(abs(s) * p for s, p in shifted), sum(p for s, p in shifted if s >= 0))
+
+    ax, ay = approx(x), approx(y)
+    swapped = ay.magnitude > ax.magnitude
+    if swapped:
+        x, y, ax, ay = y, x, ay, ax
+    x_rv, y_rv = two_atom_reference(ax), two_atom_reference(ay)
+    var_x, var_y = rv_moments(x_rv.atoms)[1], rv_moments(y_rv.atoms)[1]
+    denominator = 16 * (rv_moments(x.atoms)[1] + e * e)
+    rhs = var_x * var_y / denominator if denominator > 0 else Fraction(0)
+    witness = dict(e=e, flipped=flipped, swapped=swapped, dx=ax.magnitude, px=ax.p, dy=ay.magnitude, py=ay.p)
+    witness.update(var_x_approx=var_x, var_y_approx=var_y)
+    return BoundReport.compare(_abs_var(-e, x_rv, y_rv), rhs, witness)
+
+
+@PROPERTY_SETTINGS
+@given(wide_rv(), wide_rv(), wide_rationals)
+@example(x=DiscreteRV.constant(Fraction(3, 2)), y=DiscreteRV.constant(Fraction(-1, 3)), e=Fraction(0))
+@example(
+    x=DiscreteRV.from_atoms([(-1, Fraction(1, 2)), (1, Fraction(1, 2))]),
+    y=DiscreteRV.from_atoms([(0, Fraction(1, 2)), (2, Fraction(1, 4)), (-2, Fraction(1, 4))]),
+    e=Fraction(-1),
+)
+def test_pair_evaluators_are_the_merge_chain(x, y, e):
+    constants = Constants(k0=Fraction(7, 3))
+    (mean_x, _), (mean_y, _) = rv_moments(x.atoms), rv_moments(y.atoms)
+    xbar = DiscreteRV.from_atoms((v - mean_x, p) for v, p in x.atoms)
+    ybar = DiscreteRV.from_atoms((v - mean_y, p) for v, p in y.atoms)
+    expected = _lemma7_reference(xbar, ybar, mean_x + mean_y, constants.k0)
+    assert _report(lemma5_bound(x, y, constants)) == _report(expected)
+    expected = _lemma7_reference(xbar, ybar, e, constants.k0)
+    assert _report(lemma7_bound(xbar, ybar, e, constants)) == _report(expected)
+    assert _report(claim9_bound(xbar, ybar, e)) == _report(_claim9_reference(xbar, ybar, e))
+    if mean_x:  # the balance check's text is the mean as a Fraction
+        for evaluate in (lemma7_bound, claim9_bound):
+            with pytest.raises(BalanceError) as raised:
+                evaluate(x, ybar, e)
+            assert str(raised.value) == f"X has mean {mean_x}, expected exactly 0"
 
 
 class ScriptedRng:

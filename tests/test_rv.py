@@ -85,6 +85,25 @@ class TestType:
         assert ConstAbsRV(F(0), F(1, 2)).to_rv().atoms == ((F(0), F(1)),)
         assert ConstAbsRV(F(3), F(0)).to_rv().atoms == ((F(-3), F(1)),)
 
+    def test_two_point_rejects_a_float_field(self):
+        with pytest.raises(StructureError, match=r"^p must be an exact rational, got 0\.3$"):
+            TwoPointBalancedRV(F(1), 0.3)
+        with pytest.raises(StructureError, match=r"^d must be an exact rational, got 0\.5$"):
+            TwoPointBalancedRV(0.5, F(1, 3))
+
+    def test_const_abs_rejects_a_float_field(self):
+        with pytest.raises(StructureError, match=r"^magnitude must be an exact rational, got 0\.5$"):
+            ConstAbsRV(0.5, F(1, 3))
+        with pytest.raises(StructureError, match=r"^p must be an exact rational, got 0\.25$"):
+            ConstAbsRV(F(1), 0.25)
+
+    def test_two_atom_fields_are_stored_as_fractions(self):
+        tp, ca = TwoPointBalancedRV(2, "1/3"), ConstAbsRV("3/2", 1)
+        assert (tp.d, tp.p, ca.magnitude, ca.p) == (F(2), F(1, 3), F(3, 2), F(1))
+        assert all(type(v) is F for v in (tp.d, tp.p, ca.magnitude, ca.p))
+        assert tp.to_rv().atoms == ((F(-3), F(2, 3)), (F(6), F(1, 3)))
+        assert ca.to_rv().atoms == ((F(3, 2), F(1)),)
+
 
 class TestConvolve:
     def test_uniform_pair(self):

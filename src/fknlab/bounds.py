@@ -31,6 +31,7 @@ from .rv import (
     Rational,
     TwoPointBalancedRV,
     _centered,
+    _exact_field,
     _mass_moment,
     _moment_sums,
     _q,
@@ -57,10 +58,8 @@ class Constants:
 
     def __post_init__(self):
         for name in ("k0", "k1", "k2"):
-            value = _q(getattr(self, name))
-            if value <= 0:
+            if (value := _exact_field(self, name)) <= 0:
                 raise StructureError(f"constants must be positive, got {name}={value}")
-            object.__setattr__(self, name, value)
 
     @property
     def corollary_k(self) -> Fraction:
@@ -145,7 +144,7 @@ def lemma7_bound(
 ) -> BoundReport:
     """Var|X+Y+E| >= max(Var|X+E|, Var|Y+E|) / K0 for balanced X, Y."""
     _require_balanced(xbar, ybar)
-    e = _q(e)
+    e = _q(e, "E")
     vx = var_abs_shifted(xbar, e)
     vy = var_abs_shifted(ybar, e)
     lhs = var_abs_sum((xbar, ybar), e, atom_cap)
@@ -177,7 +176,7 @@ def claim8_check(x1: Rational, x2: Rational, ybar: TwoPointBalancedRV) -> BoundR
     On one scale S for x1, x2 and Y's values v (masses m over D), with
     a = |X1 + v| and b = |X2 + v|: sum m m' (a - b')^2 = D sum m a^2
     - 2 (sum m a)(sum m b) + D sum m b^2, over (D S)^2."""
-    x1, x2 = _q(x1), _q(x2)
+    x1, x2 = _q(x1, "x1"), _q(x2, "x2")
     y = ybar.to_rv()
     scale = math.lcm(x1.denominator, x2.denominator, y.scale)
     n1, n2 = x1.numerator * (scale // x1.denominator), x2.numerator * (scale // x2.denominator)
@@ -204,7 +203,7 @@ def claim9_bound(
     evaluating; without them the literal formula fails on valid inputs.
     """
     _require_balanced(xbar, ybar)
-    e = _q(e)
+    e = _q(e, "E")
     flipped = e < 0
     if flipped:
         xbar, ybar, e = negate(xbar), negate(ybar), -e
@@ -354,7 +353,7 @@ def corollary2_apply(
     if epsilon is None:
         epsilon = cross / var_f
     else:
-        epsilon = _q(epsilon)
+        epsilon = _q(epsilon, "epsilon")
         if cross > epsilon * var_f:
             raise StructureError(
                 f"premise violated: cross weight {cross} > epsilon*Var f = {epsilon * var_f}"

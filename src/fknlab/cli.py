@@ -88,11 +88,6 @@ def _checked(parse):
     return convert
 
 
-def _constants(args, target: str) -> bounds.Constants:
-    """Constants from --K0/--K1/--K2; a flag `target` does not read is an error."""
-    return sweep.read_constants(target, {k: v for k, v in vars(args).items() if v is not None})
-
-
 def _add_constant_flags(parser) -> None:
     add = functools.partial(parser.add_argument, type=_checked(cube.parse_fraction))
     add("--K0", dest="k0", help="override the abs-variance transfer constant (default 4)")
@@ -104,7 +99,8 @@ def _cmd_analyze(args) -> int:
     fmt = functools.partial(bounds.format_value, decimal=args.decimal)
     f = cube.parse_boolean_function(_read_text(args.table))
     partition = _read_partition(args, f.m)
-    outcome = bounds.corollary2_apply(f, partition, _constants(args, "corollary2"))
+    given = {k: v for k, v in vars(args).items() if v is not None}  # corollary2 reads only --K2
+    outcome = bounds.corollary2_apply(f, partition, sweep.read_constants("corollary2", given))
     print(f"m={f.m}")
     print(f"coeff_empty={fmt(outcome.coeff_empty)}")
     print(f"variance={fmt(outcome.var_f)}")

@@ -41,17 +41,19 @@ Rational = Fraction | int | str
 DEFAULT_ATOM_CAP = 10**6
 
 
-def _q(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _q(x: Rational, name: str = "value") -> Fraction:
+    """x as a Fraction; a float is a StructureError naming `name`, since
+    Fraction(0.3) is not 3/10.  A Fraction passes through unchecked."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise StructureError(f"{name} must be an exact rational, got {x!r}")
+    return Fraction(x)
 
 
 def _exact_field(obj: object, name: str) -> Fraction:
-    """Store field `name` of a frozen dataclass as a Fraction; a float is a
-    StructureError naming the field, since Fraction(0.3) is not 3/10."""
-    value = getattr(obj, name)
-    if isinstance(value, float):
-        raise StructureError(f"{name} must be an exact rational, got {value!r}")
-    exact = _q(value)
+    """Store field `name` of a frozen dataclass as a Fraction, by `_q`."""
+    exact = _q(getattr(obj, name), name)
     object.__setattr__(obj, name, exact)
     return exact
 
@@ -83,7 +85,7 @@ class DiscreteRV:
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[Rational, Rational]]) -> "DiscreteRV":
         """Merge (value, probability) pairs on the lattice of their denominators."""
-        pairs = [(_q(v), _q(p)) for v, p in pairs]
+        pairs = [(_q(v), _q(p, "probability")) for v, p in pairs]
         scale = math.lcm(*(v.denominator for v, _ in pairs))
         den = math.lcm(*(p.denominator for _, p in pairs))
         return _merge([((v * scale).numerator, (p * den).numerator) for v, p in pairs], scale, den)
@@ -276,7 +278,7 @@ def var_abs_sum(
     """
     if not xs:
         return Fraction(0)
-    e = _q(e)
+    e = _q(e, "E")
     scale = math.lcm(e.denominator, *(x.scale for x in xs))
     support = {e.numerator * (scale // e.denominator): 1}
     mass_den = 1

@@ -5,8 +5,8 @@ reported violation is a real violation and never a rounding artifact.  Every
 sweep is a deterministic function of its config: instance i draws from its
 own RNG stream derived from (seed, i), which keeps results independent of
 evaluation order.  Seeds are 32-bit, so no two seeds share a stream.
-Integers are drawn by `_randint` straight from `getrandbits`, word for word
-as `random.Random.randint` draws them (and a variable's mass cuts as
+Every bounded integer is one `_below` draw straight from `getrandbits`, word
+for word as `random.Random.randint` draws it (and a variable's mass cuts as
 `random.Random.sample` draws them), and the reports are folded on integer
 cross products of their sides.
 
@@ -63,7 +63,7 @@ from .errors import (
     StructureError,
     VerificationError,
 )
-from .rv import DEFAULT_ATOM_CAP, DiscreteRV, _q, center
+from .rv import DEFAULT_ATOM_CAP, DiscreteRV, _exact_field, _q, center
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,7 @@ class SweepConfig:
         _check_seed(self.seed)
         if not 1 <= self.support_min <= self.support_max:
             raise StructureError("need 1 <= support_min <= support_max")
-        object.__setattr__(self, "value_lo", Fraction(self.value_lo))
-        object.__setattr__(self, "value_hi", Fraction(self.value_hi))
-        if self.value_lo >= self.value_hi:
+        if _exact_field(self, "value_lo") >= _exact_field(self, "value_hi"):
             raise StructureError("value grid is empty")
         need = max(2, self.support_max) if "support_max" in TARGETS[self.target].reads else 2
         if self.denom_cap < need:
@@ -131,17 +129,23 @@ def _rng_for(seed: int, index: int) -> random.Random:
     return random.Random((seed << 40) ^ (index + 1))
 
 
-def _randint(rng: random.Random, lo: int, hi: int) -> int:
-    """rng.randint(lo, hi) with the same draws: getrandbits(k) words, k the bit
-    length of n = hi - lo + 1, redrawn while >= n (random's _randbelow)."""
-    n = hi - lo + 1
-    if n <= 0:  # no word is below n: the loop would never end
-        raise StructureError(f"empty range {lo}..{hi}")
+def _below(draw: Callable[[int], int], n: int) -> int:
+    """The one bounded draw: a `draw` (getrandbits) word below n >= 1, drawn as
+    random's _randbelow draws it: k = n.bit_length() bits, redrawn while >= n."""
     k = n.bit_length()
-    r = rng.getrandbits(k)
+    r = draw(k)
     while r >= n:
-        r = rng.getrandbits(k)
-    return lo + r
+        r = draw(k)
+    return r
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi) with the same draws: lo plus the one draw `_below` of
+    n = hi - lo + 1."""
+    n = hi - lo + 1
+    if n <= 0:  # no word is below n: the draw would never end
+        raise StructureError(f"empty range {lo}..{hi}")
+    return lo + _below(rng.getrandbits, n)
 
 
 def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
@@ -156,29 +160,22 @@ def _ratio_drawer(
     """Draws (numerator, denominator) of a random rational in [lo, hi], not
     reduced: the denominator drawn in 1..cap, or cap when no multiple of its
     inverse lies in [lo, hi], then the numerator, each with the words of
-    rng.randint.  The bounds are read once per drawer, not once per draw."""
+    rng.randint.  The bounds are read once per drawer, not once per draw, and
+    a range with no multiple of 1/cap is refused then, before any draw."""
     if cap < 1:  # no word is below cap: the first draw would never end
         raise StructureError(f"empty range 1..{cap}")
     lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     cap_lo, cap_hi = -(-lo_n * cap // lo_d), hi_n * cap // hi_d  # ceil(lo cap), floor(hi cap)
-    draw, cap_bits = rng.getrandbits, cap.bit_length()
+    if cap_lo > cap_hi:
+        raise StructureError(f"no multiple of 1/{cap} in [{lo}, {hi}]")
+    draw = rng.getrandbits
 
     def ratio() -> tuple[int, int]:
-        den = draw(cap_bits)
-        while den >= cap:
-            den = draw(cap_bits)
-        den += 1
+        den = _below(draw, cap) + 1
         lo_num, hi_num = -(-lo_n * den // lo_d), hi_n * den // hi_d
         if lo_num > hi_num:
-            if cap_lo > cap_hi:
-                raise StructureError(f"no rational with denominator <= {cap} in [{lo}, {hi}]")
             den, lo_num, hi_num = cap, cap_lo, cap_hi
-        n = hi_num - lo_num + 1
-        k = n.bit_length()
-        r = draw(k)
-        while r >= n:
-            r = draw(k)
-        return lo_num + r, den
+        return lo_num + _below(draw, hi_num - lo_num + 1), den
 
     return ratio
 
@@ -248,10 +245,7 @@ def _sample_cuts(rng: random.Random, d: int, k: int) -> list[int]:
         return sorted(rng.sample(range(1, d), k))
     pool, cuts = list(range(1, d)), []
     for size in range(n, n - k, -1):
-        bits = size.bit_length()
-        j = draw(bits)
-        while j >= size:
-            j = draw(bits)
+        j = _below(draw, size)
         cuts.append(pool[j])
         pool[j] = pool[size - 1]
     cuts.sort()
@@ -266,17 +260,11 @@ def random_real_function(m: int, seed: int, denom_pow: int = 4, max_num: int = 3
 
 def _random_numerators(rng: random.Random, m: int, max_num: int = 32) -> list[int]:
     """The 2^m numerators of a random table, each uniform on -max_num..max_num:
-    `_randint(rng, -max_num, max_num)` for each entry, in one loop."""
+    `_randint(rng, -max_num, max_num)` for each entry."""
     if max_num < 0:
         raise StructureError(f"max_num must be >= 0, got {max_num}")
-    n = 2 * max_num + 1
-    k, draw, size = n.bit_length(), rng.getrandbits, 1 << m
-    numerators: list[int] = []
-    while len(numerators) < size:
-        r = draw(k)
-        if r < n:  # a word >= n is redrawn
-            numerators.append(r - max_num)
-    return numerators
+    n, draw = 2 * max_num + 1, rng.getrandbits
+    return [_below(draw, n) - max_num for _ in range(1 << m)]
 
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:

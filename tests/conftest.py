@@ -113,21 +113,23 @@ def product_distribution(*atom_lists):
 
 
 def random_rv_reference(rng, support_size: int, value_range, denom_cap: int) -> DiscreteRV:
-    """`sweep._random_rv` on Fractions: each value k/den with den = randint(1,
-    denom_cap), or denom_cap when no k/den lies in the range, and k uniform
-    over those that do; masses are the gaps between sorted `rng.sample` cuts
-    of 1..D-1, and `DiscreteRV.from_atoms` (the merge) puts it in lowest terms."""
+    """`sweep._random_rv` on Fractions: a range with no multiple of
+    1/denom_cap is refused before any draw; each value is k/den with den =
+    randint(1, denom_cap), or denom_cap when no k/den lies in the range, and k
+    uniform over those that do; masses are the gaps between sorted
+    `rng.sample` cuts of 1..D-1, and `DiscreteRV.from_atoms` (the merge) puts
+    it in lowest terms."""
     if support_size < 1:
         raise StructureError("support_size must be >= 1")
     lo, hi = Fraction(value_range[0]), Fraction(value_range[1])
+    if math.ceil(lo * denom_cap) > math.floor(hi * denom_cap):
+        raise StructureError(f"no multiple of 1/{denom_cap} in [{lo}, {hi}]")
     values: set[Fraction] = set()
     attempts = 0
     while len(values) < support_size:
-        for den in (rng.randint(1, denom_cap), denom_cap):
-            if math.ceil(lo * den) <= math.floor(hi * den):
-                break
-        else:
-            raise StructureError(f"no rational with denominator <= {denom_cap} in [{lo}, {hi}]")
+        den = rng.randint(1, denom_cap)
+        if math.ceil(lo * den) > math.floor(hi * den):
+            den = denom_cap
         values.add(Fraction(rng.randint(math.ceil(lo * den), math.floor(hi * den)), den))
         attempts += 1
         if attempts > 1000 * support_size:

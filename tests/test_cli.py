@@ -514,6 +514,17 @@ class TestSweep:
             # a constant only when some instance was evaluated to measure it
             assert ("empirical_constant" in kv(out)) == (errors < n)
 
+    def test_a_range_with_no_multiple_of_the_cap_names_the_cap_grid(self, capsys):
+        # a drawn denominator of 3 fits [1/3, 7/20]; the cap 5 does not, so every instance errs
+        flags = "--value-lo 1/3 --value-hi 7/20 --denom-cap 5 --support-max 1".split()
+        code, out, _ = run(capsys, "sweep", "--target", "lemma4", "--n", "40", *flags)
+        assert code == 3
+        assert kv(out)["errors"] == "40"
+        errors = [line for line in out.splitlines() if line.startswith("error: ")]
+        assert errors and all(
+            line.endswith(" StructureError: no multiple of 1/5 in [1/3, 7/20]") for line in errors
+        )
+
     def test_instance_count_below_one_names_n(self, capsys):
         code, out, err = run(capsys, "sweep", "--target", "lemma4", "--n", "0")
         assert (code, out, err) == (1, "", "error: n must be >= 1\n")

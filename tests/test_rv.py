@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fknlab.bounds import claim6_example
+from fknlab.bounds import Constants, claim6_example, corollary2_apply, lemma7_bound, tribes_example
 from fknlab.cube import RealFunction
 from fknlab.errors import AtomLimitError, BalanceError, ParseError, StructureError
 from fknlab.rv import (
@@ -31,7 +31,7 @@ from fknlab.rv import (
     variance_rv,
 )
 from fknlab.cube import restriction, BooleanFunction
-from fknlab.sweep import random_rv
+from fknlab.sweep import SweepConfig, random_rv
 
 from conftest import rv_moments
 
@@ -96,6 +96,25 @@ class TestType:
             ConstAbsRV(0.5, F(1, 3))
         with pytest.raises(StructureError, match=r"^p must be an exact rational, got 0\.25$"):
             ConstAbsRV(F(1), 0.25)
+
+    @pytest.mark.parametrize(
+        "build, name, value",
+        [
+            (lambda: Constants(k2=0.1), "k2", "0.1"),
+            (lambda: SweepConfig(target="lemma4", value_lo=-0.1), "value_lo", "-0.1"),
+            (lambda: SweepConfig(target="lemma4", value_hi=0.5), "value_hi", "0.5"),
+            (lambda: DiscreteRV.from_atoms([(0.1, F(1, 2)), (1, F(1, 2))]), "value", "0.1"),
+            (lambda: DiscreteRV.from_atoms([(0, 0.5), (1, F(1, 2))]), "probability", "0.5"),
+            (lambda: lemma7_bound(UNIFORM, UNIFORM, e=0.1), "E", "0.1"),
+            (lambda: corollary2_apply(*tribes_example(2), epsilon=0.5), "epsilon", "0.5"),
+        ],
+    )
+    def test_every_rational_input_rejects_a_float(self, build, name, value):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        message = f"{name} must be an exact rational, got {value}"
+        with pytest.raises(StructureError) as raised:
+            build()
+        assert str(raised.value) == message
 
     def test_two_atom_fields_are_stored_as_fractions(self):
         tp, ca = TwoPointBalancedRV(2, "1/3"), ConstAbsRV("3/2", 1)

@@ -131,6 +131,12 @@ class TestRandomRV:
         with pytest.raises(StructureError, match="empty range"):
             _randint(_rng_for(0, 0), 5, 3)
 
+    def test_a_range_with_no_multiple_of_the_cap_is_refused_for_every_seed(self):
+        # 1/3 is in the range, but 1/5 has no multiple there: every seed raises, before any draw
+        for seed in range(200):
+            with pytest.raises(StructureError, match=r"^no multiple of 1/5 in \[1/3, 7/20\]$"):
+                random_rv(1, seed, (F(1, 3), F(7, 20)), 5)
+
     @pytest.mark.parametrize("seed", [-1, 2**32])
     def test_seeds_outside_32_bits_raise(self, seed):
         for draw in (lambda: random_rv(2, seed), lambda: random_real_function(2, seed)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -69,9 +70,15 @@ class Constants:
 DEFAULT_CONSTANTS = Constants()
 
 
+# the magnitudes that a float holds to 53 bits, each rounding to a finite float
+_NORMAL_LO, _NORMAL_HI = Fraction(1, 1 << 1022), Fraction((1 << 1024) - (1 << 970))
+_DIGITS_15 = Context(prec=15, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def format_value(value: object, decimal: bool = False) -> str:
     """Text of one reported value: exact by default, 15 significant digits
-    for rationals and floats when `decimal` is set; a variable inline."""
+    (`.15g`) for rationals and floats when `decimal` is set, rounded half-even
+    from the exact value past the normal float range; a variable inline."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, DiscreteRV):
@@ -79,7 +86,11 @@ def format_value(value: object, decimal: bool = False) -> str:
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     if decimal and isinstance(value, (Fraction, float)):
-        return f"{float(value):.15g}"
+        if isinstance(value, float) or not value or _NORMAL_LO <= abs(value) < _NORMAL_HI:
+            return f"{float(value):.15g}"
+        q = _DIGITS_15.divide(Decimal(value.numerator), Decimal(value.denominator))
+        mantissa, exponent = f"{q:.14e}".split("e")  # |exponent| > 300: .15g is scientific
+        return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
     return str(value)
 
 
@@ -343,7 +354,7 @@ def corollary2_apply(
     epsilon defaults to cross_weight / Var f, the tightest value satisfying
     the premise; a caller-supplied epsilon is validated against it.
     """
-    var, cross, dists = stack_block_weights(f.table[None], partition)
+    var, [(cross, dists)] = stack_block_weights(f.table[None], [partition])
     unit = 1 << 2 * f.m
     var_f = Fraction(int(var[0]), unit)
     if var_f == 0:

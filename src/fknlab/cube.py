@@ -18,17 +18,17 @@ expansion, which only `inverse_wht` reads, L = 2^62, so `wht` of a Boolean
 table stays int64 (N <= 2^m, and 2^m N <= 2^52 for m <= 26).
 
 Partition weights of Boolean functions come from one kernel,
-`stack_block_weights`, on a stack of tables (one row for
-`cross_partition_weight` and `bounds.corollary2_apply`; every table of
-`boolean_tables` for the exhaustive check, transformed once as a
-`TableStack` for all its partitions), in int64 numerators over 4^m.
-With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N, and its
-stages stay inside N, so the one transform runs in int32; c_S^2 and their
-sums are at most N^2 = 2^2m.  The check of each block distance needs no
-transform: the mass of c inside block B is 2^|B| times the sum of squares
-of the table's margin on B (the sums R of f over the variables outside B,
-|R| <= 2^(m-|B|)), which is at most N^2 <= 2^52 as well, so the whole
-kernel is int64 for every m <= M_MAX.
+`stack_block_weights`, one call per stack of tables and list of partitions
+(one table and one partition for `cross_partition_weight` and
+`bounds.corollary2_apply`; every table of `boolean_tables` and every
+two-block partition for the exhaustive check), in int64 numerators over
+4^m.  With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N, and
+its stages stay inside N, so the one transform runs in int32; c_S^2 and
+their sums are at most N^2 = 2^2m.  The check of each block distance needs
+no transform: the mass of c inside block B is 2^|B| times the sum of
+squares of the table's margin on B (the sums R of f over the variables
+outside B, |R| <= 2^(m-|B|)), which is at most N^2 <= 2^52 as well, so the
+whole kernel is int64 for every m <= M_MAX.
 """
 
 from __future__ import annotations
@@ -313,84 +313,66 @@ def _pointwise_sq_dist(f: np.ndarray, mask: int) -> np.ndarray:
     return n * n - (_sum_sq(margin.reshape(rows, 1 << inside)) << inside)
 
 
-class TableStack:
-    """A stack of Boolean tables on m variables, one row per function, and
-    its forward transform, taken and checked once for any number of
-    partitions: f holds the tables as given and c = N * coefficients
-    (N = 2^m) in int32; var (Var f) and c0_sq (c_0^2) are int64 over 4^m.
-
-    Checked on every row, as VerificationError: Parseval, and Var f from the
-    table against the coefficients.
-    """
-
-    def __init__(self, tables: np.ndarray, m: int):
-        _checked_m(m)
-        n = 1 << m
-        if tables.ndim != 2 or tables.shape[1] != n:
-            raise DimensionMismatchError(f"{m} variables, tables of shape {tables.shape}")
-        if not np.all(np.abs(tables) == 1):  # on the entries as given
-            raise StructureError("Boolean table entries must be exactly +1 or -1")
-        self.m = m
-        self.f = tables
-        self.c = _butterfly(self.f)
-        total = _sum_sq(self.c)
-        table_sq = n * _sum_sq(self.f)
-        if np.any(total != table_sq):
-            raise VerificationError("Parseval fails on the stack")
-        self.c0_sq = self.c[:, 0].astype(np.int64) ** 2
-        self.var = total - self.c0_sq
-        if np.any(table_sq - self.f.sum(axis=1) ** 2 != self.var):
-            raise VerificationError("table and coefficient variances differ on the stack")
-
-
 def stack_block_weights(
-    tables: np.ndarray | TableStack, partition: Partition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(var, cross, dists) of a stack of Boolean tables, one row per function,
-    as int64 numerators over 4^m: Var f, the cross weight and, in column j of
-    dists, the distance to block j's restriction plus the empty coefficient.
-    `tables` is an array of tables or a `TableStack` already transformed, so
-    that many partitions share one forward transform, the only one run.
+    tables: np.ndarray, partitions: Sequence[Partition]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Var f and, per partition in order, (cross, dists) of a stack of Boolean
+    tables on m variables, one row of 2^m entries per function, as int64
+    numerators over 4^m: the cross weight and, in column j of dists, the
+    distance to block j's restriction plus the empty coefficient.  The stack
+    is checked and transformed once for all the partitions, the only
+    transform run.
 
-    With N = 2^m and c = N * coefficients, inside_j is the squared mass
-    on the 2^|B_j| subsets of block j, gathered by index, and dist_j is
-    N^2 - inside_j (Parseval, checked by the `TableStack`); the cross weight
-    is summed directly over the sets in no block.  Checked on every row, as
-    VerificationError: the `TableStack` checks, the cross weight against the
-    identity N^2 - c_0^2 - sum_j (inside_j - c_0^2), and each distance
-    against the pointwise route `_pointwise_sq_dist`, N^2 minus 2^|B_j|
-    times the sum of squares of the table's margin on block j, which reads
-    the tables and not c.  For entries +-1 this is N^2 ||f - g_j||^2 with
-    g_j = E[f | x_B_j], and every term is at most 4^m <= 2^52, in int64.
+    With N = 2^m and c = N * coefficients, inside_j is the squared mass on
+    the 2^|B_j| subsets of block j, gathered by index, dist_j is
+    N^2 - inside_j, and the cross weight is summed over the sets in no block.
+    Checked on every row, as VerificationError: Parseval, Var f from the
+    table against the coefficients, the cross weight against the identity
+    N^2 - c_0^2 - sum_j (inside_j - c_0^2), and each distance against
+    `_pointwise_sq_dist`, which reads the tables and not c.
     """
-    m = partition.m
-    stack = tables if isinstance(tables, TableStack) else TableStack(tables, m)
-    if stack.m != m:
-        raise DimensionMismatchError(f"partition over {m} variables, a stack over {stack.m}")
-    f, c, c0_sq = stack.f, stack.c, stack.c0_sq
-    n = 1 << m
-    total = stack.var + c0_sq
-    inside_some = np.zeros(n, dtype=bool)
-    block_var_total = np.zeros_like(stack.var)
-    dists = np.empty((len(f), len(partition.blocks)), dtype=np.int64)
-    for j in range(len(partition.blocks)):
-        mask = partition.mask(j)
-        subsets = _submasks(mask)
-        inside = _sum_sq(c[:, subsets])
-        dists[:, j] = total - inside
-        block_var_total += inside - c0_sq
-        inside_some[subsets] = True
-        if np.any(_pointwise_sq_dist(f, mask) != dists[:, j]):
-            raise VerificationError(f"block {j}: coefficient route != pointwise on the stack")
-    cross = _sum_sq(c, ~inside_some)
-    if np.any(cross != n * n - c0_sq - block_var_total):
-        raise VerificationError("cross weight mismatch on the stack")
-    return stack.var, cross, dists
+    n = tables.shape[-1]
+    m = n.bit_length() - 1
+    _checked_m(m)
+    if tables.ndim != 2 or n != 1 << m:
+        raise DimensionMismatchError(f"{m} variables, tables of shape {tables.shape}")
+    if not np.all(np.abs(tables) == 1):  # on the entries as given
+        raise StructureError("Boolean table entries must be exactly +1 or -1")
+    c = _butterfly(tables)
+    total = _sum_sq(c)
+    table_sq = n * _sum_sq(tables)
+    if np.any(total != table_sq):
+        raise VerificationError("Parseval fails on the stack")
+    c0_sq = c[:, 0].astype(np.int64) ** 2
+    var = total - c0_sq
+    if np.any(table_sq - tables.sum(axis=1) ** 2 != var):
+        raise VerificationError("table and coefficient variances differ on the stack")
+    weights = []
+    for partition in partitions:
+        if partition.m != m:
+            raise DimensionMismatchError(f"partition over {partition.m} variables, stack over {m}")
+        inside_some = np.zeros(n, dtype=bool)
+        block_var_total = np.zeros_like(var)
+        dists = np.empty((len(tables), len(partition.blocks)), dtype=np.int64)
+        for j in range(len(partition.blocks)):
+            mask = partition.mask(j)
+            subsets = _submasks(mask)
+            inside = _sum_sq(c[:, subsets])
+            dists[:, j] = total - inside
+            block_var_total += inside - c0_sq
+            inside_some[subsets] = True
+            if np.any(_pointwise_sq_dist(tables, mask) != dists[:, j]):
+                raise VerificationError(f"block {j}: coefficient route != pointwise on the stack")
+        cross = _sum_sq(c, ~inside_some)
+        if np.any(cross != n * n - c0_sq - block_var_total):
+            raise VerificationError("cross weight mismatch on the stack")
+        weights.append((cross, dists))
+    return var, weights
 
 
 def cross_partition_weight(f: BooleanFunction, partition: Partition) -> Fraction:
     """Total squared coefficient mass on sets contained in no single block."""
-    cross = stack_block_weights(f.table[None], partition)[1]
+    [(cross, _)] = stack_block_weights(f.table[None], [partition])[1]
     return Fraction(int(cross[0]), 1 << 2 * f.m)
 
 

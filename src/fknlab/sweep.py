@@ -46,7 +46,6 @@ from .cube import (
     BooleanFunction,
     Partition,
     RealFunction,
-    TableStack,
     _frozen,
     boolean_tables,
     data_lines,
@@ -96,6 +95,7 @@ class SweepConfig:
         need = max(2, self.support_max) if "support_max" in TARGETS[self.target].reads else 2
         if self.denom_cap < need:
             raise StructureError(f"denom_cap must be >= {need}")
+        _cap_grid(self.value_lo, self.value_hi, self.denom_cap)  # one error, not one per instance
         if self.rv_count_max < 2:
             raise StructureError("rv_count_max must be >= 2 (theorem1 sums at least two)")
         if self.atom_cap < 1:
@@ -154,6 +154,15 @@ def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
     return (BooleanFunction(m, table) for table in boolean_tables(m))
 
 
+def _cap_grid(lo: Fraction, hi: Fraction, cap: int) -> tuple[int, int]:
+    """ceil(lo cap) and floor(hi cap), the numerators of the least and the
+    greatest multiple of 1/cap in [lo, hi]; a range with none is refused."""
+    cap_lo, cap_hi = -(-lo.numerator * cap // lo.denominator), hi.numerator * cap // hi.denominator
+    if cap_lo > cap_hi:
+        raise StructureError(f"no multiple of 1/{cap} in [{lo}, {hi}]")
+    return cap_lo, cap_hi
+
+
 def _ratio_drawer(
     rng: random.Random, lo: Fraction, hi: Fraction, cap: int
 ) -> Callable[[], tuple[int, int]]:
@@ -165,9 +174,7 @@ def _ratio_drawer(
     if cap < 1:  # no word is below cap: the first draw would never end
         raise StructureError(f"empty range 1..{cap}")
     lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    cap_lo, cap_hi = -(-lo_n * cap // lo_d), hi_n * cap // hi_d  # ceil(lo cap), floor(hi cap)
-    if cap_lo > cap_hi:
-        raise StructureError(f"no multiple of 1/{cap} in [{lo}, {hi}]")
+    cap_lo, cap_hi = _cap_grid(lo, hi, cap)
     draw = rng.getrandbits
 
     def ratio() -> tuple[int, int]:
@@ -613,8 +620,8 @@ def corollary2_exhaustive(
     variables against every 2-block partition; also records the largest
     observed dist/epsilon (the empirical corollary constant).
 
-    The stack of tables is transformed once (`TableStack`) and weighed once
-    per partition (`stack_block_weights`); instance i is table i // P and
+    One `stack_block_weights` call transforms the stack of tables once and
+    weighs it against every partition; instance i is table i // P and
     partition i % P (P partitions).  The batch is folded on integers: the
     lhs/rhs of instance i is scale a_i / b_i, a = cross 4^m and b = Var f *
     dist (no ratio, and no violation, when b = 0), so one Fraction is built
@@ -633,13 +640,11 @@ def corollary2_exhaustive(
     tables = boolean_tables(m)[1:-1]  # the two constant tables come first and last
     partitions = list(two_block_partitions(m))
     scale = TARGETS["corollary2"].scale(constants)
-    stack = TableStack(tables, m)
-    columns = []  # per partition: the nearest block k, its distance and the cross weight
-    for partition in partitions:
-        var, cross, dists = stack_block_weights(stack, partition)
-        k = dists.argmin(axis=1)  # the first nearest block, as corollary2_apply picks
-        columns.append((k, dists[np.arange(len(k)), k], cross))
-    k, dist, cross = (np.stack(column, axis=1) for column in zip(*columns))  # (table, partition)
+    var, weights = stack_block_weights(tables, partitions)
+    # (table, partition): the first nearest block, as corollary2_apply picks, its distance, cross
+    k = np.stack([dists.argmin(axis=1) for _, dists in weights], axis=1)
+    dist = np.stack([dists.min(axis=1) for _, dists in weights], axis=1)
+    cross = np.stack([c for c, _ in weights], axis=1)
     # the kernel's checked identities keep var, cross and dist <= 4^m, so a
     # and b are at most 2^(4m) and a * width + b fits one int64 key per pair
     a, b = (cross << 2 * m).ravel(), (var[:, None] * dist).ravel()

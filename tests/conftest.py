@@ -216,7 +216,7 @@ def corollary2_per_instance(m: int, constants=DEFAULT_CONSTANTS, on_row=None) ->
 
     columns = []
     for partition in partitions:
-        var, cross, dists = sweep.stack_block_weights(tables, partition)
+        var, [(cross, dists)] = sweep.stack_block_weights(tables, [partition])
         k = dists.argmin(axis=1)
         dist = dists[np.arange(len(k)), k]
         numerators = (var.tolist(), cross.tolist(), k.tolist(), dist.tolist())

@@ -15,6 +15,7 @@ from fknlab.bounds import (
     claim8_check,
     claim9_bound,
     corollary2_apply,
+    format_value,
     lemma4_bound,
     lemma5_bound,
     lemma7_bound,
@@ -84,6 +85,29 @@ class TestBoundReport:
             "witness.e=0.25",
             "witness.flag=false",
         ]
+
+    def test_decimal_values_outside_the_normal_float_range(self):
+        # float() overflowed past 2^1024, printed 1e-400 as 0 and rounded
+        # subnormals to a multiple of 2^-1074; these are exact, half-even
+        cases = [
+            (F(10**400), "1e+400"),
+            (-F(10**400), "-1e+400"),
+            (F(1, 10**400), "1e-400"),
+            (F(2, 3) * 10**400, "6.66666666666667e+399"),
+            (F(1, 3 << 1060), "2.69825718048766e-320"),  # float: 2.69809249193905e-320
+            (F(10**15 + 5) * 10**400, "1e+415"),  # a tie goes to the even digit
+            (F(10**15 + 15) * 10**400, "1.00000000000002e+415"),
+            (-F(10**15 + 5, 2 * 10**400), "-5.00000000000002e-386"),
+            (F(2**1024), "1.79769313486232e+308"),
+        ]
+        for value, text in cases:
+            assert format_value(value, decimal=True) == text
+            assert format_value(value) == str(value)
+
+    def test_decimal_values_inside_the_normal_float_range_go_through_a_float(self):
+        edges = [F(1, 1 << 1022), F((1 << 1024) - (1 << 971)), F(0), F(-7, 3), F(10**14), F(1, 10**5)]
+        for value in edges:
+            assert format_value(value, decimal=True) == f"{float(value):.15g}"
 
 
 class TestLemma7:

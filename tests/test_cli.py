@@ -301,6 +301,26 @@ class TestCheck:
         assert code == 0
         assert kv(out)["lhs"] == "0.75"
 
+    def test_decimal_values_past_the_float_range(self, tmp_path, capsys):
+        # each ended in an OverflowError traceback, and 1e-400 printed as 0
+        y = tmp_path / "one.rv"
+        y.write_text("-1 1/2\n1 1/2\n")
+        code, out, _ = run(capsys, "check", "lemma7", str(y), str(y), "--E", "1e400", "--decimal")
+        assert (code, kv(out)["witness.e"], kv(out)["rhs"]) == (0, "1e+400", "0.25")
+        code, out, _ = run(capsys, "check", "lemma7", str(y), str(y), "--E", "1e-400", "--decimal")
+        values = kv(out)
+        assert (code, values["witness.e"], values["rhs"]) == (0, "1e-400", "2.5e-801")
+        assert values["witness.max_abs_var"] == "1e-800"
+        argv = ("claim8", str(y), "--x1", "1e400", "--x2", "0", "--decimal")
+        code, out, _ = run(capsys, "check", *argv)
+        values = kv(out)
+        assert (code, values["lhs"], values["rhs"], values["witness.x1"]) == (
+            0,
+            "1e+800",
+            "2.5e+799",
+            "1e+400",
+        )
+
 
 class TestAnalyze:
     def test_tribes_m1(self, tmp_path, capsys):
@@ -358,6 +378,13 @@ class TestAnalyze:
             "holds=true\n"
         )
 
+    def test_a_partition_file_with_no_data_line(self, tribes2_files, tmp_path, capsys):
+        table_path, _ = tribes2_files
+        empty = tmp_path / "empty.partition"
+        empty.write_text("# no partition here\n\n")
+        code, out, err = run(capsys, "analyze", table_path, "--partition-file", str(empty))
+        assert (code, out, err) == (1, "", f"error: no partition line in {empty}\n")
+
     def test_constant_function_rejected(self, tmp_path, capsys):
         path = tmp_path / "const.table"
         path.write_text("m=2\n++++\n")
@@ -391,6 +418,25 @@ class TestDecompose:
         path.write_text("0 1/2\n1 1/2\n")
         code, _, err = run(capsys, "decompose", str(path))
         assert code == 1
+
+    def test_decimal_atoms_past_the_float_range(self, tmp_path, capsys):
+        # d = 5e399 overflowed float(); the atoms print exactly, as without --decimal
+        path = tmp_path / "y.rv"
+        path.write_text("-1e400 1/2\n1e400 1/2\n")
+        code, out, _ = run(capsys, "decompose", str(path), "--decimal")
+        big = str(10**400)
+        assert (code, out) == (
+            0,
+            f"components=1\ncomponent=1 weight=1 d=5e+399 p=0.5 atoms=(-{big}:1/2,{big}:1/2)\n",
+        )
+
+    def test_a_nonpositive_probability_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "y.rv"
+        for line, probability in (("0 0", "0"), ("0 -1/2", "-1/2")):
+            path.write_text(f"-1 1/2\n{line}\n1 1/2\n")
+            code, out, err = run(capsys, "decompose", str(path))
+            assert (code, out) == (1, "")
+            assert err == f"error: line 2: probability {probability} must be positive\n"
 
 
 class TestSweep:
@@ -515,15 +561,11 @@ class TestSweep:
             assert ("empirical_constant" in kv(out)) == (errors < n)
 
     def test_a_range_with_no_multiple_of_the_cap_names_the_cap_grid(self, capsys):
-        # a drawn denominator of 3 fits [1/3, 7/20]; the cap 5 does not, so every instance errs
+        # a drawn denominator of 3 fits [1/3, 7/20]; the cap 5 does not, and
+        # the config refuses that grid once, before any instance is drawn
         flags = "--value-lo 1/3 --value-hi 7/20 --denom-cap 5 --support-max 1".split()
-        code, out, _ = run(capsys, "sweep", "--target", "lemma4", "--n", "40", *flags)
-        assert code == 3
-        assert kv(out)["errors"] == "40"
-        errors = [line for line in out.splitlines() if line.startswith("error: ")]
-        assert errors and all(
-            line.endswith(" StructureError: no multiple of 1/5 in [1/3, 7/20]") for line in errors
-        )
+        code, out, err = run(capsys, "sweep", "--target", "lemma4", "--n", "40", *flags)
+        assert (code, out, err) == (1, "", "error: no multiple of 1/5 in [1/3, 7/20]\n")
 
     def test_instance_count_below_one_names_n(self, capsys):
         code, out, err = run(capsys, "sweep", "--target", "lemma4", "--n", "0")
@@ -553,6 +595,14 @@ class TestSweep:
         assert (code, kv(out)["instances"]) == (0, "8")
         code, out, err = run(capsys, "sweep", "--target", "claim8", "--n", "8", "--denom-cap", "1")
         assert (code, out, err) == (1, "", "error: denom_cap must be >= 2\n")
+
+    def test_past_twenty_violations_the_rest_are_counted(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--target", "lemma4", "--n", "30", "--K1", "1/1000000")
+        lines = out.splitlines()
+        assert (code, kv(out)["violations"]) == (2, "22")
+        assert sum(line.startswith("violation: ") for line in lines) == 20
+        assert lines[3 + 20] == "... and 2 more"
+        assert lines[3 + 21].startswith("min_ratio=")
 
     def test_violations_win_over_errors(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

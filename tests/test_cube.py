@@ -14,7 +14,6 @@ from fknlab.cube import (
     FourierExpansion,
     Partition,
     RealFunction,
-    TableStack,
     _butterfly,
     _pointwise_sq_dist,
     balance_extend,
@@ -140,6 +139,8 @@ class TestTypes:
             Partition.from_blocks(2, [[1, 2], []])
         with pytest.raises(StructureError):
             Partition.from_blocks(2, [[1], [2], [3]])
+        with pytest.raises(StructureError, match="^partition needs at least one block$"):
+            Partition(2, ())
 
 
 class TestWht:
@@ -370,8 +371,8 @@ class TestStackKernel:
             variables = list(range(1, m + 1))
             partitions = [Partition.from_blocks(m, b) for b in set_partitions(variables)]
             assert len(partitions) == [1, 2, 5][m - 1]
-            for partition in partitions:
-                var, cross, dists = stack_block_weights(tables, partition)
+            var, weights = stack_block_weights(tables, partitions)
+            for partition, (cross, dists) in zip(partitions, weights, strict=True):
                 for t, table in enumerate(tables):
                     report = corollary2_apply(BooleanFunction(m, table), partition)
                     assert Fraction(int(var[t]), unit) == report.var_f
@@ -382,15 +383,15 @@ class TestStackKernel:
     def test_input_checks(self):
         partition = Partition.from_blocks(2, [[1], [2]])
         with pytest.raises(DimensionMismatchError):
-            stack_block_weights(boolean_tables(3), partition)
+            stack_block_weights(boolean_tables(3), [partition])
         with pytest.raises(StructureError, match="exactly"):
-            stack_block_weights(np.zeros((1, 4), dtype=np.int8), partition)
+            stack_block_weights(np.zeros((1, 4), dtype=np.int8), [partition])
         # m past M_MAX is refused before any work
         wide = Partition.from_blocks(27, [range(1, 28)])
         with pytest.raises(CapacityError, match="outside supported range"):
-            stack_block_weights(np.ones((0, 1 << 27), dtype=np.int8), wide)
-        var, cross, dists = stack_block_weights(
-            np.ones((0, 8), dtype=np.int8), Partition.from_blocks(3, [[1], [2, 3]])
+            stack_block_weights(np.ones((0, 1 << 27), dtype=np.int8), [wide])
+        var, [(cross, dists)] = stack_block_weights(
+            np.ones((0, 8), dtype=np.int8), [Partition.from_blocks(3, [[1], [2, 3]])]
         )
         assert var.shape == cross.shape == (0,) and dists.shape == (0, 2)
 
@@ -403,7 +404,7 @@ class TestStackKernel:
                 partition = Partition.from_blocks(m, blocks)
                 masks = [partition.mask(j) for j in range(len(blocks))]
                 inside_none = lambda s: not any(within(s, mask) for mask in masks)
-                var, cross, dists = stack_block_weights(tables, partition)
+                var, [(cross, dists)] = stack_block_weights(tables, [partition])
                 for t, coeffs in enumerate(oracle):
                     assert var[t] == sq_mass(coeffs, lambda s: s != 0) * unit
                     assert cross[t] == sq_mass(coeffs, inside_none) * unit
@@ -412,18 +413,20 @@ class TestStackKernel:
 
     def test_a_table_stack_is_transformed_once(self, monkeypatch):
         tables = boolean_tables(3)
-        stack = TableStack(tables, 3)
         partitions = [Partition.from_blocks(3, b) for b in set_partitions([1, 2, 3])]
-        expected = [stack_block_weights(tables, partition) for partition in partitions]
+        assert len(partitions) == 5
+        expected = [stack_block_weights(tables, [partition]) for partition in partitions]
         real, calls = cube_module._butterfly, []
         monkeypatch.setattr(cube_module, "_butterfly", lambda a: calls.append(a) or real(a))
-        for partition, weights in zip(partitions, expected):
-            got = stack_block_weights(stack, partition)
-            assert all(np.array_equal(x, y) for x, y in zip(got, weights))
-        # the pointwise route sums blocks of the tables, and the forward transform is done
-        assert calls == []
+        var, weights = stack_block_weights(tables, partitions)
+        # one forward transform for all five; the pointwise route sums blocks of the tables
+        assert len(calls) == 1
+        assert len(weights) == len(partitions)
+        for (cross, dists), (one_var, [(one_cross, one_dists)]) in zip(weights, expected):
+            assert np.array_equal(var, one_var)
+            assert np.array_equal(cross, one_cross) and np.array_equal(dists, one_dists)
         with pytest.raises(DimensionMismatchError):
-            stack_block_weights(stack, Partition.from_blocks(2, [[1], [2]]))
+            stack_block_weights(tables, [partitions[0], Partition.from_blocks(2, [[1], [2]])])
 
     def test_pointwise_route_catches_a_swap_in_the_forward_transform(self, monkeypatch):
         # swapping c_S (S inside block 1) and c_T (T in no block) of different
@@ -449,7 +452,48 @@ class TestStackKernel:
         assert mass(lambda u: u in crossing) == n * n - c2[0] ** 2 - block_vars
         monkeypatch.setattr(cube_module, "_butterfly", swapped)
         with pytest.raises(VerificationError, match="block 0: coefficient route != pointwise"):
-            stack_block_weights(f.table[None], partition)
+            stack_block_weights(f.table[None], [partition])
+
+    def test_parseval_catches_a_changed_coefficient(self, monkeypatch):
+        real = cube_module._butterfly
+
+        def bumped(a):
+            out = real(a)
+            out[..., 1] += 1
+            return out
+
+        monkeypatch.setattr(cube_module, "_butterfly", bumped)
+        with pytest.raises(VerificationError, match="^Parseval fails on the stack$"):
+            stack_block_weights(boolean_tables(2), [Partition.from_blocks(2, [[1], [2]])])
+
+    def test_table_variance_catches_a_swap_with_the_empty_coefficient(self, monkeypatch):
+        # swapping c_0 with a c_S of another magnitude keeps every sum of
+        # squares, so Parseval holds; Var f from the table sees the swap
+        f, partition = tribes_example(2)
+        c = _butterfly(f.table.astype(np.int64))
+        s = next(s for s in range(1, 1 << f.m) if abs(c[s]) != abs(c[0]))
+        real = cube_module._butterfly
+
+        def swapped(a):
+            out = real(a)
+            out[..., [0, s]] = out[..., [s, 0]]
+            return out
+
+        monkeypatch.setattr(cube_module, "_butterfly", swapped)
+        with pytest.raises(
+            VerificationError, match="^table and coefficient variances differ on the stack$"
+        ):
+            stack_block_weights(f.table[None], [partition])
+
+    def test_cross_identity_catches_a_changed_cross_sum(self, monkeypatch):
+        # the cross weight is the one sum of squares taken over a `keep` mask
+        real = cube_module._sum_sq
+        monkeypatch.setattr(
+            cube_module, "_sum_sq", lambda c, keep=None: real(c, keep) + (keep is not None)
+        )
+        f, partition = tribes_example(2)
+        with pytest.raises(VerificationError, match="^cross weight mismatch on the stack$"):
+            stack_block_weights(f.table[None], [partition])
 
     def test_odd_and_even_blocks_across_column_chunks(self):
         # 2^17 entries: the last butterfly stage takes two column chunks; the
@@ -459,7 +503,7 @@ class TestStackKernel:
         rng = np.random.default_rng(20240813)
         f = BooleanFunction(m, 1 - 2 * rng.integers(0, 2, 1 << m, dtype=np.int8))
         partition = Partition.from_blocks(m, [range(1, m + 1, 2), range(2, m + 1, 2)])
-        var, cross, dists = stack_block_weights(f.table[None], partition)
+        var, [(cross, dists)] = stack_block_weights(f.table[None], [partition])
         unit, total = 4**m, int(f.table.sum())  # total / 2^m is the empty coefficient
         block_vars = 0
         for j, block in enumerate(partition.blocks):
@@ -474,11 +518,10 @@ class TestStackKernel:
         # 22 variables: 3m + 2 > 62, where a sum of pointwise squares would
         # leave int64; the margins keep every term inside 4^m = 2^44
         f, partition = tribes_example(11)
-        stack = TableStack(f.table[None], f.m)
-        var, cross, dists = stack_block_weights(stack, partition)
+        var, [(cross, dists)] = stack_block_weights(f.table[None], [partition])
         assert all(a.dtype == np.int64 for a in (var, cross, dists))
         for j in range(len(partition.blocks)):
-            pointwise = _pointwise_sq_dist(stack.f, partition.mask(j))
+            pointwise = _pointwise_sq_dist(f.table[None], partition.mask(j))
             assert pointwise.dtype == np.int64
             assert pointwise.tolist() == dists[:, j].tolist() == [4190209 << 13]
         assert var.tolist() == [17158905855 << 2] and cross.tolist() == [4190209 << 2]
@@ -545,6 +588,8 @@ class TestFormats:
             parse_boolean_function("m=2\n++-x")
         with pytest.raises(ParseError, match="line 2: bad table character 'é' at position 1"):
             parse_boolean_function("m=1\n+é")
+        with pytest.raises(ParseError, match="^expected exactly one table line after the header$"):
+            parse_boolean_function("m=1\n+-\n-+")
 
     @pytest.mark.parametrize("header", ["m=-1", "m=0", "m=27"])
     def test_header_m_outside_range(self, header):
@@ -566,6 +611,15 @@ class TestFormats:
     def test_real_rejects_non_dyadic(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_real_function("m=1\n1/3\n0")
+
+    def test_real_parse_errors(self):
+        for text in ("m=1\n0", "m=1\n0\n1\n1"):
+            with pytest.raises(ParseError, match="^expected 2 value lines after the header$"):
+                parse_real_function(text)
+        with pytest.raises(ParseError, match="^line 3: bad rational 'x'$"):
+            parse_real_function("m=1\n0\nx")
+        with pytest.raises(ParseError, match="^line 2: bad rational '1/0'$"):
+            parse_real_function("m=1\n1/0\n0")
 
     @pytest.mark.parametrize(
         "text, entries",
@@ -623,7 +677,7 @@ def test_boolean_entries_checked_before_narrowing():
     with pytest.raises(StructureError, match="exactly"):
         BooleanFunction(1, np.array([255, 1]))
     with pytest.raises(StructureError, match="exactly"):
-        stack_block_weights(np.array([[2**32 + 1, -1]]), Partition.from_blocks(1, [[1]]))
+        stack_block_weights(np.array([[2**32 + 1, -1]]), [Partition.from_blocks(1, [[1]])])
 
 
 def test_no_float_in_src():

@@ -154,7 +154,7 @@ def test_stack_kernel_is_naive_mass_over_4_to_the_m(case, more_bits):
     n = 1 << f.m
     extra = [[-1 if (bits >> i) & 1 else 1 for i in range(n)] for bits in more_bits]
     tables = np.array([f.table.tolist(), *extra], dtype=np.int8)
-    var, cross, dists = stack_block_weights(tables, partition)
+    var, [(cross, dists)] = stack_block_weights(tables, [partition])
     # the last-axis butterfly transforms each row as the one-table transform does
     wide = tables.astype(np.int64)
     assert all(np.array_equal(row, _butterfly(t)) for row, t in zip(_butterfly(wide), wide))
@@ -580,10 +580,10 @@ def test_exhaustive_witness_is_the_first_instance_of_least_ratio(monkeypatch):
     # that sorts first is not the one of the first such instance
     real = sweep.stack_block_weights
 
-    def doubled(tables, partition):
-        var, cross, dists = real(tables, partition)
+    def doubled(tables, partitions):
+        var, weights = real(tables, partitions)
         weight = 2 - np.arange(len(var)) % 2
-        return var * weight, cross * weight, dists
+        return var * weight, [(cross * weight, dists) for cross, dists in weights]
 
     plain = sweep.corollary2_exhaustive(3)
     monkeypatch.setattr(sweep, "stack_block_weights", doubled)
@@ -596,9 +596,9 @@ def test_exhaustive_violations_are_the_per_instance_violations(monkeypatch):
     # the recheck's corollary2_apply sees the same distances
     real = sweep.stack_block_weights
 
-    def far(tables, partition):
-        var, cross, dists = real(tables, partition)
-        return var, cross, 4 * dists
+    def far(tables, partitions):
+        var, weights = real(tables, partitions)
+        return var, [(cross, 4 * dists) for cross, dists in weights]
 
     monkeypatch.setattr(sweep, "stack_block_weights", far)
     monkeypatch.setattr(bounds_module, "stack_block_weights", far)

@@ -81,6 +81,26 @@ class TestType:
         with pytest.raises(BalanceError):
             TwoPointBalancedRV.from_rv(DiscreteRV.from_atoms([(0, F(1, 2)), (1, F(1, 2))]))
 
+    def test_two_point_from_a_constant_zero_and_from_three_atoms(self):
+        tp = TwoPointBalancedRV.from_rv(DiscreteRV.from_atoms([(0, F(1))]))
+        assert (tp.d, tp.p) == (0, F(1, 2))
+        assert tp.to_rv().atoms == ((F(0), F(1)),)
+        x, _ = claim6_example()  # balanced on {-2, 0, 2}
+        with pytest.raises(StructureError, match="^support size must be at most 2$"):
+            TwoPointBalancedRV.from_rv(x)
+
+    def test_two_atom_field_checks(self):
+        with pytest.raises(StructureError, match="^d must be >= 0$"):
+            TwoPointBalancedRV(F(-1), F(1, 2))
+        for p in (F(0), F(1), F(3, 2)):
+            with pytest.raises(StructureError, match="^p must lie strictly between 0 and 1$"):
+                TwoPointBalancedRV(F(1), p)
+        with pytest.raises(StructureError, match="^magnitude must be >= 0$"):
+            ConstAbsRV(F(-1, 2), F(1, 2))
+        for p in (F(-1, 3), F(4, 3)):
+            with pytest.raises(StructureError, match=r"^p must lie in \[0, 1\]$"):
+                ConstAbsRV(F(1), p)
+
     def test_const_abs_to_rv(self):
         assert ConstAbsRV(F(0), F(1, 2)).to_rv().atoms == ((F(0), F(1)),)
         assert ConstAbsRV(F(3), F(0)).to_rv().atoms == ((F(-3), F(1)),)
@@ -444,6 +464,11 @@ class TestFormat:
             parse_rv("# only a comment\n")
         with pytest.raises(ParseError, match="line 1"):
             parse_rv("0 x\n")
+
+    def test_parse_rejects_a_nonpositive_probability(self):
+        for p in ("0", "-1/2"):
+            with pytest.raises(ParseError, match=f"^line 2: probability {p} must be positive$"):
+                parse_rv(f"-1 1/2\n0 {p}\n1 1/2\n")
 
     def test_inline(self):
         assert format_rv_inline(UNIFORM) == "(-1:1/2,1:1/2)"

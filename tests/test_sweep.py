@@ -320,9 +320,9 @@ class TestRunSweep:
     ):
         real = sweep_module.stack_block_weights
 
-        def skewed(tables, partition):
-            var, cross, dists = real(tables, partition)
-            return var, cross * cross_factor, dists * dist_factor
+        def skewed(tables, partitions):
+            var, weights = real(tables, partitions)
+            return var, [(cross * cross_factor, dists * dist_factor) for cross, dists in weights]
 
         monkeypatch.setattr(sweep_module, "stack_block_weights", skewed)
         with pytest.raises(VerificationError, match=match):
@@ -453,6 +453,14 @@ class TestEmpiricalConstant:
         )
         assert 0 < value <= 4
 
+    def test_config_built_from_overrides_or_retargeted(self):
+        own = SweepConfig(target="lemma5", instance_count=60, seed=11)
+        expected = empirical_constant("lemma5", own)
+        assert empirical_constant("lemma5", instance_count=60, seed=11) == expected
+        other = SweepConfig(target="lemma7", instance_count=60, seed=11)
+        assert empirical_constant("lemma5", other) == expected
+        assert empirical_constant("lemma7", other) != expected
+
     def test_not_ratio_form(self):
         with pytest.raises(StructureError):
             empirical_constant("fact8", SweepConfig(target="fact8", instance_count=5))
@@ -532,9 +540,9 @@ class TestCorollary2Exhaustive:
         # turns most m=3 instances into violations
         real, reports = cube_module.stack_block_weights, []
 
-        def scaled(tables, partition):
-            var, cross, dists = real(tables, partition)
-            return var, cross, factor * dists
+        def scaled(tables, partitions):
+            var, weights = real(tables, partitions)
+            return var, [(cross, factor * dists) for cross, dists in weights]
 
         def counted(*args):
             reports.append(args)
@@ -610,6 +618,11 @@ class TestConjectureProbe:
         with pytest.raises(SearchSpaceError):
             conjecture_probe(f, partition)
 
+    def test_partition_over_another_m(self):
+        f = BooleanFunction(2, [1, -1, 1, -1])
+        with pytest.raises(StructureError, match="^partition does not match the function$"):
+            conjecture_probe(f, Partition.from_blocks(3, [[1], [2, 3]]))
+
 
 class TestConfigParsing:
     def test_round_trip_keys(self):
@@ -683,6 +696,26 @@ class TestConfigParsing:
         # the second n used to replace the first, so the sweep ran 7 instances
         with pytest.raises(ParseError, match="line 3: n given twice"):
             read_settings("target=lemma4\nn=5\nN=7\n")
+
+    def test_support_bounds_out_of_order(self):
+        with pytest.raises(StructureError, match="^need 1 <= support_min <= support_max$"):
+            SweepConfig(target="lemma4", support_min=3, support_max=2)
+
+    def test_a_value_range_with_no_multiple_of_the_cap_is_refused_once(self, monkeypatch):
+        # refused by the config, before any drawer is built
+        built = []
+        real = sweep_module._ratio_drawer
+        monkeypatch.setattr(sweep_module, "_ratio_drawer", lambda *a: built.append(a) or real(*a))
+        with pytest.raises(StructureError, match=r"^no multiple of 1/5 in \[1/3, 7/20\]$"):
+            SweepConfig(target="lemma4", value_lo=F(1, 3), value_hi=F(7, 20), denom_cap=5)
+        assert built == []
+        # the same range holds a multiple of 1/6, and the defaults always pass
+        SweepConfig(target="lemma4", value_lo=F(1, 3), value_hi=F(7, 20), denom_cap=6)
+        SweepConfig(target="corollary2")
+
+    def test_a_settings_line_needs_an_equals_sign(self):
+        with pytest.raises(StructureError, match="^line 2: expected key=value, got 'n 5'$"):
+            read_settings("target=lemma4\nn 5\n")
 
     def test_rv_count_max_below_two(self):
         # used to reach theorem1's generator and end in a ValueError traceback

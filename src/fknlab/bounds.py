@@ -70,27 +70,24 @@ class Constants:
 DEFAULT_CONSTANTS = Constants()
 
 
-# the magnitudes that a float holds to 53 bits, each rounding to a finite float
-_NORMAL_LO, _NORMAL_HI = Fraction(1, 1 << 1022), Fraction((1 << 1024) - (1 << 970))
 _DIGITS_15 = Context(prec=15, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def format_value(value: object, decimal: bool = False) -> str:
-    """Text of one reported value: exact by default, 15 significant digits
-    (`.15g`) for rationals and floats when `decimal` is set, rounded half-even
-    from the exact value past the normal float range; a variable inline."""
+    """Text of one reported value: exact by default; with `decimal`, a rational
+    rounded half-even from its exact value to 15 significant digits, laid out
+    as `.15g`; a variable inline."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, DiscreteRV):
         return format_rv_inline(value)
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
-    if decimal and isinstance(value, (Fraction, float)):
-        if isinstance(value, float) or not value or _NORMAL_LO <= abs(value) < _NORMAL_HI:
-            return f"{float(value):.15g}"
+    if decimal and isinstance(value, Fraction):
         q = _DIGITS_15.divide(Decimal(value.numerator), Decimal(value.denominator))
-        mantissa, exponent = f"{q:.14e}".split("e")  # |exponent| > 300: .15g is scientific
-        return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+        q = _DIGITS_15.normalize(q)  # no trailing zeros: 1E+14, 6.1033950617284
+        x = q.adjusted()
+        return f"{q:f}" if -4 <= x < 15 else f"{_DIGITS_15.scaleb(q, -x):f}e{x:+03d}"
     return str(value)
 
 
@@ -102,10 +99,6 @@ class BoundReport:
     lhs: Fraction
     rhs: Fraction
     witness: dict[str, object] = field(default_factory=dict)
-
-    @classmethod
-    def compare(cls, lhs: Fraction, rhs: Fraction, witness: dict | None = None) -> "BoundReport":
-        return cls(lhs, rhs, witness or {})
 
     @property
     def holds(self) -> bool:
@@ -164,7 +157,7 @@ def lemma7_bound(
     witness: dict[str, object] = {"e": e, "max_side": side, "max_abs_var": max_side}
     if lhs > 0:
         witness["required_k0"] = max_side / lhs
-    return BoundReport.compare(lhs, max_side / constants.k0, witness)
+    return BoundReport(lhs, max_side / constants.k0, witness)
 
 
 def lemma5_bound(
@@ -201,7 +194,7 @@ def claim8_check(x1: Rational, x2: Rational, ybar: TwoPointBalancedRV) -> BoundR
         b2 += m * b * b
     lhs = Fraction(y.den * (a2 + b2) - 2 * a1 * b1, (y.den * scale) ** 2)
     rhs = Fraction((abs(n1) - abs(n2)) ** 2, 4 * scale * scale)
-    return BoundReport.compare(lhs, rhs, {"x1": x1, "x2": x2, "d": ybar.d, "p": ybar.p})
+    return BoundReport(lhs, rhs, {"x1": x1, "x2": x2, "d": ybar.d, "p": ybar.p})
 
 
 def claim9_bound(
@@ -232,7 +225,7 @@ def claim9_bound(
     approx = dict(dx=x_approx.magnitude, px=x_approx.p, dy=y_approx.magnitude, py=y_approx.p)
     witness = dict(e=e, flipped=flipped, swapped=swapped, **approx)
     witness.update(var_x_approx=var_x_approx, var_y_approx=var_y_approx)
-    return BoundReport.compare(lhs, rhs, witness)
+    return BoundReport(lhs, rhs, witness)
 
 
 def lemma4_bound(
@@ -251,7 +244,7 @@ def lemma4_bound(
     if total or mean:
         # branch parameter of the two-case analysis behind the bound, V / (2560 (V + E^2))
         witness["a"] = Fraction(total, 2560 * (total + mean * mean))
-    return BoundReport.compare(lhs, rhs, witness)
+    return BoundReport(lhs, rhs, witness)
 
 
 def _scaled_side(total: int, part: int, mean: int, unit: int, k: Fraction) -> Fraction:
@@ -317,7 +310,7 @@ def theorem1_check(
         split_a, split_b = partition_split(variances)
         witness["split_a"] = split_a
         witness["split_b"] = split_b
-    return BoundReport.compare(lhs, rhs, witness)
+    return BoundReport(lhs, rhs, witness)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ report per instance through it, the referee of the batch's integer fold.
 `two_atom_reference` builds the variable of a two-point or constant-magnitude
 description through `DiscreteRV.from_atoms`, the referee of both `to_rv`s,
 and `claim8_reference` is claim 8's double loop over Fraction atoms, the
-referee of `claim8_check`'s integer sides.
+referee of `claim8_check`'s integer sides.  `decimal_reference` is the
+`.15g` text of a rational built from integers and one exact rounding, the
+referee of `format_value`'s `--decimal` rendering.
 """
 
 import functools
@@ -164,7 +166,32 @@ def claim8_reference(x1, x2, ybar: TwoPointBalancedRV) -> BoundReport:
         for y2, p2 in atoms:
             lhs += p1 * p2 * (abs(x1 + y1) - abs(x2 + y2)) ** 2
     rhs = Fraction(1, 4) * (abs(x1) - abs(x2)) ** 2
-    return BoundReport.compare(lhs, rhs, {"x1": x1, "x2": x2, "d": ybar.d, "p": ybar.p})
+    return BoundReport(lhs, rhs, {"x1": x1, "x2": x2, "d": ybar.d, "p": ybar.p})
+
+
+def decimal_reference(value: Fraction) -> str:
+    """15 significant digits of a rational, rounded half-even from the exact
+    value and laid out as `.15g`: the decimal exponent x of |value| from the
+    digit counts of its numerator and denominator and one comparison, the
+    digits as `round`, Python's exact half-even rounding of a Fraction, and
+    a carry when the digits reach 10^15."""
+    if not value:
+        return "0"
+    a = abs(value)
+    x = len(str(a.numerator)) - len(str(a.denominator))  # |value| < 10^(x+1)
+    if a < Fraction(10) ** x:
+        x -= 1
+    digits = round(a * Fraction(10) ** (14 - x))
+    if digits == 10**15:
+        digits, x = 10**14, x + 1
+    text = str(digits)  # 15 digits: d.dddddddddddddd times 10^x
+    sign = "-" if value < 0 else ""
+    if -4 <= x < 15:
+        whole, rest = (text[: x + 1], text[x + 1 :]) if x >= 0 else ("0", "0" * (-x - 1) + text)
+        rest = rest.rstrip("0")
+        return sign + whole + ("." + rest if rest else "")
+    mantissa = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
+    return f"{sign}{mantissa}e{'-' if x < 0 else '+'}{abs(x):02d}"
 
 
 def accumulate_reference(name, cases, scale, on_row=None) -> sweep.SweepResult:

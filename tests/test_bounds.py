@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fknlab.bounds as bounds_module
 from fknlab.bounds import (
     BoundReport,
     Constants,
@@ -24,7 +25,7 @@ from fknlab.bounds import (
     tribes_example,
 )
 from fknlab.cube import BooleanFunction, Partition, cross_partition_weight, variance
-from fknlab.errors import BalanceError, StructureError
+from fknlab.errors import BalanceError, StructureError, VerificationError
 from fknlab.rv import DiscreteRV, TwoPointBalancedRV, shift
 
 F = Fraction
@@ -54,28 +55,28 @@ class TestConstants:
 
 class TestBoundReport:
     def test_holds_matches_comparison(self):
-        assert BoundReport.compare(F(1), F(1)).holds
-        assert not BoundReport.compare(F(1), F(2)).holds
+        assert BoundReport(F(1), F(1)).holds
+        assert not BoundReport(F(1), F(2)).holds
 
     def test_verdict_follows_replaced_sides(self):
-        report = BoundReport.compare(F(2), F(1), {"k": 0})
+        report = BoundReport(F(2), F(1), {"k": 0})
         assert report.holds
         assert not replace(report, lhs=F(1, 2)).holds
         assert replace(report, lhs=F(1), rhs=F(1)).holds
 
     def test_ratio_only_when_rhs_positive(self):
-        assert BoundReport.compare(F(3), F(2)).ratio == F(3, 2)
-        assert BoundReport.compare(F(3), F(0)).ratio is None
+        assert BoundReport(F(3), F(2)).ratio == F(3, 2)
+        assert BoundReport(F(3), F(0)).ratio is None
 
     def test_serialization(self):
-        report = BoundReport.compare(F(3, 4), F(1, 4), {"k": 2, "flag": True})
+        report = BoundReport(F(3, 4), F(1, 4), {"k": 2, "flag": True})
         lines = report.kv_lines()
         assert "lhs=3/4" in lines and "rhs=1/4" in lines and "ratio=3" in lines
         assert "witness.flag=true" in lines
         assert report.csv_row(7) == ["7", "3/4", "1/4", "3", "true", "k=2;flag=true"]
 
     def test_decimal_kv_lines(self):
-        report = BoundReport.compare(F(1, 3), F(0), {"split": (0, 2), "e": F(1, 4), "flag": False})
+        report = BoundReport(F(1, 3), F(0), {"split": (0, 2), "e": F(1, 4), "flag": False})
         assert report.kv_lines(decimal=True) == [
             "lhs=0.333333333333333",
             "rhs=0",
@@ -104,10 +105,24 @@ class TestBoundReport:
             assert format_value(value, decimal=True) == text
             assert format_value(value) == str(value)
 
-    def test_decimal_values_inside_the_normal_float_range_go_through_a_float(self):
+    def test_decimal_values_in_the_normal_float_range_match_their_float(self):
+        # on these edges the nearest float has the .15g text of the exact value
         edges = [F(1, 1 << 1022), F((1 << 1024) - (1 << 971)), F(0), F(-7, 3), F(10**14), F(1, 10**5)]
         for value in edges:
             assert format_value(value, decimal=True) == f"{float(value):.15g}"
+
+    def test_decimal_values_round_once_from_the_exact_value(self):
+        # a float in between rounded twice: 6.10339506172839 and 0.740865532228085
+        cases = [
+            (F(3955, 648), "6.1033950617284"),  # 6.10339506172839506...
+            (F(1481731064456171, 2000000000000000), "0.740865532228086"),  # a tie, to even
+            (F(0), "0"),
+            (F(1, 10**5), "1e-05"),
+            (F(10**14), "100000000000000"),
+            (F(10**15), "1e+15"),
+        ]
+        for value, text in cases:
+            assert format_value(value, decimal=True) == text
 
 
 class TestLemma7:
@@ -387,6 +402,25 @@ class TestTribesExample:
         with pytest.raises(StructureError):
             tribes_example(14)
 
+    @pytest.mark.parametrize(
+        "on_table, match",
+        [
+            (False, r"^tribes distance 5/16 != 4\*2\^\(-2m\)$"),  # X + Y - 1 - f: 0 or -2
+            (True, r"^tribes variance != 4p\(1-p\)$"),  # the table: +1 or -1
+        ],
+        ids=["distance", "variance"],
+    )
+    def test_construction_checks(self, monkeypatch, on_table, match):
+        real = bounds_module._sum_sq
+
+        def bumped(rows):
+            out = real(rows)
+            return out + 1 if bool(np.all(np.abs(rows) == 1)) == on_table else out
+
+        monkeypatch.setattr(bounds_module, "_sum_sq", bumped)
+        with pytest.raises(VerificationError, match=match):
+            tribes_example(2)
+
 
 class TestClaim6Example:
     def test_exact_atoms(self):
@@ -398,3 +432,23 @@ class TestClaim6Example:
         x, y = claim6_example()
         assert lemma5_bound(x, y, Constants(k0=F(4, 3))).holds
         assert not lemma5_bound(x, y, Constants(k0=F(133, 100))).holds
+
+    @pytest.mark.parametrize(
+        "name, wrong, match",
+        [
+            ("expectation", lambda real, rv: real(rv) + 1, "^claim6 variables must be balanced$"),
+            ("variance_rv", lambda real, rv: real(rv) + 1, r"^claim6 Var\|X\+Y\| != 3/4$"),
+            # Var|X+Y| = 3/4 passes; Var|X| = 1 is doubled
+            (
+                "variance_rv",
+                lambda real, rv: real(rv) * (2 if real(rv) == 1 else 1),
+                r"^claim6 Var\|X\| != 1$",
+            ),
+        ],
+        ids=["mean", "var_sum", "var_x"],
+    )
+    def test_construction_checks(self, monkeypatch, name, wrong, match):
+        real = getattr(bounds_module, name)
+        monkeypatch.setattr(bounds_module, name, lambda rv: wrong(real, rv))
+        with pytest.raises(VerificationError, match=match):
+            claim6_example()

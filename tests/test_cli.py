@@ -301,6 +301,14 @@ class TestCheck:
         assert code == 0
         assert kv(out)["lhs"] == "0.75"
 
+    def test_decimal_values_round_once_from_the_exact_value(self, tmp_path, capsys):
+        # E = 6.10339506172839506...; through a float it printed 6.10339506172839
+        y = tmp_path / "one.rv"
+        y.write_text("-1 1/2\n1 1/2\n")
+        argv = ("lemma7", str(y), str(y), "--E", "3955/648", "--decimal")
+        code, out, _ = run(capsys, "check", *argv)
+        assert (code, kv(out)["witness.e"]) == (0, "6.1033950617284")
+
     def test_decimal_values_past_the_float_range(self, tmp_path, capsys):
         # each ended in an OverflowError traceback, and 1e-400 printed as 0
         y = tmp_path / "one.rv"
@@ -391,6 +399,31 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path), "--partition", "1|2")
         assert code == 1
         assert "variance zero" in err
+
+    def test_a_header_m_that_is_not_an_integer(self, tmp_path, capsys):
+        path = tmp_path / "bad.table"
+        path.write_text("m=x\n+-\n")
+        code, out, err = run(capsys, "analyze", str(path), "--partition", "1")
+        assert (code, out, err) == (1, "", "error: line 1: bad variable count 'x'\n")
+
+    def test_the_exhaustive_witness_has_ratio_3_on_three_blocks(self, tmp_path, capsys):
+        # the m=3 exhaustive check weighs two-block partitions only: its
+        # constant is 2, with this table against 1,2|3 as the witness
+        code, out, _ = run(capsys, "sweep", "--target", "corollary2", "--exhaustive-m", "3")
+        values = kv(out)
+        assert (code, values["empirical_constant"]) == (0, "2")
+        witness = "instance=66 table=---+-+++;partition=1,2|3;"
+        assert values["min_ratio_instance"].startswith(witness)
+        path = tmp_path / "witness.table"
+        path.write_text("m=3\n---+-+++\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--partition", "1|2|3")
+        values = kv(out)
+        assert (code, values["dist"], values["epsilon"]) == (0, "3/4", "1/4")
+        assert (values["bound"], values["holds"]) == ("30721/2", "true")
+        code, out, _ = run(capsys, "analyze", str(path), "--partition", "1|2|3", "--K2", "1/2")
+        values = kv(out)
+        assert (code, values["dist"], values["epsilon"]) == (2, "3/4", "1/4")
+        assert (values["bound"], values["holds"]) == ("5/8", "false")
 
     def test_dictator(self, tmp_path, capsys):
         path = tmp_path / "dict.table"

@@ -47,6 +47,7 @@ from fknlab.bounds import (
     claim8_check,
     claim9_bound,
     corollary2_apply,
+    format_value,
     lemma5_bound,
     lemma7_bound,
 )
@@ -87,6 +88,7 @@ from conftest import (
     accumulate_reference,
     claim8_reference,
     corollary2_per_instance,
+    decimal_reference,
     dyadic_function,
     naive_fourier,
     product_distribution,
@@ -422,6 +424,28 @@ def test_claim8_sides_are_the_fraction_double_loop(x1, x2, d, p):
     assert _report(claim8_check(x1, x2, ybar)) == _report(claim8_reference(x1, x2, ybar))
 
 
+# a rational of up to 40 digits over up to 40, a 16-digit value exactly halfway
+# between two 15-digit ones, each times 10^k for |k| up to 450
+wide_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+    st.builds(
+        lambda d, sign: sign * Fraction(10 * d + 5),
+        st.integers(10**14, 10**15 - 1),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(wide_rationals, st.integers(-450, 450))
+@example(Fraction(0), 0)
+@example(Fraction(999999999999999500), -3)  # a tie that carries into 1e+15
+@example(Fraction(99999999999999995, 10**21), 0)  # carries into 0.0001: fixed, not 1e-04
+def test_decimal_rendering_is_the_exact_half_even_rounding(value, k):
+    value *= Fraction(10) ** k
+    assert format_value(value, decimal=True) == decimal_reference(value)
+
+
 def _abs_var(e: Fraction, *xs: DiscreteRV) -> Fraction:
     """Var|X1 + ... + Xn + E| through the merges of the Fraction chain."""
     total = xs[0]
@@ -436,7 +460,7 @@ def _lemma7_reference(x, y, e, k0) -> BoundReport:
     witness = {"e": e, "max_side": "x" if vx >= vy else "y", "max_abs_var": max(vx, vy)}
     if lhs > 0:
         witness["required_k0"] = max(vx, vy) / lhs
-    return BoundReport.compare(lhs, max(vx, vy) / k0, witness)
+    return BoundReport(lhs, max(vx, vy) / k0, witness)
 
 
 def _claim9_reference(x, y, e) -> BoundReport:
@@ -459,7 +483,7 @@ def _claim9_reference(x, y, e) -> BoundReport:
     rhs = var_x * var_y / denominator if denominator > 0 else Fraction(0)
     witness = dict(e=e, flipped=flipped, swapped=swapped, dx=ax.magnitude, px=ax.p, dy=ay.magnitude, py=ay.p)
     witness.update(var_x_approx=var_x, var_y_approx=var_y)
-    return BoundReport.compare(_abs_var(-e, x_rv, y_rv), rhs, witness)
+    return BoundReport(_abs_var(-e, x_rv, y_rv), rhs, witness)
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,6 @@
 """Sweep engine: generators, determinism, exhaustive checks, probe."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,10 @@ class TestRandomRV:
                 expected = [theirs.randint(-32, 32) for _ in range(1 << m)]
                 assert _random_numerators(ours, m) == expected
                 assert ours.getstate() == theirs.getstate()
+
+    def test_support_size_below_one_raises(self):
+        with pytest.raises(StructureError, match="^support_size must be >= 1$"):
+            random_rv(0, 0)
 
     def test_empty_ranges_raise(self):
         # random.randint(1, 0) raised ValueError, which is not a package error
@@ -556,6 +561,36 @@ class TestCorollary2Exhaustive:
         assert bool(result.violations) == (factor > 1)
         assert len(reports) == 2 * (len(result.violations) + 1)
 
+    def test_the_fold_flags_only_bounds_that_fail(self, monkeypatch):
+        # every report made to hold: the first of the 5,824 violations the
+        # integer fold finds at K2 = 1/16 no longer fails, and raises
+        real = sweep_module._corollary2_report
+
+        def holding(*args):
+            report = real(*args)
+            return replace(report, lhs=max(report.lhs, report.rhs))
+
+        monkeypatch.setattr(sweep_module, "_corollary2_report", holding)
+        with pytest.raises(
+            VerificationError, match="^instance 2226: the fold flags a bound that holds$"
+        ):
+            corollary2_exhaustive(4, Constants(k2=F(1, 16)))
+
+    def test_the_witness_ratio_is_the_batch_min_ratio(self, monkeypatch):
+        # the witness's report, made with twice its lhs, has twice the batch's ratio
+        min_ratio = corollary2_exhaustive(2).min_ratio
+        real = sweep_module._corollary2_report
+
+        def doubled(*args):
+            report = real(*args)
+            return replace(report, lhs=2 * report.lhs)
+
+        monkeypatch.setattr(sweep_module, "_corollary2_report", doubled)
+        with pytest.raises(
+            VerificationError, match=f"^batch min ratio {min_ratio} not confirmed$"
+        ):
+            corollary2_exhaustive(2)
+
     def test_run_sweep_dispatch(self):
         via_sweep = run_sweep(SweepConfig(target="corollary2", exhaustive_m=2))
         assert via_sweep.instances_run == 14
@@ -576,6 +611,24 @@ class TestTightnessScan:
         for row in rows[1:]:
             assert F(1, 8) <= (row.cross_weight / row.var_f) * 2**row.m <= 32
             assert F(1, 8) <= row.min_dist * 2**row.m <= 32
+
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            ("cross_weight", "^m=2: scaled cross weight 4000/7 outside bracket$"),
+            ("dist", "^m=2: scaled distance 2250 outside bracket$"),
+        ],
+    )
+    def test_a_value_outside_its_bracket_raises(self, monkeypatch, field, match):
+        real = sweep_module.corollary2_apply
+
+        def scaled(f, partition):
+            outcome = real(f, partition)
+            return replace(outcome, **{field: 1000 * getattr(outcome, field)})
+
+        monkeypatch.setattr(sweep_module, "corollary2_apply", scaled)
+        with pytest.raises(VerificationError, match=match):
+            tightness_scan(2)
 
     def test_range_validation(self):
         with pytest.raises(StructureError):

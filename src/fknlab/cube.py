@@ -23,8 +23,9 @@ Partition weights of Boolean functions come from one kernel,
 `bounds.corollary2_apply`; every table of `boolean_tables` and every
 two-block partition for the exhaustive check), in int64 numerators over
 4^m.  With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N, and
-its stages stay inside N, so the one transform runs in int32; c_S^2 and
-their sums are at most N^2 = 2^2m.  The check of each block distance needs
+an entry of a +-1 row is at most 2^s after s stages, so the one transform
+runs its first six stages in int8 and the rest in int32; c_S^2 and their
+sums are at most N^2 = 2^2m.  The check of each block distance needs
 no transform: the mass of c inside block B is 2^|B| times the sum of
 squares of the table's margin on B (the sums R of f over the variables
 outside B, |R| <= 2^(m-|B|)), which is at most N^2 <= 2^52 as well, so the
@@ -178,21 +179,15 @@ class Partition:
 CubeFunction = BooleanFunction | RealFunction
 
 
-def _butterfly(values: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along the last axis; exact
-    on Python ints and on fixed-width integers inside their dtype.
-
-    Works in place on one copy of `values` at least int32 wide, so int8
-    does not overflow.  Each pass does two stages at once (radix 4, on bits
-    b and b+1) while two bits remain, then one radix-2 stage on the top bit
-    when log2 of the length is odd.  A pass goes through each row about
-    _CHUNK entries at a time, so that its temporaries stay small and in cache.
-    """
-    a = values.astype(np.promote_types(values.dtype, np.int32))
+def _passes(a: np.ndarray, h: int, stop: int) -> None:
+    """Butterfly stages on the index bits log2(h) .. log2(stop) - 1 of the
+    last axis of `a`, in place.  Each pass does two stages at once (radix 4,
+    on bits b and b+1) while two bits remain, then one radix-2 stage when an
+    odd number is left.  A pass goes through each row about _CHUNK entries at
+    a time, so that its temporaries stay small and in cache."""
     shape, n = a.shape, a.shape[-1]
-    h = 1
-    while h < n:
-        radix = 4 if 4 * h <= n else 2
+    while h < stop:
+        radix = 4 if 4 * h <= stop else 2
         groups = n // (radix * h)
         x = a.reshape(*shape[:-1], groups, radix, h)
         step, width = max(1, _CHUNK // (radix * h)), min(h, _CHUNK // radix)
@@ -212,6 +207,43 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
                     np.subtract(s, t, out=x2)
                     np.subtract(d, u, out=x3)
         h *= radix
+
+
+def _butterfly(values: np.ndarray) -> np.ndarray:
+    """Unnormalized fast Walsh-Hadamard transform along the last axis; exact
+    on Python ints, on fixed-width integers inside their dtype, and on int8
+    rows of entries -1, 0 and 1 (the kernel's +-1 tables).
+
+    Works on one copy of `values` and returns it at least int32 wide.  The
+    stages commute, so they run in any order, in segments of `_passes`:
+    - int8: after s stages an entry is at most 2^s, so the first six stages
+      run in int8 (2^6 <= 127), and the copy widens once to int32 for the
+      rest;
+    - rows of 2^9 entries or more: a transpose moves the 4 lowest index bits
+      to the slow end, where their stages run on long contiguous runs (on
+      int8 the two top bits' stages run there too, for six int8 stages), and
+      a second transpose, which is also the widening copy, moves them back.
+      On shorter rows the moves cost more than the short runs they avoid;
+    - every other dtype runs each stage in np.promote_types(dtype, int32).
+    """
+    shape, n = values.shape, values.shape[-1]
+    wide = np.promote_types(values.dtype, np.int32)
+    narrow = values.dtype == np.int8
+    first = values.dtype if narrow else wide  # the dtype of the first segment
+    if n >= 1 << 9:
+        lead = n >> (6 if narrow else 4)  # the moved bits, and on int8 two more
+        a = values.reshape(*shape[:-1], n >> 4, 16).swapaxes(-1, -2)
+        a = np.ascontiguousarray(a, first).reshape(shape)
+        _passes(a, lead, n)
+        a = a.reshape(*shape[:-1], 16, n >> 4).swapaxes(-1, -2).astype(wide, order="C")
+        a = a.reshape(shape)
+        _passes(a, 16, lead << 4)
+        return a
+    top = min(n, 1 << 6) if narrow else n
+    a = values.astype(first)
+    _passes(a, 1, top)
+    a = a.astype(wide, copy=False)
+    _passes(a, top, n)
     return a
 
 
@@ -427,12 +459,6 @@ def parse_fraction(token: str) -> Fraction:
         raise ParseError(f"bad rational {token!r}") from None
 
 
-_ROW_SIGNS = np.zeros(256, dtype=np.int8)  # byte -> table entry, 0 marks a bad byte
-_ROW_SIGNS[ord("+")] = 1
-_ROW_SIGNS[ord("-")] = -1
-_ROW_CHARS = np.frombuffer(b"-+", dtype=np.uint8)  # (entry > 0) -> byte
-
-
 def parse_boolean_function(text: str) -> BooleanFunction:
     lines = data_lines(text)
     m, _ = _parse_m_header(lines)
@@ -441,13 +467,15 @@ def parse_boolean_function(text: str) -> BooleanFunction:
     lineno, row = lines[1]
     if len(row) != 1 << m:
         raise ParseError(f"table line has {len(row)} chars, expected {1 << m}", lineno)
-    # one byte per character: non-Latin-1 characters become '?', all map to 0
-    signs = _ROW_SIGNS[np.frombuffer(row.encode("latin-1", "replace"), dtype=np.uint8)]
-    bad = signs == 0
-    if bad.any():
-        i = int(bad.argmax())
+    # one byte per character, non-Latin-1 ones as '?'; '+' is 43 and '-' is 45,
+    # so (byte - 43) & 0xFD is 0 for those two alone, and 44 - byte is the entry
+    raw = np.frombuffer(row.encode("latin-1", "replace"), dtype=np.uint8)
+    work = raw - 43
+    work &= 0xFD
+    if work.any():
+        i = int(work.nonzero()[0][0])
         raise ParseError(f"bad table character {row[i]!r} at position {i}", lineno)
-    return BooleanFunction(m, _frozen(signs))
+    return BooleanFunction(m, _frozen(np.subtract(44, raw, out=work).view(np.int8)))
 
 
 def format_boolean_function(f: BooleanFunction, comments: Sequence[str] = ()) -> str:
@@ -461,9 +489,10 @@ def format_table_row(f: BooleanFunction) -> str:
 
 
 def format_table_rows(tables: np.ndarray) -> list[str]:
-    """One '+'/'-' row per table along the last axis, entry 0 first."""
+    """One '+'/'-' row per +-1 table along the last axis, entry 0 first:
+    the byte of entry e is 44 - e ('+' is 43, '-' is 45)."""
     n = tables.shape[-1]
-    text = _ROW_CHARS[(tables > 0).view(np.uint8)].tobytes().decode("ascii")
+    text = np.subtract(44, tables, dtype=np.int8).view(np.uint8).tobytes().decode("ascii")
     return [text[i : i + n] for i in range(0, len(text), n)]
 
 

@@ -91,11 +91,13 @@ def set_partitions(items: list[int]):
             yield [*blocks[:j], [first, *blocks[j]], *blocks[j + 1 :]]
 
 
-def sign_matrix(m: int) -> np.ndarray:
-    """H[s, x] = chi_s(x) as a +-1 matrix, built from parity, not butterflies."""
+def sign_matrix(m: int, subsets=None) -> np.ndarray:
+    """H[s, x] = chi_s(x) as a +-1 matrix, a row per s in `subsets` (every
+    subset by default), built from parity, not butterflies."""
     n = 1 << m
     parity = np.array([bin(v).count("1") & 1 for v in range(n)], dtype=np.int64)
-    return 1 - 2 * parity[np.bitwise_and.outer(np.arange(n), np.arange(n))]
+    rows = np.arange(n) if subsets is None else np.asarray(subsets)
+    return 1 - 2 * parity[np.bitwise_and.outer(rows, np.arange(n))]
 
 
 def rv_moments(atoms):

@@ -598,6 +598,34 @@ class TestFormats:
         with pytest.raises(ParseError, match="^expected exactly one table line after the header$"):
             parse_boolean_function("m=1\n+-\n-+")
 
+    @pytest.mark.parametrize("char", ["x", ",", "/", "*", "\x00", "\xab", "\xad"])
+    @pytest.mark.parametrize("at", [0, 255])
+    def test_a_bad_byte_at_either_end_of_a_long_row(self, char, at):
+        # the neighbours of '+' (43) and '-' (45), and the two with the top bit set
+        row = ["+-"[i % 2] for i in range(256)]
+        row[at] = char
+        message = f"^line 2: bad table character {re.escape(repr(char))} at position {at}$"
+        with pytest.raises(ParseError, match=message):
+            parse_boolean_function("m=8\n" + "".join(row))
+
+    def test_a_character_past_latin_1_is_reported_as_itself(self):
+        # the first bad character is reported, not the one with the largest byte
+        with pytest.raises(ParseError, match="^line 3: bad table character '€' at position 1$"):
+            parse_boolean_function("m=2\n\n+€x-")
+
+    @pytest.mark.parametrize("char, entry", [("+", 1), ("-", -1)])
+    def test_a_constant_row(self, char, entry):
+        f = parse_boolean_function("m=9\n" + char * 512)
+        assert f.table.dtype == np.int8 and np.all(f.table == entry)
+        assert not f.table.flags.writeable
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_random_tables_round_trip(self, m):
+        table = 1 - 2 * np.random.default_rng(m).integers(0, 2, 1 << m)
+        text = format_boolean_function(BooleanFunction(m, table))
+        assert text == f"m={m}\n" + "".join("+" if v > 0 else "-" for v in table) + "\n"
+        assert np.array_equal(parse_boolean_function(text).table, table)
+
     def test_header_m_not_an_integer(self):
         with pytest.raises(ParseError, match="^line 1: bad variable count 'x'$"):
             parse_boolean_function("m=x\n+-")

@@ -201,6 +201,39 @@ def test_butterfly_is_the_sign_matrix_product(m, rows, dtype, seed):
         assert back.table.dtype == object and values(back) == values(f)
 
 
+@PROPERTY_SETTINGS
+@given(st.integers(1, 16), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example(6, 0, 0)
+@example(7, 0, 0)
+@example(8, 3, 0)
+@example(9, 3, 0)
+@example(10, 1, 0)
+@example(16, 3, 0)
+def test_butterfly_is_exact_on_int8_sign_rows(m, rows, seed):
+    # the all-ones row reaches 2^s after s stages in every order of stages, and
+    # the alternating row (chi on x_1) ends at c_1 = 2^m: the int8 stages stop
+    # where 2^7 would overflow (m = 6, 7), and rows of 2^9 or more entries
+    # move their 4 low bits (m = 8, 9, 10)
+    n = 1 << m
+    rng = np.random.default_rng(seed)
+    table = np.concatenate(
+        [np.ones((1, n)), [1 - 2 * (np.arange(n) & 1)], 1 - 2 * rng.integers(0, 2, (rows, n))]
+    ).astype(np.int8)
+    before = table.copy()
+    got = _butterfly(table)
+    assert got.dtype == np.int32 and got.shape == table.shape
+    assert np.array_equal(table, before)  # the input is only read
+    assert got[0, 0] == got[1, 1] == n
+    assert np.array_equal(got, _butterfly(table.astype(np.int64)))
+    # every subset up to m = 10; past it the empty set, the full set, the
+    # singletons and a few drawn subsets
+    subsets = np.arange(n)
+    if m > 10:
+        subsets = np.unique([0, n - 1, *(1 << np.arange(m)), *rng.integers(0, n, 8)])
+    assert np.array_equal(got[:, subsets], table.astype(np.int64) @ sign_matrix(m, subsets).T)
+    assert _butterfly(table[:0]).dtype == np.int32
+
+
 @st.composite
 def dyadic_table(draw) -> tuple[int, list[Fraction]]:
     """m <= 4 and entries n / 2^k with k <= 70 and |n| <= 2^80: small tables

@@ -319,12 +319,16 @@ class CorollaryReport:
 
     k: int  # 0-based block index minimizing the distance
     dist: Fraction
-    epsilon: Fraction
     var_f: Fraction
     cross_weight: Fraction
     coeff_empty: Fraction
     block_dists: tuple[Fraction, ...]
     corollary_k: Fraction
+
+    @property
+    def epsilon(self) -> Fraction:
+        """cross_weight / Var f, the tightest epsilon of the premise."""
+        return self.cross_weight / self.var_f
 
     @property
     def bound(self) -> Fraction:
@@ -336,39 +340,24 @@ class CorollaryReport:
 
 
 def corollary2_apply(
-    f: BooleanFunction,
-    partition: Partition,
-    constants: Constants = DEFAULT_CONSTANTS,
-    epsilon: Fraction | None = None,
+    f: BooleanFunction, partition: Partition, constants: Constants = DEFAULT_CONSTANTS
 ) -> CorollaryReport:
     """Find the block whose restriction (plus the empty coefficient) is
-    nearest to f and compare against (K2+2) * epsilon.
-
-    epsilon defaults to cross_weight / Var f, the tightest value satisfying
-    the premise; a caller-supplied epsilon is validated against it.
-    """
+    nearest to f and compare against (K2+2) * epsilon, where epsilon is
+    cross_weight / Var f: any epsilon the premise allows is at least that,
+    so a larger one would only loosen the bound."""
     var, [(cross, dists)] = stack_block_weights(f.table[None], [partition])
     unit = 1 << 2 * f.m
     var_f = Fraction(int(var[0]), unit)
     if var_f == 0:
         raise StructureError("variance zero: constant function has no epsilon")
-    cross = Fraction(int(cross[0]), unit)
     block_dists = tuple(Fraction(d, unit) for d in dists[0].tolist())
-    if epsilon is None:
-        epsilon = cross / var_f
-    else:
-        epsilon = _q(epsilon, "epsilon")
-        if cross > epsilon * var_f:
-            raise StructureError(
-                f"premise violated: cross weight {cross} > epsilon*Var f = {epsilon * var_f}"
-            )
     k = min(range(len(block_dists)), key=lambda j: (block_dists[j], j))
     return CorollaryReport(
         k=k,
         dist=block_dists[k],
-        epsilon=epsilon,
         var_f=var_f,
-        cross_weight=cross,
+        cross_weight=Fraction(int(cross[0]), unit),
         coeff_empty=Fraction(int(f.table.sum()), 1 << f.m),
         block_dists=block_dists,
         corollary_k=constants.corollary_k,

@@ -358,8 +358,9 @@ def stack_block_weights(
     With N = 2^m and c = N * coefficients, inside_j is the squared mass on
     the 2^|B_j| subsets of block j, gathered by index, dist_j is
     N^2 - inside_j, and the cross weight is summed over the sets in no block.
-    Checked on every row, as VerificationError: Parseval, Var f from the
-    table against the coefficients, the cross weight against the identity
+    Checked on every row, as VerificationError: Parseval, the sum of c^2
+    against N^2 (a +-1 row's squares sum to N), Var f from the table against
+    the coefficients, the cross weight against the identity
     N^2 - c_0^2 - sum_j (inside_j - c_0^2), and each distance against
     `_pointwise_sq_dist`, which reads the tables and not c.
     """
@@ -372,12 +373,11 @@ def stack_block_weights(
         raise StructureError("Boolean table entries must be exactly +1 or -1")
     c = _butterfly(tables)
     total = _sum_sq(c)
-    table_sq = n * _sum_sq(tables)
-    if np.any(total != table_sq):
+    if np.any(total != n * n):
         raise VerificationError("Parseval fails on the stack")
     c0_sq = c[:, 0].astype(np.int64) ** 2
     var = total - c0_sq
-    if np.any(table_sq - tables.sum(axis=1) ** 2 != var):
+    if np.any(n * n - tables.sum(axis=1) ** 2 != var):
         raise VerificationError("table and coefficient variances differ on the stack")
     weights = []
     for partition in partitions:
@@ -514,10 +514,9 @@ def parse_real_function(text: str) -> RealFunction:
     return RealFunction(m, [q.numerator << k + 1 - q.denominator.bit_length() for q in values], k)
 
 
-def format_real_function(f: RealFunction, comments: Sequence[str] = ()) -> str:
-    head = [f"# {c}" for c in comments]
+def format_real_function(f: RealFunction) -> str:
     rows = [str(Fraction(n, 1 << f.k)) for n in f.table.tolist()]
-    return "\n".join(head + [f"m={f.m}"] + rows) + "\n"
+    return "\n".join([f"m={f.m}"] + rows) + "\n"
 
 
 def parse_partition(text: str, m: int) -> Partition:

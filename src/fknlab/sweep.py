@@ -31,6 +31,7 @@ from .bounds import (
     DEFAULT_CONSTANTS,
     BoundReport,
     Constants,
+    CorollaryReport,
     TwoPointBalancedRV,
     claim6_example,
     claim8_check,
@@ -259,19 +260,17 @@ def _sample_cuts(rng: random.Random, d: int, k: int) -> list[int]:
     return cuts
 
 
-def random_real_function(m: int, seed: int, denom_pow: int = 4, max_num: int = 32) -> RealFunction:
-    """Random dyadic table: entries k/2^denom_pow with |k| <= max_num."""
+def random_real_function(m: int, seed: int) -> RealFunction:
+    """Random dyadic table: entries k/16 with |k| <= 32."""
     _check_seed(seed)
-    return RealFunction(m, _random_numerators(_rng_for(seed, 0), m, max_num), denom_pow)
+    return RealFunction(m, _random_numerators(_rng_for(seed, 0), m), 4)
 
 
-def _random_numerators(rng: random.Random, m: int, max_num: int = 32) -> list[int]:
-    """The 2^m numerators of a random table, each uniform on -max_num..max_num:
-    `_randint(rng, -max_num, max_num)` for each entry."""
-    if max_num < 0:
-        raise StructureError(f"max_num must be >= 0, got {max_num}")
-    n, draw = 2 * max_num + 1, rng.getrandbits
-    return [_below(draw, n) - max_num for _ in range(1 << m)]
+def _random_numerators(rng: random.Random, m: int) -> list[int]:
+    """The 2^m numerators of a random table, each uniform on -32..32:
+    `_randint(rng, -32, 32)` for each entry."""
+    draw = rng.getrandbits
+    return [_below(draw, 65) - 32 for _ in range(1 << m)]
 
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
@@ -560,12 +559,11 @@ def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
     return _accumulate(cfg.target, cases, scale, on_row)
 
 
-def empirical_constant(target: str, cfg: SweepConfig | None = None, **overrides) -> Fraction:
-    """Smallest constant that would make `target` hold on the swept instances
-    (scale / min lhs/rhs; instances with rhs 0 skipped, 0 if all are)."""
-    if cfg is None:
-        cfg = SweepConfig(target=target, **overrides)
-    elif cfg.target != target:
+def empirical_constant(target: str, cfg: SweepConfig) -> Fraction:
+    """Smallest constant that would make `target` hold on the instances cfg
+    draws, retargeted to `target` (scale / min lhs/rhs; instances with rhs 0
+    skipped, 0 if all are)."""
+    if cfg.target != target:
         cfg = replace(cfg, target=target)
     if TARGETS[target].scale is None:
         raise StructureError(f"{target!r} is not a ratio-form inequality")
@@ -690,41 +688,26 @@ def corollary2_exhaustive(
     return SweepResult("corollary2", len(a), tuple(violations), min_ratio, line, constant)
 
 
-@dataclass(frozen=True)
-class TightnessRow:
-    m: int
-    var_f: Fraction
-    cross_weight: Fraction
-    min_dist: Fraction
+def tightness_scan(max_m: int) -> tuple[CorollaryReport, ...]:
+    """corollary2_apply on the tribes table for m = 1..max_m, row i at m = i+1.
 
-
-def tightness_scan(max_m: int) -> tuple[TightnessRow, ...]:
-    """Tribes table for m = 1..max_m.
-
-    Verifies that cross_weight/Var f and min-block distance both scale like
-    2^-m: their products with 2^m must stay inside [1/8, 32] for m >= 2.
+    Verifies that cross_weight/Var f and the min-block distance both scale
+    like 2^-m: their products with 2^m must stay inside [1/8, 32] for m >= 2.
     """
     if not 1 <= max_m <= 13:
         raise StructureError("tightness scan supports 1 <= max_m <= 13")
     rows = []
     lo, hi = Fraction(1, 8), Fraction(32)
     for m in range(1, max_m + 1):
-        f, partition = tribes_example(m)
-        outcome = corollary2_apply(f, partition)
-        row = TightnessRow(
-            m=m,
-            var_f=outcome.var_f,
-            cross_weight=outcome.cross_weight,
-            min_dist=outcome.dist,
-        )
+        outcome = corollary2_apply(*tribes_example(m))
         if m >= 2:
-            scaled_cross = (row.cross_weight / row.var_f) * (1 << m)
-            scaled_dist = row.min_dist * (1 << m)
+            scaled_cross = (outcome.cross_weight / outcome.var_f) * (1 << m)
+            scaled_dist = outcome.dist * (1 << m)
             if not lo <= scaled_cross <= hi:
                 raise VerificationError(f"m={m}: scaled cross weight {scaled_cross} outside bracket")
             if not lo <= scaled_dist <= hi:
                 raise VerificationError(f"m={m}: scaled distance {scaled_dist} outside bracket")
-        rows.append(row)
+        rows.append(outcome)
     return tuple(rows)
 
 

@@ -9,6 +9,8 @@ fold on Fractions, each report's verdict and ratio taken from BoundReport,
 the referee of `sweep._accumulate`'s integer fold.
 `corollary2_per_instance` is the exhaustive corollary check with one
 report per instance through it, the referee of the batch's integer fold.
+`profile_constants` is the corollary constant of each block profile by brute
+force over every table and every partition of 2+ blocks (`set_partitions`).
 `random_rv_reference` draws a random variable on Fractions with random's own
 `randint` and `sample`, the referee of `sweep._random_rv`'s integer draws.
 `two_atom_reference` builds the variable of a two-point or constant-magnitude
@@ -29,7 +31,14 @@ import pytest
 
 from fknlab import sweep
 from fknlab.bounds import DEFAULT_CONSTANTS, BoundReport
-from fknlab.cube import RealFunction, boolean_tables, format_partition, format_table_rows
+from fknlab.cube import (
+    Partition,
+    RealFunction,
+    boolean_tables,
+    format_partition,
+    format_table_rows,
+    stack_block_weights,
+)
 from fknlab.errors import FknLabError, StructureError, VerificationError
 from fknlab.rv import DiscreteRV, TwoPointBalancedRV
 
@@ -257,6 +266,24 @@ def corollary2_per_instance(m: int, constants=DEFAULT_CONSTANTS, on_row=None) ->
         for text, var, cross, k, dist in columns
     )
     return accumulate_reference("corollary2", cases, scale, on_row)
+
+
+def profile_constants(m: int) -> dict[tuple[int, ...], Fraction]:
+    """The largest dist/epsilon = dist Var f / cross over every non-constant
+    table on m variables and every partition of 1..m into two or more blocks
+    with cross > 0, per block profile (the sorted block sizes), from one
+    `stack_block_weights` call over all the tables and partitions."""
+    tables = boolean_tables(m)[1:-1]
+    blocks = [b for b in set_partitions(list(range(1, m + 1))) if len(b) >= 2]
+    partitions = [Partition.from_blocks(m, b) for b in blocks]
+    var, weights = stack_block_weights(tables, partitions)
+    best: dict[tuple[int, ...], Fraction] = {}
+    for b, (cross, dists) in zip(blocks, weights):
+        keep = cross > 0  # numerators over 4^m: dist/epsilon = dist var / (cross 4^m)
+        pairs = set(zip((dists.min(axis=1) * var)[keep].tolist(), (cross[keep] << 2 * m).tolist()))
+        profile = tuple(sorted(map(len, b)))
+        best[profile] = max([Fraction(x, y) for x, y in pairs] + [best.get(profile, Fraction(0))])
+    return best
 
 
 @pytest.fixture

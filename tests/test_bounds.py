@@ -355,14 +355,6 @@ class TestCorollary2:
         assert not replace(outcome, dist=outcome.bound + F(1, 64)).holds
         assert replace(outcome, dist=outcome.bound).holds
 
-    def test_caller_epsilon_validated(self):
-        f = BooleanFunction(2, [1, -1, -1, -1])
-        partition = Partition.from_blocks(2, [[1], [2]])
-        loose = corollary2_apply(f, partition, epsilon=F(1, 2))
-        assert loose.epsilon == F(1, 2)
-        with pytest.raises(StructureError):
-            corollary2_apply(f, partition, epsilon=F(1, 100))
-
     def test_constant_function_rejected(self):
         f = BooleanFunction(2, [1, 1, 1, 1])
         partition = Partition.from_blocks(2, [[1], [2]])

@@ -160,6 +160,31 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "lemma7", *claim6_files, "--K0", "4/3")
         assert code == 0
 
+    def test_lemma7_and_lemma5_need_k0_near_two(self, tmp_path, capsys):
+        # X balanced on {-S, 1/4}, Y uniform on +-S/2, E = -1/4 at S = 480:
+        # required_k0 = 3690241/1845601 ~ 1.99948, so K0 = 1.999 fails; X - 1/4
+        # and Y turn lemma7 into lemma5, which gives the same value
+        files = {
+            "x": "-480 1/1921\n1/4 1920/1921\n",
+            "y": "-240 1/2\n240 1/2\n",
+            "x_shifted": "-1921/4 1/1921\n0 1920/1921\n",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.rv").write_text(text)
+        x, y, x_shifted = (str(tmp_path / f"{name}.rv") for name in files)
+        for argv in (("lemma7", x, y, "--E", "-1/4"), ("lemma5", x_shifted, y)):
+            code, out, _ = run(capsys, "check", *argv, "--K0", "1999/1000")
+            values = kv(out)
+            assert (code, values["holds"]) == (2, "false")
+            assert values["witness.required_k0"] == "3690241/1845601"
+
+    def test_a_small_lemma7_witness_past_k0_1_92(self, tmp_path, capsys):
+        x, y = tmp_path / "x.rv", tmp_path / "y.rv"
+        x.write_text("-3/2 1/2\n3/2 1/2\n")
+        y.write_text("-1/4 12/13\n3 1/13\n")
+        code, out, _ = run(capsys, "check", "lemma7", str(x), str(y), "--E", "1/4")
+        assert (code, kv(out)["witness.required_k0"]) == (0, "169/88")
+
     def test_theorem1_witness_file(self, tmp_path, capsys):
         paths = []
         for i in range(3):
@@ -424,6 +449,15 @@ class TestAnalyze:
         values = kv(out)
         assert (code, values["dist"], values["epsilon"]) == (2, "3/4", "1/4")
         assert (values["bound"], values["holds"]) == ("5/8", "false")
+
+    def test_the_m6_witness_fails_at_k2_one_half(self, tmp_path, capsys):
+        path = tmp_path / "m6.table"
+        path.write_text("m=6\n-+-------+------++++++++-+-------+-------+-------+-------+------\n")
+        argv = ("analyze", str(path), "--partition", "1,2,3|4,5,6", "--K2", "1/2")
+        code, out, _ = run(capsys, *argv)
+        values = kv(out)
+        assert (code, values["epsilon"], values["dist"]) == (2, "1/15", "49/128")
+        assert (values["bound"], values["holds"]) == ("1/6", "false")
 
     def test_dictator(self, tmp_path, capsys):
         path = tmp_path / "dict.table"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fknlab.bounds import Constants, claim6_example, corollary2_apply, lemma7_bound, tribes_example
+from fknlab.bounds import Constants, claim6_example, lemma7_bound
 from fknlab.cube import RealFunction
 from fknlab.errors import AtomLimitError, BalanceError, ParseError, StructureError
 from fknlab.rv import (
@@ -126,7 +126,6 @@ class TestType:
             (lambda: DiscreteRV.from_atoms([(0.1, F(1, 2)), (1, F(1, 2))]), "value", "0.1"),
             (lambda: DiscreteRV.from_atoms([(0, 0.5), (1, F(1, 2))]), "probability", "0.5"),
             (lambda: lemma7_bound(UNIFORM, UNIFORM, e=0.1), "E", "0.1"),
-            (lambda: corollary2_apply(*tribes_example(2), epsilon=0.5), "epsilon", "0.5"),
         ],
     )
     def test_every_rational_input_rejects_a_float(self, build, name, value):

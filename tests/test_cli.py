@@ -108,16 +108,16 @@ class TestExample:
     def test_claim6_files_round_trip(self, claim6_files):
         x_path, y_path = claim6_files
         x, y = claim6_example()
-        assert parse_rv(open(x_path).read()).atoms == x.atoms
-        assert parse_rv(open(y_path).read()).atoms == y.atoms
+        assert parse_rv(Path(x_path).read_text()).atoms == x.atoms
+        assert parse_rv(Path(y_path).read_text()).atoms == y.atoms
 
     def test_tribes_files_round_trip(self, tribes2_files):
         table_path, partition_path = tribes2_files
         f, partition = tribes_example(2)
-        parsed = parse_boolean_function(open(table_path).read())
+        parsed = parse_boolean_function(Path(table_path).read_text())
         assert np.array_equal(parsed.table, f.table)
         line = [
-            l for l in open(partition_path).read().splitlines()
+            l for l in Path(partition_path).read_text().splitlines()
             if l.strip() and not l.startswith("#")
         ][0]
         assert parse_partition(line, 4).blocks == partition.blocks

@@ -33,13 +33,14 @@ batch fold must give the per-instance Fraction fold's result and CSV bytes.
 
 import functools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import fknlab.bounds as bounds_module
+import fknlab.cube as cube_module
 from fknlab import sweep
 from fknlab.bounds import (
     BoundReport,
@@ -626,7 +627,7 @@ def test_exhaustive_csv_bytes_are_the_per_instance_bytes(tmp_path, monkeypatch, 
         (tmp_path / check.__name__).mkdir()
         monkeypatch.chdir(tmp_path / check.__name__)
         code = main(["sweep", "--target", "corollary2", "--exhaustive-m", "3", "--csv", "rows.csv"])
-        outputs.append((code, capsys.readouterr().out, open("rows.csv", "rb").read()))
+        outputs.append((code, capsys.readouterr().out, Path("rows.csv").read_bytes()))
     assert outputs[0] == outputs[1] and outputs[0][2].count(b"\n") == 1 + 254 * 3
 
 
@@ -650,7 +651,7 @@ def test_exhaustive_witness_is_the_first_instance_of_least_ratio(monkeypatch):
 
 def test_exhaustive_violations_are_the_per_instance_violations(monkeypatch):
     # at K2 = 1/16, four times every distance puts ratios below 1 at m=3;
-    # the recheck's corollary2_apply sees the same distances
+    # the recheck's kernel call, through cube's binding, sees the same distances
     real = sweep.stack_block_weights
 
     def far(tables, partitions):
@@ -658,7 +659,7 @@ def test_exhaustive_violations_are_the_per_instance_violations(monkeypatch):
         return var, [(cross, 4 * dists) for cross, dists in weights]
 
     monkeypatch.setattr(sweep, "stack_block_weights", far)
-    monkeypatch.setattr(bounds_module, "stack_block_weights", far)
+    monkeypatch.setattr(cube_module, "stack_block_weights", far)
     constants = Constants(k2=Fraction(1, 16))
     batch = sweep.corollary2_exhaustive(3, constants)
     assert batch.violations and batch == corollary2_per_instance(3, constants)

@@ -1,16 +1,16 @@
 """Sweep engine: generators, determinism, exhaustive checks, probe."""
 
+import hashlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import fknlab.bounds as bounds_module
 import fknlab.cube as cube_module
 import fknlab.sweep as sweep_module
 from fknlab.bounds import (
-    DEFAULT_CONSTANTS,
     BoundReport,
     Constants,
     corollary2_apply,
@@ -23,7 +23,6 @@ from fknlab.sweep import (
     TARGETS,
     SweepConfig,
     _claim8_instance,
-    _confirm,
     _corollary2_report,
     _randint,
     _random_numerators,
@@ -294,11 +293,12 @@ class TestRunSweep:
             run_sweep(SweepConfig(target="lemma7", instance_count=3))
 
     def test_corollary2_verification_error_propagates(self, monkeypatch):
+        # the recheck's kernel call goes through cube's binding
         def broken(*args, **kwargs):
             raise VerificationError("coefficient route mismatch")
 
-        monkeypatch.setattr(sweep_module, "corollary2_apply", broken)
-        with pytest.raises(VerificationError):
+        monkeypatch.setattr(cube_module, "stack_block_weights", broken)
+        with pytest.raises(VerificationError, match="^coefficient route mismatch$"):
             corollary2_exhaustive(2)
 
     def test_corollary2_pointwise_route_mismatch_raises(self, monkeypatch):
@@ -500,26 +500,30 @@ class TestCorollary2Exhaustive:
 
     def test_true_violations_are_kept(self):
         # K2 = 1/16 puts the corollary constant K2 + 2 below the m=4 empirical
-        # 63/16, so the batch reports violations and corollary2_apply confirms each
+        # 63/16, so the batch reports violations and the recheck confirms each
         result = corollary2_exhaustive(4, Constants(k2=F(1, 16)))
         assert len(result.violations) == 5824
         assert result.violations[0] == (
             "instance=2226 lhs=55/112 rhs=19/32"
             " table=------++-+++++++;partition=1,2,3|4;k=1;epsilon=5/21"
         )
+        # the whole result, byte for byte as the parent of the one-fold change gave it
+        counts = result.min_ratio, result.empirical_constant, result.instances_run
+        text = "\n".join((*result.violations, result.min_ratio_witness, *map(str, counts)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ccd6312d0fb159e57efd5682e7e24642a5fcb5dc9ff5e556761e94d5149203d0"
+        )
 
-    def test_recheck_finds_the_instance_by_its_number(self):
-        # instance i is table i // P and partition i % P: its report, confirmed
-        # against the neighbouring (table, partition), does not come out the same
+    def test_recheck_finds_the_instance_by_its_number(self, monkeypatch):
+        # instance i is table i // P and partition i % P: the witness's report
+        # is corollary2_apply's on that pair, and a batch whose rows are rolled
+        # by one gives instance 9 the sides of the table before it, which the
+        # recheck, on the named tables through cube's binding, does not confirm
         result = corollary2_exhaustive(3)
         tables, partitions = cube_module.boolean_tables(3)[1:-1], list(two_block_partitions(3))
         P = len(partitions)
-
-        def instance(j):
-            return BooleanFunction(3, tables[j // P]), partitions[j % P]
-
         i = int(result.min_ratio_witness.split(" ", 1)[0].removeprefix("instance="))
-        f, partition = instance(i)
+        f, partition = BooleanFunction(3, tables[i // P]), partitions[i % P]
         outcome = corollary2_apply(f, partition)
         sides = outcome.bound, outcome.dist, outcome.epsilon
         report = _corollary2_report(
@@ -527,33 +531,64 @@ class TestCorollary2Exhaustive:
         )
         assert report.ratio == result.min_ratio
         assert result.min_ratio_witness == f"instance={i} {report.witness_text()}"
-        _confirm(i, f, partition, report, DEFAULT_CONSTANTS)
-        for j in ((i + 1) % result.instances_run, (i + P) % result.instances_run):
-            with pytest.raises(VerificationError, match=f"batch reported 'instance={i} "):
-                _confirm(i, *instance(j), report, DEFAULT_CONSTANTS)
+        real = sweep_module.stack_block_weights
+
+        def rolled(tables, partitions):
+            var, weights = real(tables, partitions)
+            return np.roll(var, 1), [(np.roll(c, 1), np.roll(d, 1, axis=0)) for c, d in weights]
+
+        monkeypatch.setattr(sweep_module, "stack_block_weights", rolled)
+        line = "instance=9 table=++-+++++;partition=1,2|3;k=0;epsilon="
+        message = f"batch reported '{line}1/3'; the recheck gives '{line}3/7'"
+        with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+            corollary2_exhaustive(3)
 
     @pytest.mark.parametrize("factor", [1, 4])
     def test_reports_only_the_instances_it_names(self, monkeypatch, factor):
-        # the integer fold builds a report for the witness and each violation,
-        # and each recheck one more; at K2 = 1/16, four times every distance
-        # turns most m=3 instances into violations
-        real, reports = cube_module.stack_block_weights, []
+        # the fold asks for a report per violation and per new running
+        # minimum, the CSV writer one per row, and the recheck one more per
+        # instance the fold asked about, from exactly one kernel call on their
+        # tables; at K2 = 1/16, four times every distance turns most m=3
+        # instances into violations
+        real, rechecks, reports, asked, expected = cube_module.stack_block_weights, [], [], [], []
 
         def scaled(tables, partitions):
             var, weights = real(tables, partitions)
             return var, [(cross, factor * dists) for cross, dists in weights]
 
+        def recheck(tables, partitions):
+            rechecks.append(len(tables))
+            return scaled(tables, partitions)
+
         def counted(*args):
             reports.append(args)
             return real_report(*args)
 
-        real_report = sweep_module._corollary2_report
+        def fold(name, sides, report, scale, errors):
+            sides, least = list(sides), None
+            for i, a, b in sides:  # the instances the fold names, on Fractions
+                lower = b > 0 and (least is None or F(a, b) < least)
+                if a < b or lower:
+                    expected.append(i)
+                least = F(a, b) if lower else least
+
+            def asking(i):
+                asked.append(i)
+                return report(i)
+
+            return real_fold(name, sides, asking, scale, errors)
+
+        real_report, real_fold = sweep_module._corollary2_report, sweep_module._fold
         monkeypatch.setattr(sweep_module, "stack_block_weights", scaled)
-        monkeypatch.setattr(bounds_module, "stack_block_weights", scaled)
+        monkeypatch.setattr(cube_module, "stack_block_weights", recheck)
         monkeypatch.setattr(sweep_module, "_corollary2_report", counted)
-        result = corollary2_exhaustive(3, Constants(k2=F(1, 16)))
+        monkeypatch.setattr(sweep_module, "_fold", fold)
+        rows = []
+        result = corollary2_exhaustive(3, Constants(k2=F(1, 16)), rows.append)
         assert bool(result.violations) == (factor > 1)
-        assert len(reports) == 2 * (len(result.violations) + 1)
+        assert asked == expected
+        assert len(reports) == len(rows) + 2 * len(asked) and len(rows) == 254 * 3
+        assert rechecks == [len(asked)]
 
     def test_the_fold_flags_only_bounds_that_fail(self, monkeypatch):
         # every report made to hold: the first of the 5,824 violations the
@@ -628,9 +663,10 @@ class TestTightnessScan:
     @pytest.mark.parametrize(
         "field, match",
         [
-            ("cross_weight", "^m=2: scaled cross weight 4000/7 outside bracket$"),
-            ("dist", "^m=2: scaled distance 2250 outside bracket$"),
+            ("cross_weight", "^m=1: cross weight 250 != 1/4$"),
+            ("dist", "^m=1: distance 500 != 1/2$"),
         ],
+        ids=["cross_weight", "dist"],
     )
     def test_a_value_outside_its_bracket_raises(self, monkeypatch, field, match):
         real = sweep_module.corollary2_apply

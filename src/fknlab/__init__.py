@@ -24,7 +24,6 @@ from .cube import (
     Partition,
     RealFunction,
     balance_extend,
-    cross_partition_weight,
     inverse_wht,
     restriction,
     sq_l2_dist,
@@ -40,8 +39,6 @@ from .rv import (
     const_abs_approx,
     convolve,
     expectation,
-    nearest_boolean_distance,
-    pushforward,
     two_point_decompose,
     var_abs_shifted,
     variance_rv,

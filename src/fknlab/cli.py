@@ -280,14 +280,16 @@ def build_parser() -> _Parser:
 
     example = sub.add_parser("example", help="write the extremal example files")
     example.add_argument("name", choices=("tribes", "claim6"))
-    example.add_argument("--m", type=int, help="tribes block size; claim6 takes none")
+    example.add_argument(
+        "--m", type=_checked(sweep._config_int), help="tribes block size; claim6 takes none"
+    )
     example.add_argument("--out-dir", default=".")
     example.set_defaults(func=_cmd_example)
 
     probe = sub.add_parser("probe", help="experimental composition search")
     probe.add_argument("table")
     _add_partition_flags(probe)
-    probe.add_argument("--budget", type=int, default=10**7)
+    probe.add_argument("--budget", type=_checked(sweep._config_int), default=10**7)
     probe.add_argument("--decimal", action="store_true")
     probe.set_defaults(func=_cmd_probe)
 

@@ -19,17 +19,20 @@ table stays int64 (N <= 2^m, and 2^m N <= 2^52 for m <= 26).
 
 Partition weights of Boolean functions come from one kernel,
 `stack_block_weights`, one call per stack of tables and list of partitions
-(one table and one partition for `cross_partition_weight` and
-`bounds.corollary2_apply`; every table of `boolean_tables` and every
-two-block partition for the exhaustive check), in int64 numerators over
-4^m.  With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N, and
-an entry of a +-1 row is at most 2^s after s stages, so the one transform
+(one table and one partition for `bounds.corollary2_apply`; every table
+of `boolean_tables` and every two-block partition for the exhaustive
+check), in int64 numerators over 4^m; the cross weight is its `cross`
+column.  With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N,
+and an entry of a +-1 row is at most 2^s after s stages, so the one transform
 runs its first six stages in int8 and the rest in int32; c_S^2 and their
 sums are at most N^2 = 2^2m.  The check of each block distance needs
 no transform: the mass of c inside block B is 2^|B| times the sum of
 squares of the table's margin on B (the sums R of f over the variables
 outside B, |R| <= 2^(m-|B|)), which is at most N^2 <= 2^52 as well, so the
 whole kernel is int64 for every m <= M_MAX.
+
+The one table text is the Boolean truth table ('m=<int>', then a '+'/'-'
+row); a `RealFunction` is built from its numerators in code.
 """
 
 from __future__ import annotations
@@ -166,7 +169,12 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, m: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        return cls(m, tuple(frozenset(b) for b in blocks))
+        """Blocks given as index lists; an index repeated inside one is refused."""
+        blocks = [list(b) for b in blocks]
+        repeats = [i for block in blocks for i in block if block.count(i) > 1]
+        if repeats:
+            raise StructureError(f"variable {repeats[0]} appears twice in one block")
+        return cls(m, tuple(map(frozenset, blocks)))
 
     def mask(self, j: int) -> int:
         """Bitmask of block j (0-based)."""
@@ -402,12 +410,6 @@ def stack_block_weights(
     return var, weights
 
 
-def cross_partition_weight(f: BooleanFunction, partition: Partition) -> Fraction:
-    """Total squared coefficient mass on sets contained in no single block."""
-    [(cross, _)] = stack_block_weights(f.table[None], [partition])[1]
-    return Fraction(int(cross[0]), 1 << 2 * f.m)
-
-
 def balance_extend(f: BooleanFunction) -> BooleanFunction:
     """Append variable m+1 to make f balanced while keeping it as close to
     linear: g(x, x_{m+1}) = x_{m+1} * f(x_{m+1} x_1, ..., x_{m+1} x_m).
@@ -437,20 +439,6 @@ def data_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_m_header(lines: list[tuple[int, str]]) -> tuple[int, int]:
-    if not lines:
-        raise ParseError("empty input")
-    lineno, header = lines[0]
-    if not header.startswith("m="):
-        raise ParseError("expected header 'm=<int>'", lineno)
-    try:
-        m = int(header[2:])
-    except ValueError:
-        raise ParseError(f"bad variable count {header[2:]!r}", lineno) from None
-    _checked_m(m)
-    return m, lineno
-
-
 def parse_fraction(token: str) -> Fraction:
     """Exact rational from 'p/q' or decimal text."""
     try:
@@ -461,7 +449,16 @@ def parse_fraction(token: str) -> Fraction:
 
 def parse_boolean_function(text: str) -> BooleanFunction:
     lines = data_lines(text)
-    m, _ = _parse_m_header(lines)
+    if not lines:
+        raise ParseError("empty input")
+    lineno, header = lines[0]
+    if not header.startswith("m="):
+        raise ParseError("expected header 'm=<int>'", lineno)
+    try:
+        m = int(header[2:])
+    except ValueError:
+        raise ParseError(f"bad variable count {header[2:]!r}", lineno) from None
+    _checked_m(m)
     if len(lines) != 2:
         raise ParseError("expected exactly one table line after the header")
     lineno, row = lines[1]
@@ -494,29 +491,6 @@ def format_table_rows(tables: np.ndarray) -> list[str]:
     n = tables.shape[-1]
     text = np.subtract(44, tables, dtype=np.int8).view(np.uint8).tobytes().decode("ascii")
     return [text[i : i + n] for i in range(0, len(text), n)]
-
-
-def parse_real_function(text: str) -> RealFunction:
-    lines = data_lines(text)
-    m, _ = _parse_m_header(lines)
-    if len(lines) != (1 << m) + 1:
-        raise ParseError(f"expected {1 << m} value lines after the header")
-    values = []
-    for lineno, token in lines[1:]:
-        try:
-            q = parse_fraction(token)
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if q.denominator & (q.denominator - 1):
-            raise ParseError(f"{q} is not exactly representable (dyadic required)", lineno)
-        values.append(q)
-    k = max(q.denominator for q in values).bit_length() - 1
-    return RealFunction(m, [q.numerator << k + 1 - q.denominator.bit_length() for q in values], k)
-
-
-def format_real_function(f: RealFunction) -> str:
-    rows = [str(Fraction(n, 1 << f.k)) for n in f.table.tolist()]
-    return "\n".join([f"m={f.m}"] + rows) + "\n"
 
 
 def parse_partition(text: str, m: int) -> Partition:

@@ -2,8 +2,8 @@
 
 `DiscreteRV` stores value numerators over one scale and mass numerators over
 one denominator, in lowest terms, so equal distributions compare equal.
-Every operation reads those Python ints (never a fixed width) and builds one
-`Fraction` per result; `atoms` gives the Fractions.  The bounds downstream
+Every operation reads those Python ints (no fixed width, no numpy) and builds
+one `Fraction` per result; `atoms` gives the Fractions.  The bounds downstream
 have huge constants and tiny slacks, so nothing here rounds.
 
 `var_abs_sum`, the hot path behind every Var|X1+...+Xn+E| the bounds need,
@@ -31,9 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .cube import RealFunction, data_lines
+from .cube import data_lines
 from .errors import AtomLimitError, BalanceError, ParseError, StructureError
 
 Rational = Fraction | int | str
@@ -348,16 +346,6 @@ def const_abs_approx(rv: DiscreteRV, e: Rational) -> ConstAbsRV:
     return ConstAbsRV(Fraction(total, scale * rv.den), Fraction(nonnegative, rv.den))
 
 
-def approx_coupling_distance(rv: DiscreteRV, e: Rational) -> Fraction:
-    """E[((X+E) - X')^2], X' = const_abs_approx coupled pointwise: with X+E on s/L,
-    masses w/D, M = sum w |s| and sign(0) := +1, sum w (D s - sign(s) M)^2 / (D^3 L^2)."""
-    x = shift(rv, e)
-    pairs = list(zip(x.values, x.masses))
-    big = sum(m * abs(v) for v, m in pairs)
-    total = sum(m * (x.den * v - (big if v >= 0 else -big)) ** 2 for v, m in pairs)
-    return Fraction(total, x.den**3 * x.scale**2)
-
-
 def two_point_decompose(rv: DiscreteRV) -> list[tuple[Fraction, TwoPointBalancedRV]]:
     """Write a balanced variable as a mixture of balanced <=2-point variables.
 
@@ -394,18 +382,6 @@ def mix(components: Sequence[tuple[Fraction, DiscreteRV]]) -> DiscreteRV:
     den = math.lcm(*(w.denominator for w, _ in components))
     atoms = [(w, rv.scale, v, m) for w, rv in components for v, m in zip(rv.values, rv.masses)]
     return _merge([(v * (scale // s), (w * m * den).numerator) for w, s, v, m in atoms], scale, den)
-
-
-def pushforward(f: RealFunction) -> DiscreteRV:
-    """Distribution of f(x) under uniform x; numerator n is the value n / 2^k."""
-    values, counts = np.unique(f.table, return_counts=True)
-    return _merge(zip(values.tolist(), counts.tolist()), 1 << f.k, f.table.size)
-
-
-def nearest_boolean_distance(rv: DiscreteRV) -> Fraction:
-    """E[(|Z| - 1)^2]: squared distance to the nearest +-1-valued variable."""
-    total = sum(m * (abs(v) - rv.scale) ** 2 for v, m in zip(rv.values, rv.masses))
-    return Fraction(total, rv.den * rv.scale**2)
 
 
 # ---------------------------------------------------------------------------

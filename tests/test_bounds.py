@@ -24,7 +24,7 @@ from fknlab.bounds import (
     theorem1_check,
     tribes_example,
 )
-from fknlab.cube import BooleanFunction, Partition, cross_partition_weight, variance
+from fknlab.cube import BooleanFunction, Partition, variance
 from fknlab.errors import BalanceError, StructureError, VerificationError
 from fknlab.rv import DiscreteRV, TwoPointBalancedRV, shift
 
@@ -366,14 +366,14 @@ class TestTribesExample:
     def test_m1_values(self):
         f, partition = tribes_example(1)
         assert variance(f) == 0.75
-        assert cross_partition_weight(f, partition) == 0.25
+        assert corollary2_apply(f, partition).cross_weight == 0.25
         assert partition.blocks == (frozenset({1}), frozenset({2}))
 
     def test_m2_values(self):
         f, partition = tribes_example(2)
         assert Fraction(variance(f)) == F(63, 64)
-        assert Fraction(cross_partition_weight(f, partition)) == F(9, 64)
         outcome = corollary2_apply(f, partition)
+        assert outcome.cross_weight == F(9, 64)
         assert outcome.epsilon == F(1, 7)
         assert outcome.dist == F(9, 16)
 

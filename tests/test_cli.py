@@ -5,6 +5,7 @@ import csv
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -796,6 +797,69 @@ class TestProbe:
         )
         assert code == 1
         assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("probe", "{table}", "--partition", "1,2|3,4", "--budget", "abc"), "--budget"),
+        (("example", "tribes", "--m", "abc", "--out-dir", "{dir}"), "--m"),
+    ],
+    ids=["probe-budget", "example-m"],
+)
+def test_integer_flags_read_as_every_other(argv, flag, tribes2_files, tmp_path, capsys):
+    # both used argparse's int, which printed "invalid int value: 'abc'"
+    paths = {"table": tribes2_files[0], "dir": str(tmp_path / "out")}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument {flag}: bad integer 'abc'\n")
+
+
+def test_a_variable_repeated_inside_one_block_is_refused(tribes2_files, capsys):
+    # "1,2,2|3,4" used to run as "1,2|3,4" and exit 0
+    code, out, err = run(capsys, "analyze", tribes2_files[0], "--partition", "1,2,2|3,4")
+    assert (code, out, err) == (1, "", "error: variable 2 appears twice in one block\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_transcript() -> list[tuple[str, list[str]]]:
+    """(command, the lines shown under it) for each '$ ' line of the README's code blocks."""
+    steps = []
+    for block in README.read_text().split("```")[1::2]:
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                shown = []
+                steps.append((line[2:], shown))
+            elif shown is not None:
+                shown.append(line)
+    return steps
+
+
+def test_readme_transcripts_replay(tmp_path, monkeypatch, capsys):
+    # every '$ fknlab' line that shows output prints exactly that, in one directory
+    monkeypatch.chdir(tmp_path)
+    replayed = []
+    for command, shown in readme_transcript():
+        heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", command)
+        if heredoc:
+            Path(heredoc[1]).write_text("".join(line + "\n" for line in shown[: shown.index("EOF")]))
+        elif shown:
+            argv = shlex.split(command, comments=True)
+            assert argv[0] == "fknlab", command
+            code, out, err = run(capsys, *argv[1:])
+            assert (code, err, out.splitlines()) == (0, "", shown), command
+            replayed.append(tuple(argv[1:3]))
+    assert replayed == [
+        ("example", "claim6"),
+        ("example", "tribes"),
+        ("check", "lemma5"),
+        ("analyze", "tribes_m2.table"),
+        ("decompose", "y.rv"),
+        ("probe", "tribes_m2.table"),
+    ]
 
 
 @pytest.mark.parametrize("command", ["analyze", "probe"])

@@ -18,14 +18,11 @@ from fknlab.cube import (
     _pointwise_sq_dist,
     balance_extend,
     boolean_tables,
-    cross_partition_weight,
     format_boolean_function,
     format_partition,
-    format_real_function,
     inverse_wht,
     parse_boolean_function,
     parse_partition,
-    parse_real_function,
     restriction,
     sq_l2_dist,
     stack_block_weights,
@@ -141,6 +138,11 @@ class TestTypes:
             Partition.from_blocks(2, [[1], [2], [3]])
         with pytest.raises(StructureError, match="^partition needs at least one block$"):
             Partition(2, ())
+        # a repeat inside one block used to vanish into its frozenset
+        with pytest.raises(StructureError, match="^variable 2 appears twice in one block$"):
+            Partition.from_blocks(4, [[1, 2, 2], [3, 4]])
+        with pytest.raises(ParseError, match="^variable 2 appears twice in one block$"):
+            parse_partition("1,2,2|3,4", 4)
 
 
 class TestWht:
@@ -333,24 +335,38 @@ class TestRestriction:
             restriction(dictator(2), {3})
 
 
+def kernel_cross(f: BooleanFunction, partition: Partition) -> Fraction:
+    """The kernel's cross column for one table, over 4^m."""
+    [(cross, _)] = stack_block_weights(f.table[None], [partition])[1]
+    return F(int(cross[0]), 1 << 2 * f.m)
+
+
 class TestCrossWeight:
     def test_dictator_zero(self):
         p = Partition.from_blocks(2, [[1], [2]])
-        assert cross_partition_weight(dictator(2), p) == 0
+        assert kernel_cross(dictator(2), p) == 0
 
     def test_single_crossing_character(self):
         f = BooleanFunction(2, [1, -1, -1, 1])
         p = Partition.from_blocks(2, [[1], [2]])
-        assert cross_partition_weight(f, p) == 1
+        assert kernel_cross(f, p) == 1
+        assert corollary2_apply(f, p).cross_weight == 1
 
     def test_or_quarter(self):
         p = Partition.from_blocks(2, [[1], [2]])
-        assert cross_partition_weight(or2(), p) == F(1, 4)
+        assert kernel_cross(or2(), p) == F(1, 4)
+        assert corollary2_apply(or2(), p).cross_weight == F(1, 4)
+
+    def test_constant_tables_weigh_zero(self):
+        # corollary2_apply refuses Var f = 0; the kernel weighs such tables too
+        p = Partition.from_blocks(3, [[1, 3], [2]])
+        for entry in (1, -1):
+            assert kernel_cross(BooleanFunction(3, [entry] * 8), p) == 0
 
     def test_invalid_partition(self):
         p = Partition.from_blocks(3, [[1], [2, 3]])
         with pytest.raises(DimensionMismatchError):
-            cross_partition_weight(dictator(2), p)
+            kernel_cross(dictator(2), p)
 
 
 class TestStackKernel:
@@ -635,45 +651,21 @@ class TestFormats:
         # a negative m used to end in a "negative shift count" ValueError
         with pytest.raises(CapacityError, match="outside supported range"):
             parse_boolean_function(f"{header}\n+-")
-        with pytest.raises(CapacityError, match="outside supported range"):
-            parse_real_function(f"{header}\n0\n1")
 
-    def test_real_round_trip(self, rng_seed):
-        f = random_real_function(2, rng_seed)
-        back = parse_real_function(format_real_function(f))
-        assert values(back) == values(f)
-
-    def test_real_accepts_rational_and_decimal(self):
-        f = parse_real_function("m=1\n0.25\n-3/4")
-        assert values(f) == [F(1, 4), F(-3, 4)]
-
-    def test_real_rejects_non_dyadic(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_real_function("m=1\n1/3\n0")
-
-    def test_real_parse_errors(self):
-        for text in ("m=1\n0", "m=1\n0\n1\n1"):
-            with pytest.raises(ParseError, match="^expected 2 value lines after the header$"):
-                parse_real_function(text)
-        with pytest.raises(ParseError, match="^line 3: bad rational 'x'$"):
-            parse_real_function("m=1\n0\nx")
-        with pytest.raises(ParseError, match="^line 2: bad rational '1/0'$"):
-            parse_real_function("m=1\n1/0\n0")
-
+    # each id gives m and the two entries of the table
     @pytest.mark.parametrize(
-        "text, entries",
+        "numerators, k, entries",
         [
-            pytest.param(text, entries, id=text)
-            for text, entries in [
-                ("m=1\n9007199254740992\n1", [F(2**53), F(1)]),
-                ("m=1\n1073741825/1073741824\n0", [F(2**30 + 1, 2**30), F(0)]),
-            ]
+            pytest.param([2**53, 1], 0, [F(2**53), F(1)], id="m=1\n9007199254740992\n1"),
+            pytest.param(
+                [2**30 + 1, 0], 30, [F(2**30 + 1, 2**30), F(0)], id="m=1\n1073741825/1073741824\n0"
+            ),
         ],
     )
-    def test_real_tables_past_int64_are_exact(self, text, entries):
+    def test_real_tables_past_int64_are_exact(self, numerators, k, entries):
         # numerators past the int64 bound run as Python ints; in a float64
         # model both would round (coefficient 2^52 instead of 2^52 + 1/2)
-        f = parse_real_function(text)
+        f = RealFunction(1, numerators, k)
         assert f.table.dtype == object and values(f) == entries
         coeffs = naive_fourier(entries, 1)
         assert values(wht(f)) == coeffs
@@ -683,17 +675,10 @@ class TestFormats:
             assert values(wht(f))[0] == 2**52 + F(1, 2)
 
     def test_real_range_edge_is_exact(self):
-        f = parse_real_function("m=1\n33554431\n-33554432")  # 2^1 * 2^25 = 2^26
+        f = RealFunction(1, [33554431, -33554432])  # 2^1 * 2^25 = 2^26
+        assert f.table.dtype == np.int64
         assert variance(f) == Fraction(67108863, 2) ** 2
         assert values(wht(f))[0] == Fraction(-1, 2)
-
-    def test_generated_real_tables_round_trip(self):
-        for m in range(1, 7):
-            for seed in range(10):
-                f = random_real_function(m, seed)
-                back = parse_real_function(format_real_function(f))
-                assert values(back) == values(f)
-                assert variance(back) == variance(f)
 
     def test_partition_round_trip(self):
         p = parse_partition("1,3|2,4", 4)

@@ -8,13 +8,12 @@ enough to run as int64 or as Python ints, must meet the naive coefficients,
 the round trip and Parseval exactly.
 
 Random variables: small random supports; convolution must equal the literal
-product distribution, the pushforward must equal direct counting, a balanced
-variable must be rebuilt from its two-point decomposition, and the integer
-lattice kernel Var|X1+...+Xn+E| must equal both the Fraction chain and the
-product measure, with denominators up to 10^30.  On the same wide inputs,
-every integer operation must equal its Fraction definition over `atoms`,
-and equal distributions must compare equal and hash alike however they were
-built.
+product distribution, a balanced variable must be rebuilt from its two-point
+decomposition, and the integer lattice kernel Var|X1+...+Xn+E| must equal
+both the Fraction chain and the product measure, with denominators up to
+10^30.  On the same wide inputs, every integer operation must equal its
+Fraction definition over `atoms`, and equal distributions must compare
+equal and hash alike however they were built.
 
 Evaluators: both two-atom `to_rv`s must build the variable of the merged
 Fraction atoms, claim 8's integer sides must equal its Fraction double loop,
@@ -58,7 +57,6 @@ from fknlab.cube import (
     Partition,
     RealFunction,
     _butterfly,
-    cross_partition_weight,
     inverse_wht,
     sq_l2_dist,
     stack_block_weights,
@@ -71,14 +69,12 @@ from fknlab.rv import (
     DiscreteRV,
     TwoPointBalancedRV,
     abs_rv,
-    approx_coupling_distance,
     center,
     const_abs_approx,
     convolve,
     expectation,
     mix,
     negate,
-    pushforward,
     shift,
     two_point_decompose,
     var_abs_sum,
@@ -124,8 +120,8 @@ def test_cross_weight_is_mass_inside_no_block(case):
     coeffs = naive_fourier(f.table, f.m)
     masks = [partition.mask(j) for j in range(len(partition.blocks))]
     expected = sq_mass(coeffs, lambda s: not any(within(s, mask) for mask in masks))
-    weight = cross_partition_weight(f, partition)
-    assert isinstance(weight, Fraction) and weight == expected
+    [(cross, _)] = stack_block_weights(f.table[None], [partition])[1]
+    assert Fraction(int(cross[0]), 1 << 2 * f.m) == expected
 
 
 @PROPERTY_SETTINGS
@@ -297,20 +293,6 @@ def test_convolve_associates(x, y, z):
     assert left.atoms == product_distribution(x.atoms, y.atoms, z.atoms)
 
 
-quarter_numerators = st.integers(1, 4).flatmap(
-    lambda m: st.lists(st.integers(-6, 6), min_size=1 << m, max_size=1 << m)
-)
-
-
-@PROPERTY_SETTINGS
-@given(quarter_numerators)
-def test_pushforward_counts_table_entries(numerators):
-    values = [Fraction(k, 4) for k in numerators]
-    f = RealFunction(len(values).bit_length() - 1, numerators, k=2)
-    expected = tuple(sorted((v, Fraction(values.count(v), len(values))) for v in set(values)))
-    assert pushforward(f).atoms == expected
-
-
 @PROPERTY_SETTINGS
 @given(small_rv(5))
 def test_mix_of_two_point_components_rebuilds_input(x):
@@ -404,8 +386,9 @@ def test_integer_operations_match_their_fraction_definitions(x, c):
     magnitude = sum(abs(v) * p for v, p in shifted)
     approx = const_abs_approx(x, c)
     assert (approx.magnitude, approx.p) == (magnitude, sum(p for v, p in shifted if v >= 0))
+    # coupled pointwise, X' = sign(X+E) E|X+E| is at squared distance Var|X+E|
     distance = sum(p * (v - (magnitude if v >= 0 else -magnitude)) ** 2 for v, p in shifted)
-    assert approx_coupling_distance(x, c) == distance
+    assert distance == var_abs_sum((x,), c)
 
 
 @PROPERTY_SETTINGS

@@ -5,14 +5,12 @@ from fractions import Fraction
 import pytest
 
 from fknlab.bounds import Constants, claim6_example, lemma7_bound
-from fknlab.cube import RealFunction
 from fknlab.errors import AtomLimitError, BalanceError, ParseError, StructureError
 from fknlab.rv import (
     ConstAbsRV,
     DiscreteRV,
     TwoPointBalancedRV,
     abs_rv,
-    approx_coupling_distance,
     center,
     const_abs_approx,
     convolve,
@@ -20,17 +18,14 @@ from fknlab.rv import (
     format_rv,
     format_rv_inline,
     mix,
-    nearest_boolean_distance,
     negate,
     parse_rv,
-    pushforward,
     shift,
     two_point_decompose,
     var_abs_shifted,
     var_abs_sum,
     variance_rv,
 )
-from fknlab.cube import restriction, BooleanFunction
 from fknlab.sweep import SweepConfig, random_rv
 
 from conftest import rv_moments
@@ -330,12 +325,6 @@ class TestConstAbsApprox:
         zero_case = const_abs_approx(DiscreteRV.constant(0), 0)
         assert (zero_case.magnitude, zero_case.p) == (F(0), F(1))
 
-    def test_coupling_identity(self):
-        for seed in range(60):
-            rv = random_balanced(seed)
-            e = F(seed - 30, 7)
-            assert approx_coupling_distance(rv, e) == var_abs_shifted(rv, e)
-
 
 class TestTwoPointDecompose:
     def test_uniform_is_its_own_component(self):
@@ -396,48 +385,6 @@ class TestTwoPointDecompose:
                 for w, comp in two_point_decompose(ybar)
             )
             assert lhs >= mixture
-
-
-class TestPushforward:
-    def test_dictator(self):
-        f = BooleanFunction(1, [1, -1])
-        assert pushforward(f.as_real()).atoms == UNIFORM.atoms
-
-    def test_or_restriction(self):
-        f = BooleanFunction(2, [1, -1, -1, -1])
-        r = restriction(f, {1})
-        assert pushforward(r).atoms == (
-            (F(-1, 2), F(1, 2)),
-            (F(1, 2), F(1, 2)),
-        )
-
-    def test_constant(self):
-        import numpy as np
-
-        f = RealFunction(2, np.full(4, 3), k=2)
-        assert pushforward(f).atoms == ((F(3, 4), F(1)),)
-
-
-class TestNearestBoolean:
-    def test_uniform_zero(self):
-        assert nearest_boolean_distance(UNIFORM) == 0
-
-    def test_constant_zero_is_one(self):
-        assert nearest_boolean_distance(DiscreteRV.constant(0)) == 1
-
-    def test_claim6_sum(self):
-        x, y = claim6_example()
-        assert nearest_boolean_distance(convolve(x, y)) == 1
-
-    def test_matches_best_sign_selection(self):
-        for seed in range(40):
-            rv = random_rv(4, seed)
-            best = sum(
-                p * min((v - 1) ** 2, (v + 1) ** 2) for v, p in rv.atoms
-            )
-            result = nearest_boolean_distance(rv)
-            assert result == best
-            assert variance_rv(abs_rv(rv)) <= result
 
 
 class TestFormat:

@@ -37,8 +37,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes "-1/2" for an option, as it knows only -3 and -.5 as numbers
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        # a word of "-" then a digit or "." is a value (-1/2, -1e-3, -2.), as no
+        # flag starts that way; its parser then reads it or refuses it
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):  # route argparse failures to exit code 1
         raise _UsageError(message)

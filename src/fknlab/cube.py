@@ -21,15 +21,17 @@ Partition weights of Boolean functions come from one kernel,
 `stack_block_weights`, one call per stack of tables and list of partitions
 (one table and one partition for `bounds.corollary2_apply`; every table
 of `boolean_tables` and every two-block partition for the exhaustive
-check), in int64 numerators over 4^m; the cross weight is its `cross`
-column.  With N = 2^m, the butterfly gives c_S = N * fhat(S), |c_S| <= N,
-and an entry of a +-1 row is at most 2^s after s stages, so the one transform
-runs its first six stages in int8 and the rest in int32; c_S^2 and their
-sums are at most N^2 = 2^2m.  The check of each block distance needs
-no transform: the mass of c inside block B is 2^|B| times the sum of
-squares of the table's margin on B (the sums R of f over the variables
-outside B, |R| <= 2^(m-|B|)), which is at most N^2 <= 2^52 as well, so the
-whole kernel is int64 for every m <= M_MAX.
+check), in int64 numerators over 4^m.  With N = 2^m, the butterfly gives
+c_S = N * fhat(S), |c_S| <= N, and an entry of a +-1 row is at most 2^s
+after s stages, so the one transform runs its first six stages in int8 and
+the rest in int32; c_S^2 and their sums are at most N^2 = 2^2m.  The check
+of each block distance needs no transform: the mass of c inside block B is
+2^|B| times the sum of squares of the table's margin on B (the sums R of f
+over the variables outside B, |R| <= 2^(m-|B|)), which is at most
+N^2 <= 2^52 as well.  The cross weight, the mass on sets in no block, is
+derived from these checked terms, sum_j dist_j - (k-1) Var f over k blocks,
+and is at most k N^2 <= 2^57, so the whole kernel is int64 for every
+m <= M_MAX.
 
 The one table text is the Boolean truth table ('m=<int>', then a '+'/'-'
 row); a `RealFunction` is built from its numerators in code.
@@ -319,12 +321,9 @@ def boolean_tables(m: int) -> np.ndarray:
     return _frozen((1 - 2 * bits).astype(np.int8))
 
 
-def _sum_sq(c: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    """Sum of squares of each row, in int64, over the columns the boolean
-    `keep` marks (all by default), with no copy of the selected columns."""
-    if keep is None:
-        return np.einsum("ij,ij->i", c, c, dtype=np.int64)
-    return np.einsum("ij,ij,j->i", c, c, keep, dtype=np.int64)
+def _sum_sq(c: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row, in int64."""
+    return np.einsum("ij,ij->i", c, c, dtype=np.int64)
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -363,14 +362,14 @@ def stack_block_weights(
     is checked and transformed once for all the partitions, the only
     transform run.
 
-    With N = 2^m and c = N * coefficients, inside_j is the squared mass on
-    the 2^|B_j| subsets of block j, gathered by index, dist_j is
-    N^2 - inside_j, and the cross weight is summed over the sets in no block.
-    Checked on every row, as VerificationError: Parseval, the sum of c^2
-    against N^2 (a +-1 row's squares sum to N), Var f from the table against
-    the coefficients, the cross weight against the identity
-    N^2 - c_0^2 - sum_j (inside_j - c_0^2), and each distance against
-    `_pointwise_sq_dist`, which reads the tables and not c.
+    With N = 2^m and c = N * coefficients, dist_j is N^2 less the squared
+    mass on the 2^|B_j| subsets of block j, gathered by index.  The k
+    blocks' subset families meet only at the empty set, so by Parseval
+    the mass in no block, the cross weight, is sum_j dist_j - (k-1) Var f.
+    Each of its terms is checked on every row, as VerificationError:
+    Parseval, the sum of c^2 against N^2 (a +-1 row's squares sum to N),
+    Var f from the table against the coefficients, and each distance
+    against `_pointwise_sq_dist`, which reads the tables and not c.
     """
     n = tables.shape[-1]
     m = n.bit_length() - 1
@@ -383,30 +382,21 @@ def stack_block_weights(
     total = _sum_sq(c)
     if np.any(total != n * n):
         raise VerificationError("Parseval fails on the stack")
-    c0_sq = c[:, 0].astype(np.int64) ** 2
-    var = total - c0_sq
+    var = total - c[:, 0].astype(np.int64) ** 2
     if np.any(n * n - tables.sum(axis=1) ** 2 != var):
         raise VerificationError("table and coefficient variances differ on the stack")
     weights = []
     for partition in partitions:
         if partition.m != m:
             raise DimensionMismatchError(f"partition over {partition.m} variables, stack over {m}")
-        inside_some = np.zeros(n, dtype=bool)
-        block_var_total = np.zeros_like(var)
-        dists = np.empty((len(tables), len(partition.blocks)), dtype=np.int64)
-        for j in range(len(partition.blocks)):
+        k = len(partition.blocks)
+        dists = np.empty((len(tables), k), dtype=np.int64)
+        for j in range(k):
             mask = partition.mask(j)
-            subsets = _submasks(mask)
-            inside = _sum_sq(c[:, subsets])
-            dists[:, j] = total - inside
-            block_var_total += inside - c0_sq
-            inside_some[subsets] = True
+            dists[:, j] = total - _sum_sq(c[:, _submasks(mask)])
             if np.any(_pointwise_sq_dist(tables, mask) != dists[:, j]):
                 raise VerificationError(f"block {j}: coefficient route != pointwise on the stack")
-        cross = _sum_sq(c, ~inside_some)
-        if np.any(cross != n * n - c0_sq - block_var_total):
-            raise VerificationError("cross weight mismatch on the stack")
-        weights.append((cross, dists))
+        weights.append((dists.sum(axis=1) - (k - 1) * var, dists))
     return var, weights
 
 

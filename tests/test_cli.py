@@ -821,6 +821,22 @@ def test_a_variable_repeated_inside_one_block_is_refused(tribes2_files, capsys):
     assert (code, out, err) == (1, "", "error: variable 2 appears twice in one block\n")
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-2.", "-1E2", "-3_000", "-1e-1"])
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_a_negative_rational_in_any_form_is_one_word(command, value, claim6_files, capsys):
+    # argparse's own matcher reads only -p, -p/q and -.d as numbers; it takes
+    # the other forms for flags and stops with "expected one argument"
+    argv, flag = {
+        "check": (("check", "lemma7", *claim6_files), "--E"),
+        "sweep": (("sweep", "--target", "lemma7", "--n", "5"), "--value-lo"),
+    }[command]
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert joined[0] == 0
+    assert run(capsys, *argv, flag, value) == joined
+    refused = (1, "", f"error: argument {flag}: bad rational '-5x'\n")
+    assert run(capsys, *argv, flag, "-5x") == run(capsys, *argv, f"{flag}=-5x") == refused
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -453,8 +453,9 @@ class TestStackKernel:
 
     def test_pointwise_route_catches_a_swap_in_the_forward_transform(self, monkeypatch):
         # swapping c_S (S inside block 1) and c_T (T in no block) of different
-        # magnitude keeps Parseval, Var f and the cross identity: only the
-        # pointwise route, which reads the table and not c, can see it
+        # magnitude keeps Parseval, Var f and the cross identity the kernel
+        # derives its cross from: only the pointwise route, which reads the
+        # table and not c, can see it
         f, partition = tribes_example(2)
         n, masks = 1 << f.m, [partition.mask(j) for j in range(len(partition.blocks))]
         c = _butterfly(f.table.astype(np.int64))
@@ -508,34 +509,27 @@ class TestStackKernel:
         ):
             stack_block_weights(f.table[None], [partition])
 
-    def test_cross_identity_catches_a_changed_cross_sum(self, monkeypatch):
-        # the cross weight is the one sum of squares taken over a `keep` mask
-        real = cube_module._sum_sq
-        monkeypatch.setattr(
-            cube_module, "_sum_sq", lambda c, keep=None: real(c, keep) + (keep is not None)
-        )
-        f, partition = tribes_example(2)
-        with pytest.raises(VerificationError, match="^cross weight mismatch on the stack$"):
-            stack_block_weights(f.table[None], [partition])
-
     def test_odd_and_even_blocks_across_column_chunks(self):
         # 2^17 entries: the last butterfly stage takes two column chunks; the
-        # odd | even partition interleaves the blocks' bits, so each margin
-        # sums non-adjacent axes.  Oracle: RealFunction distances through wht and inverse_wht.
+        # partitions by index mod 2 and mod 3 interleave the blocks' bits, so
+        # each margin sums non-adjacent axes, and with three blocks the derived
+        # cross subtracts Var f twice.  Oracle: RealFunction distances through
+        # wht and inverse_wht.
         m = 17
         rng = np.random.default_rng(20240813)
         f = BooleanFunction(m, 1 - 2 * rng.integers(0, 2, 1 << m, dtype=np.int8))
-        partition = Partition.from_blocks(m, [range(1, m + 1, 2), range(2, m + 1, 2)])
-        var, [(cross, dists)] = stack_block_weights(f.table[None], [partition])
         unit, total = 4**m, int(f.table.sum())  # total / 2^m is the empty coefficient
-        block_vars = 0
-        for j, block in enumerate(partition.blocks):
-            r = restriction(f, block)
-            g = RealFunction(m, r.table + (total << r.k - m), r.k)
-            assert Fraction(int(dists[0, j]), unit) == sq_l2_dist(f, g)
-            block_vars += variance(r)
-        assert Fraction(int(var[0]), unit) == variance(f)
-        assert Fraction(int(cross[0]), unit) == variance(f) - block_vars
+        for k in (2, 3):
+            partition = Partition.from_blocks(m, [range(r, m + 1, k) for r in range(1, k + 1)])
+            var, [(cross, dists)] = stack_block_weights(f.table[None], [partition])
+            block_vars = 0
+            for j, block in enumerate(partition.blocks):
+                r = restriction(f, block)
+                g = RealFunction(m, r.table + (total << r.k - m), r.k)
+                assert Fraction(int(dists[0, j]), unit) == sq_l2_dist(f, g)
+                block_vars += variance(r)
+            assert Fraction(int(var[0]), unit) == variance(f)
+            assert Fraction(int(cross[0]), unit) == variance(f) - block_vars
 
     def test_int64_past_the_old_bound(self):
         # 22 variables: 3m + 2 > 62, where a sum of pointwise squares would

@@ -224,36 +224,29 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
     on Python ints, on fixed-width integers inside their dtype, and on int8
     rows of entries -1, 0 and 1 (the kernel's +-1 tables).
 
-    Works on one copy of `values` and returns it at least int32 wide.  The
-    stages commute, so they run in any order, in segments of `_passes`:
-    - int8: after s stages an entry is at most 2^s, so the first six stages
-      run in int8 (2^6 <= 127), and the copy widens once to int32 for the
-      rest;
-    - rows of 2^9 entries or more: a transpose moves the 4 lowest index bits
-      to the slow end, where their stages run on long contiguous runs (on
-      int8 the two top bits' stages run there too, for six int8 stages), and
-      a second transpose, which is also the widening copy, moves them back.
-      On shorter rows the moves cost more than the short runs they avoid;
-    - every other dtype runs each stage in np.promote_types(dtype, int32).
+    Works on one copy of `values`, returned in promote_types(dtype, int32).
+    The stages commute, so every row runs the same steps: move, a first
+    segment of `_passes`, move back and widen, the rest.  On rows of 2^9
+    entries or more the move is a transpose that takes the 4 lowest index
+    bits to the slow end, where their stages run on long contiguous runs;
+    shorter rows move no bits, as the moves would cost more than they save.
+    The first segment runs the moved row's top stages: the moved bits' on
+    wider dtypes (none on short rows), and on int8, where an entry is at
+    most 2^s after s stages (2^6 <= 127), six at most.  The first copy is
+    forced, as with no bits moved np.ascontiguousarray would return the
+    caller's array; widening copies only when the dtype or layout changes.
     """
     shape, n = values.shape, values.shape[-1]
     wide = np.promote_types(values.dtype, np.int32)
     narrow = values.dtype == np.int8
-    first = values.dtype if narrow else wide  # the dtype of the first segment
-    if n >= 1 << 9:
-        lead = n >> (6 if narrow else 4)  # the moved bits, and on int8 two more
-        a = values.reshape(*shape[:-1], n >> 4, 16).swapaxes(-1, -2)
-        a = np.ascontiguousarray(a, first).reshape(shape)
-        _passes(a, lead, n)
-        a = a.reshape(*shape[:-1], 16, n >> 4).swapaxes(-1, -2).astype(wide, order="C")
-        a = a.reshape(shape)
-        _passes(a, 16, lead << 4)
-        return a
-    top = min(n, 1 << 6) if narrow else n
-    a = values.astype(first)
-    _passes(a, 1, top)
-    a = a.astype(wide, copy=False)
-    _passes(a, top, n)
+    low = 16 if n >= 1 << 9 else 1  # 16: the 4 low bits move; 1: none do
+    lead = max(1, n >> 6) if narrow else n // low  # h of the first segment's lowest stage
+    a = values.reshape(*shape[:-1], n // low, low).swapaxes(-1, -2)
+    a = np.array(a, values.dtype if narrow else wide, order="C").reshape(shape)
+    _passes(a, lead, n)
+    a = a.reshape(*shape[:-1], low, n // low).swapaxes(-1, -2)
+    a = a.astype(wide, order="C", copy=False).reshape(shape)
+    _passes(a, low, lead * low)
     return a
 
 

@@ -174,9 +174,17 @@ def test_stack_kernel_is_naive_mass_over_4_to_the_m(case, more_bits):
     st.sampled_from([np.int32, np.int64, object]),
     st.integers(0, 2**32 - 1),
 )
+@example(8, 3, np.int32, 0)
+@example(9, 3, np.int32, 0)
+@example(8, 3, np.int64, 0)
+@example(9, 3, np.int64, 0)
+@example(8, 3, object, 0)
+@example(9, 3, object, 0)
+@example(9, 0, np.int64, 0)
 def test_butterfly_is_the_sign_matrix_product(m, rows, dtype, seed):
     # odd and even m, so the radix-4 passes end with and without a radix-2 stage;
-    # fixed-width entries are as wide as their dtype lets every stage be
+    # fixed-width entries are as wide as their dtype lets every stage be; the
+    # examples put each dtype on both sides of 2^9 entries, where the low bits move
     n = 1 << m
     rng = np.random.default_rng(seed)
     if dtype is object:
@@ -185,6 +193,7 @@ def test_butterfly_is_the_sign_matrix_product(m, rows, dtype, seed):
         peak = (2 ** (8 * np.dtype(dtype).itemsize - 1) - 1) >> m
         table = rng.integers(-peak, peak + 1, (rows, n), dtype=dtype)
     before = table.copy()
+    table.setflags(write=False)  # read-only, as the tables of the cube types are
     got = _butterfly(table)
     assert got.dtype == table.dtype and got.shape == (rows, n)
     assert np.array_equal(table, before)  # the input is only read

@@ -317,13 +317,21 @@ def theorem1_check(
 class CorollaryReport:
     """Outcome of the partition corollary on one (f, partition) instance."""
 
-    k: int  # 0-based block index minimizing the distance
-    dist: Fraction
     var_f: Fraction
     cross_weight: Fraction
     coeff_empty: Fraction
     block_dists: tuple[Fraction, ...]
     corollary_k: Fraction
+
+    @property
+    def dist(self) -> Fraction:
+        """The least block distance."""
+        return min(self.block_dists)
+
+    @property
+    def k(self) -> int:
+        """0-based index of the first block at the least distance."""
+        return self.block_dists.index(self.dist)
 
     @property
     def epsilon(self) -> Fraction:
@@ -351,15 +359,11 @@ def corollary2_apply(
     var_f = Fraction(int(var[0]), unit)
     if var_f == 0:
         raise StructureError("variance zero: constant function has no epsilon")
-    block_dists = tuple(Fraction(d, unit) for d in dists[0].tolist())
-    k = min(range(len(block_dists)), key=lambda j: (block_dists[j], j))
     return CorollaryReport(
-        k=k,
-        dist=block_dists[k],
         var_f=var_f,
         cross_weight=Fraction(int(cross[0]), unit),
         coeff_empty=Fraction(int(f.table.sum()), 1 << f.m),
-        block_dists=block_dists,
+        block_dists=tuple(Fraction(d, unit) for d in dists[0].tolist()),
         corollary_k=constants.corollary_k,
     )
 
@@ -367,8 +371,9 @@ def corollary2_apply(
 def tribes_example(m: int) -> tuple[BooleanFunction, Partition]:
     """OR of two ANDs on disjoint m-variable blocks (-1 plays "true").
 
-    Checked on construction: distance to the sum X+Y-1 is exactly 4*2^(-2m)
-    and Var f = 4p(1-p) with p = 1 - (1 - 2^-m)^2.
+    Checked on construction, with q = 2^-m: distance to the sum X+Y-1 is
+    exactly 4*2^(-2m), Var f = 4p(1-p) with p = 1 - (1 - q)^2, and the cross
+    weight is 4q^2(1-q)^2.
     """
     if not 1 <= m <= 13:
         raise StructureError("tribes blocks support 1 <= m <= 13 (2m <= 26)")
@@ -379,17 +384,25 @@ def tribes_example(m: int) -> tuple[BooleanFunction, Partition]:
     block_and[-1] = -1
     f = BooleanFunction(n, _frozen(np.minimum.outer(block_and, block_and).ravel()))
     partition = Partition.from_blocks(n, [range(1, m + 1), range(m + 1, n + 1)])
-    # Both checks sum int8 tables in int64 (`_sum_sq`), with no int64 table copy.
+    # The checks sum int8 tables in int64 (`_sum_sq`), with no int64 table copy.
     diff = np.add.outer(block_and, block_and)
     diff -= 1 + f.table.reshape(diff.shape)  # X + Y - 1 - f, entries 0 or -2
     dist_to_sum = Fraction(int(_sum_sq(diff.reshape(1, -1))[0]), diff.size)
     if dist_to_sum != Fraction(4, 4**m):
         raise VerificationError(f"tribes distance {dist_to_sum} != 4*2^(-2m)")
-    p = 1 - (1 - Fraction(1, 2**m)) ** 2
+    q = Fraction(1, 2**m)
+    p = 1 - (1 - q) ** 2
     size, total = f.table.size, int(f.table.sum())
     var_f = Fraction(size * int(_sum_sq(f.table[None])[0]) - total * total, size * size)
     if var_f != 4 * p * (1 - p):
         raise VerificationError("tribes variance != 4p(1-p)")
+    # cross = size^2 + total^2 - 2^m (sum R1^2 + sum R2^2) over size^2, R_j block j's margin
+    square = f.table.reshape(1 << m, 1 << m)
+    margins = np.stack([square.sum(axis=0, dtype=np.int64), square.sum(axis=1, dtype=np.int64)])
+    sq_margins = int(_sum_sq(margins).sum()) << m
+    cross = Fraction(size * size + total * total - sq_margins, size * size)
+    if cross != 4 * q * q * (1 - q) ** 2:
+        raise VerificationError(f"tribes cross weight {cross} != 4q^2(1-q)^2")
     return f, partition
 
 

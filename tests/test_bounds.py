@@ -11,6 +11,7 @@ import fknlab.bounds as bounds_module
 from fknlab.bounds import (
     BoundReport,
     Constants,
+    CorollaryReport,
     DEFAULT_CONSTANTS,
     claim6_example,
     claim8_check,
@@ -352,8 +353,17 @@ class TestCorollary2:
         f = BooleanFunction(2, [1, -1, -1, 1])
         outcome = corollary2_apply(f, Partition.from_blocks(2, [[1], [2]]))
         assert outcome.holds
-        assert not replace(outcome, dist=outcome.bound + F(1, 64)).holds
-        assert replace(outcome, dist=outcome.bound).holds
+        far = outcome.bound + F(1, 64)
+        assert not replace(outcome, block_dists=(far, far)).holds
+        assert replace(outcome, block_dists=(far, outcome.bound)).holds
+
+    def test_report_derives_its_nearest_block(self):
+        fields = dict(var_f=F(1), cross_weight=F(1, 2), coeff_empty=F(0), corollary_k=F(2))
+        report = CorollaryReport(block_dists=(F(1, 4), F(1, 4), F(3, 4)), **fields)
+        assert (report.k, report.dist) == (0, F(1, 4))  # the first of the tied blocks
+        assert report.holds  # 1/4 <= 2 * (1/2) / 1
+        with pytest.raises(TypeError, match="unexpected keyword argument 'k'"):
+            CorollaryReport(k=1, block_dists=(F(1, 4), F(3, 4)), **fields)
 
     def test_constant_function_rejected(self):
         f = BooleanFunction(2, [1, 1, 1, 1])
@@ -395,19 +405,30 @@ class TestTribesExample:
             tribes_example(14)
 
     @pytest.mark.parametrize(
-        "on_table, match",
+        "skewed, match",
         [
-            (False, r"^tribes distance 5/16 != 4\*2\^\(-2m\)$"),  # X + Y - 1 - f: 0 or -2
-            (True, r"^tribes variance != 4p\(1-p\)$"),  # the table: +1 or -1
+            # X + Y - 1 - f: 0 or -2, and the margins, but the distance is checked first
+            (
+                lambda rows: not np.all(np.abs(rows) == 1),
+                r"^tribes distance 5/16 != 4\*2\^\(-2m\)$",
+            ),
+            # the table: +1 or -1
+            (lambda rows: np.all(np.abs(rows) == 1), r"^tribes variance != 4p\(1-p\)$"),
+            # the margins alone: 2 and -4; each of the two sums of squares gains 1,
+            # so cross = 9/64 - 2 * 2^2 / 16^2
+            (
+                lambda rows: np.abs(rows).max() > 2,
+                r"^tribes cross weight 7/64 != 4q\^2\(1-q\)\^2$",
+            ),
         ],
-        ids=["distance", "variance"],
+        ids=["distance", "variance", "cross"],
     )
-    def test_construction_checks(self, monkeypatch, on_table, match):
+    def test_construction_checks(self, monkeypatch, skewed, match):
         real = bounds_module._sum_sq
 
         def bumped(rows):
             out = real(rows)
-            return out + 1 if bool(np.all(np.abs(rows) == 1)) == on_table else out
+            return out + 1 if skewed(rows) else out
 
         monkeypatch.setattr(bounds_module, "_sum_sq", bumped)
         with pytest.raises(VerificationError, match=match):

@@ -661,19 +661,23 @@ class TestTightnessScan:
             assert F(1, 8) <= row.dist * 2**m <= 32
 
     @pytest.mark.parametrize(
-        "field, match",
+        "skew, match",
         [
-            ("cross_weight", "^m=1: cross weight 250 != 1/4$"),
-            ("dist", "^m=1: distance 500 != 1/2$"),
+            (lambda r: {"cross_weight": 1000 * r.cross_weight}, "^m=1: cross weight 250 != 1/4$"),
+            # dist is the least block distance
+            (
+                lambda r: {"block_dists": tuple(1000 * d for d in r.block_dists)},
+                "^m=1: distance 500 != 1/2$",
+            ),
         ],
         ids=["cross_weight", "dist"],
     )
-    def test_a_value_outside_its_bracket_raises(self, monkeypatch, field, match):
+    def test_a_value_outside_its_bracket_raises(self, monkeypatch, skew, match):
         real = sweep_module.corollary2_apply
 
         def scaled(f, partition):
             outcome = real(f, partition)
-            return replace(outcome, **{field: 1000 * getattr(outcome, field)})
+            return replace(outcome, **skew(outcome))
 
         monkeypatch.setattr(sweep_module, "corollary2_apply", scaled)
         with pytest.raises(VerificationError, match=match):

@@ -68,25 +68,32 @@ from .rv import DEFAULT_ATOM_CAP, DiscreteRV, _exact_field, _q, center
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """The sweep settings: each field is the config key of its name, parsed by
+    its type (`_PARSERS`).  Every field off its default must be one the target
+    reads, k0..k2 included, and `constants` is built from k0..k2 once."""
+
     target: str
-    instance_count: int = 10_000
+    n: int = 10_000
     seed: int = 0
     support_min: int = 1
     support_max: int = 5
     value_lo: Fraction = Fraction(-3)
     value_hi: Fraction = Fraction(3)
     denom_cap: int = 12
-    constants: Constants = DEFAULT_CONSTANTS
+    k0: Fraction = DEFAULT_CONSTANTS.k0
+    k1: Fraction = DEFAULT_CONSTANTS.k1
+    k2: Fraction = DEFAULT_CONSTANTS.k2
     include_claim6: bool = False
     exhaustive_m: int = 3
     rv_count_max: int = 4
     atom_cap: int = DEFAULT_ATOM_CAP
 
     def __post_init__(self):
-        # the reads rule first, on every non-default setting (one Constants serves all)
         changed = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
-        check_reads(self.target, ["n" if name == "instance_count" else name for name in changed])
-        if self.instance_count < 1:
+        check_reads(self.target, changed)
+        constants = Constants(*(_exact_field(self, k) for k in ("k0", "k1", "k2")))
+        object.__setattr__(self, "constants", constants)  # an attribute: every instance reads it
+        if self.n < 1:
             raise StructureError("n must be >= 1")
         _check_seed(self.seed)
         if not 1 <= self.support_min <= self.support_max:
@@ -577,7 +584,7 @@ def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
     target = TARGETS[cfg.target]
     if target.instance is None:
         return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, on_row)
-    n = cfg.instance_count + int(cfg.include_claim6)  # the claim6 pair comes first
+    n = cfg.n + int(cfg.include_claim6)  # the claim6 pair comes first
     cases = (functools.partial(target.instance, _rng_for(cfg.seed, i), cfg, i) for i in range(n))
     scale = None if target.scale is None else target.scale(cfg.constants)
     return _accumulate(cfg.target, cases, scale, on_row)
@@ -788,23 +795,9 @@ def _config_bool(text: str) -> bool:
         raise ParseError(f"bad boolean {text!r}; use true/false/yes/no/1/0") from None
 
 
-_CONFIG_KEYS: dict[str, Callable[[str], object]] = {
-    "target": str,
-    "n": _config_int,
-    "seed": _config_int,
-    "support_min": _config_int,
-    "support_max": _config_int,
-    "value_lo": parse_fraction,
-    "value_hi": parse_fraction,
-    "denom_cap": _config_int,
-    "k0": parse_fraction,
-    "k1": parse_fraction,
-    "k2": parse_fraction,
-    "include_claim6": _config_bool,
-    "exhaustive_m": _config_int,
-    "rv_count_max": _config_int,
-    "atom_cap": _config_int,
-}
+# Each SweepConfig field is the config key of its name, parsed by its type.
+_PARSERS = {"str": str, "int": _config_int, "Fraction": parse_fraction, "bool": _config_bool}
+_CONFIG_KEYS = {f.name: _PARSERS[f.type] for f in fields(SweepConfig)}
 # Every setting check_reads knows: the config keys, and check's E, x1, x2.
 SETTINGS = (*(key for key in _CONFIG_KEYS if key != "target"), "E", "x1", "x2")
 
@@ -829,13 +822,11 @@ def read_settings(text: str) -> dict[str, object]:
 
 
 def config_from_settings(settings: dict[str, object]) -> SweepConfig:
-    """SweepConfig from settings (n sets instance_count), read_constants checking them first."""
+    """SweepConfig(**settings), check_reads refusing even a setting at its default."""
     if "target" not in settings:
         raise StructureError("no sweep target given: need target=<name> or --target")
-    constants = read_constants(settings["target"], settings)
-    rename = {"n": "instance_count"}
-    given = {rename.get(k, k): v for k, v in settings.items() if k not in ("k0", "k1", "k2")}
-    return SweepConfig(**given, constants=constants)  # type: ignore[arg-type]
+    check_reads(settings["target"], settings)
+    return SweepConfig(**settings)  # type: ignore[arg-type]
 
 
 def parse_sweep_config(text: str) -> SweepConfig:

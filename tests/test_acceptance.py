@@ -136,7 +136,7 @@ def test_criterion_3_optional_m4(capsys):
 )
 def test_criterion_4_sweeps(target, capsys):
     """10^4 exact random instances per inequality at the proved constants."""
-    cfg = SweepConfig(target=target, instance_count=10_000, seed=SEED, support_max=5)
+    cfg = SweepConfig(target=target, n=10_000, seed=SEED, support_max=5)
     result = run_sweep(cfg)
     assert result.instances_run == 10_000
     assert result.errors == ()
@@ -150,7 +150,7 @@ def test_criterion_5_empirical_constant_bracket(capsys):
     """Smallest working lemma7 constant over the sweep + claim6 is in [4/3, 4]."""
     value = empirical_constant(
         "lemma7",
-        SweepConfig(target="lemma7", instance_count=3000, seed=SEED, include_claim6=True),
+        SweepConfig(target="lemma7", n=3000, seed=SEED, include_claim6=True),
     )
     assert F(4, 3) <= value <= 4
     with capsys.disabled():

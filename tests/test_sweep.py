@@ -155,20 +155,20 @@ class TestRandomRV:
 
 class TestRunSweep:
     def test_lemma7_clean(self):
-        result = run_sweep(SweepConfig(target="lemma7", instance_count=400, seed=1))
+        result = run_sweep(SweepConfig(target="lemma7", n=400, seed=1))
         assert result.instances_run == 400
         assert result.violations == ()
         assert result.errors == ()
         assert result.min_ratio is not None and result.min_ratio >= 1
 
     def test_claim8_stratified_clean(self):
-        result = run_sweep(SweepConfig(target="claim8", instance_count=800, seed=2))
+        result = run_sweep(SweepConfig(target="claim8", n=800, seed=2))
         assert result.violations == ()
         assert result.empirical_constant is not None
         assert result.empirical_constant <= 4
 
     def test_claim8_strata_cover_cases_and_boundaries(self):
-        cfg = SweepConfig(target="claim8", instance_count=1, seed=2)
+        cfg = SweepConfig(target="claim8", n=1, seed=2)
         seen = {"p_half": 0, "p_quarter": 0, "x1_boundary": 0, 0: 0, 1: 0, 2: 0, 3: 0}
         for i in range(2000):
             case = i % 4
@@ -208,7 +208,7 @@ class TestRunSweep:
             return hi if hi == cap or rng.end == "hi" else lo
 
         monkeypatch.setattr(sweep_module, "_randint", edge_randint)
-        cfg = SweepConfig(target="claim8", instance_count=1, denom_cap=cap)
+        cfg = SweepConfig(target="claim8", n=1, denom_cap=cap)
         for end in ("lo", "hi"):
             for case, (low, high) in enumerate([(F(1, 2), 1), (F(1, 4), F(1, 2)), (0, F(1, 4))]):
                 _, _, ybar = _claim8_instance(EdgeRng(end), case, cfg)
@@ -217,9 +217,9 @@ class TestRunSweep:
     def test_violations_with_weak_constant(self):
         cfg = SweepConfig(
             target="lemma7",
-            instance_count=200,
+            n=200,
             seed=7,
-            constants=Constants(k0=1),
+            k0=1,
             include_claim6=True,
         )
         result = run_sweep(cfg)
@@ -231,9 +231,9 @@ class TestRunSweep:
     def test_claim6_instance_ratio(self):
         cfg = SweepConfig(
             target="lemma7",
-            instance_count=1,
+            n=1,
             seed=7,
-            constants=Constants(k0=F(4, 3)),
+            k0=F(4, 3),
             include_claim6=True,
         )
         result = run_sweep(cfg)
@@ -242,14 +242,14 @@ class TestRunSweep:
         assert result.empirical_constant >= F(4, 3)
 
     def test_determinism(self):
-        cfg = SweepConfig(target="claim9", instance_count=150, seed=42)
+        cfg = SweepConfig(target="claim9", n=150, seed=42)
         first = run_sweep(cfg)
         second = run_sweep(cfg)
         assert first == second
 
     def test_rows_collected(self):
         rows = []
-        run_sweep(SweepConfig(target="lemma4", instance_count=10, seed=3), rows.append)
+        run_sweep(SweepConfig(target="lemma4", n=10, seed=3), rows.append)
         assert len(rows) == 10
         assert rows[0][0] == "0"
         assert all(len(row) == 6 for row in rows)
@@ -260,9 +260,9 @@ class TestRunSweep:
             for k0 in (F(4), F(1)):
                 cfg = SweepConfig(
                     target="lemma7",
-                    instance_count=120,
+                    n=120,
                     seed=seed,
-                    constants=Constants(k0=k0),
+                    k0=k0,
                     include_claim6=True,
                 )
                 result = run_sweep(cfg)
@@ -277,7 +277,7 @@ class TestRunSweep:
             parse_sweep_config("target=corollary2\nexhaustive_m=9\nn=0\n")
 
     def test_package_errors_are_data(self):
-        cfg = SweepConfig(target="theorem1", instance_count=50, atom_cap=1)
+        cfg = SweepConfig(target="theorem1", n=50, atom_cap=1)
         result = run_sweep(cfg)
         assert result.instances_run == 50
         assert len(result.errors) == 49
@@ -290,7 +290,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_module, "lemma7_bound", broken)
         with pytest.raises(type(exc)):
-            run_sweep(SweepConfig(target="lemma7", instance_count=3))
+            run_sweep(SweepConfig(target="lemma7", n=3))
 
     def test_corollary2_verification_error_propagates(self, monkeypatch):
         # the recheck's kernel call goes through cube's binding
@@ -340,7 +340,7 @@ class TestFactSweeps:
 
         monkeypatch.setattr(cube_module.RealFunction, "__post_init__", counted)
         for target in ("fact1", "fact8"):
-            result = run_sweep(SweepConfig(target=target, instance_count=200))
+            result = run_sweep(SweepConfig(target=target, n=200))
             assert result.instances_run == 200 and result.violations == ()
         assert built == []
         random_real_function(2, 0)  # the counter sees a construction
@@ -377,7 +377,7 @@ class TestTargets:
         for name in ("fact1", "fact8", "claim8", "theorem1", "corollary2"):
             with pytest.raises(StructureError, match=f"^{name} does not read include_claim6$"):
                 SweepConfig(target=name, include_claim6=True)
-        cfg = SweepConfig(target="lemma4", instance_count=2, include_claim6=True)
+        cfg = SweepConfig(target="lemma4", n=2, include_claim6=True)
         assert run_sweep(cfg).instances_run == 3
 
     def test_corollary2_constant_is_max_dist_over_epsilon(self):
@@ -394,7 +394,9 @@ class TestTargets:
 
 class TestEmpiricalConstant:
     # Each inequality's own constant, written out here apart from the registry;
-    # C gives K0, K1, K2 distinct values so a scale reading the wrong one shows.
+    # C gives each read constant a value apart from every default (K0 4, K1
+    # 20480, K2 61440, which the unread ones keep), so a scale reading the
+    # wrong one shows.
     C = Constants(k0=F(3), k1=F(5), k2=F(7))
 
     @pytest.mark.parametrize(
@@ -412,9 +414,10 @@ class TestEmpiricalConstant:
         ids=str,
     )
     def test_constant_is_largest_scale_rhs_over_lhs(self, target, scale):
-        drawn = {} if target == "corollary2" else {"instance_count": 60, "seed": 11}
+        drawn = {} if target == "corollary2" else {"n": 60, "seed": 11}
+        read = {k: getattr(self.C, k) for k in ("k0", "k1", "k2") if k in TARGETS[target].reads}
         rows = []
-        result = run_sweep(SweepConfig(target=target, constants=self.C, **drawn), rows.append)
+        result = run_sweep(SweepConfig(target=target, **read, **drawn), rows.append)
         assert result.errors == ()  # an instance with lhs 0 < rhs would be one
         sides = [(F(row[1]), F(row[2])) for row in rows]
         needed = [scale * rhs / lhs for lhs, rhs in sides if rhs > 0]
@@ -423,21 +426,21 @@ class TestEmpiricalConstant:
     def test_lemma7_bracket_with_claim6(self):
         value = empirical_constant(
             "lemma7",
-            SweepConfig(target="lemma7", instance_count=300, seed=5, include_claim6=True),
+            SweepConfig(target="lemma7", n=300, seed=5, include_claim6=True),
         )
         assert F(4, 3) <= value <= 4
 
     def test_degenerate_sweep_returns_zero(self):
         value = empirical_constant(
             "lemma7",
-            SweepConfig(target="lemma7", instance_count=20, seed=5, support_min=1, support_max=1),
+            SweepConfig(target="lemma7", n=20, seed=5, support_min=1, support_max=1),
         )
         assert value == 0
 
     def test_lhs_zero_is_a_violation_not_an_error(self, monkeypatch, capsys):
         # lhs 0 < rhs on every instance: no finite constant fits, yet each one was evaluated
         monkeypatch.setattr(sweep_module, "lemma7_bound", lambda *args: BoundReport(F(0), F(1)))
-        cfg = SweepConfig(target="lemma7", instance_count=3)
+        cfg = SweepConfig(target="lemma7", n=3)
         result = run_sweep(cfg)
         assert len(result.violations) == 3 and result.errors == ()
         assert result.min_ratio == 0 and result.empirical_constant is None
@@ -449,23 +452,23 @@ class TestEmpiricalConstant:
 
     def test_claim8_at_most_four(self):
         value = empirical_constant(
-            "claim8", SweepConfig(target="claim8", instance_count=400, seed=6)
+            "claim8", SweepConfig(target="claim8", n=400, seed=6)
         )
         assert 0 < value <= 4
 
     def test_config_built_from_overrides_or_retargeted(self):
-        own = SweepConfig(target="lemma5", instance_count=60, seed=11)
+        own = SweepConfig(target="lemma5", n=60, seed=11)
         expected = empirical_constant("lemma5", own)
-        other = SweepConfig(target="lemma7", instance_count=60, seed=11)
+        other = SweepConfig(target="lemma7", n=60, seed=11)
         assert empirical_constant("lemma5", other) == expected
         assert empirical_constant("lemma7", other) != expected
 
     def test_not_ratio_form(self):
         with pytest.raises(StructureError):
-            empirical_constant("fact8", SweepConfig(target="fact8", instance_count=5))
+            empirical_constant("fact8", SweepConfig(target="fact8", n=5))
 
     def test_errored_instances_are_input_errors(self):
-        cfg = SweepConfig(target="lemma4", instance_count=3, atom_cap=1)
+        cfg = SweepConfig(target="lemma4", n=3, atom_cap=1)
         with pytest.raises(StructureError) as info:
             empirical_constant("lemma4", cfg)
         assert not isinstance(info.value, VerificationError)
@@ -746,7 +749,7 @@ class TestConfigParsing:
             """
         )
         assert cfg.target == "lemma7"
-        assert cfg.instance_count == 123
+        assert cfg.n == 123
         assert cfg.seed == 9
         assert cfg.support_max == 4
         assert cfg.value_lo == -2 and cfg.value_hi == F(5, 2)
@@ -770,7 +773,7 @@ class TestConfigParsing:
         with pytest.raises(StructureError):
             SweepConfig(target="nope")
         with pytest.raises(StructureError):
-            SweepConfig(target="lemma7", instance_count=0)
+            SweepConfig(target="lemma7", n=0)
         with pytest.raises(StructureError):
             SweepConfig(target="lemma7", value_lo=F(2), value_hi=F(2))
         # atom_cap < 1 used to send every instance into AtomLimitError
@@ -790,7 +793,7 @@ class TestConfigParsing:
         settings = read_settings("target=lemma4\nn=5\nk1=7\nseed=3\n")
         assert settings == {"target": "lemma4", "n": 5, "k1": F(7), "seed": 3}
         cfg = config_from_settings(settings)
-        assert (cfg.instance_count, cfg.seed, cfg.constants.k1) == (5, 3, 7)
+        assert (cfg.n, cfg.seed, cfg.constants.k1) == (5, 3, 7)
         assert cfg.constants.k0 == 4
         with pytest.raises(StructureError, match="target"):
             config_from_settings({"n": 5})

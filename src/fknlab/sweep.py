@@ -475,7 +475,8 @@ def check_reads(target: str, names: Iterable[str]) -> None:
 
 
 def read_constants(target: str, settings: dict[str, object]) -> Constants:
-    """Constants from the k0..k2 entries of `settings`, after check_reads."""
+    """Constants from the k0..k2 entries of `settings`, after check_reads: the
+    route of `check` and `analyze`, which take no SweepConfig."""
     check_reads(target, settings)
     constants = {k: settings[k] for k in ("k0", "k1", "k2") if k in settings}
     return replace(DEFAULT_CONSTANTS, **constants)
@@ -593,7 +594,9 @@ def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
 def empirical_constant(target: str, cfg: SweepConfig) -> Fraction:
     """Smallest constant that would make `target` hold on the instances cfg
     draws, retargeted to `target` (scale / min lhs/rhs; instances with rhs 0
-    skipped, 0 if all are)."""
+    skipped, 0 if all are).  The retargeted config obeys the reads rule: a
+    setting of cfg that `target` does not read, such as k1 for lemma7, is
+    refused, not dropped."""
     if cfg.target != target:
         cfg = replace(cfg, target=target)
     if TARGETS[target].scale is None:

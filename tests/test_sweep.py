@@ -2,7 +2,7 @@
 
 import hashlib
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -462,6 +462,9 @@ class TestEmpiricalConstant:
         other = SweepConfig(target="lemma7", n=60, seed=11)
         assert empirical_constant("lemma5", other) == expected
         assert empirical_constant("lemma7", other) != expected
+        # retargeting used to run lemma7 and drop the K1 it does not read
+        with pytest.raises(StructureError, match="^lemma7 does not read k1$"):
+            empirical_constant("lemma7", SweepConfig(target="lemma4", n=5, k1=7))
 
     def test_not_ratio_form(self):
         with pytest.raises(StructureError):
@@ -800,6 +803,47 @@ class TestConfigParsing:
         # n is the one spelling of the instance count
         with pytest.raises(StructureError, match="unknown key 'instance_count'"):
             read_settings("target=lemma4\ninstance_count=5\n")
+
+    # one value off the default for each config key but target, valid by itself
+    ONE_OFF = {
+        "n": ("5", 5),
+        "seed": ("1", 1),
+        "support_min": ("2", 2),
+        "support_max": ("4", 4),
+        "value_lo": ("-2", F(-2)),
+        "value_hi": ("5/2", F(5, 2)),
+        "denom_cap": ("6", 6),
+        "k0": ("4/3", F(4, 3)),
+        "k1": ("7", F(7)),
+        "k2": ("1/16", F(1, 16)),
+        "include_claim6": ("true", True),
+        "exhaustive_m": ("4", 4),
+        "rv_count_max": ("3", 3),
+        "atom_cap": ("100", 100),
+    }
+
+    def test_fields_are_the_config_keys(self):
+        names = [f.name for f in fields(SweepConfig)]
+        assert names == list(sweep_module._CONFIG_KEYS) == ["target", *self.ONE_OFF]
+
+    @pytest.mark.parametrize("key", ONE_OFF)
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_constructor_and_config_file_apply_one_reads_rule(self, target, key):
+        # the constructor used to check no constant: a Constants is not a setting
+        text, value = self.ONE_OFF[key]
+
+        def outcome(build):
+            try:
+                return build()
+            except StructureError as exc:
+                return str(exc)
+
+        built = outcome(lambda: SweepConfig(target=target, **{key: value}))
+        assert built == outcome(lambda: parse_sweep_config(f"target={target}\n{key}={text}\n"))
+        if key in TARGETS[target].reads:
+            assert getattr(built, key) == value
+        else:
+            assert built == f"{target} does not read {key}"
 
     def test_key_given_twice(self):
         # the second n used to replace the first, so the sweep ran 7 instances

@@ -362,7 +362,7 @@ def corollary2_apply(
     return CorollaryReport(
         var_f=var_f,
         cross_weight=Fraction(int(cross[0]), unit),
-        coeff_empty=Fraction(int(f.table.sum()), 1 << f.m),
+        coeff_empty=Fraction(int(f.table.sum(dtype=np.int32)), 1 << f.m),
         block_dists=tuple(Fraction(d, unit) for d in dists[0].tolist()),
         corollary_k=constants.corollary_k,
     )

@@ -23,12 +23,13 @@ Partition weights of Boolean functions come from one kernel,
 of `boolean_tables` and every two-block partition for the exhaustive
 check), in int64 numerators over 4^m.  With N = 2^m, the butterfly gives
 c_S = N * fhat(S), |c_S| <= N, and an entry of a +-1 row is at most 2^s
-after s stages, so the one transform runs its first six stages in int8 and
-the rest in int32; c_S^2 and their sums are at most N^2 = 2^2m.  The check
-of each block distance needs no transform: the mass of c inside block B is
-2^|B| times the sum of squares of the table's margin on B (the sums R of f
-over the variables outside B, |R| <= 2^(m-|B|)), which is at most
-N^2 <= 2^52 as well.  The cross weight, the mass on sets in no block, is
+after s stages, so the one transform runs its first six stages in int8,
+on rows of 2^9 entries or more up to eight more in int16 (2^14 <= 32767),
+and the rest in int32; c_S^2 and their sums are at most N^2 = 2^2m.  The
+check of each block distance needs no transform: the mass of c inside
+block B is 2^|B| times the sum of squares of the table's margin on B (the
+sums R of f over the variables outside B, |R| <= 2^(m-|B|)), which is at
+most N^2 <= 2^52 as well.  The cross weight, the mass on sets in no block, is
 derived from these checked terms, sum_j dist_j - (k-1) Var f over k blocks,
 and is at most k N^2 <= 2^57, so the whole kernel is int64 for every
 m <= M_MAX.
@@ -90,6 +91,14 @@ def _numerators(m: int, values, k: int, limit: int = _INT64_LIMIT) -> np.ndarray
     return _frozen(a.copy() if a is values and a.flags.writeable else a)
 
 
+def _all_signs(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is exactly +1 or -1 (an empty array passes),
+    on one temporary: |a|, overwritten by |a| == 1, then its minimum."""
+    t = np.abs(a)
+    np.equal(t, 1, out=t)
+    return bool(t.min(initial=1))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """`a`, made read-only: constructors copy writable arrays, so fresh ones are frozen first."""
     a.setflags(write=False)
@@ -106,7 +115,7 @@ class BooleanFunction:
     def __post_init__(self):
         table = np.asarray(self.table)
         _checked_length(self.m, table.size)
-        if not np.all(np.abs(table) == 1):  # on the entries as given
+        if not _all_signs(table):  # on the entries as given
             raise StructureError("Boolean table entries must be exactly +1 or -1")
         copy = table is self.table and table.flags.writeable  # the caller's array
         object.__setattr__(self, "table", _frozen(table.astype(np.int8, copy=copy)))
@@ -227,26 +236,38 @@ def _butterfly(values: np.ndarray) -> np.ndarray:
     Works on one copy of `values`, returned in promote_types(dtype, int32).
     The stages commute, so every row runs the same steps: move, a first
     segment of `_passes`, move back and widen, the rest.  On rows of 2^9
-    entries or more the move is a transpose that takes the 4 lowest index
-    bits to the slow end, where their stages run on long contiguous runs;
-    shorter rows move no bits, as the moves would cost more than they save.
-    The first segment runs the moved row's top stages: the moved bits' on
-    wider dtypes (none on short rows), and on int8, where an entry is at
-    most 2^s after s stages (2^6 <= 127), six at most.  The first copy is
-    forced, as with no bits moved np.ascontiguousarray would return the
-    caller's array; widening copies only when the dtype or layout changes.
+    entries or more the move takes the 6 lowest index bits to the slow end
+    of each block of 2^14 entries (the whole row, if shorter), so that
+    their stages run on contiguous runs of 2^8 entries or more, and each
+    move, a numpy copy in block order, stays in cache (a block is 16 KiB of
+    int8).  Shorter rows move no bits, as the moves would cost more than
+    they save.  The first segment runs each block's top stages: the moved
+    bits' on wider dtypes (none on short rows), and on int8, where an entry
+    is at most 2^s after s stages (2^6 <= 127), six at most, so again the
+    moved bits' on long rows.  A long int8 row moves back into int16 for
+    the rest of each block's stages, index bits 6..13 (2^14 <= 32767), and
+    widens to int32 for the stages past them; every other row widens once,
+    on the move back.  The first copy is forced, as with no bits moved
+    np.ascontiguousarray would return the caller's array; widening copies
+    only when the dtype or layout changes.
     """
     shape, n = values.shape, values.shape[-1]
     wide = np.promote_types(values.dtype, np.int32)
     narrow = values.dtype == np.int8
-    low = 16 if n >= 1 << 9 else 1  # 16: the 4 low bits move; 1: none do
-    lead = max(1, n >> 6) if narrow else n // low  # h of the first segment's lowest stage
-    a = values.reshape(*shape[:-1], n // low, low).swapaxes(-1, -2)
+    low = 64 if n >= 1 << 9 else 1  # 64: the 6 low bits move; 1: none do
+    block = min(n, 1 << 14)  # entries of one block of the move
+    lead = max(1, block >> 6) if narrow else block // low  # h of the first segment's lowest stage
+    a = values.reshape(*shape[:-1], n // block, block // low, low).swapaxes(-1, -2)
     a = np.array(a, values.dtype if narrow else wide, order="C").reshape(shape)
-    _passes(a, lead, n)
-    a = a.reshape(*shape[:-1], low, n // low).swapaxes(-1, -2)
+    _passes(a, lead, block)
+    a = a.reshape(*shape[:-1], n // block, low, block // low).swapaxes(-1, -2)
+    h = low
+    if narrow and low > 1:  # the rest of each block's stages, in int16
+        a = a.astype(np.int16, order="C").reshape(shape)
+        _passes(a, h, block)
+        h = block
     a = a.astype(wide, order="C", copy=False).reshape(shape)
-    _passes(a, low, lead * low)
+    _passes(a, h, n if low > 1 else lead)
     return a
 
 
@@ -369,14 +390,15 @@ def stack_block_weights(
     _checked_m(m)
     if tables.ndim != 2 or n != 1 << m:
         raise DimensionMismatchError(f"{m} variables, tables of shape {tables.shape}")
-    if not np.all(np.abs(tables) == 1):  # on the entries as given
+    if not _all_signs(tables):  # on the entries as given
         raise StructureError("Boolean table entries must be exactly +1 or -1")
     c = _butterfly(tables)
     total = _sum_sq(c)
     if np.any(total != n * n):
         raise VerificationError("Parseval fails on the stack")
     var = total - c[:, 0].astype(np.int64) ** 2
-    if np.any(n * n - tables.sum(axis=1) ** 2 != var):
+    sums = tables.sum(axis=1, dtype=np.int32)  # |sum| <= 2^26 fits int32
+    if np.any(n * n - np.square(sums, dtype=np.int64) != var):
         raise VerificationError("table and coefficient variances differ on the stack")
     weights = []
     for partition in partitions:

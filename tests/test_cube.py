@@ -688,6 +688,19 @@ class TestFormats:
             parse_partition("1|3", 2)
 
 
+@pytest.mark.parametrize("m", [2, 10])
+@pytest.mark.parametrize("bad", [-128, 0])
+def test_an_int8_table_holding_minus_128_or_0_is_refused(bad, m):
+    # |-128| is -128 in int8, so an absolute-value check must not wrap to pass
+    table = np.ones(1 << m, dtype=np.int8)
+    table[-1] = bad
+    message = r"^Boolean table entries must be exactly \+1 or -1$"
+    with pytest.raises(StructureError, match=message):
+        BooleanFunction(m, table)
+    with pytest.raises(StructureError, match=message):
+        stack_block_weights(table[None], [Partition.from_blocks(m, [range(1, m + 1)])])
+
+
 def test_boolean_entries_checked_before_narrowing():
     # each used to pass by its cast: 1.5 -> 1, 255 -> -1 in int8, 2^32 + 1 -> 1 in int32
     with pytest.raises(StructureError, match="exactly"):

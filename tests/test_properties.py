@@ -56,6 +56,7 @@ from fknlab.cube import (
     BooleanFunction,
     Partition,
     RealFunction,
+    _all_signs,
     _butterfly,
     inverse_wht,
     sq_l2_dist,
@@ -214,12 +215,16 @@ def test_butterfly_is_the_sign_matrix_product(m, rows, dtype, seed):
 @example(8, 3, 0)
 @example(9, 3, 0)
 @example(10, 1, 0)
+@example(14, 0, 0)
+@example(15, 0, 0)
 @example(16, 3, 0)
 def test_butterfly_is_exact_on_int8_sign_rows(m, rows, seed):
     # the all-ones row reaches 2^s after s stages in every order of stages, and
     # the alternating row (chi on x_1) ends at c_1 = 2^m: the int8 stages stop
     # where 2^7 would overflow (m = 6, 7), and rows of 2^9 or more entries
-    # move their 4 low bits (m = 8, 9, 10)
+    # move their 6 low bits (m = 8, 9, 10), then run the rest of each 2^14-entry
+    # block's stages, at most 8, in int16: there the all-ones row ends at 2^14
+    # (m = 14), and at m = 15 the int32 stage past the block takes it to 2^15
     n = 1 << m
     rng = np.random.default_rng(seed)
     table = np.concatenate(
@@ -238,6 +243,45 @@ def test_butterfly_is_exact_on_int8_sign_rows(m, rows, seed):
         subsets = np.unique([0, n - 1, *(1 << np.arange(m)), *rng.integers(0, n, 8)])
     assert np.array_equal(got[:, subsets], table.astype(np.int64) @ sign_matrix(m, subsets).T)
     assert _butterfly(table[:0]).dtype == np.int32
+
+
+_SIGN_CHECK_ENTRIES = {
+    # dtype: (the +-1 entries it can hold, entries that must fail the check)
+    np.int8: ([1, -1], [-128, 0, 2, -2, 127]),
+    np.int16: ([1, -1], [-32768, 0, 2, -2]),
+    np.int64: ([1, -1], [-(2**63), 0, 2, -2]),
+    np.bool_: ([True], [False]),
+    np.float64: ([1.0, -1.0], [float("nan"), 0.0, 0.5, -1.5, float("-inf")]),
+    object: ([1, -1, Fraction(-1), 1.0], [float("nan"), 0, 2, 10**30, Fraction(1, 2)]),
+}
+
+
+@st.composite
+def sign_check_arrays(draw) -> np.ndarray:
+    """1-D and 2-D arrays, empty ones included, of +-1 entries with a few
+    others drawn in, in each dtype of `_SIGN_CHECK_ENTRIES`."""
+    dtype = draw(st.sampled_from(list(_SIGN_CHECK_ENTRIES)))
+    good, bad = _SIGN_CHECK_ENTRIES[dtype]
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=2))
+    size = int(np.prod(shape))
+    entries = draw(st.lists(st.sampled_from(good), min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 2)) if size else 0):
+        entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from(bad))
+    a = np.empty(size, dtype=dtype)
+    a[:] = entries
+    return a.reshape(shape)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)  # 50 arrays a dtype, each cheap
+@given(sign_check_arrays())
+@example(np.array([1, -128], dtype=np.int8))
+@example(np.array([[1.0, -1.0], [float("nan"), 1.0]]))
+@example(np.array([1, float("nan"), -1], dtype=object))
+@example(np.zeros((0, 3), dtype=np.int8))
+def test_all_signs_is_the_elementwise_check(a):
+    before = a.tobytes()  # an object array's bytes are its entries' addresses
+    assert _all_signs(a) == bool(np.all(np.abs(a) == 1))
+    assert a.tobytes() == before
 
 
 @st.composite

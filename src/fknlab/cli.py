@@ -47,8 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 

@@ -615,10 +615,7 @@ def empirical_constant(target: str, cfg: SweepConfig) -> Fraction:
 
 def two_block_partitions(m: int) -> Iterator[Partition]:
     """All partitions of {1..m} into exactly two nonempty blocks."""
-    full = (1 << m) - 1
-    for mask in range(1, full):
-        if mask < (full ^ mask):
-            continue  # each {A, B} pair visited once, via its larger mask
+    for mask in range(1 << (m - 1), (1 << m) - 1):  # each {A, B} once: B holds variable m
         yield Partition.from_blocks(
             m,
             [

@@ -878,6 +878,14 @@ def test_readme_transcripts_replay(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_the_package_namespace_holds_only_its_modules():
+    # one import path per public name: the module that defines it (from fknlab.cube import wht)
+    import fknlab
+
+    public = {name for name in vars(fknlab) if not name.startswith("_")}
+    assert public <= {"bounds", "cli", "cube", "errors", "rv", "sweep"}
+
+
 @pytest.mark.parametrize("command", ["analyze", "probe"])
 @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
 def test_partition_flags_exactly_one(tribes2_files, capsys, command, both):
@@ -929,6 +937,26 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "decompose", "/nonexistent/path.rv")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "body, argv",
+        [
+            ("m=2\n+---\n", ("analyze", "{bad}", "--partition", "1|2")),
+            ("1 1/2\n-1 1/2\n", ("decompose", "{bad}")),
+            ("target=lemma4\n", ("sweep", "--config", "{bad}")),
+            ("1|2\n", ("analyze", "{table}", "--partition-file", "{bad}")),
+        ],
+        ids=["table", "rv", "config", "partition"],
+    )
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, body, argv, tmp_path, capsys):
+        # the 0xff byte sits in a comment, which no parser reads: decoding is what must fail
+        bad, table = tmp_path / "bad", tmp_path / "good.table"
+        bad.write_bytes(b"# \xff\n" + body.encode())
+        table.write_text("m=2\n+---\n")
+        code, out, err = run(capsys, *(word.format(bad=bad, table=table) for word in argv))
+        assert (code, out) == (1, "")
+        reason = "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
+        assert err == f"error: cannot read {bad}: {reason}\n"
 
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_closed_stdout_exits_1_quietly(self, unbuffered):

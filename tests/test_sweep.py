@@ -76,6 +76,8 @@ class TestEnumeration:
         assert len(list(two_block_partitions(2))) == 1
         assert len(list(two_block_partitions(3))) == 3
         assert len(list(two_block_partitions(4))) == 7
+        for m in range(2, 7):
+            assert all(m in partition.blocks[1] for partition in two_block_partitions(m))
 
 
 class TestRandomRV:

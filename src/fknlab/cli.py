@@ -30,10 +30,6 @@ from . import bounds, cube, rv, sweep
 from .errors import FknLabError, ParseError
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -42,14 +38,14 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):  # route argparse failures to exit code 1
-        raise _UsageError(message)
+        raise FknLabError(message)
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
+        raise FknLabError(f"cannot read {path}: {exc}") from None
 
 
 def _create(path, parents: bool = False):
@@ -58,7 +54,7 @@ def _create(path, parents: bool = False):
             Path(path).parent.mkdir(parents=True, exist_ok=True)
         return open(path, "w", newline="")
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}") from None
+        raise FknLabError(f"cannot write {path}: {exc}") from None
 
 
 def _read_partition(args, m: int) -> cube.Partition:
@@ -100,7 +96,7 @@ def _cmd_analyze(args) -> int:
     fmt = functools.partial(bounds.format_value, decimal=args.decimal)
     f = cube.parse_boolean_function(_read_text(args.table))
     partition = _read_partition(args, f.m)
-    given = {k: v for k, v in vars(args).items() if v is not None}  # corollary2 reads only --K2
+    given = {k: v for k, v in vars(args).items() if k in sweep.SETTINGS and v is not None}
     outcome = bounds.corollary2_apply(f, partition, sweep.read_constants("corollary2", given))
     print(f"m={f.m}")
     print(f"coeff_empty={fmt(outcome.coeff_empty)}")
@@ -136,7 +132,7 @@ def _cmd_check(args) -> int:
     constants = sweep.read_constants(name, given)
     if (len(files) != target.files) if target.files else len(files) < 2:
         wanted = f"exactly {target.files}" if target.files else "at least 2"
-        raise _UsageError(f"{name} takes {wanted} RV file(s), got {len(files)}")
+        raise FknLabError(f"{name} takes {wanted} RV file(s), got {len(files)}")
     report = target.check([rv.parse_rv(_read_text(path)) for path in files], given, constants)
     if "k" in report.witness:  # the index of an input: name its file too
         report = replace(report, witness={**report.witness, "k_file": files[report.witness["k"]]})
@@ -183,7 +179,7 @@ def _cmd_example(args) -> int:
     out_dir = Path(args.out_dir)
     if args.name == "tribes":
         if args.m is None or args.m < 1:
-            raise _UsageError("tribes needs --m >= 1")
+            raise FknLabError("tribes needs --m >= 1")
         f, partition = bounds.tribes_example(args.m)
         stem = f"tribes_m{args.m}"
         files = {
@@ -199,7 +195,7 @@ def _cmd_example(args) -> int:
         }
     else:  # claim6, the only other choice
         if args.m is not None:
-            raise _UsageError("claim6 takes no --m")
+            raise FknLabError("claim6 takes no --m")
         x, y = bounds.claim6_example()
         files = {
             out_dir / "claim6_x.rv": rv.format_rv(
@@ -308,7 +304,7 @@ def main(argv=None) -> int:
         # the rest of the output goes nowhere, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (_UsageError, FknLabError) as exc:
+    except FknLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -435,9 +435,10 @@ def balance_extend(f: BooleanFunction) -> BooleanFunction:
 
 
 def data_lines(text: str) -> list[tuple[int, str]]:
-    """Non-empty, non-comment lines with their 1-based numbers."""
+    """Non-empty, non-comment lines with their 1-based numbers.  Only a newline ends
+    a line, so a '#' comment runs to it (str.splitlines also ends one at a form feed)."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             out.append((lineno, stripped))

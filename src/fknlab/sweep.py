@@ -827,8 +827,3 @@ def config_from_settings(settings: dict[str, object]) -> SweepConfig:
         raise StructureError("no sweep target given: need target=<name> or --target")
     check_reads(settings["target"], settings)
     return SweepConfig(**settings)  # type: ignore[arg-type]
-
-
-def parse_sweep_config(text: str) -> SweepConfig:
-    """Build a SweepConfig from 'key=value' lines ('#' comments allowed)."""
-    return config_from_settings(read_settings(text))

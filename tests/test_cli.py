@@ -958,6 +958,47 @@ class TestUsage:
         reason = "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"
         assert err == f"error: cannot read {bad}: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "body, argv",
+        [
+            ("m=2\n+---\n", ("analyze", "{path}", "--partition", "1|2")),
+            ("1 1/2\n-1 1/2\n", ("decompose", "{path}")),
+            ("target=lemma4\nn=3\n", ("sweep", "--config", "{path}")),
+            ("1|2\n", ("analyze", "{table}", "--partition-file", "{path}")),
+        ],
+        ids=["table", "rv", "config", "partition"],
+    )
+    def test_a_byte_order_mark_is_dropped(self, body, argv, tmp_path, capsys):
+        # the mark used to stay as U+FEFF: "line 1: expected header 'm=<int>'" for a table
+        path, table = tmp_path / "input", tmp_path / "good.table"
+        table.write_text("m=2\n+---\n")
+        outcomes = []
+        for data in (body.encode(), b"\xef\xbb\xbf" + body.encode()):
+            path.write_bytes(data)
+            outcomes.append(run(capsys, *(word.format(path=path, table=table) for word in argv)))
+        assert outcomes[0][0] == 0
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize(
+        "body, argv, line",
+        [
+            ("target=lemma7\nn=3\n# n\u2028n=5\n", ("sweep", "--config", "{path}"), "instances=3"),
+            ("m=2\n# generated\x85by hand\n+--+\n", ("analyze", "{path}", "--partition", "1|2"), "holds=true"),
+            ("# note\fnot data\n0 1\n", ("decompose", "{path}"), "components=1"),
+            ("m=2\r\n+--+\r\n", ("analyze", "{path}", "--partition", "1|2"), "holds=true"),
+            ("m=2\r+--+\r", ("analyze", "{path}", "--partition", "1|2"), "holds=true"),
+        ],
+        ids=["config", "table", "rv", "crlf-table", "cr-table"],
+    )
+    def test_only_a_newline_ends_a_line(self, body, argv, line, tmp_path, capsys):
+        # str.splitlines also ends a line at \f, \x85 or U+2028, so the rest of a
+        # comment was read as data: n=5 twice over n=3, a second table line, a bad rational
+        path = tmp_path / "input"
+        path.write_bytes(body.encode())
+        code, out, err = run(capsys, *(word.format(path=path) for word in argv))
+        assert (code, err) == (0, "")
+        assert line in out.splitlines()
+
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_closed_stdout_exits_1_quietly(self, unbuffered):
         src = str(Path(__file__).resolve().parents[1] / "src")

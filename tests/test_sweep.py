@@ -32,7 +32,6 @@ from fknlab.sweep import (
     corollary2_exhaustive,
     empirical_constant,
     enumerate_boolean_functions,
-    parse_sweep_config,
     random_real_function,
     random_rv,
     read_settings,
@@ -276,7 +275,7 @@ class TestRunSweep:
         with pytest.raises(StructureError, match="^fact1 does not read support_max$"):
             SweepConfig(target="fact1", support_max=0)
         with pytest.raises(StructureError, match="^corollary2 does not read n$"):
-            parse_sweep_config("target=corollary2\nexhaustive_m=9\nn=0\n")
+            config_from_settings(read_settings("target=corollary2\nexhaustive_m=9\nn=0\n"))
 
     def test_package_errors_are_data(self):
         cfg = SweepConfig(target="theorem1", n=50, atom_cap=1)
@@ -740,7 +739,7 @@ class TestConjectureProbe:
 
 class TestConfigParsing:
     def test_round_trip_keys(self):
-        cfg = parse_sweep_config(
+        settings = read_settings(
             """
             # demo config
             target=lemma7
@@ -753,6 +752,7 @@ class TestConfigParsing:
             k0=4/3
             """
         )
+        cfg = config_from_settings(settings)
         assert cfg.target == "lemma7"
         assert cfg.n == 123
         assert cfg.seed == 9
@@ -764,15 +764,15 @@ class TestConfigParsing:
 
     def test_unknown_key(self):
         with pytest.raises(StructureError):
-            parse_sweep_config("target=lemma7\nbogus=1\n")
+            config_from_settings(read_settings("target=lemma7\nbogus=1\n"))
 
     def test_missing_target(self):
         with pytest.raises(StructureError):
-            parse_sweep_config("n=10\n")
+            config_from_settings(read_settings("n=10\n"))
 
     def test_nonpositive_constant(self):
         with pytest.raises(StructureError, match="constants must be positive"):
-            parse_sweep_config("target=lemma7\nk0=0\n")
+            config_from_settings(read_settings("target=lemma7\nk0=0\n"))
 
     def test_config_validation(self):
         with pytest.raises(StructureError):
@@ -785,14 +785,14 @@ class TestConfigParsing:
         with pytest.raises(StructureError, match="atom_cap"):
             SweepConfig(target="theorem1", atom_cap=0)
         with pytest.raises(StructureError, match="atom_cap"):
-            parse_sweep_config("target=lemma4\natom_cap=-4\n")
+            config_from_settings(read_settings("target=lemma4\natom_cap=-4\n"))
 
     @pytest.mark.parametrize("m", [-1, 1, 5])
     def test_exhaustive_m_range(self, m):
         with pytest.raises(StructureError, match="exhaustive_m"):
             SweepConfig(target="corollary2", exhaustive_m=m)
         with pytest.raises(StructureError, match="exhaustive_m"):
-            parse_sweep_config(f"target=corollary2\nexhaustive_m={m}\n")
+            config_from_settings(read_settings(f"target=corollary2\nexhaustive_m={m}\n"))
 
     def test_settings_then_config(self):
         settings = read_settings("target=lemma4\nn=5\nk1=7\nseed=3\n")
@@ -841,7 +841,8 @@ class TestConfigParsing:
                 return str(exc)
 
         built = outcome(lambda: SweepConfig(target=target, **{key: value}))
-        assert built == outcome(lambda: parse_sweep_config(f"target={target}\n{key}={text}\n"))
+        config = f"target={target}\n{key}={text}\n"
+        assert built == outcome(lambda: config_from_settings(read_settings(config)))
         if key in TARGETS[target].reads:
             assert getattr(built, key) == value
         else:
@@ -875,4 +876,4 @@ class TestConfigParsing:
     def test_rv_count_max_below_two(self):
         # used to reach theorem1's generator and end in a ValueError traceback
         with pytest.raises(StructureError, match="rv_count_max"):
-            parse_sweep_config("target=theorem1\nrv_count_max=1\n")
+            config_from_settings(read_settings("target=theorem1\nrv_count_max=1\n"))

@@ -22,9 +22,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .cube import BooleanFunction, Partition, _frozen, _sum_sq, stack_block_weights
+from .cube import BooleanFunction, Partition, _frozen, _sum_sq, np, stack_block_weights
 from .errors import BalanceError, StructureError, VerificationError
 from .rv import (
     DEFAULT_ATOM_CAP,

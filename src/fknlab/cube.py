@@ -36,16 +36,21 @@ m <= M_MAX.
 
 The one table text is the Boolean truth table ('m=<int>', then a '+'/'-'
 row); a `RealFunction` is built from its numerators in code.
+
+`np` is numpy bound lazily: the first attribute read on it imports numpy, so
+a process that touches no table (every random-variable command) never loads
+it.  It is the package's only numpy import, which `bounds` and `sweep` take
+from here, since a second import statement for numpy would load it at once.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     CapacityError,
@@ -54,6 +59,23 @@ from .errors import (
     StructureError,
     VerificationError,
 )
+
+
+def _lazy_numpy():
+    """`import numpy`, run on the first attribute read instead of here."""
+    if "numpy" in sys.modules:  # loaded already: binding a second copy would run numpy's init again
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 M_MAX = 26
 _INT64_LIMIT = 1 << 30  # a table is int64 while 2^m max |n_x| stays inside it

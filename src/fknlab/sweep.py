@@ -25,8 +25,6 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
 from . import cube
 from .bounds import (
     DEFAULT_CONSTANTS,
@@ -53,6 +51,7 @@ from .cube import (
     data_lines,
     format_partition,
     format_table_rows,
+    np,
     parse_fraction,
     stack_block_weights,
 )
@@ -807,11 +806,11 @@ def read_settings(text: str) -> dict[str, object]:
     settings: dict[str, object] = {}
     for lineno, stripped in data_lines(text):
         if "=" not in stripped:
-            raise StructureError(f"line {lineno}: expected key=value, got {stripped!r}")
+            raise ParseError(f"expected key=value, got {stripped!r}", lineno)
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
-            raise StructureError(f"line {lineno}: unknown key {key!r}")
+            raise ParseError(f"unknown key {key!r}", lineno)
         if key in settings:
             raise ParseError(f"{key} given twice", lineno)
         try:

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import json
 import os
 import re
 import shlex
@@ -1010,3 +1011,65 @@ class TestUsage:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class TestFreshInterpreter:
+    """Commands in a new interpreter, where numpy is not yet loaded (conftest loads it here)."""
+
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "from fknlab.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    codes = [main(argv) for argv in {argvs!r}]\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith(('fknlab.', 'numpy.')))\n"
+        "print(json.dumps([codes, loaded]))\n"
+        "print(out.getvalue(), end='')\n"
+    )
+
+    def _fresh(self, argvs, cwd):
+        """Exit codes, loaded fknlab./numpy. modules and stdout of main(argv) for each argv."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = self.SCRIPT.format(argvs=[list(argv) for argv in argvs])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.stderr == ""
+        head, out = proc.stdout.split("\n", 1)
+        codes, modules = json.loads(head)
+        return codes, modules, out
+
+    def test_random_variable_commands_load_no_numpy(self, tmp_path):
+        argvs = [
+            ("example", "claim6"),
+            ("check", "lemma7", "claim6_x.rv", "claim6_y.rv", "--E", "-1/4"),
+            ("decompose", "claim6_y.rv"),
+        ]
+        for target in ("lemma4", "lemma5", "lemma7", "claim8", "claim9", "theorem1", "fact1", "fact8"):
+            argvs.append(("sweep", "--target", target, "--n", "5"))
+            argvs.append(("sweep", "--target", target, "--n", "5", "--csv", f"{target}.csv"))
+        codes, modules, _ = self._fresh(argvs, tmp_path)
+        assert codes == [0] * len(argvs)
+        # every layer is imported, and numpy's binding in cube was never read
+        layers = ["bounds", "cli", "cube", "errors", "rv", "sweep"]
+        assert modules == [f"fknlab.{layer}" for layer in layers]
+
+    def test_table_commands_match_the_in_process_run(self, tmp_path, monkeypatch, capsys):
+        argvs = [
+            ("example", "tribes", "--m", "2"),
+            ("analyze", "tribes_m2.table", "--partition-file", "tribes_m2.partition"),
+            ("probe", "tribes_m2.table", "--partition-file", "tribes_m2.partition"),
+            ("sweep", "--target", "corollary2", "--exhaustive-m", "2"),
+        ]
+        (tmp_path / "fresh").mkdir()
+        codes, modules, out = self._fresh(argvs, tmp_path / "fresh")
+        assert any(name.startswith("numpy.") for name in modules)
+        monkeypatch.chdir(tmp_path)
+        runs = [run(capsys, *argv) for argv in argvs]
+        assert codes == [code for code, _, _ in runs] == [0] * len(argvs)
+        assert out == "".join(text for _, text, _ in runs)

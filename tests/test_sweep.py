@@ -763,8 +763,9 @@ class TestConfigParsing:
         assert cfg.constants.k1 == 20480
 
     def test_unknown_key(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(ParseError) as info:
             config_from_settings(read_settings("target=lemma7\nbogus=1\n"))
+        assert info.value.line == 2
 
     def test_missing_target(self):
         with pytest.raises(StructureError):
@@ -803,8 +804,9 @@ class TestConfigParsing:
         with pytest.raises(StructureError, match="target"):
             config_from_settings({"n": 5})
         # n is the one spelling of the instance count
-        with pytest.raises(StructureError, match="unknown key 'instance_count'"):
+        with pytest.raises(ParseError, match="^line 2: unknown key 'instance_count'$") as info:
             read_settings("target=lemma4\ninstance_count=5\n")
+        assert info.value.line == 2
 
     # one value off the default for each config key but target, valid by itself
     ONE_OFF = {
@@ -870,8 +872,9 @@ class TestConfigParsing:
         SweepConfig(target="corollary2")
 
     def test_a_settings_line_needs_an_equals_sign(self):
-        with pytest.raises(StructureError, match="^line 2: expected key=value, got 'n 5'$"):
+        with pytest.raises(ParseError, match="^line 2: expected key=value, got 'n 5'$") as info:
             read_settings("target=lemma4\nn 5\n")
+        assert info.value.line == 2
 
     def test_rv_count_max_below_two(self):
         # used to reach theorem1's generator and end in a ValueError traceback

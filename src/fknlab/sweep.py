@@ -69,7 +69,8 @@ from .rv import DEFAULT_ATOM_CAP, DiscreteRV, _exact_field, _q, center
 class SweepConfig:
     """The sweep settings: each field is the config key of its name, parsed by
     its type (`_PARSERS`).  Every field off its default must be one the target
-    reads, k0..k2 included, and `constants` is built from k0..k2 once."""
+    reads, k0..k2 included.  `constants` is built from k0..k2 once, and `grid`
+    (`_value_grid`) from value_lo, value_hi and denom_cap once."""
 
     target: str
     n: int = 10_000
@@ -102,7 +103,8 @@ class SweepConfig:
         need = max(2, self.support_max) if "support_max" in TARGETS[self.target].reads else 2
         if self.denom_cap < need:
             raise StructureError(f"denom_cap must be >= {need}")
-        _cap_grid(self.value_lo, self.value_hi, self.denom_cap)  # one error, not one per instance
+        grid = _value_grid(self.value_lo, self.value_hi, self.denom_cap)
+        object.__setattr__(self, "grid", grid)  # one grid, read by every draw
         if self.rv_count_max < 2:
             raise StructureError("rv_count_max must be >= 2 (theorem1 sums at least two)")
         if self.atom_cap < 1:
@@ -161,37 +163,30 @@ def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
     return (BooleanFunction(m, table) for table in boolean_tables(m))
 
 
-def _cap_grid(lo: Fraction, hi: Fraction, cap: int) -> tuple[int, int]:
-    """ceil(lo cap) and floor(hi cap), the numerators of the least and the
-    greatest multiple of 1/cap in [lo, hi]; a range with none is refused."""
-    cap_lo, cap_hi = -(-lo.numerator * cap // lo.denominator), hi.numerator * cap // hi.denominator
-    if cap_lo > cap_hi:
-        raise StructureError(f"no multiple of 1/{cap} in [{lo}, {hi}]")
-    return cap_lo, cap_hi
-
-
-def _ratio_drawer(
-    rng: random.Random, lo: Fraction, hi: Fraction, cap: int
-) -> Callable[[], tuple[int, int]]:
-    """Draws (numerator, denominator) of a random rational in [lo, hi], not
-    reduced: the denominator drawn in 1..cap, or cap when no multiple of its
-    inverse lies in [lo, hi], then the numerator, each with the words of
-    rng.randint.  The bounds are read once per drawer, not once per draw, and
-    a range with no multiple of 1/cap is refused then, before any draw."""
+def _value_grid(lo: Fraction, hi: Fraction, cap: int) -> tuple[int, ...]:
+    """The multiples of 1/D in [lo, hi], D in 1..cap, as (lo_n, lo_d, hi_n,
+    hi_d, cap, cap_lo, cap_hi): cap_lo = ceil(lo cap) and cap_hi = floor(hi
+    cap).  An empty 1..cap or a range with no multiple of 1/cap is refused."""
     if cap < 1:  # no word is below cap: the first draw would never end
         raise StructureError(f"empty range 1..{cap}")
     lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    cap_lo, cap_hi = _cap_grid(lo, hi, cap)
-    draw = rng.getrandbits
+    cap_lo, cap_hi = -(-lo_n * cap // lo_d), hi_n * cap // hi_d
+    if cap_lo > cap_hi:
+        raise StructureError(f"no multiple of 1/{cap} in [{lo}, {hi}]")
+    return lo_n, lo_d, hi_n, hi_d, cap, cap_lo, cap_hi
 
-    def ratio() -> tuple[int, int]:
-        den = _below(draw, cap) + 1
-        lo_num, hi_num = -(-lo_n * den // lo_d), hi_n * den // hi_d
-        if lo_num > hi_num:
-            den, lo_num, hi_num = cap, cap_lo, cap_hi
-        return lo_num + _below(draw, hi_num - lo_num + 1), den
 
-    return ratio
+def _draw_ratio(draw: Callable[[int], int], grid: tuple[int, ...]) -> tuple[int, int]:
+    """(numerator, denominator) of a random rational on `grid`, not reduced,
+    from `draw` (getrandbits) words as rng.randint takes them: the denominator
+    drawn in 1..cap, or cap when no multiple of its inverse lies in [lo, hi],
+    then the numerator."""
+    lo_n, lo_d, hi_n, hi_d, cap, cap_lo, cap_hi = grid
+    den = _below(draw, cap) + 1
+    lo_num, hi_num = -(-lo_n * den // lo_d), hi_n * den // hi_d
+    if lo_num > hi_num:
+        den, lo_num, hi_num = cap, cap_lo, cap_hi
+    return lo_num + _below(draw, hi_num - lo_num + 1), den
 
 
 def random_rv(
@@ -203,20 +198,17 @@ def random_rv(
     """Deterministic random variable: distinct bounded-denominator values and
     probabilities k/D with D <= denom_cap."""
     _check_seed(seed)
-    return _random_rv(_rng_for(seed, 0), support_size, value_range, denom_cap)
+    grid = _value_grid(_q(value_range[0]), _q(value_range[1]), denom_cap)
+    return _random_rv(_rng_for(seed, 0), support_size, grid)
 
 
-def _random_rv(
-    rng: random.Random,
-    support_size: int,
-    value_range: tuple[Fraction, Fraction],
-    denom_cap: int,
-) -> DiscreteRV:
+def _random_rv(rng: random.Random, support_size: int, grid: tuple[int, ...]) -> DiscreteRV:
     """The draws mirror `random.Random`, word for word: each value is a
-    `_ratio_drawer` draw, kept in lowest terms until support_size distinct
-    ones are drawn, then D = randint(support_size, max(denom_cap,
-    support_size)) and the masses are the gaps between the sorted cuts
-    `rng.sample(range(1, D), support_size - 1)` (`_sample_cuts`).
+    `_draw_ratio` draw on `grid` (`_value_grid`), kept in lowest terms until
+    support_size distinct ones are drawn, then D = randint(support_size,
+    max(cap, support_size)), cap the grid's, and the masses are the gaps
+    between the sorted cuts `rng.sample(range(1, D), support_size - 1)`
+    (`_sample_cuts`).
 
     The variable is built canonical: over scale = lcm of the value
     denominators, distinct reduced values already have gcd(scale, *values)
@@ -224,11 +216,11 @@ def _random_rv(
     """
     if support_size < 1:
         raise StructureError("support_size must be >= 1")
-    ratio = _ratio_drawer(rng, _q(value_range[0]), _q(value_range[1]), denom_cap)
+    draw = rng.getrandbits
     values: set[tuple[int, int]] = set()  # (numerator, denominator) in lowest terms
     attempts = 0
     while len(values) < support_size:
-        num, den = ratio()
+        num, den = _draw_ratio(draw, grid)
         g = math.gcd(num, den)
         values.add((num // g, den // g))
         attempts += 1
@@ -237,7 +229,7 @@ def _random_rv(
     if support_size == 1:
         ((num, den),) = values
         return DiscreteRV((num,), (1,), den)
-    d = _randint(rng, support_size, max(denom_cap, support_size))
+    d = _randint(rng, support_size, max(grid[4], support_size))
     cuts = _sample_cuts(rng, d, support_size - 1)
     masses = [b - a for a, b in zip([0] + cuts, cuts + [d])]
     h = math.gcd(*masses)
@@ -281,7 +273,7 @@ def _random_numerators(rng: random.Random, m: int) -> list[int]:
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
     size = _randint(rng, cfg.support_min, cfg.support_max)
-    return _random_rv(rng, size, (cfg.value_lo, cfg.value_hi), cfg.denom_cap)
+    return _random_rv(rng, size, cfg.grid)
 
 
 def _claim8_instance(
@@ -374,7 +366,7 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
             x, y = _random_raw(rng, cfg), _random_raw(rng, cfg)
             if "E" in reads:
                 x, y = center(x), center(y)
-                e = Fraction(*_ratio_drawer(rng, cfg.value_lo, cfg.value_hi, cfg.denom_cap)())
+                e = Fraction(*_draw_ratio(rng.getrandbits, cfg.grid))
         report = pair(x, y, e, cfg.constants, cfg.atom_cap)
         return _with_inputs(report, {"x": x, "y": y})
 

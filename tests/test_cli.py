@@ -89,6 +89,12 @@ SWEEP_DIGESTS = [
         ("claim9", "--n", "40", "--value-lo", "-1/3", "--value-hi", "5/2", "--denom-cap", "30", "--support-max", "9"),
         "d17333584c38fb98a107a0cc786ce508d041cf1e9b9f6a354dfa6be2f5d361ee",
     ),
+    # no integer in [1/3, 3/4]: a denominator with no multiple falls back to the cap,
+    # in the variables and in the E draw
+    (
+        ("lemma7", "--n", "40", "--value-lo", "1/3", "--value-hi", "3/4", "--denom-cap", "9", "--support-max", "3"),
+        "f62497459c5c4b6ee37a751467765f6b98b7e60c2cb06ee0e3f7cf1a8298d60b",
+    ),
 ]
 
 

@@ -406,10 +406,10 @@ def test_random_rv_draws_as_the_fraction_reference(supports, denom_cap, value_ra
             expected = random_rv_reference(theirs, support, value_range, denom_cap)
         except StructureError as exc:
             with pytest.raises(StructureError) as raised:
-                sweep._random_rv(ours, support, value_range, denom_cap)
+                sweep._random_rv(ours, support, sweep._value_grid(*value_range, denom_cap))
             assert str(raised.value) == str(exc)
             break
-        assert sweep._random_rv(ours, support, value_range, denom_cap) == expected
+        assert sweep._random_rv(ours, support, sweep._value_grid(*value_range, denom_cap)) == expected
         assert ours.getstate() == theirs.getstate()
 
 

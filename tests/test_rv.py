@@ -130,6 +130,19 @@ class TestType:
             build()
         assert str(raised.value) == message
 
+    def test_a_malformed_rational_string_is_a_structure_error(self):
+        # these raised ZeroDivisionError or ValueError, which are not package errors
+        cases = [
+            (lambda: DiscreteRV.from_atoms([("1/0", 1)]), "value must be an exact rational, got '1/0'"),
+            (lambda: Constants(k0="abc"), "k0 must be an exact rational, got 'abc'"),
+            (lambda: SweepConfig(target="lemma4", value_lo="zz"), "value_lo must be an exact rational, got 'zz'"),
+            (lambda: random_rv(2, 0, ("1/0", 3)), "value must be an exact rational, got '1/0'"),
+        ]
+        for build, message in cases:
+            with pytest.raises(StructureError) as raised:
+                build()
+            assert str(raised.value) == message
+
     def test_two_atom_fields_are_stored_as_fractions(self):
         tp, ca = TwoPointBalancedRV(2, "1/3"), ConstAbsRV("3/2", 1)
         assert (tp.d, tp.p, ca.magnitude, ca.p) == (F(2), F(1, 3), F(3, 2), F(1))

@@ -860,16 +860,25 @@ class TestConfigParsing:
             SweepConfig(target="lemma4", support_min=3, support_max=2)
 
     def test_a_value_range_with_no_multiple_of_the_cap_is_refused_once(self, monkeypatch):
-        # refused by the config, before any drawer is built
-        built = []
-        real = sweep_module._ratio_drawer
-        monkeypatch.setattr(sweep_module, "_ratio_drawer", lambda *a: built.append(a) or real(*a))
+        # refused by the config, before any value is drawn
+        drawn = []
+        real = sweep_module._draw_ratio
+        monkeypatch.setattr(sweep_module, "_draw_ratio", lambda *a: drawn.append(a) or real(*a))
         with pytest.raises(StructureError, match=r"^no multiple of 1/5 in \[1/3, 7/20\]$"):
             SweepConfig(target="lemma4", value_lo=F(1, 3), value_hi=F(7, 20), denom_cap=5)
-        assert built == []
+        assert drawn == []
         # the same range holds a multiple of 1/6, and the defaults always pass
         SweepConfig(target="lemma4", value_lo=F(1, 3), value_hi=F(7, 20), denom_cap=6)
         SweepConfig(target="corollary2")
+
+    def test_a_sweep_builds_its_value_grid_once(self, monkeypatch):
+        # 50 lemma7 instances draw 100 variables and 50 shifts E, all on the config's grid
+        built = []
+        real = sweep_module._value_grid
+        monkeypatch.setattr(sweep_module, "_value_grid", lambda *a: built.append(a) or real(*a))
+        result = run_sweep(SweepConfig(target="lemma7", n=50))
+        assert result.instances_run == 50
+        assert built == [(F(-3), F(3), 12)]
 
     def test_a_settings_line_needs_an_equals_sign(self):
         with pytest.raises(ParseError, match="^line 2: expected key=value, got 'n 5'$") as info:

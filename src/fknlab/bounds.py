@@ -16,11 +16,12 @@ the package and the CLI:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cube import BooleanFunction, Partition, _frozen, _sum_sq, np, stack_block_weights
 from .errors import BalanceError, StructureError, VerificationError
@@ -89,14 +90,32 @@ def format_value(value: object, decimal: bool = False) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+Witness = dict[str, object]
+
+
+@dataclass(frozen=True, init=False)
 class BoundReport:
     """Evaluated left/right sides of one inequality instance; the verdict
-    and the ratio follow from the sides."""
+    and the ratio follow from the sides.  The witness may be given as the
+    function that builds it, which runs on the first read of `witness`: a
+    sweep reads the witness of only the instances it prints.  Equality
+    compares the built witnesses."""
 
     lhs: Fraction
     rhs: Fraction
-    witness: dict[str, object] = field(default_factory=dict)
+    # built on first read from the function given in its place; a non-data
+    # descriptor, so a witness given as a dict shadows it
+    witness: Witness = functools.cached_property(lambda self: self.__dict__.pop("_build")())
+
+    def __init__(
+        self, lhs: Fraction, rhs: Fraction, witness: Witness | Callable[[], Witness] | None = None
+    ):
+        fields = self.__dict__  # frozen: each set once, here or on the witness's first read
+        fields["lhs"], fields["rhs"] = lhs, rhs
+        if callable(witness):
+            fields["_build"] = witness
+        else:
+            fields["witness"] = {} if witness is None else witness
 
     @property
     def holds(self) -> bool:
@@ -151,10 +170,13 @@ def lemma7_bound(
     vy = var_abs_shifted(ybar, e)
     lhs = var_abs_sum((xbar, ybar), e, atom_cap)
     max_side = max(vx, vy)
-    side = "x" if vx >= vy else "y"
-    witness: dict[str, object] = {"e": e, "max_side": side, "max_abs_var": max_side}
-    if lhs > 0:
-        witness["required_k0"] = max_side / lhs
+
+    def witness() -> Witness:
+        built: Witness = {"e": e, "max_side": "x" if vx >= vy else "y", "max_abs_var": max_side}
+        if lhs > 0:
+            built["required_k0"] = max_side / lhs
+        return built
+
     return BoundReport(lhs, max_side / constants.k0, witness)
 
 
@@ -235,13 +257,17 @@ def lemma4_bound(
     """Var|X+Y| >= V min(VarX, VarY) / (K1 (V + E^2)) for any independent X, Y."""
     variances, mean, unit = _moment_sums((x, y))
     total, least = sum(variances), min(variances)
-    v, e = Fraction(total, unit * unit), Fraction(mean, unit)
     lhs = var_abs_sum((x, y), 0, atom_cap)
     rhs = _scaled_side(total, least, mean, unit, constants.k1)
-    witness: dict[str, object] = {"v": v, "e": e, "m_xy": Fraction(least, unit * unit)}
-    if total or mean:
-        # branch parameter of the two-case analysis behind the bound, V / (2560 (V + E^2))
-        witness["a"] = Fraction(total, 2560 * (total + mean * mean))
+
+    def witness() -> Witness:
+        v, e = Fraction(total, unit * unit), Fraction(mean, unit)
+        built: Witness = {"v": v, "e": e, "m_xy": Fraction(least, unit * unit)}
+        if total or mean:
+            # branch parameter of the two-case analysis behind the bound, V / (2560 (V + E^2))
+            built["a"] = Fraction(total, 2560 * (total + mean * mean))
+        return built
+
     return BoundReport(lhs, rhs, witness)
 
 
@@ -299,15 +325,17 @@ def theorem1_check(
     variances, mean, unit = _moment_sums(xs)  # variances over unit^2, their sum's mean over unit
     total = sum(variances)
     k = max(range(len(xs)), key=lambda i: (variances[i], -i))
-    v, e = Fraction(total, unit * unit), Fraction(mean, unit)
-    rest_var = Fraction(total - variances[k], unit * unit)
     lhs = var_abs_sum(xs, 0, atom_cap)
     rhs = _scaled_side(total, total - variances[k], mean, unit, constants.k2)
-    witness: dict[str, object] = {"k": k, "v": v, "e": e, "rest_var": rest_var}
-    if total > 0 and all(3 * var <= 2 * total for var in variances):
-        split_a, split_b = partition_split(variances)
-        witness["split_a"] = split_a
-        witness["split_b"] = split_b
+
+    def witness() -> Witness:  # partition_split's preconditions are checked here: it cannot raise
+        v, e = Fraction(total, unit * unit), Fraction(mean, unit)
+        rest_var = Fraction(total - variances[k], unit * unit)
+        built: Witness = {"k": k, "v": v, "e": e, "rest_var": rest_var}
+        if total > 0 and all(3 * var <= 2 * total for var in variances):
+            built["split_a"], built["split_b"] = partition_split(variances)
+        return built
+
     return BoundReport(lhs, rhs, witness)
 
 

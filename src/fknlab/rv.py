@@ -40,15 +40,15 @@ DEFAULT_ATOM_CAP = 10**6
 
 
 def _q(x: Rational, name: str = "value") -> Fraction:
-    """x as a Fraction; a float (Fraction(0.3) is not 3/10) or a string that
-    is no rational ('1/0', 'abc') is a StructureError naming `name`.  A
-    Fraction passes through unchecked."""
+    """x as a Fraction; a float (Fraction(0.3) is not 3/10), a string that is
+    no rational ('1/0', 'abc') or a value of another type (None, [1]) is a
+    StructureError naming `name`.  A Fraction passes through unchecked."""
     if isinstance(x, Fraction):
         return x
     if not isinstance(x, float):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError):
             pass
     raise StructureError(f"{name} must be an exact rational, got {x!r}")
 

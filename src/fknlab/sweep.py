@@ -7,8 +7,10 @@ own RNG stream derived from (seed, i), which keeps results independent of
 evaluation order.  Seeds are 32-bit, so no two seeds share a stream.
 Every bounded integer is one `_below` draw straight from `getrandbits`, word
 for word as `random.Random.randint` draws it (and a variable's mass cuts as
-`random.Random.sample` draws them), and the reports are folded on integer
-cross products of their sides.
+`random.Random.sample` draws them).  Each instance yields integer sides
+(a, b) with lhs/rhs = a/b, folded by cross multiplication, and the function
+that builds its report: a report is built only for a line the sweep prints
+and for a CSV row.
 
 Every target lives in one `Target` entry of TARGETS: adding an inequality
 means adding one entry there, and both `fknlab sweep` and `fknlab check`
@@ -320,7 +322,8 @@ def _claim8_instance(
     return x1, x2, ybar
 
 
-Instance = Callable[[random.Random, SweepConfig, int], BoundReport]
+Sides = tuple[int, int, Callable[[], BoundReport]]
+Instance = Callable[[random.Random, SweepConfig, int], Sides]
 PairEvaluator = Callable[[DiscreteRV, DiscreteRV, Fraction, Constants, int], BoundReport]
 Check = Callable[[list[DiscreteRV], dict[str, object], Constants], BoundReport]
 Scale = Callable[[Constants], Fraction]
@@ -330,12 +333,14 @@ Scale = Callable[[Constants], Fraction]
 class Target:
     """One inequality the sweep and the CLI know about.
 
-    instance(rng, cfg, index) draws and evaluates one instance; it is None for
-    an exhaustive target.  scale(constants) is the constant the right side is
-    divided by (None if none), so the smallest one that would have sufficed is
-    scale * rhs / lhs.  check(xs, given, constants), None if absent, evaluates
-    it on `files` random variables xs (0: two or more) and the check settings
-    given (E, default 0, x1, x2).  reads: every setting (SETTINGS) it uses, no other.
+    instance(rng, cfg, index) draws and evaluates one instance as its Sides:
+    integers a, b with lhs/rhs = a/b and b of the sign of rhs, and the function
+    that builds its report; it is None for an exhaustive target.
+    scale(constants) is the constant the right side is divided by (None if
+    none), so the smallest one that would have sufficed is scale * rhs / lhs.
+    check(xs, given, constants), None if absent, evaluates it on `files`
+    random variables xs (0: two or more) and the check settings given (E,
+    default 0, x1, x2).  reads: every setting (SETTINGS) it uses, no other.
     """
 
     instance: Instance | None
@@ -347,6 +352,15 @@ class Target:
 
 def _with_inputs(report: BoundReport, inputs: dict[str, object]) -> BoundReport:
     return BoundReport(report.lhs, report.rhs, {**inputs, **report.witness})
+
+
+def _sides(report: BoundReport, inputs: dict[str, object]) -> Sides:
+    """An evaluator's report as Sides: a = lhs.numerator * rhs.denominator and
+    b = rhs.numerator * lhs.denominator (denominators are positive, so lhs/rhs
+    is a/b), the report to build `_with_inputs`."""
+    lhs, rhs = report.lhs, report.rhs
+    a, b = lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
+    return a, b, lambda: _with_inputs(report, inputs)
 
 
 # Randomized targets read n and seed; those that draw and convolve variables, their settings too.
@@ -367,8 +381,7 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
             if "E" in reads:
                 x, y = center(x), center(y)
                 e = Fraction(*_draw_ratio(rng.getrandbits, cfg.grid))
-        report = pair(x, y, e, cfg.constants, cfg.atom_cap)
-        return _with_inputs(report, {"x": x, "y": y})
+        return _sides(pair(x, y, e, cfg.constants, cfg.atom_cap), {"x": x, "y": y})
 
     def check(xs, given, constants):
         return pair(*xs, given.get("E", Fraction(0)), constants, DEFAULT_ATOM_CAP)
@@ -378,8 +391,7 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
 
 def _claim8_target(rng, cfg, index):
     x1, x2, ybar = _claim8_instance(rng, index % 4, cfg)
-    report = claim8_check(x1, x2, ybar)
-    return _with_inputs(report, {"case": index % 4})
+    return _sides(claim8_check(x1, x2, ybar), {"case": index % 4})
 
 
 def _claim8_check(xs, given, constants):
@@ -391,12 +403,13 @@ def _claim8_check(xs, given, constants):
 def _theorem1_target(rng, cfg, index):
     xs = [_random_raw(rng, cfg) for _ in range(_randint(rng, 2, cfg.rv_count_max))]
     report = theorem1_check(xs, cfg.constants, cfg.atom_cap)
-    return _with_inputs(report, {f"x{i}": x for i, x in enumerate(xs)})
+    return _sides(report, {f"x{i}": x for i, x in enumerate(xs)})
 
 
 # fact1 and fact8 draw the tables of `random_real_function` (numerators over
 # 2^4) as numerator lists and sum on them, with no RealFunction: with n = 2^m,
 # cube.sq_l2_dist is D(a, b) / (n 2^8) and cube.variance is V(a) / (n^2 2^8).
+# Their sides are those sums, over one power of two, so they fold on the sums.
 def _sq_dist(a: list[int], b: list[int]) -> int:
     """D(a, b) = sum_x (a_x - b_x)^2."""
     return sum([(x - y) * (x - y) for x, y in zip(a, b)])
@@ -409,19 +422,28 @@ def _spread(a: list[int]) -> int:
 
 
 def _fact1_target(rng, cfg, index):
+    """lhs = (D(f, g) + D(g, h)) / 2^(m+8) and rhs = D(f, h) / 2^(m+9)."""
     m = _randint(rng, 1, 3)
     f, g, h = (_random_numerators(rng, m) for _ in range(3))
-    lhs = Fraction(_sq_dist(f, g) + _sq_dist(g, h), 1 << m + 8)
-    return BoundReport(lhs, Fraction(_sq_dist(f, h), 1 << m + 9), {"m": m})
+    near, far = _sq_dist(f, g) + _sq_dist(g, h), _sq_dist(f, h)
+
+    def report() -> BoundReport:
+        return BoundReport(Fraction(near, 1 << m + 8), Fraction(far, 1 << m + 9), {"m": m})
+
+    return 2 * near, far, report
 
 
 def _fact8_target(rng, cfg, index):
+    """lhs = V(f) / (n^2 2^8) and rhs = (V(g) - 2n D(f, g)) / (n^2 2^9)."""
     m = _randint(rng, 1, 3)
     f, g = (_random_numerators(rng, m) for _ in range(2))
     n = 1 << m
-    lhs = Fraction(_spread(f), n * n << 8)
-    rhs = Fraction(_spread(g) - 2 * n * _sq_dist(f, g), n * n << 9)
-    return BoundReport(lhs, rhs, {"m": m})
+    spread, rest = _spread(f), _spread(g) - 2 * n * _sq_dist(f, g)
+
+    def report() -> BoundReport:
+        return BoundReport(Fraction(spread, n * n << 8), Fraction(rest, n * n << 9), {"m": m})
+
+    return 2 * spread, rest, report
 
 
 def _corollary2_report(
@@ -506,8 +528,9 @@ def _fold(
     ratio needs b > 0, and one running minimum a_min/b_min is kept by cross
     multiplication, its first instance the witness.  `report(i)`, asked while
     i is the latest side, and only for a violation or a new minimum, is
-    checked: a flagged report must fail, the witness's ratio must be the
-    minimum.  `_constant` takes the empirical constant from that minimum."""
+    checked: a flagged report must fail, its sides must cross-multiply to
+    (a, b), and the witness's ratio must be the minimum.  `_constant` takes
+    the empirical constant from that minimum."""
     violations: list[str] = []
     a_min, b_min = 1, 0  # 1/0: above every ratio, so the first b > 0 replaces it
     least: tuple[int, BoundReport] | None = None  # its line is written once, at the end
@@ -517,9 +540,13 @@ def _fold(
         lower = b > 0 and a * b_min < a_min * b  # strict: the first of equal ratios stays
         if a < b or lower:
             named = report(i)
+            if a < b and named.holds:
+                raise VerificationError(f"instance {i}: the fold flags a bound that holds")
+            if named.lhs * b != named.rhs * a:
+                raise VerificationError(
+                    f"instance {i}: sides {named.lhs}, {named.rhs} are not the folded {a} : {b}"
+                )
             if a < b:
-                if named.holds:
-                    raise VerificationError(f"instance {i}: the fold flags a bound that holds")
                 violations.append(_line(i, named, violation=True))
             if lower:
                 a_min, b_min, least = a, b, (i, named)
@@ -539,35 +566,42 @@ def _fold(
 
 def _accumulate(
     name: str,
-    cases: Iterable[Callable[[], BoundReport]],
+    cases: Iterable[Callable[[], Sides]],
     scale: Fraction | None,
     on_row: OnRow | None = None,
 ) -> SweepResult:
-    """Evaluate every case in order and `_fold` the reports, handing each
-    evaluated instance's CSV row to `on_row` as it comes.  A package error
+    """Evaluate every case in order and `_fold` its sides, handing each
+    evaluated instance's CSV row to `on_row` as it comes.  A case's report is
+    built only for that row or when the fold asks for it.  A package error
     (FknLabError) is recorded as that instance's error; a VerificationError
-    or any other exception is a bug and propagates.  A report folds as a =
-    lhs.numerator * rhs.denominator and b = rhs.numerator * lhs.denominator:
-    denominators are positive, so lhs/rhs is a/b."""
+    or any other exception is a bug and propagates."""
     errors: list[tuple[int, str]] = []
-    report: BoundReport | None = None  # the latest evaluated case's
+    build: Callable[[], BoundReport] | None = None  # the latest evaluated case's
+    report: BoundReport | None = None  # built from it, once
 
     def sides() -> Iterator[tuple[int, int, int]]:
-        nonlocal report
+        nonlocal build, report
         for i, case in enumerate(cases):
             try:
-                report = case()
+                a, b, build = case()
             except VerificationError:
                 raise
             except FknLabError as exc:
                 errors.append((i, f"{type(exc).__name__}: {exc}"))
                 continue
+            report = None
             if on_row is not None:
+                report = build()
                 on_row(report.csv_row(i))
-            lhs, rhs = report.lhs, report.rhs
-            yield i, lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
+            yield i, a, b
 
-    return _fold(name, sides(), lambda i: report, scale, errors)
+    def latest(i: int) -> BoundReport:
+        nonlocal report
+        if report is None:
+            report = build()
+        return report
+
+    return _fold(name, sides(), latest, scale, errors)
 
 
 def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
@@ -627,7 +661,9 @@ def corollary2_exhaustive(
     One `stack_block_weights` call weighs the stack of tables against every
     partition; instance i is table i // P and partition i % P (P partitions).
     With K2+2 = p/q its lhs/rhs is a/b, a = p cross 4^m and b = q Var f dist,
-    and `_fold` folds those sides; with `on_row`, each CSV row gets a report.
+    and `_fold` folds those sides.  With `on_row`, each CSV row is written from
+    the text of its (Var f, cross, dist, k, partition), built once per
+    distinct value, and its table.
     Every instance the fold asks about is then rechecked: one more kernel
     call, through `cube`'s binding, weighs their tables, and each report made
     from it must equal the fold's by value.  That confirms which table and
@@ -647,9 +683,17 @@ def corollary2_exhaustive(
         epsilon = Fraction(cross, var)
         return scale * epsilon, Fraction(dist, 1 << 2 * m), epsilon
 
-    def reports(rows, var, weights) -> tuple[Callable[[int], BoundReport], list[int], list[int]]:
+    @functools.cache  # few distinct values: a row's text but its id and table is built once
+    def row_text(var: int, cross: int, dist: int, k: int, p: int) -> tuple[str, ...]:
+        cells = _corollary2_report("", texts[p], k, *fractions(var, cross, dist)).csv_row("")
+        return (*cells[1:5], cells[5].removeprefix("table="))  # the witness after its table
+
+    def reports(
+        rows, var, weights, write: OnRow | None = None
+    ) -> tuple[Callable[[int], BoundReport], list[int], list[int]]:
         """report(i) on one kernel call's output for the tables of `rows`, and
-        the sides cross 4^m and Var f dist of each instance."""
+        the sides cross 4^m and Var f dist of each instance; each instance's
+        CSV row goes to `write`."""
         # one column per partition: the first nearest block, as corollary2_apply picks it
         k = np.stack([dists.argmin(axis=1) for _, dists in weights], axis=1)
         dist = np.stack([dists.min(axis=1) for _, dists in weights], axis=1)
@@ -660,13 +704,16 @@ def corollary2_exhaustive(
             sides = fractions(int(var[t]), int(cross[t, p]), int(dist[t, p]))
             return _corollary2_report(rows[t], texts[p], int(k[t, p]), *sides)
 
+        if write is not None:
+            numerators = zip(rows, var.tolist(), cross.tolist(), dist.tolist(), k.tolist())
+            for t, (row, v, *columns) in enumerate(numerators):
+                for p, key in enumerate(zip(*columns)):
+                    lhs, rhs, ratio, holds, rest = row_text(v, *key, p)
+                    write([str(t * count + p), lhs, rhs, ratio, holds, f"table={row}{rest}"])
         a, b = cross << 2 * m, var[:, None] * dist  # int64: each factor is at most 4^m
         return report, a.ravel().tolist(), b.ravel().tolist()
 
-    report, a, b = reports(rows, *stack_block_weights(tables, partitions))
-    if on_row is not None:
-        for i in range(len(a)):
-            on_row(report(i).csv_row(i))
+    report, a, b = reports(rows, *stack_block_weights(tables, partitions), on_row)
     num, den = scale.numerator, scale.denominator
     sides = zip(itertools.count(), [num * x for x in a], [den * y for y in b])
     named: dict[int, BoundReport] = {}  # each report the fold asks for

@@ -6,7 +6,10 @@ larger m), so it can referee the butterfly transform.  `values` and
 `dyadic_function` move between cube tables (integer numerators over 2^k)
 and the Fractions they stand for.  `accumulate_reference` is the sweep
 fold on Fractions, each report's verdict and ratio taken from BoundReport,
-the referee of `sweep._accumulate`'s integer fold.
+the referee of `sweep._accumulate`'s integer fold, and `sweep_reference`
+is a random sweep that builds every instance's report and folds them
+through it, the referee of `sweep.run_sweep`'s sides and reports built on
+demand.
 `corollary2_per_instance` is the exhaustive corollary check with one
 report per instance through it, the referee of the batch's integer fold.
 `profile_constants` is the corollary constant of each block profile by brute
@@ -236,6 +239,21 @@ def accumulate_reference(name, cases, scale, on_row=None) -> sweep.SweepResult:
         empirical_constant=sweep._constant(scale, min_ratio, len(errors) < count),
         errors=tuple(errors),
     )
+
+
+def sweep_reference(cfg: sweep.SweepConfig, on_row=None) -> sweep.SweepResult:
+    """`sweep.run_sweep` on a randomized target, with every instance's report
+    built and folded on Fractions by `accumulate_reference`; the instances'
+    integer sides are not read."""
+    target = sweep.TARGETS[cfg.target]
+    scale = None if target.scale is None else target.scale(cfg.constants)
+
+    def report(i: int) -> BoundReport:
+        _, _, build = target.instance(sweep._rng_for(cfg.seed, i), cfg, i)
+        return build()
+
+    cases = (functools.partial(report, i) for i in range(cfg.n + int(cfg.include_claim6)))
+    return accumulate_reference(cfg.target, cases, scale, on_row)
 
 
 def corollary2_per_instance(m: int, constants=DEFAULT_CONSTANTS, on_row=None) -> sweep.SweepResult:

@@ -705,6 +705,19 @@ class TestSweep:
         data = f"exit={code}\n".encode() + out.encode() + (tmp_path / "rows.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == expected
 
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in SWEEP_DIGESTS],
+        ids=["_".join(a.lstrip("-") for a in argv) for argv, _ in SWEEP_DIGESTS],
+    )
+    def test_csv_rows_change_only_the_csv_line(self, argv, tmp_path, monkeypatch, capsys):
+        # a sweep builds every report for its rows and only the printed ones without
+        monkeypatch.chdir(tmp_path)
+        seed = () if argv[0] == "corollary2" else ("--seed", "5")
+        plain = run(capsys, "sweep", "--target", *argv, *seed)
+        code, out, err = run(capsys, "sweep", "--target", *argv, *seed, "--csv", "rows.csv")
+        assert (code, out, err) == (plain[0], plain[1] + "csv=rows.csv\n", plain[2])
+
 
 # What each target reads among the 14 sweep settings, written out apart from
 # sweep.TARGETS: 58 (target, setting) pairs.

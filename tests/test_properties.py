@@ -26,8 +26,10 @@ Fraction reference, leave the generator in the same state, and fail the same
 way on a value grid too small for the support.  The fact1 and fact8 sides,
 summed on drawn numerators, must equal the cube measures of the same
 tables.  The sweep's integer fold must give the Fraction fold's result and
-CSV rows on random report sequences, and the exhaustive corollary check's
-batch fold must give the per-instance Fraction fold's result and CSV bytes.
+CSV rows on random report sequences, every random sweep must give the
+result and rows of the sweep that builds every report, and the exhaustive
+corollary check's batch fold must give the per-instance Fraction fold's
+result and CSV bytes.
 """
 
 import functools
@@ -94,6 +96,7 @@ from conftest import (
     rv_moments,
     sign_matrix,
     sq_mass,
+    sweep_reference,
     two_atom_reference,
     values,
     within,
@@ -601,11 +604,17 @@ def test_fact_sides_on_numerators_are_the_cube_measures(m, draws):
     n = 1 << m
     f, g, h = (RealFunction(m, draws[i * n : (i + 1) * n], 4) for i in range(3))
     words = [m - 1, *(v + 32 for v in draws)]
-    fact1 = sweep._fact1_target(ScriptedRng(words[: 1 + 3 * n]), None, 0)
+    a1, b1, build = sweep._fact1_target(ScriptedRng(words[: 1 + 3 * n]), None, 0)
+    fact1 = build()
     assert (fact1.lhs, fact1.rhs) == (sq_l2_dist(f, g) + sq_l2_dist(g, h), sq_l2_dist(f, h) / 2)
-    fact8 = sweep._fact8_target(ScriptedRng(words[: 1 + 2 * n]), None, 0)
+    a8, b8, build = sweep._fact8_target(ScriptedRng(words[: 1 + 2 * n]), None, 0)
+    fact8 = build()
     assert (fact8.lhs, fact8.rhs) == (variance(f), variance(g) / 2 - sq_l2_dist(f, g))
     assert fact1.witness == fact8.witness == {"m": m}
+    # the folded sums: lhs/rhs = a/b, b of the sign of rhs
+    for (a, b), report in (((a1, b1), fact1), ((a8, b8), fact8)):
+        assert report.lhs * b == report.rhs * a
+        assert (b > 0, b < 0) == (report.rhs > 0, report.rhs < 0)
 
 
 # A case of the sweep fold: sides (lhs, rhs) from a small grid, so that equal
@@ -642,12 +651,58 @@ def test_sweep_fold_is_the_fraction_fold(cases, scale):
             raise item(f"case {i}")
         return BoundReport(*item, {"case": i})
 
+    def sides(i, item):  # the integer fold takes each report as sides
+        return sweep._sides(case(i, item), {})
+
     outcomes = []
-    for fold in (sweep._accumulate, accumulate_reference):
+    for fold, evaluate in ((sweep._accumulate, sides), (accumulate_reference, case)):
         rows = []
-        calls = [functools.partial(case, i, item) for i, item in enumerate(cases)]
+        calls = [functools.partial(evaluate, i, item) for i, item in enumerate(cases)]
         outcomes.append((fold("t", calls, scale, rows.append), rows))
     assert outcomes[0] == outcomes[1]
+
+
+RANDOMIZED = [name for name, target in sweep.TARGETS.items() if target.instance]
+LOWERED = sweep.SweepConfig(target="lemma7", n=12, seed=3, k0=Fraction(1, 10**4))
+CAPPED = sweep.SweepConfig(target="theorem1", n=6, atom_cap=1)
+
+
+@st.composite
+def sweep_configs(draw) -> sweep.SweepConfig:
+    """A short sweep of any randomized target: a constant it reads at its
+    default or lowered to 1/10^4, which gives violations; atom_cap at its
+    default or at 1 or 6, where convolutions raise AtomLimitError."""
+    target = draw(st.sampled_from(RANDOMIZED))
+    reads = sweep.TARGETS[target].reads
+    settings = {"n": draw(st.integers(1, 12)), "seed": draw(st.integers(0, sweep.SEED_MAX))}
+    for name in sorted(reads & {"k0", "k1", "k2"}):
+        settings[name] = draw(st.sampled_from([None, Fraction(1, 10**4)]))
+    if "atom_cap" in reads:
+        settings["atom_cap"] = draw(st.sampled_from([None, 1, 6]))
+    if "support_max" in reads:
+        settings["support_max"] = draw(st.integers(1, 4))
+    if "include_claim6" in reads:
+        settings["include_claim6"] = draw(st.booleans())
+    given = {k: v for k, v in settings.items() if v is not None}
+    return sweep.SweepConfig(target=target, **given)
+
+
+@PROPERTY_SETTINGS
+@given(sweep_configs())
+@example(LOWERED)
+@example(CAPPED)
+def test_random_sweeps_are_the_eager_fraction_fold(cfg):
+    # violations, min_ratio, the witness line, errors, the constant and the rows
+    outcomes = []
+    for run in (sweep.run_sweep, sweep_reference):
+        rows = []
+        outcomes.append((run(cfg, rows.append), rows))
+    assert outcomes[0] == outcomes[1]
+    assert sweep.run_sweep(cfg) == outcomes[1][0]  # no rows: reports built for the fold alone
+
+
+def test_the_sweep_examples_violate_and_err():
+    assert sweep.run_sweep(LOWERED).violations and sweep.run_sweep(CAPPED).errors
 
 
 @pytest.mark.parametrize("m,k2", [(2, None), (3, None), (3, Fraction(1, 16))])

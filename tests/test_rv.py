@@ -143,6 +143,19 @@ class TestType:
                 build()
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Constants(k0=None), "k0 must be an exact rational, got None"),
+            (lambda: DiscreteRV.from_atoms([([1], 1)]), "value must be an exact rational, got [1]"),
+        ],
+    )
+    def test_a_value_of_another_type_is_a_structure_error(self, build, message):
+        # these raised TypeError, which is not a package error
+        with pytest.raises(StructureError) as raised:
+            build()
+        assert str(raised.value) == message
+
     def test_two_atom_fields_are_stored_as_fractions(self):
         tp, ca = TwoPointBalancedRV(2, "1/3"), ConstAbsRV("3/2", 1)
         assert (tp.d, tp.p, ca.magnitude, ca.p) == (F(2), F(1, 3), F(3, 2), F(1))

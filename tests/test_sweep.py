@@ -269,6 +269,73 @@ class TestRunSweep:
                 result = run_sweep(cfg)
                 assert (len(result.violations) == 0) == (result.min_ratio >= 1)
 
+    @pytest.mark.parametrize("target", ["lemma4", "corollary2"])
+    def test_a_report_off_its_folded_sides_raises(self, monkeypatch, target):
+        # a named report built with twice its lhs: its sides no longer
+        # cross-multiply to the integer sides the fold read
+        name = "_corollary2_report" if target == "corollary2" else "_with_inputs"
+        real = getattr(sweep_module, name)
+
+        def doubled(*args):
+            report = real(*args)
+            return replace(report, lhs=2 * report.lhs)
+
+        monkeypatch.setattr(sweep_module, name, doubled)
+        pattern = r"^instance 0: sides (\S+), (\S+) are not the folded (\d+) : (\d+)$"
+        with pytest.raises(VerificationError, match=pattern) as raised:
+            run_sweep(SweepConfig(target=target, **({} if target == "corollary2" else {"n": 5})))
+        lhs, rhs, a, b = map(F, re.match(pattern, str(raised.value)).groups())
+        assert lhs / rhs == 2 * a / b
+
+    # each evaluator with its lowered constant, so that some instances are violations
+    EVALUATED = [
+        ("lemma4", "lemma4_bound", {"k1": F(1, 10**4)}),
+        ("lemma5", "lemma5_bound", {"k0": F(1, 10)}),
+        ("lemma7", "lemma7_bound", {"k0": F(1, 10)}),
+        ("claim8", "claim8_check", {}),
+        ("claim9", "claim9_bound", {}),
+        ("theorem1", "theorem1_check", {"k2": F(1, 10**4)}),
+    ]
+
+    @pytest.mark.parametrize(
+        "target, evaluator, lowered",
+        EVALUATED,
+        ids=[t for t, *_ in EVALUATED],
+    )
+    def test_witnesses_are_built_only_for_the_named_instances(
+        self, monkeypatch, target, evaluator, lowered
+    ):
+        # the evaluator's witness builder runs, without CSV rows, for each
+        # violation and each new running minimum alone, as the Fraction fold
+        # over every row names them; with rows, once for every instance
+        real, built = getattr(sweep_module, evaluator), []
+
+        def counted(*args):
+            report, index = real(*args), len(calls)
+            calls.append(index)
+
+            def witness():
+                built.append(index)
+                return report.witness
+
+            return BoundReport(report.lhs, report.rhs, witness)
+
+        monkeypatch.setattr(sweep_module, evaluator, counted)
+        cfg = SweepConfig(target=target, n=80, seed=4, **lowered)
+        rows, calls = [], []
+        result = run_sweep(cfg, rows.append)
+        assert built == calls == list(range(80))
+        named, least = [], None
+        for i, lhs, rhs, *_ in rows:
+            lhs, rhs = F(lhs), F(rhs)
+            lower = rhs > 0 and (least is None or lhs / rhs < least)
+            if lhs < rhs or lower:
+                named.append(int(i))
+            least = lhs / rhs if lower else least
+        built.clear()
+        calls.clear()
+        assert run_sweep(cfg) == result and built == named and len(calls) == 80
+        assert 0 < len(named) < 80 and bool(result.violations) == bool(lowered)
 
     def test_unread_setting_checked_first(self):
         # the reads rule runs before SweepConfig's own range checks
@@ -553,10 +620,11 @@ class TestCorollary2Exhaustive:
     @pytest.mark.parametrize("factor", [1, 4])
     def test_reports_only_the_instances_it_names(self, monkeypatch, factor):
         # the fold asks for a report per violation and per new running
-        # minimum, the CSV writer one per row, and the recheck one more per
-        # instance the fold asked about, from exactly one kernel call on their
-        # tables; at K2 = 1/16, four times every distance turns most m=3
-        # instances into violations
+        # minimum, and the recheck one more per instance the fold asked about,
+        # from exactly one kernel call on their tables; the CSV writer builds
+        # one table-less report per distinct row text, fewer than its rows;
+        # at K2 = 1/16, four times every distance turns most m=3 instances
+        # into violations
         real, rechecks, reports, asked, expected = cube_module.stack_block_weights, [], [], [], []
 
         def scaled(tables, partitions):
@@ -594,7 +662,10 @@ class TestCorollary2Exhaustive:
         result = corollary2_exhaustive(3, Constants(k2=F(1, 16)), rows.append)
         assert bool(result.violations) == (factor > 1)
         assert asked == expected
-        assert len(reports) == len(rows) + 2 * len(asked) and len(rows) == 254 * 3
+        named = [args for args in reports if args[0]]  # the row texts' reports have no table
+        texts = {(*row[1:5], row[5].split(";", 1)[1]) for row in rows}  # each row but id, table
+        assert len(named) == 2 * len(asked) and len(rows) == 254 * 3
+        assert len(texts) <= len(reports) - len(named) < len(rows)
         assert rechecks == [len(asked)]
 
     def test_the_fold_flags_only_bounds_that_fail(self, monkeypatch):
@@ -613,15 +684,16 @@ class TestCorollary2Exhaustive:
             corollary2_exhaustive(4, Constants(k2=F(1, 16)))
 
     def test_the_witness_ratio_is_the_batch_min_ratio(self, monkeypatch):
-        # the witness's report, made with twice its lhs, has twice the batch's ratio
+        # the witness's report, with both sides negated, still cross-multiplies
+        # to the folded sides, but its rhs is negative: it has no ratio
         min_ratio = corollary2_exhaustive(2).min_ratio
         real = sweep_module._corollary2_report
 
-        def doubled(*args):
+        def negated(*args):
             report = real(*args)
-            return replace(report, lhs=2 * report.lhs)
+            return replace(report, lhs=-report.lhs, rhs=-report.rhs)
 
-        monkeypatch.setattr(sweep_module, "_corollary2_report", doubled)
+        monkeypatch.setattr(sweep_module, "_corollary2_report", negated)
         with pytest.raises(
             VerificationError, match=f"^batch min ratio {min_ratio} not confirmed$"
         ):

@@ -324,7 +324,7 @@ def theorem1_check(
         raise StructureError("need at least two variables")
     variances, mean, unit = _moment_sums(xs)  # variances over unit^2, their sum's mean over unit
     total = sum(variances)
-    k = max(range(len(xs)), key=lambda i: (variances[i], -i))
+    k = variances.index(max(variances))
     lhs = var_abs_sum(xs, 0, atom_cap)
     rhs = _scaled_side(total, total - variances[k], mean, unit, constants.k2)
 

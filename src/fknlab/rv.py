@@ -7,11 +7,11 @@ one `Fraction` per result; `atoms` gives the Fractions.  The bounds downstream
 have huge constants and tiny slacks, so nothing here rounds.
 
 `var_abs_sum`, the hot path behind every Var|X1+...+Xn+E| the bounds need,
-convolves the masses of all but the last variable over one common value
-scale in one merge loop (integer sums merge exactly when the rational ones
-do), then folds the last variable in without merging: power sums give the
-second moment, and prefix sums over the sorted partial support, bisected
-at each last value's negation, give the first absolute moment.
+shifts the first variable by E, merges each next one but the last over one
+common value scale (integer sums merge exactly when the rational ones do),
+then folds the last variable in without merging: power sums give the second
+moment, and prefix sums over the sorted partial support, bisected at each
+last value's negation, give the first absolute moment.
 
 Maps that keep the values distinct and in order build no merge: `shift` and
 `center` move the value numerators and divide out one gcd (the masses stay
@@ -70,6 +70,12 @@ class DiscreteRV:
     masses: tuple[int, ...] = ()
     scale: int = 1
     den: int = 1
+
+    def __init__(self, values, masses=(), scale=1, den=1):
+        fields = self.__dict__  # frozen: each set once, here, without object.__setattr__
+        fields["values"], fields["masses"] = values, masses
+        fields["scale"], fields["den"] = scale, den
+        self.__post_init__()
 
     def __post_init__(self):
         values, masses = self.values, self.masses
@@ -273,8 +279,8 @@ def var_abs_sum(
 
     With values s/L and masses w/D (D the product of the D_i) this is
     (D sum w s^2 - (sum w |s|)^2) / (D^2 L^2).  As in chained `convolve`
-    calls, each merge after the first raises AtomLimitError when it would
-    touch more than `atom_cap` atoms.  The last merge builds no atoms: its
+    calls, each variable after the first raises AtomLimitError when its merge
+    would touch more than `atom_cap` atoms.  The last merge builds no atoms: its
     two sums come from the sorted partial sum by prefix sums.  With no
     variables the sum is the constant E, of variance 0.
     """
@@ -282,13 +288,16 @@ def var_abs_sum(
         return Fraction(0)
     e = _q(e, "E")
     scale = math.lcm(e.denominator, *(x.scale for x in xs))
-    support = {e.numerator * (scale // e.denominator): 1}
-    mass_den = 1
+    shift = e.numerator * (scale // e.denominator)
+    support, mass_den = {shift: 1}, 1
     for i, x in enumerate(xs):
         if i:
             _check_atoms(len(support) * x.support_size, atom_cap)
-        atoms = [(v * (scale // x.scale), m) for v, m in zip(x.values, x.masses)]
-        mass_den *= x.den
+        f, mass_den = scale // x.scale, mass_den * x.den
+        if not i and len(xs) > 1:  # E plus distinct values: a shift, no merge
+            support = dict(zip([v * f + shift for v in x.values], x.masses))
+            continue
+        atoms = [(v * f, m) for v, m in zip(x.values, x.masses)]
         if i == len(xs) - 1:
             break
         merged: dict[int, int] = {}

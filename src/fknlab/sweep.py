@@ -4,9 +4,11 @@ All generated instances are exact rationals with bounded denominators, so a
 reported violation is a real violation and never a rounding artifact.  Every
 sweep is a deterministic function of its config: instance i draws from its
 own RNG stream derived from (seed, i), which keeps results independent of
-evaluation order.  Seeds are 32-bit, so no two seeds share a stream.
-Every bounded integer is one `_below` draw straight from `getrandbits`, word
-for word as `random.Random.randint` draws it (and a variable's mass cuts as
+evaluation order.  Seeds are 32-bit and index + 1 stays below 2^40, so no two
+seeds share a stream.  One generator per sweep is reseeded to each stream in
+turn: an instance ends its draws before it returns, and its report builder
+never draws.  A bounded integer is drawn from `getrandbits` word for word as
+`_below` and `random.Random.randint` draw it (a variable's mass cuts as
 `random.Random.sample` draws them).  Each instance yields integer sides
 (a, b) with lhs/rhs = a/b, folded by cross multiplication, and the function
 that builds its report: a report is built only for a line the sweep prints
@@ -97,6 +99,8 @@ class SweepConfig:
         object.__setattr__(self, "constants", constants)  # an attribute: every instance reads it
         if self.n < 1:
             raise StructureError("n must be >= 1")
+        if self.n + self.include_claim6 > INSTANCES_MAX:
+            raise StructureError(f"n plus the claim6 pair must be <= {INSTANCES_MAX} (2^40 - 1)")
         _check_seed(self.seed)
         if not 1 <= self.support_min <= self.support_max:
             raise StructureError("need 1 <= support_min <= support_max")
@@ -127,11 +131,12 @@ class SweepResult:
 
 
 SEED_MAX = 0xFFFFFFFF
+INSTANCES_MAX = (1 << 40) - 1  # index + 1 fills the 40 bits below the seed
 
 
 def _check_seed(seed: int) -> None:
-    """Seeds are 32-bit: _rng_for shifts the seed above 40 bits of instance
-    index, so two seeds in this range never share a stream."""
+    """Seeds are 32-bit: _rng_for puts the seed above 40 bits of index + 1 (at
+    most INSTANCES_MAX), so two seeds in this range never share a stream."""
     if not 0 <= seed <= SEED_MAX:
         raise StructureError(f"seed must lie in 0..{SEED_MAX}")
 
@@ -182,13 +187,19 @@ def _draw_ratio(draw: Callable[[int], int], grid: tuple[int, ...]) -> tuple[int,
     """(numerator, denominator) of a random rational on `grid`, not reduced,
     from `draw` (getrandbits) words as rng.randint takes them: the denominator
     drawn in 1..cap, or cap when no multiple of its inverse lies in [lo, hi],
-    then the numerator."""
+    then the numerator.  Both draws run `_below`'s loop inline."""
     lo_n, lo_d, hi_n, hi_d, cap, cap_lo, cap_hi = grid
-    den = _below(draw, cap) + 1
+    k = cap.bit_length()
+    while (den := draw(k) + 1) > cap:
+        pass
     lo_num, hi_num = -(-lo_n * den // lo_d), hi_n * den // hi_d
     if lo_num > hi_num:
         den, lo_num, hi_num = cap, cap_lo, cap_hi
-    return lo_num + _below(draw, hi_num - lo_num + 1), den
+    n = hi_num - lo_num + 1
+    k = n.bit_length()
+    while (r := draw(k)) >= n:
+        pass
+    return lo_num + r, den
 
 
 def random_rv(
@@ -267,10 +278,14 @@ def random_real_function(m: int, seed: int) -> RealFunction:
 
 
 def _random_numerators(rng: random.Random, m: int) -> list[int]:
-    """The 2^m numerators of a random table, each uniform on -32..32:
-    `_randint(rng, -32, 32)` for each entry."""
-    draw = rng.getrandbits
-    return [_below(draw, 65) - 32 for _ in range(1 << m)]
+    """The 2^m numerators of a random table, each uniform on -32..32 and
+    drawn as `_randint(rng, -32, 32)` draws it: 7 bits, redrawn while >= 65."""
+    draw, numerators = rng.getrandbits, []
+    for _ in range(1 << m):
+        while (r := draw(7)) >= 65:
+            pass
+        numerators.append(r - 32)
+    return numerators
 
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
@@ -611,7 +626,14 @@ def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
     if target.instance is None:
         return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, on_row)
     n = cfg.n + int(cfg.include_claim6)  # the claim6 pair comes first
-    cases = (functools.partial(target.instance, _rng_for(cfg.seed, i), cfg, i) for i in range(n))
+    rng, base = random.Random(), cfg.seed << 40
+    reseed = super(random.Random, rng).seed  # Random.seed but for gauss_next, which no draw sets
+
+    def case(i: int) -> Sides:  # instance i draws from the state of _rng_for(cfg.seed, i)
+        reseed(base ^ (i + 1))
+        return target.instance(rng, cfg, i)
+
+    cases = (functools.partial(case, i) for i in range(n))
     scale = None if target.scale is None else target.scale(cfg.constants)
     return _accumulate(cfg.target, cases, scale, on_row)
 

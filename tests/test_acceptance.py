@@ -14,6 +14,7 @@ from fknlab.cli import main
 from fknlab.cube import (
     BooleanFunction,
     RealFunction,
+    _butterfly,
     balance_extend,
     sq_l2_dist,
     variance,
@@ -227,22 +228,27 @@ def test_criterion_6_facts_suite(capsys):
 
 def test_criterion_7_balancing_transform(capsys):
     """balance_extend on every Boolean f, m <= 4: balanced, coefficient map,
-    and exact level-(<=1) weight transfer."""
+    and exact level-(<=1) weight transfer.  Per m, the tables and their
+    extensions are transformed as two stacks, row r of each the r-th f."""
     checked = 0
     for m in (1, 2, 3, 4):
-        for f in enumerate_boolean_functions(m):
-            g = balance_extend(f)
-            fe, ge = wht(f), wht(g)
-            fc = (fe.coeffs << (ge.k - fe.k)).tolist()  # numerators over g's 2^k
-            gc = ge.coeffs.tolist()
-            assert gc[0] == 0
-            for b in range(m):
-                assert gc[1 << b] == fc[1 << b]
-            assert gc[1 << m] == fc[0]
-            level1_g = sum(gc[1 << b] ** 2 for b in range(m + 1))
-            level01_f = fc[0] ** 2 + sum(fc[1 << b] ** 2 for b in range(m))
-            assert level1_g == level01_f
-            checked += 1
+        fs = list(enumerate_boolean_functions(m))
+        gs = [balance_extend(f) for f in fs]
+        # f's numerators are over 2^m and g's over 2^(m+1): doubled, f's are over g's
+        fc = _butterfly(np.stack([f.table for f in fs])).astype(np.int64) << 1
+        gc = _butterfly(np.stack([g.table for g in gs])).astype(np.int64)
+        for r in (0, -1):  # a stack row is the one-row transform
+            fe, ge = wht(fs[r]), wht(gs[r])
+            assert ge.k - fe.k == 1
+            assert np.array_equal(fc[r], fe.coeffs << 1) and np.array_equal(gc[r], ge.coeffs)
+        singles = [1 << b for b in range(m)]
+        assert not gc[:, 0].any()
+        assert np.array_equal(gc[:, singles], fc[:, singles])
+        assert np.array_equal(gc[:, 1 << m], fc[:, 0])
+        level1_g = (gc[:, singles + [1 << m]] ** 2).sum(axis=1)
+        level01_f = (fc[:, [0] + singles] ** 2).sum(axis=1)
+        assert np.array_equal(level1_g, level01_f)
+        checked += len(gs)
     assert checked == 4 + 16 + 256 + 65536
     with capsys.disabled():
         _report(7, f"balance_extend exact on all {checked} functions with m <= 4")

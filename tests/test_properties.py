@@ -33,6 +33,7 @@ result and CSV bytes.
 """
 
 import functools
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -699,6 +700,31 @@ def test_random_sweeps_are_the_eager_fraction_fold(cfg):
         outcomes.append((run(cfg, rows.append), rows))
     assert outcomes[0] == outcomes[1]
     assert sweep.run_sweep(cfg) == outcomes[1][0]  # no rows: reports built for the fold alone
+
+
+@pytest.mark.parametrize("name", RANDOMIZED)
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, sweep.SEED_MAX), n=st.integers(1, 6), claim6=st.booleans())
+@example(seed=0, n=5, claim6=False)
+@example(seed=sweep.SEED_MAX, n=5, claim6=True)
+def test_each_instance_starts_from_its_own_stream(name, seed, n, claim6):
+    # one generator per sweep, reseeded: instance i enters at the state of
+    # _rng_for(seed, i), and building its report, witness too, draws nothing
+    target, entered = sweep.TARGETS[name], []
+
+    def instance(rng, cfg, index):
+        entered.append(rng.getstate() == sweep._rng_for(seed, index).getstate())
+        a, b, build = target.instance(rng, cfg, index)
+        drawn = rng.getstate()
+        assert build().witness is not None and rng.getstate() == drawn
+        return a, b, build
+
+    claim6 = claim6 and "include_claim6" in target.reads
+    cfg = sweep.SweepConfig(target=name, n=n, seed=seed, include_claim6=claim6)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sweep.TARGETS, name, replace(target, instance=instance))
+        assert sweep.run_sweep(cfg).instances_run == n + claim6
+    assert entered == [True] * (n + claim6)
 
 
 def test_the_sweep_examples_violate_and_err():

@@ -1,5 +1,6 @@
 """Exact random-variable operations and their identities."""
 
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,31 @@ class TestType:
         ]:
             with pytest.raises(StructureError):
                 DiscreteRV(values, masses, scale, den)
+
+    def test_init_validates_once_per_construction(self, monkeypatch):
+        # DiscreteRV writes its fields itself, then runs the one validation;
+        # equality, hash, repr, replace and frozenness are the dataclass's
+        validate, calls = DiscreteRV.__post_init__, []
+
+        def counted(rv):
+            calls.append(rv)
+            validate(rv)
+
+        monkeypatch.setattr(DiscreteRV, "__post_init__", counted)
+        rv = DiscreteRV((0, 1), (1, 1), 2, 2)
+        same = DiscreteRV(values=(0, 1), masses=(1, 1), scale=2, den=2)
+        other = DiscreteRV((0, 1), (1, 1), 3, 2)
+        assert len(calls) == 3
+        assert rv == same and rv != other
+        assert hash(rv) == hash(same) == hash(((0, 1), (1, 1), 2, 2))
+        assert repr(rv) == "DiscreteRV(values=(0, 1), masses=(1, 1), scale=2, den=2)"
+        assert DiscreteRV((3,), (1,)) == DiscreteRV((3,), (1,), 1, 1) and len(calls) == 5
+        assert replace(rv, scale=3) == other and len(calls) == 6
+        with pytest.raises(StructureError, match="lowest terms"):
+            replace(rv, values=(0, 2))
+        assert len(calls) == 7
+        with pytest.raises(FrozenInstanceError):
+            rv.scale = 3
 
     def test_two_point_from_rv(self):
         rv = DiscreteRV.from_atoms([(-1, F(2, 3)), (2, F(1, 3))])

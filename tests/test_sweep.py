@@ -153,6 +153,14 @@ class TestRandomRV:
             SweepConfig(target="lemma4", seed=seed)
         assert random_rv(3, 2**32 - 1) != random_rv(3, 0)
 
+    def test_streams_stay_distinct_below_2_to_the_40_instances(self):
+        # index + 1 = 2^40 reaches the seed's bits: instance 2^40 of seed 5 is instance 0 of seed 4
+        assert _rng_for(5, 2**40).getstate() == _rng_for(4, 0).getstate()
+        assert SweepConfig(target="lemma4", n=2**40 - 2, include_claim6=True).n == 2**40 - 2
+        for settings in ({"n": 2**40}, {"n": 2**40 - 1, "include_claim6": True}):
+            with pytest.raises(StructureError, match=r"<= 1099511627775 \(2\^40 - 1\)$"):
+                SweepConfig(target="lemma4", **settings)
+
 
 class TestRunSweep:
     def test_lemma7_clean(self):

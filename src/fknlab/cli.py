@@ -54,11 +54,14 @@ def _read_text(path: str) -> str:
     return text
 
 
+@contextlib.contextmanager
 def _create(path, parents: bool = False):
+    """The file at `path` for writing: a failed open, write or close is one input error."""
     try:
         if parents:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", newline="")
+        with open(path, "w", newline="") as handle:
+            yield handle
     except OSError as exc:
         raise FknLabError(f"cannot write {path}: {exc}") from None
 

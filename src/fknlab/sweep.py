@@ -579,63 +579,46 @@ def _fold(
     )
 
 
-def _accumulate(
-    name: str,
-    cases: Iterable[Callable[[], Sides]],
-    scale: Fraction | None,
-    on_row: OnRow | None = None,
-) -> SweepResult:
-    """Evaluate every case in order and `_fold` its sides, handing each
-    evaluated instance's CSV row to `on_row` as it comes.  A case's report is
-    built only for that row or when the fold asks for it.  A package error
-    (FknLabError) is recorded as that instance's error; a VerificationError
+def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
+    """Evaluate cfg.target on every generated instance, exact throughout, and
+    `_fold` its sides; each evaluated instance's CSV row goes to `on_row` as it
+    comes, and its report is built only for that row or when the fold asks.  A
+    package error (FknLabError) is that instance's error; a VerificationError
     or any other exception is a bug and propagates."""
+    target = TARGETS[cfg.target]
+    if target.instance is None:
+        return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, on_row)
+    rng, base = random.Random(), cfg.seed << 40
+    reseed = super(random.Random, rng).seed  # Random.seed but for gauss_next, which no draw sets
     errors: list[tuple[int, str]] = []
-    build: Callable[[], BoundReport] | None = None  # the latest evaluated case's
-    report: BoundReport | None = None  # built from it, once
+    build: Callable[[], BoundReport] | None = None  # the latest evaluated instance's
+    built: BoundReport | None = None  # its report, built once
 
     def sides() -> Iterator[tuple[int, int, int]]:
-        nonlocal build, report
-        for i, case in enumerate(cases):
+        nonlocal build, built
+        for i in range(cfg.n + int(cfg.include_claim6)):  # the claim6 pair comes first
+            reseed(base ^ (i + 1))  # instance i draws from the state of _rng_for(cfg.seed, i)
             try:
-                a, b, build = case()
+                a, b, build = target.instance(rng, cfg, i)
             except VerificationError:
                 raise
             except FknLabError as exc:
                 errors.append((i, f"{type(exc).__name__}: {exc}"))
                 continue
-            report = None
+            built = None
             if on_row is not None:
-                report = build()
-                on_row(report.csv_row(i))
+                built = build()
+                on_row(built.csv_row(i))
             yield i, a, b
 
-    def latest(i: int) -> BoundReport:
-        nonlocal report
-        if report is None:
-            report = build()
-        return report
+    def report(i: int) -> BoundReport:
+        nonlocal built
+        if built is None:
+            built = build()
+        return built
 
-    return _fold(name, sides(), latest, scale, errors)
-
-
-def run_sweep(cfg: SweepConfig, on_row: OnRow | None = None) -> SweepResult:
-    """Evaluate cfg.target on every generated instance, exact throughout;
-    each instance's CSV row goes to `on_row` as it is evaluated."""
-    target = TARGETS[cfg.target]
-    if target.instance is None:
-        return corollary2_exhaustive(cfg.exhaustive_m, cfg.constants, on_row)
-    n = cfg.n + int(cfg.include_claim6)  # the claim6 pair comes first
-    rng, base = random.Random(), cfg.seed << 40
-    reseed = super(random.Random, rng).seed  # Random.seed but for gauss_next, which no draw sets
-
-    def case(i: int) -> Sides:  # instance i draws from the state of _rng_for(cfg.seed, i)
-        reseed(base ^ (i + 1))
-        return target.instance(rng, cfg, i)
-
-    cases = (functools.partial(case, i) for i in range(n))
     scale = None if target.scale is None else target.scale(cfg.constants)
-    return _accumulate(cfg.target, cases, scale, on_row)
+    return _fold(cfg.target, sides(), report, scale, errors)
 
 
 def empirical_constant(target: str, cfg: SweepConfig) -> Fraction:
@@ -710,40 +693,38 @@ def corollary2_exhaustive(
         cells = _corollary2_report("", texts[p], k, *fractions(var, cross, dist)).csv_row("")
         return (*cells[1:5], cells[5].removeprefix("table="))  # the witness after its table
 
-    def reports(
-        rows, var, weights, write: OnRow | None = None
-    ) -> tuple[Callable[[int], BoundReport], list[int], list[int]]:
-        """report(i) on one kernel call's output for the tables of `rows`, and
-        the sides cross 4^m and Var f dist of each instance; each instance's
-        CSV row goes to `write`."""
-        # one column per partition: the first nearest block, as corollary2_apply picks it
-        k = np.stack([dists.argmin(axis=1) for _, dists in weights], axis=1)
-        dist = np.stack([dists.min(axis=1) for _, dists in weights], axis=1)
+    def stacked(rows, var, weights) -> tuple:
+        """What report() reads of one kernel call's output for the tables of
+        `rows`: their rows, Var f, and per partition a column of cross, the
+        nearest distance and its block, the first nearest as corollary2_apply picks it."""
         cross = np.stack([c for c, _ in weights], axis=1)
+        dist = np.stack([dists.min(axis=1) for _, dists in weights], axis=1)
+        k = np.stack([dists.argmin(axis=1) for _, dists in weights], axis=1)
+        return rows, var, cross, dist, k
 
-        def report(i: int) -> BoundReport:
-            t, p = divmod(i, count)
-            sides = fractions(int(var[t]), int(cross[t, p]), int(dist[t, p]))
-            return _corollary2_report(rows[t], texts[p], int(k[t, p]), *sides)
+    def report(i: int, rows, var, cross, dist, k) -> BoundReport:
+        t, p = divmod(i, count)
+        sides = fractions(int(var[t]), int(cross[t, p]), int(dist[t, p]))
+        return _corollary2_report(rows[t], texts[p], int(k[t, p]), *sides)
 
-        if write is not None:
-            numerators = zip(rows, var.tolist(), cross.tolist(), dist.tolist(), k.tolist())
-            for t, (row, v, *columns) in enumerate(numerators):
-                for p, key in enumerate(zip(*columns)):
-                    lhs, rhs, ratio, holds, rest = row_text(v, *key, p)
-                    write([str(t * count + p), lhs, rhs, ratio, holds, f"table={row}{rest}"])
-        a, b = cross << 2 * m, var[:, None] * dist  # int64: each factor is at most 4^m
-        return report, a.ravel().tolist(), b.ravel().tolist()
-
-    report, a, b = reports(rows, *stack_block_weights(tables, partitions), on_row)
+    swept = stacked(rows, *stack_block_weights(tables, partitions))
+    _, var, cross, dist, k = swept
+    if on_row is not None:
+        numerators = zip(rows, var.tolist(), cross.tolist(), dist.tolist(), k.tolist())
+        for t, (row, v, *columns) in enumerate(numerators):
+            for p, key in enumerate(zip(*columns)):
+                lhs, rhs, ratio, holds, rest = row_text(v, *key, p)
+                on_row([str(t * count + p), lhs, rhs, ratio, holds, f"table={row}{rest}"])
+    a = (cross << 2 * m).ravel().tolist()  # int64: each factor is at most 4^m
+    b = (var[:, None] * dist).ravel().tolist()
     num, den = scale.numerator, scale.denominator
     sides = zip(itertools.count(), [num * x for x in a], [den * y for y in b])
     named: dict[int, BoundReport] = {}  # each report the fold asks for
-    result = _fold("corollary2", sides, lambda i: named.setdefault(i, report(i)), scale, [])
+    result = _fold("corollary2", sides, lambda i: named.setdefault(i, report(i, *swept)), scale, [])
     at = [i // count for i in named]  # row j rechecks the j-th named instance
-    again, _, _ = reports([rows[t] for t in at], *cube.stack_block_weights(tables[at], partitions))
+    again = stacked([rows[t] for t in at], *cube.stack_block_weights(tables[at], partitions))
     for j, (i, batch) in enumerate(named.items()):
-        if (recheck := again(j * count + i % count)) != batch:
+        if (recheck := report(j * count + i % count, *again)) != batch:
             # the lines show their sides for a violation, or when only the sides differ
             shown = not batch.holds or recheck.witness == batch.witness
             said, found = _line(i, batch, shown), _line(i, recheck, shown)

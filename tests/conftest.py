@@ -6,10 +6,10 @@ larger m), so it can referee the butterfly transform.  `values` and
 `dyadic_function` move between cube tables (integer numerators over 2^k)
 and the Fractions they stand for.  `accumulate_reference` is the sweep
 fold on Fractions, each report's verdict and ratio taken from BoundReport,
-the referee of `sweep._accumulate`'s integer fold, and `sweep_reference`
-is a random sweep that builds every instance's report and folds them
-through it, the referee of `sweep.run_sweep`'s sides and reports built on
-demand.
+the referee of the integer fold in `sweep.run_sweep`'s loop, and
+`sweep_reference` is a random sweep that builds every instance's report
+and folds them through it, the referee of `sweep.run_sweep`'s sides and
+reports built on demand.
 `corollary2_per_instance` is the exhaustive corollary check with one
 report per instance through it, the referee of the batch's integer fold.
 `profile_constants` is the corollary constant of each block profile by brute
@@ -209,8 +209,9 @@ def decimal_reference(value: Fraction) -> str:
 
 
 def accumulate_reference(name, cases, scale, on_row=None) -> sweep.SweepResult:
-    """`sweep._accumulate` on Fractions: a report is a violation when it does
-    not hold, and the first instance of least `report.ratio` is the witness."""
+    """`sweep.run_sweep`'s loop on Fractions, over `cases` in place of drawn
+    instances: a report is a violation when it does not hold, and the first
+    instance of least `report.ratio` is the witness."""
     violations, errors = [], []
     min_ratio, least = None, None
     count = 0

@@ -138,6 +138,14 @@ class TestExample:
         assert err.startswith(f"error: cannot write {out_dir / 'claim6_x.rv'}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "claim6_x.rv").symlink_to("/dev/full")  # every write fails: disk full
+        code, out, err = run(capsys, "example", "claim6", "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {tmp_path / 'claim6_x.rv'}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_claim6_rejects_m(self, tmp_path, capsys):
         code, out, err = run(capsys, "example", "claim6", "--m", "3", "--out-dir", str(tmp_path))
         assert (code, out, err) == (1, "", "error: claim6 takes no --m\n")
@@ -580,6 +588,15 @@ class TestSweep:
         assert (code, out) == (1, "")  # refused before the sweep ran
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_csv_write_is_one_error_line(self, capsys):
+        # the rows fill the buffer before the sweep ends, so a write fails, not the open
+        argv = ("sweep", "--target", "fact1", "--n", "2000", "--csv", "/dev/full")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write /dev/full: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_negative_rational_flag(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"

@@ -652,15 +652,24 @@ def test_sweep_fold_is_the_fraction_fold(cases, scale):
             raise item(f"case {i}")
         return BoundReport(*item, {"case": i})
 
-    def sides(i, item):  # the integer fold takes each report as sides
-        return sweep._sides(case(i, item), {})
-
-    outcomes = []
-    for fold, evaluate in ((sweep._accumulate, sides), (accumulate_reference, case)):
-        rows = []
-        calls = [functools.partial(evaluate, i, item) for i, item in enumerate(cases)]
-        outcomes.append((fold("t", calls, scale, rows.append), rows))
-    assert outcomes[0] == outcomes[1]
+    rows, expected_rows = [], []
+    calls = [functools.partial(case, i, item) for i, item in enumerate(cases)]
+    expected = accumulate_reference("t", calls, scale, expected_rows.append)
+    if not cases:  # SweepConfig refuses n=0: the fold of no sides
+        assert sweep._fold("t", [], None, scale, []) == expected
+        return
+    # a scripted target whose instance i is case i, taken by the integer fold as sides
+    target = sweep.Target(
+        lambda rng, cfg, i: sweep._sides(case(i, cases[i]), {}),
+        None if scale is None else lambda constants: scale,
+        reads=frozenset({"n"}),
+    )
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis refuses function-scoped fixtures
+        patch.setitem(sweep.TARGETS, "t", target)
+        cfg = sweep.SweepConfig(target="t", n=len(cases))
+        result = sweep.run_sweep(cfg, rows.append)
+        unwritten = sweep.run_sweep(cfg)  # no rows: a report is built only when the fold asks
+    assert (result, rows) == (expected, expected_rows) and unwritten == expected
 
 
 RANDOMIZED = [name for name, target in sweep.TARGETS.items() if target.instance]

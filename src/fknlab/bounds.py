@@ -35,6 +35,7 @@ from .rv import (
     _mass_moment,
     _moment_sums,
     _q,
+    _ratio_text,
     abs_rv,
     const_abs_approx,
     convolve,
@@ -92,6 +93,17 @@ def format_value(value: object, decimal: bool = False) -> str:
 
 Witness = dict[str, object]
 
+# values whose exact type prints as format_value prints it: as str() does
+_PLAIN = frozenset({Fraction, int, str})
+
+
+def _csv_cell(text: str) -> str:
+    """One CSV cell as csv.writer's default QUOTE_MINIMAL writes it: quoted,
+    each '"' doubled, when the text holds a ',', '"', '\\r' or '\\n'."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
 
 @dataclass(frozen=True, init=False)
 class BoundReport:
@@ -136,18 +148,20 @@ class BoundReport:
         ]
 
     def witness_text(self) -> str:
-        return ";".join(f"{k}={format_value(v)}" for k, v in self.witness.items())
+        return ";".join(
+            f"{k}={v}" if type(v) in _PLAIN else f"{k}={format_value(v)}"
+            for k, v in self.witness.items()
+        )
 
-    def csv_row(self, instance_id: int | str) -> list[str]:
-        ratio = self.ratio
-        return [
-            str(instance_id),
-            str(self.lhs),
-            str(self.rhs),
-            str(ratio) if ratio is not None else "",
-            format_value(self.holds),
-            self.witness_text(),
-        ]
+    def csv_row(self, instance_id: int) -> str:
+        """The instance's CSV line as csv.writer writes it, CRLF-ended:
+        id, lhs, rhs, ratio, holds and the witness.  ratio and holds come
+        from a = lhs.num rhs.den and b = rhs.num lhs.den, with lhs/rhs = a/b."""
+        lhs, rhs = self.lhs, self.rhs
+        a, b = lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
+        ratio = _ratio_text(a, b) if b > 0 else ""
+        holds = "true" if a >= b else "false"
+        return f"{instance_id},{lhs},{rhs},{ratio},{holds},{_csv_cell(self.witness_text())}\r\n"
 
 
 def _require_balanced(x: DiscreteRV, y: DiscreteRV) -> None:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = everything checked holds, 1 = usage or input error (such as
 a setting the inequality does not read, or a --K0/--K1/--K2 that is not
-positive) or standard output closed before the report was written, 2 = an
+positive) or standard output closed or failed before the report was written
+(a failure other than a closed pipe prints one error line), 2 = an
 inequality violation was found, 3 = a sweep found no violation but some of
 its instances could not be evaluated (its errors= line counts them).  All
 numbers print as exact rationals unless --decimal asks for 15 significant
@@ -157,10 +158,9 @@ def _cmd_sweep(args) -> int:
     cfg = sweep.config_from_settings({**settings, **flags})
     # a bad path fails before the sweep; each row is written as it comes
     with _create(args.csv) if args.csv else contextlib.nullcontext() as handle:
-        on_row = csv.writer(handle).writerow if handle else None
-        if on_row:
-            on_row(["instance_id", "lhs", "rhs", "ratio", "holds", "witness"])
-        result = sweep.run_sweep(cfg, on_row)
+        if handle:
+            csv.writer(handle).writerow(["instance_id", "lhs", "rhs", "ratio", "holds", "witness"])
+        result = sweep.run_sweep(cfg, handle.write if handle else None)
     print(f"target={result.target}")
     print(f"instances={result.instances_run}")
     print(f"violations={len(result.violations)}")
@@ -309,9 +309,11 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader that went away shows here, not at exit
         return code
-    except BrokenPipeError:
+    except OSError as exc:  # _read_text and _create guard every file: this is standard output
         # the rest of the output goes nowhere, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that went away needs no word
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return 1
     except FknLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -437,6 +437,7 @@ def _ratio_text(n: int, d: int) -> str:
 
 
 def format_rv_inline(rv: DiscreteRV) -> str:
-    values = [_ratio_text(v, rv.scale) for v in rv.values]
-    masses = [_ratio_text(m, rv.den) for m in rv.masses]
-    return "(" + ",".join(f"{v}:{p}" for v, p in zip(values, masses)) + ")"
+    """(v1:p1,v2:p2,...): each atom's value and probability as str(Fraction) prints them."""
+    scale, den = rv.scale, rv.den
+    atoms = [f"{_ratio_text(v, scale)}:{_ratio_text(m, den)}" for v, m in zip(rv.values, rv.masses)]
+    return "(" + ",".join(atoms) + ")"

@@ -510,7 +510,7 @@ def read_constants(target: str, settings: dict[str, object]) -> Constants:
     return replace(DEFAULT_CONSTANTS, **constants)
 
 
-OnRow = Callable[[list[str]], object]
+OnRow = Callable[[str], object]  # takes each CSV line, as BoundReport.csv_row writes it
 
 
 def _line(i: int, report: BoundReport, violation: bool) -> str:
@@ -689,9 +689,12 @@ def corollary2_exhaustive(
         return scale * epsilon, Fraction(dist, 1 << 2 * m), epsilon
 
     @functools.cache  # few distinct values: a row's text but its id and table is built once
-    def row_text(var: int, cross: int, dist: int, k: int, p: int) -> tuple[str, ...]:
-        cells = _corollary2_report("", texts[p], k, *fractions(var, cross, dist)).csv_row("")
-        return (*cells[1:5], cells[5].removeprefix("table="))  # the witness after its table
+    def row_text(var: int, cross: int, dist: int, k: int, p: int) -> tuple[str, str]:
+        """The row's text before and after its table, which is + and - only,
+        so the table never changes how the witness cell is quoted."""
+        line = _corollary2_report("", texts[p], k, *fractions(var, cross, dist)).csv_row(0)
+        before, after = line.removeprefix("0,").split("table=", 1)
+        return before + "table=", after
 
     def stacked(rows, var, weights) -> tuple:
         """What report() reads of one kernel call's output for the tables of
@@ -713,8 +716,8 @@ def corollary2_exhaustive(
         numerators = zip(rows, var.tolist(), cross.tolist(), dist.tolist(), k.tolist())
         for t, (row, v, *columns) in enumerate(numerators):
             for p, key in enumerate(zip(*columns)):
-                lhs, rhs, ratio, holds, rest = row_text(v, *key, p)
-                on_row([str(t * count + p), lhs, rhs, ratio, holds, f"table={row}{rest}"])
+                before, after = row_text(v, *key, p)
+                on_row(f"{t * count + p},{before}{row}{after}")
     a = (cross << 2 * m).ravel().tolist()  # int64: each factor is at most 4^m
     b = (var[:, None] * dist).ravel().tolist()
     num, den = scale.numerator, scale.denominator

@@ -21,10 +21,16 @@ description through `DiscreteRV.from_atoms`, the referee of both `to_rv`s,
 and `claim8_reference` is claim 8's double loop over Fraction atoms, the
 referee of `claim8_check`'s integer sides.  `decimal_reference` is the
 `.15g` text of a rational built from integers and one exact rounding, the
-referee of `format_value`'s `--decimal` rendering.
+referee of `format_value`'s `--decimal` rendering.  `csv_row_reference` is
+a report's six cells, its ratio and verdict from Fractions and its witness
+from `format_value` and each variable's `atoms`, written by `csv.writer`:
+the referee of `BoundReport.csv_row`, and the row `accumulate_reference`
+writes.
 """
 
+import csv
 import functools
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -33,7 +39,7 @@ import numpy as np
 import pytest
 
 from fknlab import sweep
-from fknlab.bounds import DEFAULT_CONSTANTS, BoundReport
+from fknlab.bounds import DEFAULT_CONSTANTS, BoundReport, format_value
 from fknlab.cube import (
     Partition,
     RealFunction,
@@ -208,6 +214,23 @@ def decimal_reference(value: Fraction) -> str:
     return f"{sign}{mantissa}e{'-' if x < 0 else '+'}{abs(x):02d}"
 
 
+def rv_inline_reference(x: DiscreteRV) -> str:
+    return "(" + ",".join(f"{v}:{p}" for v, p in x.atoms) + ")"
+
+
+def csv_row_reference(report: BoundReport, i: int) -> str:
+    """The CSV line of instance i: its cells written by csv.writer."""
+    ratio = report.lhs / report.rhs if report.rhs > 0 else None
+    witness = ";".join(
+        f"{k}={rv_inline_reference(v) if isinstance(v, DiscreteRV) else format_value(v)}"
+        for k, v in report.witness.items()
+    )
+    cells = [str(i), str(report.lhs), str(report.rhs), "" if ratio is None else str(ratio)]
+    out = io.StringIO()
+    csv.writer(out).writerow([*cells, "true" if report.lhs >= report.rhs else "false", witness])
+    return out.getvalue()
+
+
 def accumulate_reference(name, cases, scale, on_row=None) -> sweep.SweepResult:
     """`sweep.run_sweep`'s loop on Fractions, over `cases` in place of drawn
     instances: a report is a violation when it does not hold, and the first
@@ -225,7 +248,7 @@ def accumulate_reference(name, cases, scale, on_row=None) -> sweep.SweepResult:
             errors.append((i, f"{type(exc).__name__}: {exc}"))
             continue
         if on_row is not None:
-            on_row(report.csv_row(i))
+            on_row(csv_row_reference(report, i))
         if not report.holds:
             violations.append(sweep._line(i, report, violation=True))
         ratio = report.ratio

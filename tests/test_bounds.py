@@ -74,7 +74,7 @@ class TestBoundReport:
         lines = report.kv_lines()
         assert "lhs=3/4" in lines and "rhs=1/4" in lines and "ratio=3" in lines
         assert "witness.flag=true" in lines
-        assert report.csv_row(7) == ["7", "3/4", "1/4", "3", "true", "k=2;flag=true"]
+        assert report.csv_row(7) == "7,3/4,1/4,3,true,k=2;flag=true\r\n"
 
     def test_decimal_kv_lines(self):
         report = BoundReport(F(1, 3), F(0), {"split": (0, 2), "e": F(1, 4), "flag": False})

@@ -1048,6 +1048,25 @@ class TestUsage:
         assert proc.wait(timeout=60) == 1
         assert err == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["sweep", "analyze"])
+    def test_full_stdout_is_one_error_line(self, command, unbuffered, tmp_path):
+        # a failed print (unbuffered) or final flush (buffered) is no traceback,
+        # and a report that was cut short never exits 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        (tmp_path / "f.table").write_text("m=2\n+--+\n")
+        words = {"sweep": ["--target", "fact1", "--n", "5"], "analyze": ["f.table", "--partition", "1|2"]}
+        argv = [sys.executable, "-m", "fknlab.cli", command, *words[command]]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                argv, stdout=full, stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=60
+            )
+        assert proc.returncode == 1
+        full_disk = "[Errno 28] No space left on device"
+        assert proc.stderr.decode() == f"error: cannot write standard output: {full_disk}\n"
+
 
 class TestFreshInterpreter:
     """Commands in a new interpreter, where numpy is not yet loaded (conftest loads it here)."""

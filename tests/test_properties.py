@@ -29,10 +29,13 @@ tables.  The sweep's integer fold must give the Fraction fold's result and
 CSV rows on random report sequences, every random sweep must give the
 result and rows of the sweep that builds every report, and the exhaustive
 corollary check's batch fold must give the per-instance Fraction fold's
-result and CSV bytes.
+result and CSV bytes.  A report's CSV line must be what `csv.writer` writes
+for its six cells, and a variable's inline text the text of its atoms.
 """
 
+import csv
 import functools
+import io
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +50,7 @@ from fknlab import sweep
 from fknlab.bounds import (
     BoundReport,
     Constants,
+    _csv_cell,
     claim8_check,
     claim9_bound,
     corollary2_apply,
@@ -77,6 +81,7 @@ from fknlab.rv import (
     const_abs_approx,
     convolve,
     expectation,
+    format_rv_inline,
     mix,
     negate,
     shift,
@@ -89,11 +94,13 @@ from conftest import (
     accumulate_reference,
     claim8_reference,
     corollary2_per_instance,
+    csv_row_reference,
     decimal_reference,
     dyadic_function,
     naive_fourier,
     product_distribution,
     random_rv_reference,
+    rv_inline_reference,
     rv_moments,
     sign_matrix,
     sq_mass,
@@ -518,6 +525,58 @@ wide_rationals = st.one_of(
 def test_decimal_rendering_is_the_exact_half_even_rounding(value, k):
     value *= Fraction(10) ** k
     assert format_value(value, decimal=True) == decimal_reference(value)
+
+
+# cells of every character csv.writer quotes for, and of some it does not
+_CELL = st.text(alphabet=[",", '"', "\r", "\n", " ", ";", "=", "/", "-", "a", "1"], max_size=6)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(_CELL, min_size=6, max_size=6))
+@example(["", "", "", "", "", ""])
+@example(['"', "a,b", "\r\n", " ", "x=1;y=-1/2", ""])
+def test_csv_cells_are_the_csv_writer_row(cells):
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    assert ",".join(map(_csv_cell, cells)) + "\r\n" == out.getvalue()
+
+
+_WITNESS_VALUE = st.one_of(
+    st.fractions(max_denominator=50),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.builds(DiscreteRV.constant, st.integers(-9, 9)),
+    small_rv(),
+    _CELL,
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**40),
+    st.fractions(min_value=-5, max_value=5, max_denominator=30),
+    st.fractions(min_value=0, max_value=5, max_denominator=30),
+    st.sampled_from([-1, 0, 1]),
+    st.dictionaries(st.sampled_from(["x", "y", "e", "k", "table", "partition"]), _WITNESS_VALUE),
+)
+def test_csv_row_reads_back_as_the_old_cells(i, lhs, size, sign, witness):
+    # rhs < 0, rhs = 0 (no ratio) and rhs > 0, each with witnesses of every value type
+    report = BoundReport(lhs, sign * size, witness)
+    line = report.csv_row(i)
+    ratio = report.ratio
+    cells = [str(i), str(report.lhs), str(report.rhs), "" if ratio is None else str(ratio)]
+    cells += [format_value(report.holds), report.witness_text()]
+    assert list(csv.reader([line])) == [cells]
+    assert line == csv_row_reference(report, i)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(small_rv(), wide_rv(), st.builds(DiscreteRV.constant, st.integers(-9, 9))))
+@example(DiscreteRV.constant(3))  # one atom: scale 1 and den 1
+@example(DiscreteRV((-2, 0, 5), (1, 2, 1), 1, 4))  # integer values over scale 1
+def test_format_rv_inline_is_the_atom_text(x):
+    assert format_rv_inline(x) == rv_inline_reference(x)
 
 
 def _abs_var(e: Fraction, *xs: DiscreteRV) -> Fraction:

@@ -1,5 +1,6 @@
 """Sweep engine: generators, determinism, exhaustive checks, probe."""
 
+import csv
 import hashlib
 import re
 from dataclasses import fields, replace
@@ -257,9 +258,10 @@ class TestRunSweep:
         assert first == second
 
     def test_rows_collected(self):
-        rows = []
-        run_sweep(SweepConfig(target="lemma4", n=10, seed=3), rows.append)
-        assert len(rows) == 10
+        lines = []
+        run_sweep(SweepConfig(target="lemma4", n=10, seed=3), lines.append)
+        rows = list(csv.reader(lines))
+        assert len(lines) == len(rows) == 10 and all(line.endswith("\r\n") for line in lines)
         assert rows[0][0] == "0"
         assert all(len(row) == 6 for row in rows)
 
@@ -334,7 +336,7 @@ class TestRunSweep:
         result = run_sweep(cfg, rows.append)
         assert built == calls == list(range(80))
         named, least = [], None
-        for i, lhs, rhs, *_ in rows:
+        for i, lhs, rhs, *_ in csv.reader(rows):
             lhs, rhs = F(lhs), F(rhs)
             lower = rhs > 0 and (least is None or lhs / rhs < least)
             if lhs < rhs or lower:
@@ -495,7 +497,7 @@ class TestEmpiricalConstant:
         rows = []
         result = run_sweep(SweepConfig(target=target, **read, **drawn), rows.append)
         assert result.errors == ()  # an instance with lhs 0 < rhs would be one
-        sides = [(F(row[1]), F(row[2])) for row in rows]
+        sides = [(F(row[1]), F(row[2])) for row in csv.reader(rows)]
         needed = [scale * rhs / lhs for lhs, rhs in sides if rhs > 0]
         assert needed and result.empirical_constant == max(needed)
 
@@ -671,7 +673,8 @@ class TestCorollary2Exhaustive:
         assert bool(result.violations) == (factor > 1)
         assert asked == expected
         named = [args for args in reports if args[0]]  # the row texts' reports have no table
-        texts = {(*row[1:5], row[5].split(";", 1)[1]) for row in rows}  # each row but id, table
+        cells = list(csv.reader(rows))
+        texts = {(*row[1:5], row[5].split(";", 1)[1]) for row in cells}  # each row but id, table
         assert len(named) == 2 * len(asked) and len(rows) == 254 * 3
         assert len(texts) <= len(reports) - len(named) < len(rows)
         assert rechecks == [len(asked)]

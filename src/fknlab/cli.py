@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise FknLabError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write: raise it, flushed before the exit, to main
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
+
 
 def _read_text(path: str) -> str:
     """The file's text, decoded once from its bytes: UTF-8 with a leading

@@ -170,36 +170,60 @@ def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
     return (BooleanFunction(m, table) for table in boolean_tables(m))
 
 
-def _value_grid(lo: Fraction, hi: Fraction, cap: int) -> tuple[int, ...]:
-    """The multiples of 1/D in [lo, hi], D in 1..cap, as (lo_n, lo_d, hi_n,
-    hi_d, cap, cap_lo, cap_hi): cap_lo = ceil(lo cap) and cap_hi = floor(hi
-    cap).  An empty 1..cap or a range with no multiple of 1/cap is refused."""
+ROWS_KEPT = 1 << 12  # rows of denominators up to this are kept; larger ones are rebuilt
+
+
+class _Grid(dict):
+    """The multiples of 1/D in [lo, hi], D in 1..cap, one row per D drawn:
+    grid[D] = (first numerator, count n, n.bit_length(), D'), D' = D, or the
+    cap's row when no multiple of 1/D lies in [lo, hi].  A row is built the
+    first time its D is asked for, never up to the cap, and kept only for
+    D <= ROWS_KEPT, so a grid with a huge cap stays small."""
+
+    __slots__ = ("lo_n", "lo_d", "hi_n", "hi_d", "cap", "cap_bits", "fallback")
+
+    def __init__(self, lo: Fraction, hi: Fraction, cap: int):
+        super().__init__()
+        self.lo_n, self.lo_d = lo.numerator, lo.denominator
+        self.hi_n, self.hi_d = hi.numerator, hi.denominator
+        self.cap, self.cap_bits = cap, cap.bit_length()
+        self.fallback = self._row(cap)
+
+    def _row(self, den: int) -> tuple[int, int, int, int] | None:
+        lo, hi = -(-self.lo_n * den // self.lo_d), self.hi_n * den // self.hi_d
+        return (lo, hi - lo + 1, (hi - lo + 1).bit_length(), den) if lo <= hi else None
+
+    def __missing__(self, den: int) -> tuple[int, int, int, int]:
+        row = self._row(den) or self.fallback
+        if den <= ROWS_KEPT:
+            self[den] = row
+        return row
+
+
+def _value_grid(lo: Fraction, hi: Fraction, cap: int) -> _Grid:
+    """The value grid of [lo, hi] and denominators 1..cap (`_Grid`).  An empty
+    1..cap or a range with no multiple of 1/cap is refused."""
     if cap < 1:  # no word is below cap: the first draw would never end
         raise StructureError(f"empty range 1..{cap}")
-    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    cap_lo, cap_hi = -(-lo_n * cap // lo_d), hi_n * cap // hi_d
-    if cap_lo > cap_hi:
+    grid = _Grid(lo, hi, cap)
+    if grid.fallback is None:
         raise StructureError(f"no multiple of 1/{cap} in [{lo}, {hi}]")
-    return lo_n, lo_d, hi_n, hi_d, cap, cap_lo, cap_hi
+    return grid
 
 
-def _draw_ratio(draw: Callable[[int], int], grid: tuple[int, ...]) -> tuple[int, int]:
+def _draw_ratio(draw: Callable[[int], int], grid: _Grid) -> tuple[int, int]:
     """(numerator, denominator) of a random rational on `grid`, not reduced,
     from `draw` (getrandbits) words as rng.randint takes them: the denominator
     drawn in 1..cap, or cap when no multiple of its inverse lies in [lo, hi],
-    then the numerator.  Both draws run `_below`'s loop inline."""
-    lo_n, lo_d, hi_n, hi_d, cap, cap_lo, cap_hi = grid
-    k = cap.bit_length()
+    then the numerator, from the denominator's row.  Both draws run `_below`'s
+    loop inline."""
+    cap, k = grid.cap, grid.cap_bits
     while (den := draw(k) + 1) > cap:
         pass
-    lo_num, hi_num = -(-lo_n * den // lo_d), hi_n * den // hi_d
-    if lo_num > hi_num:
-        den, lo_num, hi_num = cap, cap_lo, cap_hi
-    n = hi_num - lo_num + 1
-    k = n.bit_length()
+    lo, n, k, den = grid[den]
     while (r := draw(k)) >= n:
         pass
-    return lo_num + r, den
+    return lo + r, den
 
 
 def random_rv(
@@ -215,7 +239,7 @@ def random_rv(
     return _random_rv(_rng_for(seed, 0), support_size, grid)
 
 
-def _random_rv(rng: random.Random, support_size: int, grid: tuple[int, ...]) -> DiscreteRV:
+def _random_rv(rng: random.Random, support_size: int, grid: _Grid) -> DiscreteRV:
     """The draws mirror `random.Random`, word for word: each value is a
     `_draw_ratio` draw on `grid` (`_value_grid`), kept in lowest terms until
     support_size distinct ones are drawn, then D = randint(support_size,
@@ -242,13 +266,16 @@ def _random_rv(rng: random.Random, support_size: int, grid: tuple[int, ...]) -> 
     if support_size == 1:
         ((num, den),) = values
         return DiscreteRV((num,), (1,), den)
-    d = _randint(rng, support_size, max(grid[4], support_size))
+    d = _randint(rng, support_size, max(grid.cap, support_size))
     cuts = _sample_cuts(rng, d, support_size - 1)
-    masses = [b - a for a, b in zip([0] + cuts, cuts + [d])]
+    cuts.append(d)
+    masses = [b - a for a, b in zip([0, *cuts], cuts)]
     h = math.gcd(*masses)
-    scale = math.lcm(*(den for _, den in values))
-    scaled = sorted(num * (scale // den) for num, den in values)
-    return DiscreteRV(tuple(scaled), tuple(m // h for m in masses), scale, d // h)
+    if h > 1:
+        masses, d = [m // h for m in masses], d // h
+    scale = math.lcm(*[den for _, den in values])
+    scaled = sorted([num * (scale // den) for num, den in values])
+    return DiscreteRV(tuple(scaled), tuple(masses), scale, d)
 
 
 def _sample_cuts(rng: random.Random, d: int, k: int) -> list[int]:
@@ -369,13 +396,14 @@ def _with_inputs(report: BoundReport, inputs: dict[str, object]) -> BoundReport:
     return BoundReport(report.lhs, report.rhs, {**inputs, **report.witness})
 
 
-def _sides(report: BoundReport, inputs: dict[str, object]) -> Sides:
+def _sides(report: BoundReport, inputs: Callable[[], dict[str, object]]) -> Sides:
     """An evaluator's report as Sides: a = lhs.numerator * rhs.denominator and
     b = rhs.numerator * lhs.denominator (denominators are positive, so lhs/rhs
-    is a/b), the report to build `_with_inputs`."""
+    is a/b), the report to build `_with_inputs` of `inputs()`, which runs only
+    when the report is built."""
     lhs, rhs = report.lhs, report.rhs
     a, b = lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
-    return a, b, lambda: _with_inputs(report, inputs)
+    return a, b, lambda: _with_inputs(report, inputs())
 
 
 # Randomized targets read n and seed; those that draw and convolve variables, their settings too.
@@ -396,7 +424,7 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
             if "E" in reads:
                 x, y = center(x), center(y)
                 e = Fraction(*_draw_ratio(rng.getrandbits, cfg.grid))
-        return _sides(pair(x, y, e, cfg.constants, cfg.atom_cap), {"x": x, "y": y})
+        return _sides(pair(x, y, e, cfg.constants, cfg.atom_cap), lambda: {"x": x, "y": y})
 
     def check(xs, given, constants):
         return pair(*xs, given.get("E", Fraction(0)), constants, DEFAULT_ATOM_CAP)
@@ -406,7 +434,7 @@ def _pair_target(pair: PairEvaluator, scale: Scale, reads: set[str]) -> Target:
 
 def _claim8_target(rng, cfg, index):
     x1, x2, ybar = _claim8_instance(rng, index % 4, cfg)
-    return _sides(claim8_check(x1, x2, ybar), {"case": index % 4})
+    return _sides(claim8_check(x1, x2, ybar), lambda: {"case": index % 4})
 
 
 def _claim8_check(xs, given, constants):
@@ -418,7 +446,7 @@ def _claim8_check(xs, given, constants):
 def _theorem1_target(rng, cfg, index):
     xs = [_random_raw(rng, cfg) for _ in range(_randint(rng, 2, cfg.rv_count_max))]
     report = theorem1_check(xs, cfg.constants, cfg.atom_cap)
-    return _sides(report, {f"x{i}": x for i, x in enumerate(xs)})
+    return _sides(report, lambda: {f"x{i}": x for i, x in enumerate(xs)})
 
 
 # fact1 and fact8 draw the tables of `random_real_function` (numerators over

@@ -1067,6 +1067,40 @@ class TestUsage:
         full_disk = "[Errno 28] No space left on device"
         assert proc.stderr.decode() == f"error: cannot write standard output: {full_disk}\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("words", [["--help"], ["sweep", "--help"]], ids=["main", "sweep"])
+    def test_help_to_a_full_stdout_is_one_error_line(self, words, unbuffered, monkeypatch, capsys):
+        # argparse's own print used to drop the failed write and exit 0
+        monkeypatch.setenv("COLUMNS", "80")  # one help width in this process and the child
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        argv = [sys.executable, "-m", "fknlab.cli", *words]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert proc.returncode == 1
+        full_disk = "[Errno 28] No space left on device"
+        assert proc.stderr.decode() == f"error: cannot write standard output: {full_disk}\n"
+        # to a working standard output: the help text, exit 0
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        with pytest.raises(SystemExit) as done:
+            main(words)
+        assert done.value.code == 0
+        assert proc.stdout.decode() == capsys.readouterr().out != ""
+
+    @pytest.mark.parametrize("words", [["--help"], ["sweep", "--help"]], ids=["main", "sweep"])
+    def test_help_to_a_closed_stdout_is_quiet(self, words):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "fknlab.cli", *words]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
 
 class TestFreshInterpreter:
     """Commands in a new interpreter, where numpy is not yet loaded (conftest loads it here)."""

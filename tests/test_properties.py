@@ -23,7 +23,9 @@ witnesses in the same order.
 
 Sweeps: the random-variable generator must draw the variable of the
 Fraction reference, leave the generator in the same state, and fail the same
-way on a value grid too small for the support.  The fact1 and fact8 sides,
+way on a value grid too small for the support; a grid draw must take the
+words of twin `randint` calls, draw after draw on one grid, with rows kept
+only for the denominators drawn.  The fact1 and fact8 sides,
 summed on drawn numerators, must equal the cube measures of the same
 tables.  The sweep's integer fold must give the Fraction fold's result and
 CSV rows on random report sequences, every random sweep must give the
@@ -36,6 +38,7 @@ for its six cells, and a variable's inline text the text of its atoms.
 import csv
 import functools
 import io
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -409,6 +412,8 @@ value_ranges = st.tuples(
 # no multiple of 1, 1/2, 1/3 or 1/4 in [1/9, 2/9]: those denominators fall back to the cap
 @example(supports=[3, 1, 4], denom_cap=9, value_range=(Fraction(1, 9), Fraction(2, 9)), seed=4)
 @example(supports=[2, 30], denom_cap=2, value_range=(Fraction(0), Fraction(1, 3)), seed=3)  # grid too small
+# a cap past 2^60: rows are built for the denominators drawn, never up to the cap
+@example(supports=[3, 5, 1, 4], denom_cap=2**61, value_range=(Fraction(-3), Fraction(3)), seed=5)
 def test_random_rv_draws_as_the_fraction_reference(supports, denom_cap, value_range, seed):
     # twin generators, several variables in a row as a sweep instance draws them
     ours, theirs = sweep._rng_for(seed, 0), sweep._rng_for(seed, 0)
@@ -422,6 +427,42 @@ def test_random_rv_draws_as_the_fraction_reference(supports, denom_cap, value_ra
             break
         assert sweep._random_rv(ours, support, sweep._value_grid(*value_range, denom_cap)) == expected
         assert ours.getstate() == theirs.getstate()
+
+
+# ranges as narrow as 1/60, so that many small denominators have no multiple
+# in them; caps on both sides of ROWS_KEPT and past 2^60
+narrow_ranges = st.tuples(
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 60)),
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 60)),
+).map(lambda t: (t[0], t[0] + t[1]))
+grid_caps = st.one_of(
+    st.integers(1, 60), st.integers(1, 2 * sweep.ROWS_KEPT), st.integers(2**60, 2**62)
+)
+
+
+@PROPERTY_SETTINGS
+@given(narrow_ranges, grid_caps, st.integers(1, 80), st.integers(0, 2**32 - 1))
+# no multiple of 1, 1/2, 1/3 or 1/4 in [1/9, 2/9]: those denominators fall back to the cap
+@example(value_range=(Fraction(1, 9), Fraction(2, 9)), denom_cap=9, draws=80, seed=4)
+@example(value_range=(Fraction(1, 3), Fraction(7, 20)), denom_cap=5, draws=1, seed=0)  # refused
+@example(value_range=(Fraction(-3), Fraction(3)), denom_cap=2**61, draws=40, seed=6)
+def test_draw_ratio_draws_as_twin_randint_calls(value_range, denom_cap, draws, seed):
+    lo, hi = value_range
+    if math.ceil(lo * denom_cap) > math.floor(hi * denom_cap):
+        with pytest.raises(StructureError, match=rf"^no multiple of 1/{denom_cap} in "):
+            sweep._value_grid(lo, hi, denom_cap)
+        return
+    grid = sweep._value_grid(lo, hi, denom_cap)
+    ours, theirs = sweep._rng_for(seed, 0), sweep._rng_for(seed, 0)
+    for _ in range(draws):  # one grid for every draw, so rows built once are read again
+        den = theirs.randint(1, denom_cap)
+        if math.ceil(lo * den) > math.floor(hi * den):
+            den = denom_cap
+        expected = (theirs.randint(math.ceil(lo * den), math.floor(hi * den)), den)
+        assert sweep._draw_ratio(ours.getrandbits, grid) == expected
+        assert ours.getstate() == theirs.getstate()
+    # a row per denominator drawn, and none past ROWS_KEPT
+    assert len(grid) <= draws and all(den <= sweep.ROWS_KEPT for den in grid)
 
 
 @PROPERTY_SETTINGS
@@ -719,7 +760,7 @@ def test_sweep_fold_is_the_fraction_fold(cases, scale):
         return
     # a scripted target whose instance i is case i, taken by the integer fold as sides
     target = sweep.Target(
-        lambda rng, cfg, i: sweep._sides(case(i, cases[i]), {}),
+        lambda rng, cfg, i: sweep._sides(case(i, cases[i]), dict),
         None if scale is None else lambda constants: scale,
         reads=frozenset({"n"}),
     )

@@ -274,6 +274,22 @@ class TestVarAbsSumLastFold:
     def test_no_variables_is_the_constant_e(self):
         assert var_abs_sum((), F(5, 3)) == var_abs_sum(()) == 0
 
+    @pytest.mark.parametrize("e", [0, -1, -7, 3, 10**40 + 1, -(2**89)])
+    def test_an_int_e_is_its_fraction(self, e):
+        # an int E is its own numerator over 1, with no Fraction built
+        for xs in ((self.X,), (self.X, self.Y), (self.X, self.Y, self.Z)):
+            lhs = var_abs_sum(xs, e)
+            assert isinstance(lhs, Fraction) and lhs == var_abs_sum(xs, F(e))
+            assert lhs == chained_var_abs(xs, F(e))
+
+    def test_a_bool_e_is_its_int_and_a_float_e_is_refused(self):
+        xs = (self.X, self.Z)
+        assert var_abs_sum(xs, True) == var_abs_sum(xs, F(1)) == chained_var_abs(xs, F(1))
+        assert var_abs_sum(xs, False) == var_abs_sum(xs, F(0))
+        for e in (0.0, 0.5, -2.0):
+            with pytest.raises(StructureError, match=rf"^E must be an exact rational, got {e!r}$"):
+                var_abs_sum(xs, e)
+
 
 class TestMoments:
     def test_uniform(self):

@@ -286,13 +286,10 @@ def var_abs_sum(
     """
     if not xs:
         return Fraction(0)
-    if type(e) is int:  # its own numerator over 1, with no Fraction built
-        e_num, e_den = e, 1
-    else:
+    if type(e) is not int:  # an int is its own numerator over 1: no Fraction built
         e = _q(e, "E")
-        e_num, e_den = e.numerator, e.denominator
-    scale = math.lcm(e_den, *(x.scale for x in xs))
-    shift = e_num * (scale // e_den)
+    scale = math.lcm(e.denominator, *(x.scale for x in xs))
+    shift = e.numerator * (scale // e.denominator)
     support, mass_den = {shift: 1}, 1
     for i, x in enumerate(xs):
         if i:

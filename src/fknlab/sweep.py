@@ -170,34 +170,26 @@ def enumerate_boolean_functions(m: int) -> Iterator[BooleanFunction]:
     return (BooleanFunction(m, table) for table in boolean_tables(m))
 
 
-ROWS_KEPT = 1 << 12  # rows of denominators up to this are kept; larger ones are rebuilt
+ROWS_KEPT = 1 << 10  # 1,024 rows, all filled on the default [-3, 3], take about 100 KiB
 
 
-class _Grid(dict):
-    """The multiples of 1/D in [lo, hi], D in 1..cap, one row per D drawn:
-    grid[D] = (first numerator, count n, n.bit_length(), D'), D' = D, or the
-    cap's row when no multiple of 1/D lies in [lo, hi].  A row is built the
-    first time its D is asked for, never up to the cap, and kept only for
-    D <= ROWS_KEPT, so a grid with a huge cap stays small."""
+class _Grid:
+    """The multiples of 1/D in [lo, hi], D in 1..cap.  rows[D], for D <=
+    ROWS_KEPT, is None until D is drawn, then (first numerator, count n,
+    n.bit_length(), D'): D' = D, or cap when no multiple of 1/D lies in
+    [lo, hi], whose row is `fallback` (None when 1/cap has none either).
+    Rows are built as drawn, never up to the cap."""
 
-    __slots__ = ("lo_n", "lo_d", "hi_n", "hi_d", "cap", "cap_bits", "fallback")
+    __slots__ = ("lo_n", "lo_d", "hi_n", "hi_d", "cap", "cap_bits", "fallback", "rows")
 
     def __init__(self, lo: Fraction, hi: Fraction, cap: int):
-        super().__init__()
         self.lo_n, self.lo_d = lo.numerator, lo.denominator
         self.hi_n, self.hi_d = hi.numerator, hi.denominator
         self.cap, self.cap_bits = cap, cap.bit_length()
-        self.fallback = self._row(cap)
-
-    def _row(self, den: int) -> tuple[int, int, int, int] | None:
-        lo, hi = -(-self.lo_n * den // self.lo_d), self.hi_n * den // self.hi_d
-        return (lo, hi - lo + 1, (hi - lo + 1).bit_length(), den) if lo <= hi else None
-
-    def __missing__(self, den: int) -> tuple[int, int, int, int]:
-        row = self._row(den) or self.fallback
-        if den <= ROWS_KEPT:
-            self[den] = row
-        return row
+        lo_num = -(-self.lo_n * cap // self.lo_d)
+        n = self.hi_n * cap // self.hi_d - lo_num + 1
+        self.fallback = (lo_num, n, n.bit_length(), cap) if n > 0 else None
+        self.rows = [None] * (min(cap, ROWS_KEPT) + 1)
 
 
 def _value_grid(lo: Fraction, hi: Fraction, cap: int) -> _Grid:
@@ -216,11 +208,17 @@ def _draw_ratio(draw: Callable[[int], int], grid: _Grid) -> tuple[int, int]:
     from `draw` (getrandbits) words as rng.randint takes them: the denominator
     drawn in 1..cap, or cap when no multiple of its inverse lies in [lo, hi],
     then the numerator, from the denominator's row.  Both draws run `_below`'s
-    loop inline."""
-    cap, k = grid.cap, grid.cap_bits
+    loop inline, and a row not kept is built inline, with no call."""
+    cap, k, rows = grid.cap, grid.cap_bits, grid.rows
     while (den := draw(k) + 1) > cap:
         pass
-    lo, n, k, den = grid[den]
+    if den > ROWS_KEPT or (row := rows[den]) is None:
+        lo = -(-grid.lo_n * den // grid.lo_d)
+        n = grid.hi_n * den // grid.hi_d - lo + 1
+        row = (lo, n, n.bit_length(), den) if n > 0 else grid.fallback
+        if den <= ROWS_KEPT:
+            rows[den] = row
+    lo, n, k, den = row
     while (r := draw(k)) >= n:
         pass
     return lo + r, den

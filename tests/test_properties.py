@@ -461,8 +461,9 @@ def test_draw_ratio_draws_as_twin_randint_calls(value_range, denom_cap, draws, s
         expected = (theirs.randint(math.ceil(lo * den), math.floor(hi * den)), den)
         assert sweep._draw_ratio(ours.getrandbits, grid) == expected
         assert ours.getstate() == theirs.getstate()
-    # a row per denominator drawn, and none past ROWS_KEPT
-    assert len(grid) <= draws and all(den <= sweep.ROWS_KEPT for den in grid)
+    # at most a row per draw, in slots for the denominators up to ROWS_KEPT only
+    assert sum(row is not None for row in grid.rows) <= draws
+    assert len(grid.rows) == min(denom_cap, sweep.ROWS_KEPT) + 1
 
 
 @PROPERTY_SETTINGS

@@ -9,7 +9,8 @@ seeds share a stream.  One generator per sweep is reseeded to each stream in
 turn: an instance ends its draws before it returns, and its report builder
 never draws.  A bounded integer is drawn from `getrandbits` word for word as
 `_below` and `random.Random.randint` draw it (a variable's mass cuts as
-`random.Random.sample` draws them).  Each instance yields integer sides
+`random.Random.sample` draws them, and the fact tables from one batch of
+those words, `_fact_tables`).  Each instance yields integer sides
 (a, b) with lhs/rhs = a/b, folded by cross multiplication, and the function
 that builds its report: a report is built only for a line the sweep prints
 and for a CSV row.
@@ -297,7 +298,9 @@ def _sample_cuts(rng: random.Random, d: int, k: int) -> list[int]:
 
 
 def random_real_function(m: int, seed: int) -> RealFunction:
-    """Random dyadic table: entries k/16 with |k| <= 32."""
+    """Random dyadic table: entries k/16 with |k| <= 32.  m and the seed are
+    checked before any word is drawn."""
+    cube._checked_m(m)
     _check_seed(seed)
     return RealFunction(m, _random_numerators(_rng_for(seed, 0), m), 4)
 
@@ -311,6 +314,30 @@ def _random_numerators(rng: random.Random, m: int) -> list[int]:
             pass
         numerators.append(r - 32)
     return numerators
+
+
+_TOP7 = bytes(h >> 1 for h in range(256))  # a word's top byte h as its 7-bit draw
+_REDRAWN = bytes(range(130, 256))  # the top bytes whose 7-bit draw h >> 1 is 65 or more
+
+
+def _fact_tables(draw: Callable[[int], int], count: int) -> tuple[int, bytes]:
+    """m as `_randint(rng, 1, 3)` draws it, then `count` tables of 2^m entries
+    as bytes r, each r - 32 a numerator as `_random_numerators` draws it, from
+    the same `draw` (getrandbits) words.  One `draw(32 w)`, w = 2 need + 16
+    and need = count 2^m, is a batch of w words packed least significant
+    first, the order in which `draw(7)` would read them.  A word's 7-bit draw
+    is its top byte h shifted, h >> 1, and a draw of 65 or more (h >= 130),
+    which `_random_numerators` redraws, is deleted.  A batch that keeps too
+    few entries draws another.  The words after the last table entry are
+    never read: the next instance reseeds."""
+    m = 1 + _below(draw, 3)
+    need = count << m
+    words = 2 * need + 16
+    tables = b""
+    while len(tables) < need:
+        batch = draw(32 * words).to_bytes(4 * words, "little")[3::4]
+        tables += batch.translate(_TOP7, _REDRAWN)
+    return m, tables
 
 
 def _random_raw(rng: random.Random, cfg: SweepConfig) -> DiscreteRV:
@@ -448,25 +475,21 @@ def _theorem1_target(rng, cfg, index):
 
 
 # fact1 and fact8 draw the tables of `random_real_function` (numerators over
-# 2^4) as numerator lists and sum on them, with no RealFunction: with n = 2^m,
-# cube.sq_l2_dist is D(a, b) / (n 2^8) and cube.variance is V(a) / (n^2 2^8).
-# Their sides are those sums, over one power of two, so they fold on the sums.
-def _sq_dist(a: list[int], b: list[int]) -> int:
-    """D(a, b) = sum_x (a_x - b_x)^2."""
-    return sum([(x - y) * (x - y) for x, y in zip(a, b)])
-
-
-def _spread(a: list[int]) -> int:
-    """V(a) = n sum_x a_x^2 - (sum_x a_x)^2."""
-    total = sum(a)
-    return len(a) * sum([x * x for x in a]) - total * total
-
-
+# 2^4) as bytes r = numerator + 32 (`_fact_tables`) and sum on them, with no
+# RealFunction: with n = 2^m, cube.sq_l2_dist is D(a, b) / (n 2^8) and
+# cube.variance is V(a) / (n^2 2^8), where D(a, b) = sum_x (a_x - b_x)^2 and
+# V(a) = n sum_x a_x^2 - (sum_x a_x)^2; neither changes when every entry
+# shifts by 32.  Their sides are those sums, over one power of two, so they
+# fold on the sums, taken in one loop over the entries: at 2 to 8 entries a
+# list comprehension's own setup costs more than its loop.
 def _fact1_target(rng, cfg, index):
     """lhs = (D(f, g) + D(g, h)) / 2^(m+8) and rhs = D(f, h) / 2^(m+9)."""
-    m = _randint(rng, 1, 3)
-    f, g, h = (_random_numerators(rng, m) for _ in range(3))
-    near, far = _sq_dist(f, g) + _sq_dist(g, h), _sq_dist(f, h)
+    m, r = _fact_tables(rng.getrandbits, 3)
+    n = 1 << m
+    near = far = 0  # D(f, g) + D(g, h) and D(f, h)
+    for x, y, z in zip(r[:n], r[n : 2 * n], r[2 * n : 3 * n]):
+        near += (x - y) * (x - y) + (y - z) * (y - z)
+        far += (x - z) * (x - z)
 
     def report() -> BoundReport:
         return BoundReport(Fraction(near, 1 << m + 8), Fraction(far, 1 << m + 9), {"m": m})
@@ -476,10 +499,16 @@ def _fact1_target(rng, cfg, index):
 
 def _fact8_target(rng, cfg, index):
     """lhs = V(f) / (n^2 2^8) and rhs = (V(g) - 2n D(f, g)) / (n^2 2^9)."""
-    m = _randint(rng, 1, 3)
-    f, g = (_random_numerators(rng, m) for _ in range(2))
+    m, r = _fact_tables(rng.getrandbits, 2)
     n = 1 << m
-    spread, rest = _spread(f), _spread(g) - 2 * n * _sq_dist(f, g)
+    f, g = r[:n], r[n : 2 * n]
+    ff = gg = dist = 0  # sum_x f_x^2, sum_x g_x^2 and D(f, g)
+    for x, y in zip(f, g):
+        ff += x * x
+        gg += y * y
+        dist += (x - y) * (x - y)
+    sf, sg = sum(f), sum(g)
+    spread, rest = n * ff - sf * sf, n * gg - sg * sg - 2 * n * dist
 
     def report() -> BoundReport:
         return BoundReport(Fraction(spread, n * n << 8), Fraction(rest, n * n << 9), {"m": m})

@@ -95,6 +95,9 @@ SWEEP_DIGESTS = [
         ("lemma7", "--n", "40", "--value-lo", "1/3", "--value-hi", "3/4", "--denom-cap", "9", "--support-max", "3"),
         "f62497459c5c4b6ee37a751467765f6b98b7e60c2cb06ee0e3f7cf1a8298d60b",
     ),
+    # enough fact instances that some tables need a second batch of words
+    (("fact1", "--n", "3000"), "a57e507c67f7ca30e3fe92ac91c7b63d237b97b17c62ef2fe2e4b021d8bd176d"),
+    (("fact8", "--n", "3000"), "cc12771d0b3feff632d6dfef9912c31bc80326d4aa87a0fd9e533218e7a6ee85"),
 ]
 
 

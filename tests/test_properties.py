@@ -25,7 +25,9 @@ Sweeps: the random-variable generator must draw the variable of the
 Fraction reference, leave the generator in the same state, and fail the same
 way on a value grid too small for the support; a grid draw must take the
 words of twin `randint` calls, draw after draw on one grid, with rows kept
-only for the denominators drawn.  The fact1 and fact8 sides,
+only for the denominators drawn.  The fact tables drawn in one batch of
+words must be the numerators drawn word by word, a batch that keeps too
+few words must be followed by another, and the fact1 and fact8 sides,
 summed on drawn numerators, must equal the cube measures of the same
 tables.  The sweep's integer fold must give the Fraction fold's result and
 CSV rows on random report sequences, every random sweep must give the
@@ -687,25 +689,42 @@ def test_pair_evaluators_are_the_merge_chain(x, y, e):
 
 
 class ScriptedRng:
-    """Hands out the given words in order, as `getrandbits` calls."""
+    """CPython's 32-bit word stream over the given words: `getrandbits(k)`, k
+    <= 32, is the top k bits of one word, and `getrandbits(32 j)` is j words,
+    the first one least significant.  Past the script every word is
+    REJECTED, which a 7-bit draw and a 2-bit draw below 3 both redraw."""
+
+    REJECTED = 0xFFFFFFFF
 
     def __init__(self, words):
         self.words = iter(words)
+        self.past = 0  # words handed out past the script
+
+    def word(self):
+        word = next(self.words, None)
+        if word is None:
+            self.past += 1
+            assert self.past <= 1 << 16, "a draw that never ends past the script"
+            return self.REJECTED
+        assert 0 <= word < 1 << 32
+        return word
 
     def getrandbits(self, k):
-        word = next(self.words)
-        assert 0 <= word < 1 << k
-        return word
+        if k <= 32:
+            return self.word() >> 32 - k
+        assert k % 32 == 0
+        return sum(self.word() << 32 * i for i in range(k // 32))
 
 
 @PROPERTY_SETTINGS
 @given(st.integers(1, 3), st.lists(st.integers(-32, 32), min_size=24, max_size=24))
 def test_fact_sides_on_numerators_are_the_cube_measures(m, draws):
     # m = 1..3 and the numerators of three tables on m variables, as fact1 and fact8
-    # draw them: the words m - 1 (of 2 bits) and v + 32 (of 7 bits), none redrawn
+    # draw them: the words whose top 2 bits are m - 1 and whose top 7 are v + 32,
+    # none redrawn
     n = 1 << m
     f, g, h = (RealFunction(m, draws[i * n : (i + 1) * n], 4) for i in range(3))
-    words = [m - 1, *(v + 32 for v in draws)]
+    words = [m - 1 << 30, *(v + 32 << 25 for v in draws)]
     a1, b1, build = sweep._fact1_target(ScriptedRng(words[: 1 + 3 * n]), None, 0)
     fact1 = build()
     assert (fact1.lhs, fact1.rhs) == (sq_l2_dist(f, g) + sq_l2_dist(g, h), sq_l2_dist(f, h) / 2)
@@ -717,6 +736,39 @@ def test_fact_sides_on_numerators_are_the_cube_measures(m, draws):
     for (a, b), report in (((a1, b1), fact1), ((a8, b8), fact8)):
         assert report.lhs * b == report.rhs * a
         assert (b > 0, b < 0) == (report.rhs > 0, report.rhs < 0)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, sweep.SEED_MAX), st.integers(0, sweep.INSTANCES_MAX - 1), st.sampled_from([2, 3])
+)
+# instances of the fact8 and fact1 n=3000 digests whose tables take a second batch
+@example(seed=5, index=413, count=2)
+@example(seed=5, index=153, count=3)
+def test_fact_tables_are_the_numerator_draws(seed, index, count):
+    # every kept byte is a 7-bit draw of the stream in order: the first count 2^m
+    # are count tables as _random_numerators draws them, the rest the draws after
+    ours, twin = sweep._rng_for(seed, index), sweep._rng_for(seed, index)
+    m, tables = sweep._fact_tables(ours.getrandbits, count)
+    assert m == sweep._randint(twin, 1, 3)
+    need = count << m
+    assert len(tables) >= need
+    expected = [v for _ in range(count) for v in sweep._random_numerators(twin, m)]
+    for _ in range(len(tables) - need):
+        expected += sweep._random_numerators(twin, 0)  # one numerator
+    assert [r - 32 for r in tables] == expected
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_fact_tables_draw_another_batch_when_too_few_words_are_kept(count):
+    # m = 3: a first batch of 2 need + 16 rejected words keeps nothing, so the
+    # tables come from the second batch
+    need = count << 3
+    numerators = [(7 * i) % 65 - 32 for i in range(need)]
+    script = [2 << 30, *[ScriptedRng.REJECTED] * (2 * need + 16), *(v + 32 << 25 for v in numerators)]
+    m, tables = sweep._fact_tables(ScriptedRng(script).getrandbits, count)
+    assert m == 3
+    assert [r - 32 for r in tables] == numerators
 
 
 # A case of the sweep fold: sides (lhs, rhs) from a small grid, so that equal

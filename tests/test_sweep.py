@@ -19,7 +19,13 @@ from fknlab.bounds import (
 )
 from fknlab.cli import main
 from fknlab.cube import BooleanFunction, Partition, format_partition, format_table_row
-from fknlab.errors import ParseError, SearchSpaceError, StructureError, VerificationError
+from fknlab.errors import (
+    CapacityError,
+    ParseError,
+    SearchSpaceError,
+    StructureError,
+    VerificationError,
+)
 from fknlab.sweep import (
     TARGETS,
     SweepConfig,
@@ -108,6 +114,18 @@ class TestRandomRV:
         a = random_real_function(3, 5)
         b = random_real_function(3, 5)
         assert np.array_equal(a.table, b.table)
+
+    @pytest.mark.parametrize("m", [-1, 0, 27])
+    def test_real_function_m_is_checked_before_any_draw(self, m, monkeypatch):
+        # m=-1 used to end in "ValueError: negative shift count", and m=27 drew
+        # 2^27 numerators before RealFunction refused it
+        class NoWords:
+            def getrandbits(self, k):
+                raise AssertionError("a word was drawn")
+
+        monkeypatch.setattr(sweep_module, "_rng_for", lambda seed, index: NoWords())
+        with pytest.raises(CapacityError, match=rf"^m={m} outside supported range 1\.\.26$"):
+            random_real_function(m, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2**31 + 1])
     def test_randint_draws_as_random_randint(self, n):

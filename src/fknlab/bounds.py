@@ -30,19 +30,19 @@ from .rv import (
     DiscreteRV,
     Rational,
     TwoPointBalancedRV,
-    _centered,
+    _abs_sums,
+    _check_atoms,
     _exact_field,
     _mass_moment,
     _moment_sums,
     _q,
     _ratio_text,
+    _shift_terms,
+    _var_abs_terms,
     abs_rv,
-    const_abs_approx,
     convolve,
     expectation,
     format_rv_inline,
-    negate,
-    var_abs_shifted,
     var_abs_sum,
     variance_rv,
 )
@@ -180,18 +180,9 @@ def lemma7_bound(
     """Var|X+Y+E| >= max(Var|X+E|, Var|Y+E|) / K0 for balanced X, Y."""
     _require_balanced(xbar, ybar)
     e = _q(e, "E")
-    vx = var_abs_shifted(xbar, e)
-    vy = var_abs_shifted(ybar, e)
-    lhs = var_abs_sum((xbar, ybar), e, atom_cap)
-    max_side = max(vx, vy)
-
-    def witness() -> Witness:
-        built: Witness = {"e": e, "max_side": "x" if vx >= vy else "y", "max_abs_var": max_side}
-        if lhs > 0:
-            built["required_k0"] = max_side / lhs
-        return built
-
-    return BoundReport(lhs, max_side / constants.k0, witness)
+    n, d = e.numerator, e.denominator
+    sides = _var_abs_terms(xbar, n, d), _var_abs_terms(ybar, n, d)
+    return _k0_report(var_abs_sum((xbar, ybar), e, atom_cap), *sides, lambda: e, constants.k0)
 
 
 def lemma5_bound(
@@ -200,11 +191,33 @@ def lemma5_bound(
     constants: Constants = DEFAULT_CONSTANTS,
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> BoundReport:
-    """The unbalanced form: center both variables and take E = E[X+Y]."""
+    """The unbalanced form: lemma7 on the centered pair with E = E[X+Y].
+    Xbar+Ybar+E is X+Y, Xbar+E is X+E[Y] and Ybar+E is Y+E[X], so the sides
+    are read off the uncentered pair."""
     sx, sy = _mass_moment(x), _mass_moment(y)  # each mean over its den * scale
     ux, uy = x.den * x.scale, y.den * y.scale
-    e = Fraction(sx * uy + sy * ux, ux * uy)
-    return lemma7_bound(_centered(x, sx), _centered(y, sy), e, constants, atom_cap)
+    sides = _var_abs_terms(x, sy, uy), _var_abs_terms(y, sx, ux)
+    lhs = var_abs_sum((x, y), 0, atom_cap)
+    return _k0_report(lhs, *sides, lambda: Fraction(sx * uy + sy * ux, ux * uy), constants.k0)
+
+
+def _k0_report(
+    lhs: Fraction, vx: tuple[int, int], vy: tuple[int, int], e: Callable[[], Fraction], k0: Fraction
+) -> BoundReport:
+    """lemma7's report from Var|X+E| and Var|Y+E| as unreduced pairs n / d
+    (d > 0), compared by cross-multiplying; the witness, E included, is
+    built on first read."""
+    x_max = vx[0] * vy[1] >= vy[0] * vx[1]
+    n, d = vx if x_max else vy
+
+    def witness() -> Witness:
+        max_side = Fraction(n, d)
+        built: Witness = {"e": e(), "max_side": "x" if x_max else "y", "max_abs_var": max_side}
+        if lhs > 0:
+            built["required_k0"] = max_side / lhs
+        return built
+
+    return BoundReport(lhs, Fraction(n * k0.denominator, d * k0.numerator), witness)
 
 
 def claim8_check(x1: Rational, x2: Rational, ybar: TwoPointBalancedRV) -> BoundReport:
@@ -239,26 +252,56 @@ def claim9_bound(
     The underlying case analysis fixes an orientation: E >= 0 and
     E|X+E| >= E|Y+E|.  Both normalizations are applied (and recorded) before
     evaluating; without them the literal formula fails on valid inputs.
+
+    All on integers, from one pass over each shifted variable (E < 0 negates
+    X, Y and E, which negates the numerators s of X+E): X' is +-M with M =
+    sum m |s| / (D L) and P(X' = +M) = p = (mass of s >= 0) / D, so VarX' =
+    4 p (1-p) M^2; X is balanced, so VarX + E^2 = E(X+E)^2 = sum m s^2 /
+    (D L^2); lhs sums over the four atoms of X'+Y'-E.  One Fraction is built
+    per reported value, the witness's on its first read.
     """
     _require_balanced(xbar, ybar)
     e = _q(e, "E")
     flipped = e < 0
-    if flipped:
-        xbar, ybar, e = negate(xbar), negate(ybar), -e
-    x_approx = const_abs_approx(xbar, e)
-    y_approx = const_abs_approx(ybar, e)
-    swapped = y_approx.magnitude > x_approx.magnitude
+    n, d = abs(e.numerator), e.denominator
+
+    def sides(rv: DiscreteRV) -> tuple[int, ...]:
+        """(sum m |s|, D L, mass of s >= 0, D, sum m s^2, L) of X+E, oriented."""
+        scale, f, add = _shift_terms(rv, n, d)
+        sq, total, nonnegative = _abs_sums(rv, -f if flipped else f, add)
+        return total, rv.den * scale, nonnegative, rv.den, sq, scale
+
+    x, y = sides(xbar), sides(ybar)
+    swapped = y[0] * x[1] > x[0] * y[1]  # M_Y > M_X
     if swapped:
-        xbar, ybar = ybar, xbar
-        x_approx, y_approx = y_approx, x_approx
-    x_rv, y_rv = x_approx.to_rv(), y_approx.to_rv()
-    var_x_approx, var_y_approx = variance_rv(x_rv), variance_rv(y_rv)
-    lhs = var_abs_sum((x_rv, y_rv), -e, atom_cap)
-    denominator = 16 * (variance_rv(xbar) + e * e)
-    rhs = var_x_approx * var_y_approx / denominator if denominator > 0 else Fraction(0)
-    approx = dict(dx=x_approx.magnitude, px=x_approx.p, dy=y_approx.magnitude, py=y_approx.p)
-    witness = dict(e=e, flipped=flipped, swapped=swapped, **approx)
-    witness.update(var_x_approx=var_x_approx, var_y_approx=var_y_approx)
+        x, y = y, x
+    (tx, ux, mx, dx, sq, scale), (ty, uy, my, dy, _, _) = x, y
+    var_x = 4 * mx * (dx - mx) * tx * tx, (dx * ux) ** 2  # 4 p (1-p) M^2
+    var_y = 4 * my * (dy - my) * ty * ty, (dy * uy) ** 2
+    rhs = Fraction(0)
+    if sq:  # 16 (VarX + E^2) = 16 sq / (D L^2) > 0
+        rhs = Fraction(var_x[0] * var_y[0] * dx * scale * scale, 16 * var_x[1] * var_y[1] * sq)
+
+    # X' has two atoms unless M = 0 or p is 0 or 1: the cap of one merge of X' and Y'
+    _check_atoms((1 + (tx > 0 < mx < dx)) * (1 + (ty > 0 < my < dy)), atom_cap)
+    common = math.lcm(ux, uy, d)
+    a, b, c = tx * (common // ux), ty * (common // uy), n * (common // d)
+    sum_sq = sum_abs = 0
+    for u, wu in ((a, mx), (-a, dx - mx)):
+        for v, wv in ((b, my), (-b, dy - my)):
+            s, w = u + v - c, wu * wv
+            sum_sq += w * s * s
+            sum_abs += w * abs(s)
+    mass = dx * dy
+    lhs = Fraction(mass * sum_sq - sum_abs * sum_abs, (mass * common) ** 2)
+
+    def witness() -> Witness:
+        built: Witness = dict(e=-e if flipped else e, flipped=flipped, swapped=swapped)
+        built.update(dx=Fraction(tx, ux), px=Fraction(mx, dx))
+        built.update(dy=Fraction(ty, uy), py=Fraction(my, dy))
+        built.update(var_x_approx=Fraction(*var_x), var_y_approx=Fraction(*var_y))
+        return built
+
     return BoundReport(lhs, rhs, witness)
 
 

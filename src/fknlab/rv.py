@@ -6,19 +6,25 @@ Every operation reads those Python ints (no fixed width, no numpy) and builds
 one `Fraction` per result; `atoms` gives the Fractions.  The bounds downstream
 have huge constants and tiny slacks, so nothing here rounds.
 
-`var_abs_sum`, the hot path behind every Var|X1+...+Xn+E| the bounds need,
-shifts the first variable by E, merges each next one but the last over one
-common value scale (integer sums merge exactly when the rational ones do),
-then folds the last variable in without merging: power sums give the second
-moment, and prefix sums over the sorted partial support, bisected at each
-last value's negation, give the first absolute moment.
+`var_abs_sum`, the hot path behind every Var|X1+...+Xn+E| of two or more
+variables the bounds need, shifts the first variable by E, merges each next
+one but the last over one common value scale (integer sums merge exactly
+when the rational ones do), then folds the last variable in without
+merging: power sums give the second moment, and prefix sums over the sorted
+partial support, bisected at each last value's negation, give the first
+absolute moment.
+
+One shifted variable takes one pass: `_abs_sums` gives sum m s^2, sum m |s|
+and the mass of s >= 0 over its shifted numerators s.  `_var_abs_terms`
+turns them into Var|X+E| as an unreduced integer pair, which the bounds
+compare by cross-multiplying; `var_abs_shifted` and `const_abs_approx`
+build their Fractions from the same pass.
 
 Maps that keep the values distinct and in order build no merge: `shift` and
 `center` move the value numerators and divide out one gcd (the masses stay
-as they are), `const_abs_approx` sums |s| and the mass of s >= 0 in one
-pass over the shifted numerators, and the two-atom `to_rv` of
-`TwoPointBalancedRV` and `ConstAbsRV` write their canonical variable
-straight from the numerators and denominators of their fields.
+as they are), and the two-atom `to_rv` of `TwoPointBalancedRV` and
+`ConstAbsRV` write their canonical variable straight from the numerators
+and denominators of their fields.
 """
 
 from __future__ import annotations
@@ -231,11 +237,11 @@ def convolve(x: DiscreteRV, y: DiscreteRV, atom_cap: int = DEFAULT_ATOM_CAP) -> 
     return _merge(sums, scale, x.den * y.den)
 
 
-def _shift_terms(rv: DiscreteRV, c: Rational) -> tuple[int, int, int]:
-    """(L, f, add): X + c has the value numerators v f + add over L."""
-    c = _q(c)
-    scale = math.lcm(rv.scale, c.denominator)
-    return scale, scale // rv.scale, c.numerator * (scale // c.denominator)
+def _shift_terms(rv: DiscreteRV, num: int, den: int) -> tuple[int, int, int]:
+    """(L, f, add): X + num/den (den > 0, not necessarily in lowest terms)
+    has the value numerators v f + add over L = lcm(scale, den)."""
+    scale = math.lcm(rv.scale, den)
+    return scale, scale // rv.scale, num * (scale // den)
 
 
 def _with_values(values: list[int], rv: DiscreteRV, scale: int) -> DiscreteRV:
@@ -249,7 +255,8 @@ def _with_values(values: list[int], rv: DiscreteRV, scale: int) -> DiscreteRV:
 
 def shift(rv: DiscreteRV, c: Rational) -> DiscreteRV:
     """X + c: adding a constant keeps the values distinct and in order."""
-    scale, f, add = _shift_terms(rv, c)
+    c = _q(c)
+    scale, f, add = _shift_terms(rv, c.numerator, c.denominator)
     return _with_values([v * f + add for v in rv.values], rv, scale)
 
 
@@ -338,9 +345,33 @@ def _fold_last(support: dict[int, int], atoms: list[tuple[int, int]]) -> tuple[i
     return b0 * a2 + 2 * a1 * b1 + a0 * b2, sum_abs
 
 
+def _abs_sums(rv: DiscreteRV, f: int, add: int) -> tuple[int, int, int]:
+    """(sum m s^2, sum m |s|, mass of s >= 0) over the numerators s = v f + add,
+    in one pass."""
+    sq = total = nonnegative = 0
+    for v, m in zip(rv.values, rv.masses):
+        s = v * f + add
+        sq += m * s * s
+        if s >= 0:
+            total += m * s
+            nonnegative += m
+        else:
+            total -= m * s
+    return sq, total, nonnegative
+
+
+def _var_abs_terms(rv: DiscreteRV, num: int, den: int) -> tuple[int, int]:
+    """Var |X + num/den| as the unreduced pair (D sum m s^2 - (sum m |s|)^2, (D L)^2)
+    over the numerators s of X + num/den over L, from one pass."""
+    scale, f, add = _shift_terms(rv, num, den)
+    sq, total, _ = _abs_sums(rv, f, add)
+    return rv.den * sq - total * total, (rv.den * scale) ** 2
+
+
 def var_abs_shifted(rv: DiscreteRV, e: Rational) -> Fraction:
     """Var |X + E|."""
-    return var_abs_sum((rv,), e)
+    e = _q(e, "E")
+    return Fraction(*_var_abs_terms(rv, e.numerator, e.denominator))
 
 
 def const_abs_approx(rv: DiscreteRV, e: Rational) -> ConstAbsRV:
@@ -348,15 +379,9 @@ def const_abs_approx(rv: DiscreteRV, e: Rational) -> ConstAbsRV:
 
     Coupled on the same sample space, E[((X+E) - X')^2] = Var|X+E| exactly.
     """
-    scale, f, add = _shift_terms(rv, e)
-    total = nonnegative = 0  # sum m |s| and the mass of s >= 0, s = v f + add
-    for v, m in zip(rv.values, rv.masses):
-        s = v * f + add
-        if s >= 0:
-            total += m * s
-            nonnegative += m
-        else:
-            total -= m * s
+    e = _q(e)
+    scale, f, add = _shift_terms(rv, e.numerator, e.denominator)
+    _, total, nonnegative = _abs_sums(rv, f, add)
     return ConstAbsRV(Fraction(total, scale * rv.den), Fraction(nonnegative, rv.den))
 
 

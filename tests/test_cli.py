@@ -98,6 +98,15 @@ SWEEP_DIGESTS = [
     # enough fact instances that some tables need a second batch of words
     (("fact1", "--n", "3000"), "a57e507c67f7ca30e3fe92ac91c7b63d237b97b17c62ef2fe2e4b021d8bd176d"),
     (("fact8", "--n", "3000"), "cc12771d0b3feff632d6dfef9912c31bc80326d4aa87a0fd9e533218e7a6ee85"),
+    # enough pair instances for claim9's flipped, swapped and one-signed (rhs = 0)
+    # branches, and lemma5/lemma7 over many supports; claim9 on the claim6 example
+    (("lemma5", "--n", "3000"), "b2e12fa8f2ccdc1c578a0dfd991c91c9a98711a1aca281b747c3e092c4d22356"),
+    (("lemma7", "--n", "3000"), "ab3695debea1e00e8fdf4c1a4d6ad25462a639b4e55a4123645d0409818330e3"),
+    (("claim9", "--n", "3000"), "b4c92743e97673f1f18e1c4f919e13cb20de0636d4baa499f7d7a1cf5f47c763"),
+    (
+        ("claim9", "--n", "40", "--include-claim6"),
+        "ab0f5bfa09b629a832a69077cb58795796a19cf46d806fe6b347d9e1503b01bf",
+    ),
 ]
 
 

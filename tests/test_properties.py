@@ -81,6 +81,7 @@ from fknlab.rv import (
     ConstAbsRV,
     DiscreteRV,
     TwoPointBalancedRV,
+    _var_abs_terms,
     abs_rv,
     center,
     const_abs_approx,
@@ -91,6 +92,7 @@ from fknlab.rv import (
     negate,
     shift,
     two_point_decompose,
+    var_abs_shifted,
     var_abs_sum,
     variance_rv,
 )
@@ -497,6 +499,28 @@ def test_integer_operations_match_their_fraction_definitions(x, c):
     # coupled pointwise, X' = sign(X+E) E|X+E| is at squared distance Var|X+E|
     distance = sum(p * (v - (magnitude if v >= 0 else -magnitude)) ** 2 for v, p in shifted)
     assert distance == var_abs_sum((x,), c)
+
+
+@PROPERTY_SETTINGS
+@given(wide_rv(), wide_rationals, st.integers(1, 10**6))
+# c = -v for the atom v = 1/2: its s = 0 counts as s >= 0
+@example(x=DiscreteRV((-3, 1, 4), (1, 2, 1), 2, 4), c=Fraction(-1, 2), k=1)
+# a denominator coprime to x.scale = 6
+@example(x=DiscreteRV((-3, 1, 4), (1, 2, 1), 6, 4), c=Fraction(5, 7), k=3)
+# one atom, shifted off and onto 0
+@example(x=DiscreteRV.constant(Fraction(-5, 3)), c=Fraction(2, 9), k=1)
+@example(x=DiscreteRV.constant(Fraction(-5, 3)), c=Fraction(5, 3), k=2)
+def test_one_pass_per_shifted_variable_is_the_fraction_chain(x, c, k):
+    # lemma5 shifts by means c = num/den not in lowest terms: k num / (k den)
+    var = variance_rv(abs_rv(shift(x, c)))
+    n, d = _var_abs_terms(x, k * c.numerator, k * c.denominator)
+    assert d == (x.den * math.lcm(x.scale, k * c.denominator)) ** 2  # (D L)^2, unreduced
+    assert Fraction(n, d) == var
+    shifted = var_abs_shifted(x, c)
+    assert isinstance(shifted, Fraction) and shifted == var
+    magnitude = sum(abs(s) * p for s, p in ((v + c, p) for v, p in x.atoms))
+    nonnegative = sum(p for v, p in x.atoms if v + c >= 0)
+    assert const_abs_approx(x, c) == ConstAbsRV(magnitude, nonnegative)
 
 
 @PROPERTY_SETTINGS
